@@ -4,8 +4,10 @@
 // ratio, and the KV-cached flow undercuts the Y-cached flow.
 //
 // On top of the Fig. 15 suite this binary measures the blocked/threaded
-// kernel layer itself: naive-vs-blocked GEMM at the SDXL block shapes and
-// 1/2/4-thread scaling of GEMM and BlockForwardFull. Regardless of the
+// kernel layer itself: naive-vs-blocked GEMM at the SDXL block shapes,
+// naive-vs-dispatched row-wise kernels (softmax, the fused attention
+// epilogue, GELU, LayerNorm) at its gathered-panel shapes, and 1/2/4-thread
+// scaling of GEMM and BlockForwardFull. Regardless of the
 // google-benchmark output, main() always finishes by hand-timing those
 // kernels (median of repeated samples) and writing BENCH_kernels.json to
 // the working directory; pass --json-only to skip the google-benchmark
@@ -21,6 +23,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -349,6 +352,98 @@ bool WriteKernelsJson() {
   }
   json << "  ],\n";
   json << "  \"gemm_min_speedup\": " << worst_speedup << ",\n";
+
+  // Naive vs dispatched row-wise kernels, single thread, at the SDXL
+  // block's gathered-panel shapes: 20 rows (the median production mask)
+  // and 112 (a four-member patch panel) by 256 score columns (softmax and
+  // the fused attention epilogue), 256 FF columns (GELU) and 64 hidden
+  // columns (LayerNorm). Each pair is timed interleaved, min-of-N. Every
+  // call first copies its leg's input into the working panel, so the
+  // in-place kernels see the same values each time; both sides' figures
+  // include that copy.
+  json << "  \"kernel_isa\": \"" << KernelIsa() << "\",\n";
+  json << "  \"rowwise_naive_vs_dispatched\": [\n";
+  double rowwise_worst = 1e30;
+  {
+    ComputeThreadsScope scope(1);
+    const auto& f = Fixture();
+    const int rows_list[] = {20, 112};
+    std::vector<int> bias_rows;
+    for (int r = 0; r < f.x.rows(); r += 2) {
+      bias_rows.push_back(r);  // A gathered subset of the bias's rows.
+    }
+    const float scale = 1.0f / std::sqrt(static_cast<float>(f.hidden));
+    bool first = true;
+    for (const int rows : rows_list) {
+      const Matrix scores = BenchMatrix(rows, f.x.rows(), 5);
+      const Matrix ff = BenchMatrix(rows, 4 * f.hidden, 6);
+      const Matrix x = BenchMatrix(rows, f.hidden, 7);
+      const std::vector<int> panel_bias_rows(bias_rows.begin(),
+                                             bias_rows.begin() + rows);
+      Matrix work;  // Each call's working panel.
+      struct Leg {
+        const char* op;
+        const Matrix* input;
+        std::function<void()> naive;
+        std::function<void()> dispatched;
+      };
+      const Leg legs[] = {
+          {"softmax", &scores, [&] { naive::SoftmaxRows(work); },
+           [&] { SoftmaxRows(work); }},
+          {"scale_bias_softmax", &scores,
+           [&] {
+             for (int i = 0; i < work.rows(); ++i) {
+               float* s = work.row(i);
+               const float* b = f.bias.row(panel_bias_rows[i]);
+               for (int j = 0; j < work.cols(); ++j) {
+                 s[j] = s[j] * scale + b[j];
+               }
+             }
+             naive::SoftmaxRows(work);
+           },
+           [&] {
+             ScaleBiasSoftmaxRows(work, scale, f.bias, &panel_bias_rows);
+           }},
+          {"gelu", &ff, [&] { naive::GeluInPlace(work); },
+           [&] { GeluInPlace(work); }},
+          {"layernorm", &x,
+           [&] {
+             benchmark::DoNotOptimize(naive::LayerNorm(
+                 work, f.weights->ln1_gamma, f.weights->ln1_beta));
+           },
+           [&] {
+             benchmark::DoNotOptimize(
+                 LayerNorm(work, f.weights->ln1_gamma, f.weights->ln1_beta));
+           }},
+      };
+      for (const Leg& leg : legs) {
+        const Matrix& in = *leg.input;
+        const auto [naive_ms, dispatched_ms] = InterleavedMinMs(
+            [&] {
+              work = in;
+              leg.naive();
+            },
+            [&] {
+              work = in;
+              leg.dispatched();
+            });
+        const double speedup = naive_ms / dispatched_ms;
+        rowwise_worst = std::min(rowwise_worst, speedup);
+        json << (first ? "" : ",\n") << "    {\"op\": \"" << leg.op
+             << "\", \"rows\": " << in.rows() << ", \"cols\": " << in.cols()
+             << ", \"naive_us\": " << naive_ms * 1e3
+             << ", \"dispatched_us\": " << dispatched_ms * 1e3
+             << ", \"speedup\": " << speedup << "}";
+        first = false;
+        std::cerr << leg.op << " " << in.rows() << "x" << in.cols()
+                  << ": naive " << naive_ms * 1e3 << " us, dispatched "
+                  << dispatched_ms * 1e3 << " us, speedup " << speedup
+                  << "x\n";
+      }
+    }
+  }
+  json << "\n  ],\n";
+  json << "  \"rowwise_min_speedup\": " << rowwise_worst << ",\n";
 
   // Thread scaling of the blocked GEMM (ff1 shape) and of a whole
   // transformer-block forward. On a host with a single online core the

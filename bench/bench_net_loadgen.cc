@@ -2,14 +2,18 @@
 //
 // Replays a trace::Workload against a flashps_served daemon over one
 // pipelined net::Client connection, timing every request from the
-// client's side of the wire (send to reply, network + queueing + serving
-// included). With no --host flag it self-hosts: a Gateway + TcpServer
-// spin up in-process on an ephemeral loopback port, so the whole
-// round-trip — encode, socket, poll loop, gateway, completer, socket,
-// decode — is exercised by one command. Reports client-observed
-// p50/p99, per-status counts, and achieved request rate; cross-checks
+// client's side of the wire: from its scheduled send time to the reply's
+// receipt, so generator lateness, network, queueing and serving all count.
+// With no --host flag it self-hosts: a Gateway + TcpServer spin up
+// in-process on an ephemeral loopback port, so the whole round-trip —
+// encode, socket, poll loop, gateway, completer, socket, decode — is
+// exercised by one command. Reports client-observed p50/p99, the
+// per-request network+pump overhead (client latency minus the daemon's
+// own e2e_us), per-status counts and achieved request rate; cross-checks
 // them against the daemon's own MetricsJson() counters; emits
-// BENCH_net.json.
+// BENCH_net.json. A negative per-request overhead (the daemon reporting a
+// longer e2e than the client saw) is a measurement bug and fails the run
+// (exit 3).
 //
 //   bench_net_loadgen --requests=24 --rps=20 --steps=4 --workers=2
 //   bench_net_loadgen --host=127.0.0.1 --port=7411 --requests=100 --rps=50
@@ -62,10 +66,11 @@ long FlagLong(int argc, char** argv, const char* key, long fallback) {
 
 struct Outstanding {
   uint64_t trace_id = 0;
-  Clock::time_point sent;
+  Clock::time_point due;  // Scheduled send time: the latency clock's start.
 };
 
 struct Observed {
+  uint64_t trace_id = 0;
   net::WireResponse response;
   double latency_ms = 0.0;
 };
@@ -143,9 +148,10 @@ int main(int argc, char** argv) {
     for (auto it = outstanding.begin(); it != outstanding.end();) {
       if (auto response = client.TryTake(it->first)) {
         Observed obs;
+        obs.trace_id = it->second.trace_id;
         obs.response = *response;
         obs.latency_ms =
-            std::chrono::duration<double, std::milli>(now - it->second.sent)
+            std::chrono::duration<double, std::milli>(now - it->second.due)
                 .count();
         observed.push_back(obs);
         it = outstanding.erase(it);
@@ -177,7 +183,7 @@ int main(int argc, char** argv) {
       ++send_failures;
       continue;
     }
-    outstanding[seq] = Outstanding{request.id, Clock::now()};
+    outstanding[seq] = Outstanding{request.id, due};
     client.Pump(std::chrono::milliseconds(0));
     harvest();
   }
@@ -196,13 +202,29 @@ int main(int argc, char** argv) {
   uint64_t accepted = 0, rejected_slo = 0, shed = 0, shutdown = 0;
   StatAccumulator latency_ms;
   StatAccumulator server_e2e_ms;
+  // Per request, never a difference of percentiles: the client's clock
+  // starts before the request exists on the server and stops after its
+  // reply left it, so every value must be >= 0.
+  StatAccumulator overhead_ms;
+  uint64_t negative_overhead = 0;
   for (const Observed& obs : observed) {
     switch (obs.response.submit_status()) {
-      case gateway::SubmitStatus::kAccepted:
+      case gateway::SubmitStatus::kAccepted: {
         ++accepted;
+        const double e2e_ms = static_cast<double>(obs.response.e2e_us) / 1e3;
         latency_ms.Add(obs.latency_ms);
-        server_e2e_ms.Add(static_cast<double>(obs.response.e2e_us) / 1e3);
+        server_e2e_ms.Add(e2e_ms);
+        overhead_ms.Add(obs.latency_ms - e2e_ms);
+        if (obs.latency_ms < e2e_ms) {
+          ++negative_overhead;
+          std::fprintf(stderr,
+                       "NEGATIVE overhead: request %llu client %.3f ms < "
+                       "server e2e %.3f ms\n",
+                       static_cast<unsigned long long>(obs.trace_id),
+                       obs.latency_ms, e2e_ms);
+        }
         break;
+      }
       case gateway::SubmitStatus::kRejectedSlo:
         ++rejected_slo;
         break;
@@ -230,9 +252,9 @@ int main(int argc, char** argv) {
     bench::PrintRow(
         {"server e2e p50 (ms)", bench::Fmt(server_e2e_ms.P50(), 1)}, 26);
     bench::PrintRow(
-        {"network+pump overhead p50",
-         bench::Fmt(latency_ms.P50() - server_e2e_ms.P50(), 1)},
-        26);
+        {"net+pump overhead p50", bench::Fmt(overhead_ms.P50(), 2)}, 26);
+    bench::PrintRow(
+        {"net+pump overhead p99", bench::Fmt(overhead_ms.P99(), 2)}, 26);
   }
   bench::PrintRow({"achieved rps", bench::Fmt(accepted / wall_s, 2)}, 26);
 
@@ -254,6 +276,10 @@ int main(int argc, char** argv) {
        << ",\"e2e_ms\":{\"p50\":" << (latency_ms.empty() ? 0.0 : latency_ms.P50())
        << ",\"p99\":" << (latency_ms.empty() ? 0.0 : latency_ms.P99())
        << ",\"mean\":" << (latency_ms.empty() ? 0.0 : latency_ms.Mean())
+       << "},\"overhead_ms\":{\"p50\":"
+       << (overhead_ms.empty() ? 0.0 : overhead_ms.P50())
+       << ",\"p99\":" << (overhead_ms.empty() ? 0.0 : overhead_ms.P99())
+       << ",\"negative\":" << negative_overhead
        << "},\"achieved_rps\":" << (accepted / wall_s)
        << ",\"wall_s\":" << wall_s << "},\"server_metrics\":" << server_metrics
        << "}";
@@ -267,6 +293,13 @@ int main(int argc, char** argv) {
   }
   if (own_gateway != nullptr) {
     own_gateway->Stop();
+  }
+  if (negative_overhead > 0) {
+    std::fprintf(stderr,
+                 "%llu requests finished on the server after the client saw "
+                 "their reply: the latency accounting is broken\n",
+                 static_cast<unsigned long long>(negative_overhead));
+    return 3;
   }
   return lost == 0 ? 0 : 2;
 }

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus the concurrency and memory gauntlets:
-#   1. configure + build + full ctest (the roadmap's tier-1 gate);
+#   1. configure + build + full ctest (the roadmap's tier-1 gate), then the
+#      kernel suites again at every ISA level the CPU supports (the
+#      FLASHPS_ISA pin; unpinned runs only ever exercise the widest);
 #   2. emit BENCH_kernels.json from the kernel microbenchmarks;
 #   3. rebuild the threaded suites under ThreadSanitizer and run them;
-#   4. rebuild the net + gateway suites under AddressSanitizer and run
-#      them (malformed-frame handling must be memory-clean, not just
-#      not-crash).
+#   4. rebuild the net + gateway + kernel suites under AddressSanitizer and
+#      run them (malformed-frame handling must be memory-clean, not just
+#      not-crash, and so must the vector kernels' ragged-tail loads and
+#      stores).
 # The codec suites (Quant*, CodecQuality*) run in every leg: tier-1 via
 # ctest, and again under both sanitizers — the decoder's malformed-frame
 # rejection paths must be clean under ASan, and the codec is on the hot
@@ -54,7 +57,28 @@ cd "${repo}"
 # The threaded suites the sanitizers exercise. Keep the two lists in sync
 # with the build target lists below.
 tsan_regex='^(ParallelFor|KernelEquivalence|SparseCompute|ConcurrentQueue|ThreadPool|OnlineServer|Gateway|MetricsRegistry|StatAccumulator|Serde|Wire|TcpServer|NetIntegration|CacheRpc|CacheRing|Quant|CodecQuality|Fed)'
-asan_regex='^(SparseCompute|Serde|Wire|TcpServer|NetIntegration|Gateway|CacheRpc|CacheRing|Quant|CodecQuality|Fed)'
+asan_regex='^(KernelEquivalence|ParallelFor|Matrix|SparseCompute|Serde|Wire|TcpServer|NetIntegration|Gateway|CacheRpc|CacheRing|Quant|CodecQuality|Fed)'
+# The kernel suites (kernel_equivalence_test, tensor_test), rerun once per
+# ISA level.
+kernel_regex='^(KernelEquivalence|ParallelFor|Matrix)Test\.'
+
+# The FLASHPS_ISA levels this CPU can run, from its /proc/cpuinfo flags
+# (the feature sets GCC's x86-64-v3 and x86-64-v4 require).
+isa_levels() {
+  local flags
+  flags=" $(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null || true) "
+  has() {
+    local f
+    for f in "$@"; do
+      [[ "${flags}" == *" ${f} "* ]] || return 1
+    done
+  }
+  echo generic
+  local v3=(avx avx2 bmi1 bmi2 f16c fma abm movbe xsave)
+  has "${v3[@]}" && echo v3
+  has "${v3[@]}" avx512f avx512bw avx512cd avx512dq avx512vl && echo v4
+  return 0
+}
 
 echo "== tier-1: configure + build =="
 cmake -B build -S . >/dev/null
@@ -67,6 +91,13 @@ echo "== tier-1: ctest =="
 ctest --test-dir build --output-on-failure -j "$(nproc)" \
   --timeout "${test_timeout}" \
   ${filter:+-R "${filter}"}
+
+for isa in $(isa_levels); do
+  echo "== tier-1: kernel suites at FLASHPS_ISA=${isa} =="
+  FLASHPS_ISA="${isa}" ctest --test-dir build --output-on-failure \
+    -j "$(nproc)" --timeout "${test_timeout}" \
+    -R "${filter:-${kernel_regex}}"
+done
 
 # Opt-in smoke pass over every bench binary (~1 min): each one runs end to
 # end with tiny iterations, from a scratch directory so the throwaway
@@ -116,17 +147,17 @@ ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
   --timeout "${test_timeout}" \
   -R "${filter:-${tsan_regex}}"
 
-echo "== asan: build net + gateway + cache-rpc + cache-ring suites =="
+echo "== asan: build kernel + net + gateway + cache-rpc + cache-ring suites =="
 cmake -B build-asan -S . -DFLASHPS_SANITIZE=address >/dev/null
 cmake --build build-asan -j --target \
-  sparse_compute_test \
+  kernel_equivalence_test tensor_test sparse_compute_test \
   net_test net_integration_test gateway_test cache_rpc_test \
   cache_rpc_integration_test cache_ring_test cache_ring_integration_test \
   fed_test fed_integration_test \
   quant_test codec_quality_test \
   >/dev/null
 
-echo "== asan: run net + gateway + cache-rpc + cache-ring suites =="
+echo "== asan: run kernel + net + gateway + cache-rpc + cache-ring suites =="
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
   --timeout "${test_timeout}" \
   -R "${filter:-${asan_regex}}"

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "src/common/parallel_for.h"
-
 namespace flashps::model {
 
 namespace {
@@ -15,25 +13,6 @@ Matrix RandomWeight(int rows, int cols, Rng& rng) {
   Matrix m(rows, cols);
   m.FillNormal(rng, 1.0f / std::sqrt(static_cast<float>(rows)));
   return m;
-}
-
-// Adds the attention-score bias rows for query set `q_rows` (or all rows when
-// empty) to `scores` whose columns span all tokens.
-void AddBiasRows(Matrix& scores, const Matrix& bias,
-                 const std::vector<int>* q_rows) {
-  const int cols = scores.cols();
-  const int64_t grain = std::max<int64_t>(1, (int64_t{1} << 14) / (cols + 1));
-  ParallelFor(scores.rows(), grain, [&](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      const int row = static_cast<int>(i);
-      const int src_row = q_rows == nullptr ? row : (*q_rows)[row];
-      const float* b = bias.row(src_row);
-      float* s = scores.row(row);
-      for (int j = 0; j < cols; ++j) {
-        s[j] += b[j];
-      }
-    }
-  });
 }
 
 // The token-wise tail of a block given the attention output rows: residual
@@ -96,9 +75,7 @@ Matrix BlockForwardFull(const BlockWeights& w, const Matrix& x,
   Matrix k = MatMul(xn, w.wk);
   Matrix v = MatMul(xn, w.wv);
   Matrix scores = MatMulTransposed(q, k);
-  ScaleInPlace(scores, inv_sqrt_h);
-  AddBiasRows(scores, attn_bias, nullptr);
-  SoftmaxRows(scores);
+  ScaleBiasSoftmaxRows(scores, inv_sqrt_h, attn_bias, nullptr);
   Matrix attn = MatMul(MatMul(scores, v), w.wo);
   // Both projections are dead after `attn`; move them out instead of
   // deep-copying K.
@@ -125,9 +102,7 @@ Matrix BlockForwardMaskedY(const BlockWeights& w, const Matrix& x,
   Matrix xn_masked = GatherRows(xn, mask.masked_tokens);
   Matrix q = MatMul(xn_masked, w.wq);
   Matrix scores = MatMulTransposed(q, k);
-  ScaleInPlace(scores, inv_sqrt_h);
-  AddBiasRows(scores, attn_bias, &mask.masked_tokens);
-  SoftmaxRows(scores);
+  ScaleBiasSoftmaxRows(scores, inv_sqrt_h, attn_bias, &mask.masked_tokens);
   Matrix attn = MatMul(MatMul(scores, v), w.wo);
 
   Matrix x_masked = GatherRows(x, mask.masked_tokens);
@@ -159,9 +134,7 @@ Matrix BlockForwardMaskedKV(const BlockWeights& w, const Matrix& x,
   ScatterRows(v, v_masked, mask.masked_tokens);
 
   Matrix scores = MatMulTransposed(q, k);
-  ScaleInPlace(scores, inv_sqrt_h);
-  AddBiasRows(scores, attn_bias, &mask.masked_tokens);
-  SoftmaxRows(scores);
+  ScaleBiasSoftmaxRows(scores, inv_sqrt_h, attn_bias, &mask.masked_tokens);
   Matrix attn = MatMul(MatMul(scores, v), w.wo);
 
   Matrix y_masked = BlockTail(w, x_masked, attn);
@@ -196,9 +169,7 @@ Matrix BlockForwardMaskedGathered(const BlockWeights& w, const Matrix& x,
   MatMulScatterRows(xn_masked, w.wv, mask.masked_tokens, v);
 
   Matrix scores = MatMulTransposed(q, k);
-  ScaleInPlace(scores, inv_sqrt_h);
-  AddBiasRows(scores, attn_bias, &mask.masked_tokens);
-  SoftmaxRows(scores);
+  ScaleBiasSoftmaxRows(scores, inv_sqrt_h, attn_bias, &mask.masked_tokens);
   Matrix attn = MatMul(MatMul(scores, v), w.wo);
 
   Matrix y_masked = BlockTail(w, x_masked, attn);
@@ -257,9 +228,8 @@ void BlockForwardMaskedGatheredBatch(
       std::copy(v_panel.row(pr), v_panel.row(pr) + hidden, v.row(token));
     }
     Matrix scores = MatMulTransposed(q, k);
-    ScaleInPlace(scores, inv_sqrt_h);
-    AddBiasRows(scores, *item.attn_bias, &item.mask->masked_tokens);
-    SoftmaxRows(scores);
+    ScaleBiasSoftmaxRows(scores, inv_sqrt_h, *item.attn_bias,
+                         &item.mask->masked_tokens);
     Matrix ctx = MatMul(scores, v);
     for (int r = 0; r < m; ++r) {
       const int pr = static_cast<int>(offsets[i]) + r;
@@ -296,9 +266,7 @@ Matrix BlockForwardSparse(const BlockWeights& w, const Matrix& x_masked,
   Matrix k = MatMul(xn, w.wk);
   Matrix v = MatMul(xn, w.wv);
   Matrix scores = MatMulTransposed(q, k);
-  ScaleInPlace(scores, inv_sqrt_h);
-  AddBiasRows(scores, masked_bias, nullptr);
-  SoftmaxRows(scores);
+  ScaleBiasSoftmaxRows(scores, inv_sqrt_h, masked_bias, nullptr);
   Matrix attn = MatMul(MatMul(scores, v), w.wo);
   return BlockTail(w, x_masked, attn);
 }
@@ -310,9 +278,7 @@ Matrix AttentionMatrix(const BlockWeights& w, const Matrix& x,
   Matrix q = MatMul(xn, w.wq);
   Matrix k = MatMul(xn, w.wk);
   Matrix scores = MatMulTransposed(q, k);
-  ScaleInPlace(scores, inv_sqrt_h);
-  AddBiasRows(scores, attn_bias, nullptr);
-  SoftmaxRows(scores);
+  ScaleBiasSoftmaxRows(scores, inv_sqrt_h, attn_bias, nullptr);
   return scores;
 }
 

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "src/common/parallel_for.h"
+#include "src/tensor/fast_exp.h"
 #include "src/tensor/fast_tanh.h"
 
 namespace flashps {
@@ -143,14 +147,18 @@ void PackPanels(const Matrix& b, int k0, int k1, int n, bool b_transposed,
 // mul+adds at baseline, one ymm FMA per row at x86-64-v3/v4.
 typedef float VecNr __attribute__((vector_size(kNr * sizeof(float))));
 
-FLASHPS_ALWAYS_INLINE VecNr LoadVec(const float* p) {
-  VecNr v;
-  __builtin_memcpy(&v, p, sizeof(VecNr));
+// Unaligned vector load/store; the row-wise kernels below reuse them at
+// their own width.
+template <typename V = VecNr>
+FLASHPS_ALWAYS_INLINE V LoadVec(const float* p) {
+  V v;
+  __builtin_memcpy(&v, p, sizeof(V));
   return v;
 }
 
-FLASHPS_ALWAYS_INLINE void StoreVec(float* p, VecNr v) {
-  __builtin_memcpy(p, &v, sizeof(VecNr));
+template <typename V>
+FLASHPS_ALWAYS_INLINE void StoreVec(float* p, V v) {
+  __builtin_memcpy(p, &v, sizeof(V));
 }
 
 // Scalar-vector binop form so the broadcast lowers to one vbroadcastss
@@ -285,39 +293,6 @@ FLASHPS_ALWAYS_INLINE void GemmRowRangeImpl(const Matrix& a,
   }
 }
 
-// Runtime ISA dispatch. The portable build targets baseline x86-64 (SSE2,
-// no FMA), which leaves most of a modern core idle; instead of shipping
-// per-host binaries, the row-range kernel is compiled three times — baseline,
-// x86-64-v3 (AVX2+FMA), x86-64-v4 (AVX-512) — and the widest level the CPU
-// reports is picked once per process. Explicit function-pointer dispatch
-// (not ifunc/target_clones) keeps sanitizer builds and static init simple.
-// The choice is process-wide and thread-count-independent, so the bitwise
-// invariance guarantee above is unaffected.
-using GemmRowRangeFn = void (*)(const Matrix&, const std::vector<float>&, int,
-                                int, int, Matrix&, const int*, const int*,
-                                int64_t, int64_t);
-
-void GemmRowRangeGeneric(const Matrix& a, const std::vector<float>& packed,
-                         int k0, int kc, int n, Matrix& out, const int* a_idx,
-                         const int* c_idx, int64_t i0, int64_t i1) {
-  GemmRowRangeImpl(a, packed, k0, kc, n, out, a_idx, c_idx, i0, i1);
-}
-
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define FLASHPS_GEMM_MULTIVERSION 1
-__attribute__((target("arch=x86-64-v3"))) void GemmRowRangeV3(
-    const Matrix& a, const std::vector<float>& packed, int k0, int kc, int n,
-    Matrix& out, const int* a_idx, const int* c_idx, int64_t i0, int64_t i1) {
-  GemmRowRangeImpl(a, packed, k0, kc, n, out, a_idx, c_idx, i0, i1);
-}
-
-__attribute__((target("arch=x86-64-v4"))) void GemmRowRangeV4(
-    const Matrix& a, const std::vector<float>& packed, int k0, int kc, int n,
-    Matrix& out, const int* a_idx, const int* c_idx, int64_t i0, int64_t i1) {
-  GemmRowRangeImpl(a, packed, k0, kc, n, out, a_idx, c_idx, i0, i1);
-}
-#endif
-
 // Panel-at-a-time variant for GEMMs with few logical rows (the gathered
 // sparse compute path's panels): packing all of B costs O(k·n) writes plus
 // a second pass of reads, which only pays for itself when many row tiles
@@ -417,84 +392,344 @@ FLASHPS_ALWAYS_INLINE void GemmPanelRangeImpl(
   }
 }
 
-using GemmPanelRangeFn = void (*)(const Matrix&, const Matrix&, bool, int, int,
-                                  int, int, Matrix&, const int*, const int*,
-                                  float*, int64_t, int64_t);
+// ---------------------------------------------------------------------------
+// Row-wise kernels: softmax (optionally fused with the attention epilogue's
+// scale and bias-row add), LayerNorm and GELU, written once on 16-lane GCC
+// vectors. Like the GEMM they are compiled at every ISA level below, where
+// one vector op lowers to four xmm ops (baseline), two ymm ops (x86-64-v3)
+// or one zmm op (x86-64-v4).
+//
+// Bits. Lanes split a row's columns (column j lands in lane j % 16), never
+// rows, so a row's result depends only on its own values and width: a
+// gathered panel, the dense matrix and any thread split give the same bits.
+// A row's ragged tail runs through the same vector code on a padded copy,
+// so no element's bits depend on where it sits. The variants are
+// compiled without FMA contraction (RowwiseVariants below), so every ISA
+// level performs the same IEEE operations: GELU is bitwise equal to
+// naive::GeluInPlace, and softmax and LayerNorm differ from naive:: only by
+// FastExpNonPositive's <= 1 ULP and their lane-blocked summation order.
+// ---------------------------------------------------------------------------
 
-void GemmPanelRangeGeneric(const Matrix& a, const Matrix& b, bool b_transposed,
-                           int k0, int kc, int m, int n, Matrix& out,
-                           const int* a_idx, const int* c_idx, float* panel_buf,
-                           int64_t panel0, int64_t panel1) {
-  GemmPanelRangeImpl<kMrPanel, 1>(a, b, b_transposed, k0, kc, m, n, out,
-                                  a_idx, c_idx, panel_buf, panel0, panel1);
+constexpr int kLanes = 16;
+typedef float Vec16 __attribute__((vector_size(kLanes * sizeof(float))));
+
+// The n < kLanes floats at p in lanes [0, n), `pad` in the lanes above.
+FLASHPS_ALWAYS_INLINE Vec16 LoadTail16(const float* p, int n,
+                                       float pad = 0.0f) {
+  Vec16 v = pad + Vec16{};
+  __builtin_memcpy(&v, p, static_cast<size_t>(n) * sizeof(float));
+  return v;
 }
 
-#ifdef FLASHPS_GEMM_MULTIVERSION
-__attribute__((target("arch=x86-64-v3"))) void GemmPanelRangeV3(
-    const Matrix& a, const Matrix& b, bool b_transposed, int k0, int kc, int m,
-    int n, Matrix& out, const int* a_idx, const int* c_idx, float* panel_buf,
-    int64_t panel0, int64_t panel1) {
-  GemmPanelRangeImpl<kMrPanel, 1>(a, b, b_transposed, k0, kc, m, n, out,
-                                  a_idx, c_idx, panel_buf, panel0, panel1);
+FLASHPS_ALWAYS_INLINE void StoreTail16(float* p, Vec16 v, int n) {
+  __builtin_memcpy(p, &v, static_cast<size_t>(n) * sizeof(float));
 }
 
-__attribute__((target("arch=x86-64-v4"))) void GemmPanelRangeV4(
-    const Matrix& a, const Matrix& b, bool b_transposed, int k0, int kc, int m,
-    int n, Matrix& out, const int* a_idx, const int* c_idx, float* panel_buf,
-    int64_t panel0, int64_t panel1) {
-  GemmPanelRangeImpl<kMrPanel, 2>(a, b, b_transposed, k0, kc, m, n, out,
-                                  a_idx, c_idx, panel_buf, panel0, panel1);
+// Horizontal reductions run as a fixed pairwise tree — lane l with lane
+// l + 8, then l + 4, l + 2, l + 1 — the same order at every ISA level.
+// Lanes [W, 2W) of v moved down to [0, W); the lanes above do not matter.
+template <int W>
+FLASHPS_ALWAYS_INLINE Vec16 LanesFrom(Vec16 v) {
+  if constexpr (W == 8) {
+    return __builtin_shufflevector(v, v, 8, 9, 10, 11, 12, 13, 14, 15, 8, 9,
+                                   10, 11, 12, 13, 14, 15);
+  } else if constexpr (W == 4) {
+    return __builtin_shufflevector(v, v, 4, 5, 6, 7, 4, 5, 6, 7, 4, 5, 6, 7, 4,
+                                   5, 6, 7);
+  } else if constexpr (W == 2) {
+    return __builtin_shufflevector(v, v, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2,
+                                   3, 2, 3);
+  } else {
+    static_assert(W == 1);
+    return __builtin_shufflevector(v, v, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+                                   1, 1, 1);
+  }
 }
+
+FLASHPS_ALWAYS_INLINE float SumLanes(Vec16 v) {
+  v += LanesFrom<8>(v);
+  v += LanesFrom<4>(v);
+  v += LanesFrom<2>(v);
+  v += LanesFrom<1>(v);
+  return v[0];
+}
+
+FLASHPS_ALWAYS_INLINE Vec16 Max16(Vec16 a, Vec16 b) { return b > a ? b : a; }
+
+FLASHPS_ALWAYS_INLINE float MaxLanes(Vec16 v) {
+  v = Max16(v, LanesFrom<8>(v));
+  v = Max16(v, LanesFrom<4>(v));
+  v = Max16(v, LanesFrom<2>(v));
+  v = Max16(v, LanesFrom<1>(v));
+  return v[0];
+}
+
+// Softmax of one row in place. With `bias` set, the row is first replaced
+// by row * scale + bias — the attention epilogue, rounded per operation
+// exactly as separate scale, bias-add and softmax passes would round it.
+FLASHPS_ALWAYS_INLINE void SoftmaxRow(float* row, int cols, float scale,
+                                      const float* bias) {
+  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+  const int body = cols - cols % kLanes;
+  const int tail = cols - body;
+  Vec16 vmax = kNegInf + Vec16{};
+  for (int j = 0; j < body; j += kLanes) {
+    Vec16 v = LoadVec<Vec16>(row + j);
+    if (bias != nullptr) {
+      v = v * scale + LoadVec<Vec16>(bias + j);
+      StoreVec(row + j, v);
+    }
+    vmax = Max16(vmax, v);
+  }
+  if (tail > 0) {
+    if (bias != nullptr) {
+      const Vec16 v = LoadTail16(row + body, tail) * scale +
+                      LoadTail16(bias + body, tail);
+      StoreTail16(row + body, v, tail);
+    }
+    // -inf padding: it never wins the max, and its exp adds exactly 0.
+    vmax = Max16(vmax, LoadTail16(row + body, tail, kNegInf));
+  }
+  const float mx = MaxLanes(vmax);
+  Vec16 vsum = {};
+  for (int j = 0; j < body; j += kLanes) {
+    const Vec16 e = FastExpNonPositive(LoadVec<Vec16>(row + j) - mx);
+    StoreVec(row + j, e);
+    vsum += e;
+  }
+  if (tail > 0) {
+    const Vec16 e =
+        FastExpNonPositive(LoadTail16(row + body, tail, kNegInf) - mx);
+    StoreTail16(row + body, e, tail);
+    vsum += e;
+  }
+  const float inv = 1.0f / SumLanes(vsum);
+  for (int j = 0; j < body; j += kLanes) {
+    StoreVec(row + j, LoadVec<Vec16>(row + j) * inv);
+  }
+  if (tail > 0) {
+    StoreTail16(row + body, LoadTail16(row + body, tail) * inv, tail);
+  }
+}
+
+// Rows [r0, r1) of SoftmaxRows (bias == nullptr) or ScaleBiasSoftmaxRows.
+FLASHPS_ALWAYS_INLINE void SoftmaxRowRangeImpl(Matrix& m, float scale,
+                                               const Matrix* bias,
+                                               const int* bias_rows,
+                                               int64_t r0, int64_t r1) {
+  for (int64_t i = r0; i < r1; ++i) {
+    const int r = static_cast<int>(i);
+    const float* b = nullptr;
+    if (bias != nullptr) {
+      b = bias->row(bias_rows == nullptr ? r : bias_rows[r]);
+    }
+    SoftmaxRow(m.row(r), m.cols(), scale, b);
+  }
+}
+
+// Rows [r0, r1) of LayerNorm: mean and variance reduce lane-blocked.
+FLASHPS_ALWAYS_INLINE void LayerNormRowRangeImpl(const Matrix& x,
+                                                 const float* gamma,
+                                                 const float* beta, float eps,
+                                                 Matrix& out, int64_t r0,
+                                                 int64_t r1) {
+  const int c = x.cols();
+  const int body = c - c % kLanes;
+  const int tail = c - body;
+  for (int64_t i = r0; i < r1; ++i) {
+    const float* in = x.row(static_cast<int>(i));
+    float* o = out.row(static_cast<int>(i));
+    Vec16 acc = {};
+    for (int j = 0; j < body; j += kLanes) {
+      acc += LoadVec<Vec16>(in + j);
+    }
+    if (tail > 0) {
+      acc += LoadTail16(in + body, tail);
+    }
+    const float mean = SumLanes(acc) / static_cast<float>(c);
+    Vec16 sq = {};
+    for (int j = 0; j < body; j += kLanes) {
+      const Vec16 d = LoadVec<Vec16>(in + j) - mean;
+      sq += d * d;
+    }
+    if (tail > 0) {
+      // Padding with the mean makes the padding lanes' deviation exactly 0.
+      const Vec16 d = LoadTail16(in + body, tail, mean) - mean;
+      sq += d * d;
+    }
+    const float var = SumLanes(sq) / static_cast<float>(c);
+    const float inv_std = 1.0f / std::sqrt(var + eps);
+    for (int j = 0; j < body; j += kLanes) {
+      const Vec16 d = LoadVec<Vec16>(in + j) - mean;
+      StoreVec(o + j, d * inv_std * LoadVec<Vec16>(gamma + j) +
+                          LoadVec<Vec16>(beta + j));
+    }
+    if (tail > 0) {
+      StoreTail16(o + body,
+                  (LoadTail16(in + body, tail) - mean) * inv_std *
+                          LoadTail16(gamma + body, tail) +
+                      LoadTail16(beta + body, tail),
+                  tail);
+    }
+  }
+}
+
+// GELU (tanh approximation) with naive::GeluInPlace's operation order.
+FLASHPS_ALWAYS_INLINE Vec16 Gelu16(Vec16 x) {
+  constexpr float kSqrt2OverPi = 0.7978845608f;
+  const Vec16 t = FastTanh(kSqrt2OverPi * (x + 0.044715f * x * x * x));
+  return 0.5f * x * (1.0f + t);
+}
+
+// Elements [b, e) of GeluInPlace.
+FLASHPS_ALWAYS_INLINE void GeluRangeImpl(float* data, int64_t b, int64_t e) {
+  int64_t i = b;
+  for (; i + kLanes <= e; i += kLanes) {
+    StoreVec(data + i, Gelu16(LoadVec<Vec16>(data + i)));
+  }
+  if (i < e) {
+    const int n = static_cast<int>(e - i);
+    StoreTail16(data + i, Gelu16(LoadTail16(data + i, n)), n);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Runtime ISA dispatch. The portable build targets baseline x86-64 (SSE2,
+// no FMA), which leaves most of a modern core idle; instead of shipping
+// per-host binaries, every kernel above is compiled three times — baseline,
+// x86-64-v3 (AVX2+FMA), x86-64-v4 (AVX-512) — and one level, the widest the
+// CPU reports, is picked once per process for all of them.
+// FLASHPS_ISA=generic|v3|v4 pins that level (A/B measurement, and the CI
+// leg that runs the kernel suites at every level). Explicit function
+// pointers (not ifunc/target_clones) keep sanitizer builds and static init
+// simple. The choice is process-wide and thread-count-independent, so the
+// bitwise invariance guarantees above are unaffected.
+// ---------------------------------------------------------------------------
+
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define FLASHPS_MULTIVERSION 1
+#define FLASHPS_TARGET_V3 __attribute__((target("arch=x86-64-v3")))
+#define FLASHPS_TARGET_V4 __attribute__((target("arch=x86-64-v4")))
+#define FLASHPS_NO_FP_CONTRACT __attribute__((optimize("fp-contract=off")))
+#else
+// Elsewhere the v3/v4 variants compile as baseline copies that are never
+// selected.
+#define FLASHPS_TARGET_V3
+#define FLASHPS_TARGET_V4
+#define FLASHPS_NO_FP_CONTRACT
 #endif
 
-GemmPanelRangeFn ResolveGemmPanelRange() {
-#ifdef FLASHPS_GEMM_MULTIVERSION
+// Kernel `Impl` compiled at each ISA level. The GEMM variants let the
+// compiler contract multiply-adds into FMAs at v3/v4.
+template <auto Impl>
+struct GemmVariants;
+template <typename... Args, void (*Impl)(Args...)>
+struct GemmVariants<Impl> {
+  static void Generic(Args... args) { Impl(args...); }
+  FLASHPS_TARGET_V3 static void V3(Args... args) { Impl(args...); }
+  FLASHPS_TARGET_V4 static void V4(Args... args) { Impl(args...); }
+};
+
+// The row-wise variants round every operation separately, so all three
+// levels produce the same bits (see "Row-wise kernels" above). The
+// optimize attribute turns contraction off per function, leaving the GEMM
+// variants in this file their FMAs.
+template <auto Impl>
+struct RowwiseVariants;
+template <typename... Args, void (*Impl)(Args...)>
+struct RowwiseVariants<Impl> {
+  FLASHPS_NO_FP_CONTRACT static void Generic(Args... args) { Impl(args...); }
+  FLASHPS_NO_FP_CONTRACT FLASHPS_TARGET_V3 static void V3(Args... args) {
+    Impl(args...);
+  }
+  FLASHPS_NO_FP_CONTRACT FLASHPS_TARGET_V4 static void V4(Args... args) {
+    Impl(args...);
+  }
+};
+
+enum class Isa { kGeneric, kV3, kV4 };
+
+const char* IsaName(Isa isa) {
+  switch (isa) {
+    case Isa::kV4:
+      return "v4";
+    case Isa::kV3:
+      return "v3";
+    case Isa::kGeneric:
+      break;
+  }
+  return "generic";
+}
+
+Isa ResolveIsa() {
+  bool v3 = false;
+  bool v4 = false;
+#ifdef FLASHPS_MULTIVERSION
+  v3 = __builtin_cpu_supports("x86-64-v3");
+  v4 = __builtin_cpu_supports("x86-64-v4");
+#endif
+  const Isa widest = v4 ? Isa::kV4 : (v3 ? Isa::kV3 : Isa::kGeneric);
   const char* pin = std::getenv("FLASHPS_ISA");
-  if (pin != nullptr) {
-    if (std::strcmp(pin, "generic") == 0) {
-      return GemmPanelRangeGeneric;
-    }
-    if (std::strcmp(pin, "v3") == 0 && __builtin_cpu_supports("x86-64-v3")) {
-      return GemmPanelRangeV3;
-    }
-    if (std::strcmp(pin, "v4") == 0 && __builtin_cpu_supports("x86-64-v4")) {
-      return GemmPanelRangeV4;
-    }
+  if (pin == nullptr) {
+    return widest;
   }
-  if (__builtin_cpu_supports("x86-64-v4")) {
-    return GemmPanelRangeV4;
+  if (std::strcmp(pin, "generic") == 0) {
+    return Isa::kGeneric;
   }
-  if (__builtin_cpu_supports("x86-64-v3")) {
-    return GemmPanelRangeV3;
+  if (std::strcmp(pin, "v3") == 0 && v3) {
+    return Isa::kV3;
   }
-#endif
-  return GemmPanelRangeGeneric;
+  if (std::strcmp(pin, "v4") == 0 && v4) {
+    return Isa::kV4;
+  }
+  std::fprintf(stderr,
+               "flashps: FLASHPS_ISA=%s is not generic|v3|v4 or not supported "
+               "by this CPU; kernels run at %s\n",
+               pin, IsaName(widest));
+  return widest;
 }
 
-GemmRowRangeFn ResolveGemmRowRange() {
-#ifdef FLASHPS_GEMM_MULTIVERSION
-  // FLASHPS_ISA=generic|v3|v4 pins the dispatch (perf debugging; the bench
-  // uses it to compare ISA levels on one host).
-  const char* pin = std::getenv("FLASHPS_ISA");
-  if (pin != nullptr) {
-    if (std::strcmp(pin, "generic") == 0) {
-      return GemmRowRangeGeneric;
+// Every dispatched kernel at the process's ISA level.
+struct KernelSet {
+  Isa isa;
+  void (*gemm_row_range)(const Matrix&, const std::vector<float>&, int, int,
+                         int, Matrix&, const int*, const int*, int64_t,
+                         int64_t);
+  void (*gemm_panel_range)(const Matrix&, const Matrix&, bool, int, int, int,
+                           int, Matrix&, const int*, const int*, float*,
+                           int64_t, int64_t);
+  void (*softmax_row_range)(Matrix&, float, const Matrix*, const int*, int64_t,
+                            int64_t);
+  void (*layernorm_row_range)(const Matrix&, const float*, const float*, float,
+                              Matrix&, int64_t, int64_t);
+  void (*gelu_range)(float*, int64_t, int64_t);
+};
+
+const KernelSet& Kernels() {
+  // The AVX-512 panel kernel pairs panels (MicroKernelPair): it needs the
+  // 32 vector registers only v4 has.
+  using Gemm = GemmVariants<GemmRowRangeImpl>;
+  using Panel1 = GemmVariants<GemmPanelRangeImpl<kMrPanel, 1>>;
+  using Panel2 = GemmVariants<GemmPanelRangeImpl<kMrPanel, 2>>;
+  using Softmax = RowwiseVariants<SoftmaxRowRangeImpl>;
+  using Norm = RowwiseVariants<LayerNormRowRangeImpl>;
+  using GeluK = RowwiseVariants<GeluRangeImpl>;
+  static const KernelSet kernels = [] {
+    const Isa isa = ResolveIsa();
+    switch (isa) {
+      case Isa::kV4:
+        return KernelSet{isa, Gemm::V4, Panel2::V4, Softmax::V4, Norm::V4,
+                         GeluK::V4};
+      case Isa::kV3:
+        return KernelSet{isa, Gemm::V3, Panel1::V3, Softmax::V3, Norm::V3,
+                         GeluK::V3};
+      case Isa::kGeneric:
+        break;
     }
-    if (std::strcmp(pin, "v3") == 0 && __builtin_cpu_supports("x86-64-v3")) {
-      return GemmRowRangeV3;
-    }
-    if (std::strcmp(pin, "v4") == 0 && __builtin_cpu_supports("x86-64-v4")) {
-      return GemmRowRangeV4;
-    }
-  }
-  if (__builtin_cpu_supports("x86-64-v4")) {
-    return GemmRowRangeV4;
-  }
-  if (__builtin_cpu_supports("x86-64-v3")) {
-    return GemmRowRangeV3;
-  }
-#endif
-  return GemmRowRangeGeneric;
+    return KernelSet{isa, Gemm::Generic, Panel1::Generic,
+                     Softmax::Generic, Norm::Generic, GeluK::Generic};
+  }();
+  return kernels;
 }
 
 // Below this many logical rows the driver switches to the panel-at-a-time
@@ -516,8 +751,8 @@ void GemmBlockedInto(const Matrix& a, const Matrix& b, bool b_transposed,
   if (m == 0 || n == 0 || k == 0) {
     return;
   }
+  const KernelSet& kernels = Kernels();
   if (m <= kPanelAtATimeMaxRows) {
-    static const GemmPanelRangeFn gemm_panel_range = ResolveGemmPanelRange();
     for (int k0 = 0; k0 < k; k0 += kKc) {
       const int kc = std::min(kKc, k - k0);
       // Panels per chunk sized so each chunk carries at least
@@ -533,8 +768,8 @@ void GemmBlockedInto(const Matrix& a, const Matrix& b, bool b_transposed,
         // panels of work.
         thread_local std::vector<float> panel_buf;
         panel_buf.resize(static_cast<size_t>(kc) * kNr * kPanelGroup);
-        gemm_panel_range(a, b, b_transposed, k0, kc, m, n, out, a_idx, c_idx,
-                         panel_buf.data(), p0, p1);
+        kernels.gemm_panel_range(a, b, b_transposed, k0, kc, m, n, out, a_idx,
+                                 c_idx, panel_buf.data(), p0, p1);
       });
     }
     return;
@@ -548,9 +783,8 @@ void GemmBlockedInto(const Matrix& a, const Matrix& b, bool b_transposed,
     int64_t grain =
         std::max<int64_t>(kMr, kGemmParallelFlops / (2LL * kc * n + 1));
     grain = ((grain + kMr - 1) / kMr) * kMr;
-    static const GemmRowRangeFn gemm_row_range = ResolveGemmRowRange();
     ParallelFor(m, grain, [&](int64_t i0, int64_t i1) {
-      gemm_row_range(a, packed, k0, kc, n, out, a_idx, c_idx, i0, i1);
+      kernels.gemm_row_range(a, packed, k0, kc, n, out, a_idx, c_idx, i0, i1);
     });
   }
 }
@@ -598,30 +832,33 @@ void MatMulScatterRows(const Matrix& a_panel, const Matrix& b,
                   rows.data(), out);
 }
 
-void SoftmaxRows(Matrix& m) {
+namespace {
+
+// Softmax over every row, each first scaled and biased when `bias` is set.
+void SoftmaxRowsDispatch(Matrix& m, float scale, const Matrix* bias,
+                         const int* bias_rows) {
   if (m.rows() == 0 || m.cols() == 0) {
     return;
   }
-  const int cols = m.cols();
-  const int64_t grain = std::max<int64_t>(1, kRowwiseGrainElems / cols);
+  const auto kernel = Kernels().softmax_row_range;
+  const int64_t grain = std::max<int64_t>(1, kRowwiseGrainElems / m.cols());
   ParallelFor(m.rows(), grain, [&](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      float* row = m.row(static_cast<int>(i));
-      float mx = row[0];
-      for (int j = 1; j < cols; ++j) {
-        mx = std::max(mx, row[j]);
-      }
-      float sum = 0.0f;
-      for (int j = 0; j < cols; ++j) {
-        row[j] = std::exp(row[j] - mx);
-        sum += row[j];
-      }
-      const float inv = 1.0f / sum;
-      for (int j = 0; j < cols; ++j) {
-        row[j] *= inv;
-      }
-    }
+    kernel(m, scale, bias, bias_rows, r0, r1);
   });
+}
+
+}  // namespace
+
+void SoftmaxRows(Matrix& m) { SoftmaxRowsDispatch(m, 1.0f, nullptr, nullptr); }
+
+void ScaleBiasSoftmaxRows(Matrix& scores, float scale, const Matrix& bias,
+                          const std::vector<int>* bias_rows) {
+  assert(bias.cols() == scores.cols());
+  assert(bias_rows == nullptr ||
+         static_cast<int>(bias_rows->size()) == scores.rows());
+  assert(bias_rows != nullptr || bias.rows() >= scores.rows());
+  SoftmaxRowsDispatch(scores, scale, &bias,
+                      bias_rows == nullptr ? nullptr : bias_rows->data());
 }
 
 Matrix LayerNorm(const Matrix& x, const std::vector<float>& gamma,
@@ -629,48 +866,25 @@ Matrix LayerNorm(const Matrix& x, const std::vector<float>& gamma,
   assert(static_cast<int>(gamma.size()) == x.cols());
   assert(static_cast<int>(beta.size()) == x.cols());
   Matrix out(x.rows(), x.cols());
-  const int c = x.cols();
-  if (x.rows() == 0 || c == 0) {
+  if (x.rows() == 0 || x.cols() == 0) {
     return out;
   }
-  const int64_t grain = std::max<int64_t>(1, kRowwiseGrainElems / c);
+  const auto kernel = Kernels().layernorm_row_range;
+  const int64_t grain = std::max<int64_t>(1, kRowwiseGrainElems / x.cols());
   ParallelFor(x.rows(), grain, [&](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      const float* in_row = x.row(static_cast<int>(i));
-      float* out_row = out.row(static_cast<int>(i));
-      float mean = 0.0f;
-      for (int j = 0; j < c; ++j) {
-        mean += in_row[j];
-      }
-      mean /= static_cast<float>(c);
-      float var = 0.0f;
-      for (int j = 0; j < c; ++j) {
-        const float d = in_row[j] - mean;
-        var += d * d;
-      }
-      var /= static_cast<float>(c);
-      const float inv_std = 1.0f / std::sqrt(var + eps);
-      for (int j = 0; j < c; ++j) {
-        out_row[j] = (in_row[j] - mean) * inv_std * gamma[j] + beta[j];
-      }
-    }
+    kernel(x, gamma.data(), beta.data(), eps, out, r0, r1);
   });
   return out;
 }
 
 void GeluInPlace(Matrix& m) {
-  constexpr float kSqrt2OverPi = 0.7978845608f;
+  const auto kernel = Kernels().gelu_range;
   float* data = m.data();
   ParallelFor(static_cast<int64_t>(m.size()), kRowwiseGrainElems,
-              [&](int64_t b, int64_t e) {
-                for (int64_t i = b; i < e; ++i) {
-                  const float x = data[i];
-                  const float t =
-                      FastTanh(kSqrt2OverPi * (x + 0.044715f * x * x * x));
-                  data[i] = 0.5f * x * (1.0f + t);
-                }
-              });
+              [&](int64_t b, int64_t e) { kernel(data, b, e); });
 }
+
+const char* KernelIsa() { return IsaName(Kernels().isa); }
 
 Matrix Add(const Matrix& a, const Matrix& b) {
   assert(a.rows() == b.rows() && a.cols() == b.cols());
@@ -685,12 +899,6 @@ void AddInPlace(Matrix& a, const Matrix& b) {
   assert(a.rows() == b.rows() && a.cols() == b.cols());
   for (size_t i = 0; i < a.size(); ++i) {
     a.data()[i] += b.data()[i];
-  }
-}
-
-void ScaleInPlace(Matrix& m, float k) {
-  for (size_t i = 0; i < m.size(); ++i) {
-    m.data()[i] *= k;
   }
 }
 

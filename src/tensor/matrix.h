@@ -56,12 +56,19 @@ class Matrix {
   std::vector<float> data_;
 };
 
-// The kernels below are cache-blocked and register-tiled, and split row
-// panels across threads via ParallelFor when the calling thread has a
-// compute-thread budget (see src/common/parallel_for.h). Outputs are
-// bitwise-identical at every thread count; they can differ from the scalar
-// naive:: reference kernels only by FMA-contraction rounding. Small inputs
-// take a serial fast path, so tiny mats never pay dispatch overhead.
+// The GEMM, softmax, LayerNorm and GELU kernels below are vectorized (the
+// GEMM cache-blocked and register-tiled) and dispatched once per process to
+// the widest ISA level the CPU supports (FLASHPS_ISA=generic|v3|v4 pins it;
+// KernelIsa() names it). They split rows across threads via ParallelFor
+// when the calling thread has a compute-thread budget (see
+// src/common/parallel_for.h). Outputs are bitwise-identical at every
+// thread count, and every row's result depends only on that row, so
+// gathered panels match the dense matrix bit for bit.
+// Against the scalar naive:: reference: the GEMMs differ only by FMA
+// contraction, softmax and LayerNorm by their vector exp and lane-blocked
+// sums (tests/kernel_equivalence_test.cc states the bounds), and GELU not
+// at all. Small inputs take a serial fast path, so tiny mats never pay
+// dispatch overhead.
 
 // out = a * b. Shapes: (m,k) x (k,n) -> (m,n).
 Matrix MatMul(const Matrix& a, const Matrix& b);
@@ -72,6 +79,14 @@ Matrix MatMulTransposed(const Matrix& a, const Matrix& b);
 // Row-wise softmax in place.
 void SoftmaxRows(Matrix& m);
 
+// The attention epilogue in one pass: scores.row(i) becomes
+// softmax(scale * scores.row(i) + bias.row(b_i)), where b_i = i, or
+// (*bias_rows)[i] when the score rows are a gathered subset of the bias
+// rows. Bitwise equal to scaling, adding the bias row and SoftmaxRows as
+// three separate passes. bias.cols() == scores.cols().
+void ScaleBiasSoftmaxRows(Matrix& scores, float scale, const Matrix& bias,
+                          const std::vector<int>* bias_rows);
+
 // Row-wise LayerNorm with per-channel gain/bias. gamma/beta have size cols.
 Matrix LayerNorm(const Matrix& x, const std::vector<float>& gamma,
                  const std::vector<float>& beta, float eps = 1e-5f);
@@ -79,10 +94,13 @@ Matrix LayerNorm(const Matrix& x, const std::vector<float>& gamma,
 // Element-wise GeLU (tanh approximation) in place.
 void GeluInPlace(Matrix& m);
 
+// The ISA level the dispatched kernels run at in this process: "generic",
+// "v3" or "v4".
+const char* KernelIsa();
+
 // out = a + b (same shape).
 Matrix Add(const Matrix& a, const Matrix& b);
 void AddInPlace(Matrix& a, const Matrix& b);
-void ScaleInPlace(Matrix& m, float k);
 
 // y += alpha * x (same shape). The denoise loop's latent update.
 void AxpyInPlace(Matrix& y, float alpha, const Matrix& x);

@@ -1,13 +1,17 @@
-// Equivalence of the blocked/threaded kernels against the retained naive
-// reference, across awkward shapes (non-multiples of the register tile,
-// prime dims, tall/thin, wide/flat, degenerate 1x1) and thread counts
-// 1/2/4 — plus the ParallelFor facility's own contract. scripts/check.sh
-// runs this suite under FLASHPS_SANITIZE=thread.
+// Equivalence of the vectorized/threaded kernels against the retained naive
+// reference, across awkward shapes (non-multiples of the register tile and
+// of the 16-lane row width, prime dims, tall/thin, wide/flat, degenerate
+// 1x1), extreme values and thread counts 1/2/4 — plus the ParallelFor
+// facility's own contract. scripts/check.sh runs this suite once per ISA
+// level the CPU supports (FLASHPS_ISA), and under ThreadSanitizer and
+// AddressSanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -116,36 +120,191 @@ TEST(KernelEquivalenceTest, GemmIsBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
+// Row-wise tolerance policy. GELU runs naive::'s operations in the same
+// order without FMA contraction, so it must match bitwise. Softmax and
+// LayerNorm sum lane-blocked (16 partial sums, then a fixed tree) where
+// naive:: sums left to right, and softmax uses a polynomial exp within
+// 1 ULP of libm's: both stay within kRowwiseRelTol of the reference,
+// relative to the value (measured <= 5.1e-6 up to 1024 columns). Softmax's
+// absolute floor absorbs outputs that naive:: rounds to a subnormal;
+// LayerNorm's is kRowwiseRelTol itself, since its outputs near 0 come from
+// cancelling O(1) terms.
+constexpr double kRowwiseRelTol = 1e-5;
+constexpr double kRowwiseAbsFloor = 1e-12;
+
+void ExpectClose(const Matrix& got, const Matrix& want, double abs_tol,
+                 const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    const double w = want.data()[i];
+    ASSERT_NEAR(got.data()[i], w, abs_tol + kRowwiseRelTol * std::abs(w))
+        << what << " at flat index " << i;
+  }
+}
+
+// Ragged tails on both sides of the 16-lane width, and the SDXL widths.
+const std::vector<int>& RowwiseWidths() {
+  static const std::vector<int> widths = {1,  3,  15,  16,  17,
+                                          48, 64, 129, 144, 256, 400};
+  return widths;
+}
+
+std::vector<float> RandomVector(int n, float mean, float stddev,
+                                uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> v(static_cast<size_t>(n));
+  for (float& x : v) {
+    x = mean + stddev * static_cast<float>(rng.Normal());
+  }
+  return v;
+}
+
 TEST(KernelEquivalenceTest, RowwiseKernelsMatchNaiveAcrossThreads) {
   for (const int rows : {1, 5, 64, 257}) {
-    for (const int cols : {1, 3, 48, 129}) {
+    for (const int cols : RowwiseWidths()) {
       const Matrix x = RandomMatrix(rows, cols, 100 + rows + cols);
-      std::vector<float> gamma(cols);
-      std::vector<float> beta(cols);
-      Rng rng(7);
-      for (int j = 0; j < cols; ++j) {
-        gamma[j] = 1.0f + 0.2f * static_cast<float>(rng.Normal());
-        beta[j] = 0.1f * static_cast<float>(rng.Normal());
-      }
+      const std::vector<float> gamma = RandomVector(cols, 1.0f, 0.2f, 7);
+      const std::vector<float> beta = RandomVector(cols, 0.0f, 0.1f, 8);
+      const std::string shape =
+          std::to_string(rows) + "x" + std::to_string(cols);
       Matrix soft_want = x;
       naive::SoftmaxRows(soft_want);
       const Matrix ln_want = naive::LayerNorm(x, gamma, beta);
       Matrix gelu_want = x;
       naive::GeluInPlace(gelu_want);
+      Matrix soft_1t;
+      Matrix ln_1t;
       for (const int threads : {1, 2, 4}) {
         ComputeThreadsScope scope(threads);
         Matrix soft = x;
         SoftmaxRows(soft);
-        // Row-wise kernels run the reference arithmetic per row; only the
-        // row-to-thread assignment changes.
-        EXPECT_TRUE(BitwiseEqual(soft, soft_want))
-            << "softmax " << rows << "x" << cols << " t=" << threads;
-        EXPECT_TRUE(BitwiseEqual(LayerNorm(x, gamma, beta), ln_want))
-            << "layernorm " << rows << "x" << cols << " t=" << threads;
+        const Matrix ln = LayerNorm(x, gamma, beta);
         Matrix gelu = x;
         GeluInPlace(gelu);
-        EXPECT_TRUE(BitwiseEqual(gelu, gelu_want))
-            << "gelu " << rows << "x" << cols << " t=" << threads;
+        ExpectClose(soft, soft_want, kRowwiseAbsFloor, "softmax " + shape);
+        ExpectClose(ln, ln_want, kRowwiseRelTol, "layernorm " + shape);
+        EXPECT_TRUE(BitwiseEqual(gelu, gelu_want)) << "gelu " << shape;
+        // Rows never share lanes, so only the row-to-thread assignment
+        // changes with the thread count: the bits do not.
+        if (threads == 1) {
+          soft_1t = soft;
+          ln_1t = ln;
+        } else {
+          EXPECT_TRUE(BitwiseEqual(soft, soft_1t))
+              << "softmax " << shape << " t=" << threads;
+          EXPECT_TRUE(BitwiseEqual(ln, ln_1t))
+              << "layernorm " << shape << " t=" << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalenceTest, RowwiseKernelsHandleExtremeRows) {
+  for (const int cols : RowwiseWidths()) {
+    const std::string width = "cols=" + std::to_string(cols);
+    // Row 0: half the columns 200 below the rest, so their exp underflows
+    // to exactly 0 in both kernels. Row 1: all equal. Row 2: all -1e30
+    // but one.
+    Matrix x(3, cols);
+    for (int j = 0; j < cols; ++j) {
+      x.at(0, j) = j % 2 == 0 ? 0.5f : -200.0f;
+      x.at(1, j) = 3.0f;
+      x.at(2, j) = j == cols / 2 ? 7.0f : -1e30f;
+    }
+    Matrix soft = x;
+    SoftmaxRows(soft);
+    Matrix soft_want = x;
+    naive::SoftmaxRows(soft_want);
+    ExpectClose(soft, soft_want, kRowwiseAbsFloor, "softmax " + width);
+    for (int j = 0; j < cols; ++j) {
+      if (j % 2 == 1) {
+        EXPECT_EQ(soft.at(0, j), 0.0f) << width << " j=" << j;
+        EXPECT_EQ(soft_want.at(0, j), 0.0f) << width << " j=" << j;
+      }
+      // exp(0) == 1 and integer sums are exact: equal rows match bitwise.
+      EXPECT_EQ(soft.at(1, j), soft_want.at(1, j)) << width << " j=" << j;
+      EXPECT_EQ(soft.at(2, j), j == cols / 2 ? 1.0f : 0.0f)
+          << width << " j=" << j;
+    }
+
+    // A bias far below the scores underflows through the fused epilogue
+    // too.
+    Matrix bias(1, cols);
+    for (int j = 0; j < cols; ++j) {
+      bias.at(0, j) = j % 3 == 0 ? 0.0f : -1e4f;
+    }
+    Matrix fused = GatherRows(x, {0});
+    ScaleBiasSoftmaxRows(fused, 0.125f, bias, nullptr);
+    for (int j = 0; j < cols; ++j) {
+      if (j % 3 != 0) {
+        EXPECT_EQ(fused.at(0, j), 0.0f) << width << " j=" << j;
+      }
+    }
+
+    // LayerNorm of a constant row: an exact mean, zero variance, so every
+    // output is exactly beta.
+    const std::vector<float> gamma = RandomVector(cols, 1.0f, 0.2f, 9);
+    const std::vector<float> beta = RandomVector(cols, 0.0f, 0.1f, 10);
+    const Matrix ln = LayerNorm(x, gamma, beta);
+    for (int j = 0; j < cols; ++j) {
+      EXPECT_EQ(ln.at(1, j), beta[static_cast<size_t>(j)]) << width;
+    }
+    ExpectClose(ln, naive::LayerNorm(x, gamma, beta), kRowwiseRelTol,
+                "layernorm " + width);
+
+    // GELU past the tanh clamp (|x| > 9 / sqrt(2/pi) ~ 11.3), through
+    // x^3 overflow, stays bitwise equal to the reference.
+    const float extremes[] = {0.0f,   -0.0f,   11.0f,  -11.0f, 12.0f,
+                              -12.0f, 30.0f,   -30.0f, 1e3f,   -1e3f,
+                              1e20f,  -1e20f,  3e38f,  -3e38f, 1e-30f,
+                              -1e-30f};
+    Matrix g(1, cols);
+    for (int j = 0; j < cols; ++j) {
+      g.at(0, j) = extremes[static_cast<size_t>(j) % std::size(extremes)];
+    }
+    Matrix gelu_want = g;
+    naive::GeluInPlace(gelu_want);
+    GeluInPlace(g);
+    EXPECT_TRUE(BitwiseEqual(g, gelu_want)) << "gelu " << width;
+  }
+}
+
+// The fused attention epilogue rounds exactly like its three separate
+// passes: scale, bias-row add (directly or through a row list), softmax.
+TEST(KernelEquivalenceTest, ScaleBiasSoftmaxMatchesSeparatePasses) {
+  constexpr float kScale = 0.125f;
+  for (const int cols : RowwiseWidths()) {
+    const Matrix bias = RandomMatrix(cols + 7, cols, 200 + cols);
+    const Matrix scores = RandomMatrix(cols, cols, 300 + cols);
+    std::vector<int> gathered;  // A gathered, non-contiguous row subset.
+    for (int r = 1; r < bias.rows(); r += 3) {
+      gathered.push_back(r);
+    }
+    const Matrix gathered_scores =
+        RandomMatrix(static_cast<int>(gathered.size()), cols, 400 + cols);
+    for (const bool indirect : {false, true}) {
+      const Matrix& in = indirect ? gathered_scores : scores;
+      const std::vector<int>* rows = indirect ? &gathered : nullptr;
+      Matrix want = in;
+      for (int i = 0; i < want.rows(); ++i) {
+        const float* b = bias.row(rows == nullptr ? i : (*rows)[i]);
+        for (int j = 0; j < cols; ++j) {
+          want.at(i, j) *= kScale;
+        }
+        for (int j = 0; j < cols; ++j) {
+          want.at(i, j) += b[j];
+        }
+      }
+      SoftmaxRows(want);
+      for (const int threads : {1, 2, 4}) {
+        ComputeThreadsScope scope(threads);
+        Matrix got = in;
+        ScaleBiasSoftmaxRows(got, kScale, bias, rows);
+        EXPECT_TRUE(BitwiseEqual(got, want))
+            << "cols=" << cols << " indirect=" << indirect
+            << " t=" << threads;
       }
     }
   }
@@ -173,8 +332,10 @@ TEST(KernelEquivalenceTest, DegenerateShapesStayEmpty) {
   EXPECT_EQ(MatMul(RandomMatrix(3, 5, 1), b).cols(), 0);
   Matrix empty(0, 0);
   SoftmaxRows(empty);  // Must not touch anything.
+  ScaleBiasSoftmaxRows(empty, 0.5f, empty, nullptr);
   GeluInPlace(empty);
   EXPECT_TRUE(empty.empty());
+  EXPECT_TRUE(LayerNorm(empty, {}, {}).empty());
 }
 
 TEST(ParallelForTest, CoversRangeExactlyOnceWithAlignedChunks) {
