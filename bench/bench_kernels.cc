@@ -13,9 +13,12 @@
 // the working directory; pass --json-only to skip the google-benchmark
 // pass and emit only the JSON.
 //
-// The JSON also carries the gathered sparse compute path's legs
-// (gather→GEMM→scatter vs the dense mask-aware flow at GEMM, block, and
-// denoise-step level) and the measured sparse/gathered kernel
+// The JSON opens with a host header (commit, CPU flags, effective CPUs,
+// kernel ISA) and carries a per-op GEMM leg: each of a patch panel's eight
+// GEMM shapes in microseconds and GFLOP/s, next to this core's FMA peak at
+// the dispatched ISA. It also carries the gathered sparse compute path's
+// legs (gather→GEMM→scatter vs the dense mask-aware flow at GEMM, block,
+// and denoise-step level) and the measured sparse/gathered kernel
 // efficiencies behind TimingConfig::sparse_kernel_efficiency. Each leg is
 // gated on bitwise identity with the dense path; any drift makes the
 // binary exit non-zero.
@@ -35,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/parallel_for.h"
 #include "src/model/diffusion_model.h"
 #include "src/model/flops.h"
@@ -276,17 +280,16 @@ double MedianCallMs(const std::function<void()>& fn, int samples = 5) {
   return per_call[per_call.size() / 2];
 }
 
-// Best-of timing for a speedup PAIR: alternates the two closures sample by
-// sample and returns each side's fastest per-call milliseconds. Timing the
-// two sides independently (each a median over its own window) lets a noisy
-// neighbour on a time-shared core land on one side only and swing the
-// ratio double-digit percent run to run; interleaving exposes both sides
+// Best-of timing for closures compared with each other: alternates them
+// sample by sample and returns each one's fastest per-call milliseconds.
+// Timing each side independently (each a median over its own window) lets
+// a noisy neighbour on a time-shared core land on one side only and swing
+// a ratio double-digit percent run to run; interleaving exposes every side
 // to the same windows, and min-of-N recovers each side's unloaded floor.
-// Batch sizes are calibrated once (on the first closure) so every sample
-// spans >= ~20 ms of wall clock.
-std::pair<double, double> InterleavedMinMs(const std::function<void()>& a,
-                                           const std::function<void()>& b,
-                                           int samples = 9) {
+// Batch sizes are calibrated per closure so every sample spans >= ~20 ms
+// of wall clock.
+std::vector<double> InterleavedMinMs(
+    const std::vector<std::function<void()>>& fns, int samples = 9) {
   using Clock = std::chrono::steady_clock;
   auto time_batch = [](const std::function<void()>& fn, int iters) {
     const auto start = Clock::now();
@@ -296,20 +299,112 @@ std::pair<double, double> InterleavedMinMs(const std::function<void()>& a,
     const auto stop = Clock::now();
     return std::chrono::duration<double, std::milli>(stop - start).count();
   };
-  int iters = 1;
-  double ms = time_batch(a, 1);
-  while (ms < 20.0 && iters < (1 << 20)) {
-    iters *= 2;
-    ms = time_batch(a, iters);
+  std::vector<int> iters(fns.size(), 1);
+  for (size_t f = 0; f < fns.size(); ++f) {
+    double ms = time_batch(fns[f], 1);
+    while (ms < 20.0 && iters[f] < (1 << 20)) {
+      iters[f] *= 2;
+      ms = time_batch(fns[f], iters[f]);
+    }
   }
-  time_batch(b, iters);  // Warm b's cache footprint before sampling.
-  double best_a = 1e300;
-  double best_b = 1e300;
+  std::vector<double> best(fns.size(), 1e300);
   for (int s = 0; s < samples; ++s) {
-    best_a = std::min(best_a, time_batch(a, iters) / iters);
-    best_b = std::min(best_b, time_batch(b, iters) / iters);
+    for (size_t f = 0; f < fns.size(); ++f) {
+      best[f] = std::min(best[f], time_batch(fns[f], iters[f]) / iters[f]);
+    }
   }
-  return {best_a, best_b};
+  return best;
+}
+
+// The two-sided form: a speedup pair.
+std::pair<double, double> InterleavedMinMs(const std::function<void()>& a,
+                                           const std::function<void()>& b) {
+  const std::vector<double> best = InterleavedMinMs({a, b});
+  return {best[0], best[1]};
+}
+
+// ---------------------------------------------------------------------------
+// Single-core FMA peak at the dispatched ISA level: 12 independent chains of
+// full-width vector multiply-adds (fused at v3/v4, a multiply and an add at
+// generic), enough chains to cover the FMA latency on two ports.
+
+#define FLASHPS_ALWAYS_INLINE inline __attribute__((always_inline))
+
+template <int W>
+struct VecOf {
+  typedef float type __attribute__((vector_size(W * sizeof(float))));
+};
+
+constexpr int kPeakChains = 12;
+
+// Runs `iters` steps of every chain from `seed` (kPeakChains * W floats
+// plus two vectors of multiplier and addend) and returns a sum of the
+// results, so nothing is dead code.
+template <int W>
+FLASHPS_ALWAYS_INLINE float FmaChainsImpl(const float* seed, int64_t iters) {
+  using V = typename VecOf<W>::type;
+  V acc[kPeakChains];
+  V mul;
+  V add;
+  for (int c = 0; c < kPeakChains; ++c) {
+    std::memcpy(&acc[c], seed + c * W, sizeof(V));
+  }
+  std::memcpy(&mul, seed + kPeakChains * W, sizeof(V));
+  std::memcpy(&add, seed + (kPeakChains + 1) * W, sizeof(V));
+  for (int64_t i = 0; i < iters; ++i) {
+#pragma GCC unroll 12
+    for (int c = 0; c < kPeakChains; ++c) {
+      acc[c] = acc[c] * mul + add;
+    }
+  }
+  float sum = 0.0f;
+  for (int c = 0; c < kPeakChains; ++c) {
+    for (int l = 0; l < W; ++l) {
+      sum += acc[c][l];
+    }
+  }
+  return sum;
+}
+
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+__attribute__((target("arch=x86-64-v4"))) float FmaChainsV4(const float* seed,
+                                                            int64_t iters) {
+  return FmaChainsImpl<16>(seed, iters);
+}
+__attribute__((target("arch=x86-64-v3"))) float FmaChainsV3(const float* seed,
+                                                            int64_t iters) {
+  return FmaChainsImpl<8>(seed, iters);
+}
+#endif
+float FmaChainsGeneric(const float* seed, int64_t iters) {
+  return FmaChainsImpl<4>(seed, iters);
+}
+
+// GFLOP/s of the chains at KernelIsa()'s width, fastest of 9 samples.
+double FmaPeakGflops() {
+  int lanes = 4;
+  float (*chains)(const float*, int64_t) = FmaChainsGeneric;
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+  if (std::strcmp(KernelIsa(), "v4") == 0) {
+    lanes = 16;
+    chains = FmaChainsV4;
+  } else if (std::strcmp(KernelIsa(), "v3") == 0) {
+    lanes = 8;
+    chains = FmaChainsV3;
+  }
+#endif
+  // Values near a fixed point (x -> 0.999 x + 0.001 settles at 1), so the
+  // chains never overflow or go subnormal.
+  std::vector<float> seed(static_cast<size_t>((kPeakChains + 2) * 16), 1.0f);
+  std::fill(seed.begin() + kPeakChains * lanes,
+            seed.begin() + (kPeakChains + 1) * lanes, 0.999f);
+  std::fill(seed.begin() + (kPeakChains + 1) * lanes, seed.end(), 0.001f);
+  constexpr int64_t kIters = 1 << 20;
+  float sink = 0.0f;
+  const double ms = InterleavedMinMs(
+      {[&] { sink += chains(seed.data(), kIters); }})[0];
+  benchmark::DoNotOptimize(sink);
+  return 2.0 * kPeakChains * lanes * static_cast<double>(kIters) / ms / 1e6;
 }
 
 bool BitwiseEqual(const Matrix& a, const Matrix& b) {
@@ -325,8 +420,8 @@ bool WriteKernelsJson() {
   json.setf(std::ios::fixed);
   json.precision(6);
   json << "{\n";
-  json << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
-       << ",\n";
+  json << bench::HostHeaderJson();
+  json << "  \"kernel_isa\": \"" << KernelIsa() << "\",\n";
 
   // Naive vs blocked, single thread, at the SDXL block shapes.
   json << "  \"gemm_naive_vs_blocked\": [\n";
@@ -361,7 +456,6 @@ bool WriteKernelsJson() {
   // call first copies its leg's input into the working panel, so the
   // in-place kernels see the same values each time; both sides' figures
   // include that copy.
-  json << "  \"kernel_isa\": \"" << KernelIsa() << "\",\n";
   json << "  \"rowwise_naive_vs_dispatched\": [\n";
   double rowwise_worst = 1e30;
   {
@@ -444,6 +538,68 @@ bool WriteKernelsJson() {
   }
   json << "\n  ],\n";
   json << "  \"rowwise_min_speedup\": " << rowwise_worst << ",\n";
+
+  // Per-op GEMM leg: the eight GEMMs of one gathered SDXL block, at the
+  // panel heights of the median production mask (20 rows) and a
+  // four-member patch panel (112 rows), single thread, interleaved
+  // min-of-N across the ops. q, k and v share the qkv shape; attn_scores
+  // runs against K^T (MatMulTransposed). Each op's GFLOP/s sits next to
+  // the FMA peak of 12 independent chains at the dispatched ISA: the gap
+  // between them is what is left to gain.
+  {
+    ComputeThreadsScope scope(1);
+    const auto& f = Fixture();
+    const double peak = FmaPeakGflops();
+    json << "  \"fma_peak_gflops\": " << peak << ",\n";
+    json << "  \"gemm_per_op\": [\n";
+    std::cerr << "FMA peak (12 chains, " << KernelIsa() << "): " << peak
+              << " GFLOP/s\n";
+    bool first = true;
+    for (const int rows : {20, 112}) {
+      const Matrix x = BenchMatrix(rows, f.hidden, 8);
+      const Matrix h = BenchMatrix(rows, 4 * f.hidden, 9);
+      const Matrix p = BenchMatrix(rows, f.x.rows(), 10);
+      struct Op {
+        const char* name;
+        const Matrix* a;
+        const Matrix* b;
+        bool b_transposed;
+      };
+      const Op ops[] = {
+          {"qkv", &x, &f.weights->wq, false},
+          {"attn_scores", &x, &f.cached_k, true},
+          {"attn_v", &p, &f.cached_v, false},
+          {"out_proj", &x, &f.weights->wo, false},
+          {"ff1", &x, &f.weights->w1, false},
+          {"ff2", &h, &f.weights->w2, false},
+      };
+      std::vector<std::function<void()>> calls;
+      for (const Op& op : ops) {
+        calls.push_back([&op] {
+          benchmark::DoNotOptimize(op.b_transposed
+                                       ? MatMulTransposed(*op.a, *op.b)
+                                       : MatMul(*op.a, *op.b));
+        });
+      }
+      const std::vector<double> ms = InterleavedMinMs(calls);
+      for (size_t i = 0; i < std::size(ops); ++i) {
+        const Op& op = ops[i];
+        const int n = op.b_transposed ? op.b->rows() : op.b->cols();
+        const double gflops =
+            2.0 * rows * op.a->cols() * n / (ms[i] * 1e-3) / 1e9;
+        json << (first ? "" : ",\n") << "    {\"op\": \"" << op.name
+             << "\", \"rows\": " << rows << ", \"k\": " << op.a->cols()
+             << ", \"n\": " << n << ", \"us\": " << ms[i] * 1e3
+             << ", \"gflops\": " << gflops
+             << ", \"peak_share\": " << gflops / peak << "}";
+        first = false;
+        std::cerr << "gemm " << op.name << " " << rows << "x" << op.a->cols()
+                  << "x" << n << ": " << ms[i] * 1e3 << " us, " << gflops
+                  << " GFLOP/s (" << 100.0 * gflops / peak << "% of peak)\n";
+      }
+    }
+    json << "\n  ],\n";
+  }
 
   // Thread scaling of the blocked GEMM (ff1 shape) and of a whole
   // transformer-block forward. On a host with a single online core the
@@ -598,10 +754,8 @@ bool WriteKernelsJson() {
   // O(m·L^2) attention share small (the FLOP ratio nears its 2.67
   // asymptote), hidden = 512 keeps the weight panels within reach of L2
   // (wider hidden turns the panel walk TLB-bound), and grid 20 gathers 40
-  // masked rows at m = 0.1 — an exact multiple of the 8-row GEMM tile, so
-  // the gathered panels run with no ragged edge tile and enough row tiles
-  // to amortize panel packing. The full-denoise outputs are compared
-  // bitwise in BOTH mask-aware modes before timing.
+  // masked rows at m = 0.1. The full-denoise outputs are compared bitwise
+  // in BOTH mask-aware modes before timing.
   {
     model::NumericsConfig cfg;
     cfg.grid_h = 20;

@@ -58,9 +58,11 @@ cd "${repo}"
 # with the build target lists below.
 tsan_regex='^(ParallelFor|KernelEquivalence|SparseCompute|ConcurrentQueue|ThreadPool|OnlineServer|Gateway|MetricsRegistry|StatAccumulator|Serde|Wire|TcpServer|NetIntegration|CacheRpc|CacheRing|Quant|CodecQuality|Fed)'
 asan_regex='^(KernelEquivalence|ParallelFor|Matrix|SparseCompute|Serde|Wire|TcpServer|NetIntegration|Gateway|CacheRpc|CacheRing|Quant|CodecQuality|Fed)'
-# The kernel suites (kernel_equivalence_test, tensor_test), rerun once per
-# ISA level.
-kernel_regex='^(KernelEquivalence|ParallelFor|Matrix)Test\.'
+# The suites that gate kernel bits, rerun once per ISA level: the GEMM's
+# vector width and tile heights differ per level, so the sparse == dense
+# gates and the golden hashes must hold at each (kernel_equivalence_test,
+# tensor_test, sparse_compute_test, golden_bits_test).
+kernel_regex='^((KernelEquivalence|ParallelFor|Matrix|GoldenBits)Test|SparseCompute[A-Za-z]*Test)\.'
 
 # The FLASHPS_ISA levels this CPU can run, from its /proc/cpuinfo flags
 # (the feature sets GCC's x86-64-v3 and x86-64-v4 require).

@@ -11,9 +11,7 @@
 //      so nothing parallelizes unless explicitly asked to).
 //
 // Chunk boundaries are aligned to multiples of `grain` (the last chunk takes
-// the remainder). Kernels exploit this: a GEMM that passes a grain that is a
-// multiple of its row-tile height gets an identical tile decomposition — and
-// therefore bitwise-identical output — at every thread count.
+// the remainder).
 #ifndef FLASHPS_SRC_COMMON_PARALLEL_FOR_H_
 #define FLASHPS_SRC_COMMON_PARALLEL_FOR_H_
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "src/cache/activation_store.h"
@@ -12,6 +13,31 @@ namespace flashps::gateway {
 namespace {
 
 constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
+
+// Timings behind each profiled sample. A vCPU's speed can swing 2x within
+// a second, so one timing may land in a slow spell and bend the fit; the
+// fastest of a few repeats is the unloaded cost (the min-of-N method the
+// kernel benches use).
+constexpr int kProfileRepeats = 3;
+
+// Advances `latent` through steps [begin, end) of `opts` and returns the
+// fastest of kProfileRepeats timings of those steps, each run from the
+// same input latent (every repeat computes the same bits).
+double MinStepSeconds(const model::DiffusionModel& m,
+                      const model::DiffusionModel::RunOptions& opts,
+                      int begin, int end, Matrix& latent) {
+  double best = std::numeric_limits<double>::infinity();
+  Matrix out;
+  for (int rep = 0; rep < kProfileRepeats; ++rep) {
+    Matrix in = latent;
+    const auto t0 = std::chrono::steady_clock::now();
+    out = m.RunStepRange(std::move(in), opts, begin, end);
+    const auto t1 = std::chrono::steady_clock::now();
+    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+  }
+  latent = std::move(out);
+  return best;
+}
 
 }  // namespace
 
@@ -91,7 +117,8 @@ Gateway::~Gateway() { Stop(); }
 void Gateway::ProfileHost() {
   // The paper fits its regressions on profiled (FLOPs, latency) samples of
   // the real system; do the same here. One single-request denoise step per
-  // mask ratio, warm-started, timed over two steps. x is the Table 1
+  // mask ratio, warm-started, timed over two steps (the fastest of
+  // kProfileRepeats timings from the same latent). x is the Table 1
   // whole-step FLOPs under the worker's compute mode; the per-member math
   // serializes on the denoise thread, so batches are linear in these
   // per-request samples by construction. Profiling runs under the workers'
@@ -130,15 +157,15 @@ void Gateway::ProfileHost() {
       opts.sparse_compute = options_.worker.sparse_compute;
     }
     latent = m.RunStepRange(std::move(latent), opts, 0, warm);
-    const auto t0 = std::chrono::steady_clock::now();
-    latent = m.RunStepRange(std::move(latent), opts, warm, warm + timed);
-    const auto t1 = std::chrono::steady_clock::now();
+    const double step_s =
+        MinStepSeconds(m, opts, warm, warm + timed, latent) / timed;
     // Post-processing, timed: the per-request decode.
+    const auto post0 = std::chrono::steady_clock::now();
     const Matrix image = m.DecodeLatent(latent);
-    const auto t2 = std::chrono::steady_clock::now();
+    const auto post1 = std::chrono::steady_clock::now();
     (void)image;
     overhead_s += std::chrono::duration<double>(pre1 - pre0).count() +
-                  std::chrono::duration<double>(t2 - t1).count();
+                  std::chrono::duration<double>(post1 - post0).count();
     ++overhead_samples;
 
     const std::vector<double> ratios{mask.ratio()};
@@ -150,7 +177,7 @@ void Gateway::ProfileHost() {
                                           : block.flops_without_cache;
     }
     tflops.push_back(flops / 1e12);
-    seconds.push_back(std::chrono::duration<double>(t1 - t0).count() / timed);
+    seconds.push_back(step_s);
   }
   latency_model_ = sched::LatencyModel::FitProfiled(options_.timing, mode,
                                                     tflops, seconds);
@@ -195,12 +222,10 @@ void Gateway::ProfileHost() {
         opts.sparse_compute = options_.worker.sparse_compute;
       }
       latent = rm->RunStepRange(std::move(latent), opts, 0, warm);
-      const auto t0 = std::chrono::steady_clock::now();
-      latent = rm->RunStepRange(std::move(latent), opts, warm, warm + timed);
-      const auto t1 = std::chrono::steady_clock::now();
       xs.push_back(mask.ratio() * static_cast<double>(grid_h * grid_w) /
                    primary_tokens);
-      ys.push_back(std::chrono::duration<double>(t1 - t0).count() / timed);
+      ys.push_back(MinStepSeconds(*rm, opts, warm, warm + timed, latent) /
+                   timed);
     }
     latency_model_.AddResolutionFit(grid_h, grid_w, FitLinear(xs, ys));
   }

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "src/common/parallel_for.h"
@@ -26,20 +27,36 @@ void Matrix::FillConstant(float v) { std::fill(data_.begin(), data_.end(), v); }
 namespace {
 
 // ---------------------------------------------------------------------------
-// Blocked GEMM core. MatMul and MatMulTransposed share it: B (or B^T) is
-// packed into kNr-wide column panels, and a kMr x kNr register-tiled
-// micro-kernel accumulates C over k. The packed inner loop over the panel
-// lanes is branch-free with unit stride, which the compiler auto-vectorizes;
-// remainder rows/columns fall back to the generic tile. GEMMs with few
-// logical rows — the gathered sparse compute path's panels — run the same
-// tiling panel-at-a-time instead (see GemmPanelRangeImpl), which skips the
-// whole-B pack those few rows cannot amortize without changing a bit of
-// the result.
+// Blocked GEMM core, shared by MatMul, MatMulTransposed and the gathered
+// MatMulRows / MatMulScatterRows. One driver and one micro-kernel template
+// serve every ISA level, instantiated at that level's full vector width W:
+//
+//   level     W   panel width 2W   tile height <= MR   accumulators
+//   generic   4          8               6              12 xmm
+//   v3        8         16               6              12 ymm
+//   v4       16         32              12              24 zmm
+//
+// Within each kKc block of k, column panels are the outer loop and row
+// tiles the inner one, so a panel's k-slab of B stays in L1 while every
+// row tile reads it. A full panel of row-major B is read in place at
+// stride b.cols(); only B^T (MatMulTransposed), a ragged last panel and a
+// B with page-sized rows (kInPlaceMaxStride) are packed, one panel at a
+// time, into a small thread-local buffer. The m
+// logical rows split into ceil(m / MR) tiles of near-equal height (m = 20
+// runs as 10 + 10 at v4), and each height is its own compile-time
+// instantiation, so no tile carries a run-time row count.
+//
+// Bits. Every output element runs one fixed chain per k-block:
+//   acc = +0;  acc += a[p] * b[p] for p in order;  c += acc
+// with each multiply-add fused at v3/v4 and rounded twice at generic. The
+// tile, panel, lane or thread that computes an element never enters its
+// chain, so the result is the same bits for any m, any row subset
+// (MatMulRows), any tiling and any thread count. `c += acc`, not
+// `c = acc`: an FMA chain whose products underflow can end at -0, and the
+// zeroed output turns that into +0.
 // ---------------------------------------------------------------------------
 
-constexpr int kMr = 4;    // C rows per micro-kernel tile.
-constexpr int kNr = 8;    // Panel width (vector lanes of the inner loop).
-constexpr int kKc = 512;  // k-block height: one packed panel stays in L1.
+constexpr int kKc = 512;  // k-block height.
 // Serial fast path: below this many multiply-adds a fan-out/join costs more
 // than the math it parallelizes.
 constexpr int64_t kGemmParallelFlops = 1 << 18;
@@ -47,109 +64,23 @@ constexpr int64_t kGemmParallelFlops = 1 << 18;
 constexpr int64_t kRowwiseGrainElems = 1 << 13;
 constexpr int64_t kElemwiseGrainElems = 1 << 15;
 
-int NumPanels(int n) { return (n + kNr - 1) / kNr; }
-
-// Packs one column panel of b[k0:k1) into `dst` (kc * kNr floats): columns
-// [panel*kNr, panel*kNr + kNr) in k-major order, zero-padded past n.
-void PackOnePanel(const Matrix& b, int k0, int k1, int n, int panel,
-                  float* dst) {
-  const int kc = k1 - k0;
-  const int j0 = panel * kNr;
-  const int jw = std::min(kNr, n - j0);
-  if (jw < kNr) {
-    std::fill(dst, dst + static_cast<size_t>(kc) * kNr, 0.0f);
-  }
-  for (int p = 0; p < kc; ++p) {
-    const float* src = b.row(k0 + p) + j0;
-    for (int c = 0; c < jw; ++c) {
-      dst[p * kNr + c] = src[c];
-    }
-  }
-}
-
-// Same panel layout, but the packed "columns" are rows of b — packing b^T
-// without materializing it. b is (n, k).
-void PackOnePanelTransposed(const Matrix& b, int k0, int k1, int n, int panel,
-                            float* dst) {
-  const int kc = k1 - k0;
-  const int j0 = panel * kNr;
-  const int jw = std::min(kNr, n - j0);
-  if (jw < kNr) {
-    std::fill(dst, dst + static_cast<size_t>(kc) * kNr, 0.0f);
-  }
-  for (int c = 0; c < jw; ++c) {
-    const float* src = b.row(j0 + c) + k0;
-    for (int p = 0; p < kc; ++p) {
-      dst[p * kNr + c] = src[p];
-    }
-  }
-}
-
-// Panels packed per pass over b's rows in the panel-at-a-time path. One
-// pass per panel reads just kNr floats of every b row — a large-stride
-// walk whose TLB cost repeats for each panel. Packing a group amortizes
-// the walk: each row contributes kPanelGroup * kNr sequential floats per
-// pass, and the per-panel layout (and thus every packed value) is
-// unchanged.
-constexpr int kPanelGroup = 8;
-
-// Packs `np` consecutive column panels of row-major b[k0:k1) into `dst`
-// (np buffers of kc * kNr floats each, laid out exactly as PackOnePanel
-// would produce them) in a single pass over b's rows.
-void PackPanelGroup(const Matrix& b, int k0, int k1, int n, int panel0,
-                    int np, float* dst) {
-  const int kc = k1 - k0;
-  const int j0 = panel0 * kNr;
-  const int jtotal = std::min(np * kNr, n - j0);
-  if (jtotal < np * kNr) {
-    std::fill(dst, dst + static_cast<size_t>(np) * kc * kNr, 0.0f);
-  }
-  for (int p = 0; p < kc; ++p) {
-    const float* src = b.row(k0 + p) + j0;
-    float* prow = dst + static_cast<size_t>(p) * kNr;
-    for (int g = 0; g < np; ++g) {
-      const int w = std::min(kNr, jtotal - g * kNr);
-      float* d = prow + static_cast<size_t>(g) * kc * kNr;
-      for (int c = 0; c < w; ++c) {
-        d[c] = src[g * kNr + c];
-      }
-    }
-  }
-}
-
-// Packs b[k0:k1) x [0:n) into column panels (see PackOnePanel for the
-// layout of each).
-void PackPanels(const Matrix& b, int k0, int k1, int n, bool b_transposed,
-                std::vector<float>& packed) {
-  const int kc = k1 - k0;
-  const int panels = NumPanels(n);
-  packed.assign(static_cast<size_t>(panels) * kc * kNr, 0.0f);
-  for (int panel = 0; panel < panels; ++panel) {
-    float* dst = packed.data() + static_cast<size_t>(panel) * kc * kNr;
-    if (b_transposed) {
-      PackOnePanelTransposed(b, k0, k1, n, panel, dst);
-    } else {
-      PackOnePanel(b, k0, k1, n, panel, dst);
-    }
-  }
-}
-
-// Forced inlining lets the micro-kernels be re-compiled inside each
-// ISA-targeted GemmRowRange wrapper below, so one source vectorizes at
-// SSE2, AVX2+FMA, and AVX-512 widths.
+// Forced inlining lets every kernel below be re-compiled inside each
+// ISA-targeted wrapper (see "Runtime ISA dispatch"), so one source
+// vectorizes at SSE2, AVX2+FMA and AVX-512 widths.
 #define FLASHPS_ALWAYS_INLINE inline __attribute__((always_inline))
 
-// One panel-width vector lane: the micro-kernel is written directly in GCC
-// vector extensions rather than left to the loop auto-vectorizer, whose
-// choices at the wider ISA levels (re-vectorizing the tile as spilled
-// zmm temporaries) measured slower than its own SSE2 code. The extension
-// lowers to whatever the enclosing function's target allows — two xmm
-// mul+adds at baseline, one ymm FMA per row at x86-64-v3/v4.
-typedef float VecNr __attribute__((vector_size(kNr * sizeof(float))));
+// W floats as one GCC vector. The kernels are written in vector extensions
+// rather than intrinsics, so a vector op lowers to whatever the enclosing
+// function's target allows.
+template <int W>
+struct VecOf {
+  typedef float type __attribute__((vector_size(W * sizeof(float))));
+};
+template <int W>
+using Vec = typename VecOf<W>::type;
 
-// Unaligned vector load/store; the row-wise kernels below reuse them at
-// their own width.
-template <typename V = VecNr>
+// Unaligned vector load/store.
+template <typename V>
 FLASHPS_ALWAYS_INLINE V LoadVec(const float* p) {
   V v;
   __builtin_memcpy(&v, p, sizeof(V));
@@ -161,234 +92,196 @@ FLASHPS_ALWAYS_INLINE void StoreVec(float* p, V v) {
   __builtin_memcpy(p, &v, sizeof(V));
 }
 
-// Scalar-vector binop form so the broadcast lowers to one vbroadcastss
-// (an explicit lane loop compiles to a vinsertps chain on GCC 12).
-FLASHPS_ALWAYS_INLINE VecNr Splat(float s) { return s + VecNr{}; }
-
-// C[rows i0..i0+mr) x [panel columns j0..j0+jw) += A-rows * B-panel.
-// The accumulator tile lives in registers across the whole k-block.
-// `ldb` is the float stride between consecutive k rows of the panel: kNr
-// for a packed panel, b.cols() when the panel is read straight out of a
-// row-major B (the panel-at-a-time path below). The loaded lane values and
-// the accumulation order are the same either way, so the result bits do
-// not depend on which layout fed the kernel.
-template <int MR>
-FLASHPS_ALWAYS_INLINE void MicroKernel(const float* a_rows[],
-                                       const float* panel, int ldb, int kc,
-                                       float* c_rows[], int jw) {
-  VecNr acc[MR] = {};
+// C[H rows] x [2W columns] += A[H rows] * B-panel over one k-block. `bp`
+// is row p = 0 of the panel and `ldb` the float stride between its rows:
+// b.cols() for a panel read in place, 2W for a packed one. Only the first
+// `jw` columns are stored (jw < 2W only for a ragged last panel, whose
+// packed lanes past jw are zero).
+template <int W, int H>
+FLASHPS_ALWAYS_INLINE void MicroTile(const float* const* a_rows,
+                                     const float* bp, int ldb, int kc,
+                                     float* const* c_rows, int jw) {
+  using V = Vec<W>;
+  V acc0[H] = {};
+  V acc1[H] = {};
   for (int p = 0; p < kc; ++p) {
-    const VecNr bp = LoadVec(panel + static_cast<size_t>(p) * ldb);
-    for (int r = 0; r < MR; ++r) {
-      acc[r] += Splat(a_rows[r][p]) * bp;
-    }
-  }
-  if (jw == kNr) {
-    for (int r = 0; r < MR; ++r) {
-      StoreVec(c_rows[r], LoadVec(c_rows[r]) + acc[r]);
-    }
-  } else {
-    for (int r = 0; r < MR; ++r) {
-      for (int c = 0; c < jw; ++c) {
-        c_rows[r][c] += acc[r][c];
-      }
-    }
-  }
-}
-
-// Tall row tile for the panel-at-a-time path below: with only a handful of
-// logical rows, each packed panel is reused by few tiles, so the tile is
-// made twice as tall to halve the panel passes (and the per-k bp loads).
-// Row count never changes what a row accumulates — acc[r] depends only on
-// its own A row and the panel — so tile height is bitwise-neutral. (A
-// 16-row tile measured slower on AVX-512 hosts: the kernel is bound by the
-// per-row broadcast loads, which taller tiles do not reduce.)
-constexpr int kMrPanel = 2 * kMr;
-
-// Two-panel tile for the panel-at-a-time path: one A broadcast feeds a
-// FMA into each of two adjacent packed panels, halving the broadcast
-// loads per flop the single-panel kernel is bound by. Needs 2*MR + 2
-// live vector registers, so only the AVX-512 instantiation (32 registers)
-// uses it. Each accumulator still sums its own A row against its own
-// panel lane in the same p order, so pairing is bitwise-neutral.
-template <int MR>
-FLASHPS_ALWAYS_INLINE void MicroKernelPair(const float* a_rows[],
-                                           const float* p0, const float* p1,
-                                           int ldb, int kc, float* c_rows0[],
-                                           float* c_rows1[]) {
-  VecNr acc0[MR] = {};
-  VecNr acc1[MR] = {};
-  for (int p = 0; p < kc; ++p) {
-    const VecNr b0 = LoadVec(p0 + static_cast<size_t>(p) * ldb);
-    const VecNr b1 = LoadVec(p1 + static_cast<size_t>(p) * ldb);
-    for (int r = 0; r < MR; ++r) {
-      const VecNr s = Splat(a_rows[r][p]);
+    const float* brow = bp + static_cast<size_t>(p) * ldb;
+    const V b0 = LoadVec<V>(brow);
+    const V b1 = LoadVec<V>(brow + W);
+#pragma GCC unroll 16
+    for (int r = 0; r < H; ++r) {
+      // a[p] in every lane. Subtracting +0 is exact for every float (a -0
+      // stays -0), so it folds away and the broadcast becomes the FMA's
+      // memory operand. Written in place: a helper returning the vector
+      // is inlined as a lane-by-lane insert chain.
+      const V s = a_rows[r][p] - V{};
       acc0[r] += s * b0;
       acc1[r] += s * b1;
     }
   }
-  for (int r = 0; r < MR; ++r) {
-    StoreVec(c_rows0[r], LoadVec(c_rows0[r]) + acc0[r]);
-    StoreVec(c_rows1[r], LoadVec(c_rows1[r]) + acc1[r]);
-  }
-}
-
-// Remainder tile with runtime row count (mr < TM).
-template <int TM>
-FLASHPS_ALWAYS_INLINE void MicroKernelEdge(int mr, const float* a_rows[],
-                                           const float* panel, int ldb, int kc,
-                                           float* c_rows[], int jw) {
-  VecNr acc[TM] = {};
-  for (int p = 0; p < kc; ++p) {
-    const VecNr bp = LoadVec(panel + static_cast<size_t>(p) * ldb);
-    for (int r = 0; r < mr; ++r) {
-      acc[r] += Splat(a_rows[r][p]) * bp;
+  if (jw == 2 * W) {
+#pragma GCC unroll 16
+    for (int r = 0; r < H; ++r) {
+      StoreVec(c_rows[r], LoadVec<V>(c_rows[r]) + acc0[r]);
+      StoreVec(c_rows[r] + W, LoadVec<V>(c_rows[r] + W) + acc1[r]);
     }
-  }
-  for (int r = 0; r < mr; ++r) {
-    for (int c = 0; c < jw; ++c) {
-      c_rows[r][c] += acc[r][c];
-    }
-  }
-}
-
-// One k-block pass over the row range [i0, i1): row tiles of kMr against
-// every packed panel. Ranges from ParallelFor are grain-aligned with grain a
-// multiple of kMr, so the tile decomposition — and with it the result bits —
-// does not depend on the thread count.
-//
-// `a_idx`/`c_idx` are the gathered-panel hooks (null = identity): when set,
-// logical row i reads a.row(a_idx[i]) and/or writes out.row(c_idx[i]).
-// The per-row accumulation order is untouched, so a gathered row is
-// bitwise-identical to the same row of the dense all-rows GEMM — the
-// property the mask-aware sparse compute path is built on.
-FLASHPS_ALWAYS_INLINE void GemmRowRangeImpl(const Matrix& a,
-                                            const std::vector<float>& packed,
-                                            int k0, int kc, int n, Matrix& out,
-                                            const int* a_idx, const int* c_idx,
-                                            int64_t i0, int64_t i1) {
-  const int panels = NumPanels(n);
-  const float* a_rows[kMr];
-  float* c_rows[kMr];
-  for (int64_t i = i0; i < i1; i += kMr) {
-    const int mr = static_cast<int>(std::min<int64_t>(kMr, i1 - i));
-    for (int r = 0; r < mr; ++r) {
-      const int ar = static_cast<int>(i) + r;
-      a_rows[r] = a.row(a_idx == nullptr ? ar : a_idx[ar]) + k0;
-    }
-    for (int panel = 0; panel < panels; ++panel) {
-      const int j0 = panel * kNr;
-      const int jw = std::min(kNr, n - j0);
-      const float* pp = packed.data() + static_cast<size_t>(panel) * kc * kNr;
-      for (int r = 0; r < mr; ++r) {
-        const int cr = static_cast<int>(i) + r;
-        c_rows[r] = out.row(c_idx == nullptr ? cr : c_idx[cr]) + j0;
+  } else {
+    for (int r = 0; r < H; ++r) {
+      for (int c = 0; c < jw; ++c) {
+        c_rows[r][c] += c < W ? acc0[r][c] : acc1[r][c - W];
       }
-      if (mr == kMr) {
-        MicroKernel<kMr>(a_rows, pp, kNr, kc, c_rows, jw);
+    }
+  }
+}
+
+// MicroTile<W, h> for a run-time h in [1, MR]: one instantiation per
+// height, picked once per tile.
+template <int W, int... H>
+FLASHPS_ALWAYS_INLINE void MicroTileOfHeight(int h, const float* const* a_rows,
+                                             const float* bp, int ldb, int kc,
+                                             float* const* c_rows, int jw,
+                                             std::integer_sequence<int, H...>) {
+  (void)((h == H + 1 &&
+          (MicroTile<W, H + 1>(a_rows, bp, ldb, kc, c_rows, jw), true)) ||
+         ...);
+}
+
+// One butterfly stage of a W x W in-register transpose: rows x (bit D of
+// the row index clear) and y (set) swap bit D of their row index with bit
+// D of the column index. Stages for every D < W transpose the block.
+template <int W, int D, int... I>
+FLASHPS_ALWAYS_INLINE void TransposeStage(Vec<W>& x, Vec<W>& y,
+                                          std::integer_sequence<int, I...>) {
+  const Vec<W> lo =
+      __builtin_shufflevector(x, y, ((I & D) == 0 ? I : W + I - D)...);
+  const Vec<W> hi =
+      __builtin_shufflevector(x, y, ((I & D) == 0 ? I + D : W + I)...);
+  x = lo;
+  y = hi;
+}
+
+template <int W, int D = W / 2>
+FLASHPS_ALWAYS_INLINE void Transpose(Vec<W> (&v)[W]) {
+  for (int i = 0; i < W; ++i) {
+    if ((i & D) == 0) {
+      TransposeStage<W, D>(v[i], v[i + D],
+                           std::make_integer_sequence<int, W>{});
+    }
+  }
+  if constexpr (D > 1) {
+    Transpose<W, D / 2>(v);
+  }
+}
+
+// Packs panel columns [j0, j0 + jw) of b over k rows [k0, k0 + kc) into
+// `dst` as kc rows of 2W floats, lanes past jw zero. With `b_transposed`
+// the panel's columns are rows of b (B^T = b, b is n x k), moved through
+// W x W in-register transposes. Pure data movement: the kernel sees the
+// same lane values as reading the panel in place.
+template <int W>
+FLASHPS_ALWAYS_INLINE void PackPanel(const Matrix& b, bool b_transposed, int k0,
+                                     int kc, int j0, int jw, float* dst) {
+  constexpr int kNr = 2 * W;
+  if (!b_transposed) {
+    for (int p = 0; p < kc; ++p) {
+      const float* src = b.row(k0 + p) + j0;
+      float* d = dst + static_cast<size_t>(p) * kNr;
+      std::copy(src, src + jw, d);
+      std::fill(d + jw, d + kNr, 0.0f);
+    }
+    return;
+  }
+  const int p_body = kc - kc % W;
+  for (int c0 = 0; c0 < kNr; c0 += W) {
+    const int rows = std::clamp(jw - c0, 0, W);
+    int p = 0;
+    if (rows == W) {
+      for (; p < p_body; p += W) {
+        Vec<W> v[W];
+        for (int i = 0; i < W; ++i) {
+          v[i] = LoadVec<Vec<W>>(b.row(j0 + c0 + i) + k0 + p);
+        }
+        Transpose<W>(v);
+        for (int i = 0; i < W; ++i) {
+          StoreVec(dst + static_cast<size_t>(p + i) * kNr + c0, v[i]);
+        }
+      }
+    }
+    for (; p < kc; ++p) {
+      float* d = dst + static_cast<size_t>(p) * kNr + c0;
+      for (int i = 0; i < W; ++i) {
+        d[i] = i < rows ? b.row(j0 + c0 + i)[k0 + p] : 0.0f;
+      }
+    }
+  }
+}
+
+// Widest row-major B (in floats) whose full panels are read in place by
+// several row tiles. At a stride of 4 KB or more every k row of a panel
+// sits on its own page and in the same two L1 sets, so the slab cannot
+// stay in L1 between tiles; such panels are packed like B^T. The serving
+// shapes (hidden 64, feed-forward 256) stay far below it.
+constexpr int kInPlaceMaxStride = 1024;
+
+// One k-block of a GEMM as (column panel, row tile) tasks, panel-major:
+// task t is row tile t % tiles of column panel t / tiles. `a_idx`/`c_idx`
+// are the gathered-panel hooks (null = identity): logical row i reads
+// a.row(a_idx[i]) and/or writes out.row(c_idx[i]).
+struct GemmBlock {
+  const Matrix* a;
+  const Matrix* b;
+  bool b_transposed;
+  int m;
+  int n;
+  int k0;
+  int kc;
+  Matrix* out;
+  const int* a_idx;
+  const int* c_idx;
+  int tiles;
+};
+
+// Tasks [t0, t1) of `g` at vector width W and tile height <= MR. `buf`
+// holds one packed panel (kc * 2W floats).
+template <int W, int MR>
+FLASHPS_ALWAYS_INLINE void GemmTasksImpl(const GemmBlock& g, float* buf,
+                                         int64_t t0, int64_t t1) {
+  constexpr int kNr = 2 * W;
+  const int base = g.m / g.tiles;
+  const int rem = g.m % g.tiles;
+  const float* a_rows[MR];
+  float* c_rows[MR];
+  int panel = -1;
+  const float* bp = nullptr;
+  int ldb = 0;
+  int j0 = 0;
+  int jw = 0;
+  for (int64_t t = t0; t < t1; ++t) {
+    const int tp = static_cast<int>(t / g.tiles);
+    const int tile = static_cast<int>(t % g.tiles);
+    if (tp != panel) {
+      panel = tp;
+      j0 = panel * kNr;
+      jw = std::min(kNr, g.n - j0);
+      if (!g.b_transposed && jw == kNr &&
+          (g.tiles == 1 || g.b->cols() < kInPlaceMaxStride)) {
+        bp = g.b->row(g.k0) + j0;
+        ldb = g.b->cols();
       } else {
-        MicroKernelEdge<kMr>(mr, a_rows, pp, kNr, kc, c_rows, jw);
+        PackPanel<W>(*g.b, g.b_transposed, g.k0, g.kc, j0, jw, buf);
+        bp = buf;
+        ldb = kNr;
       }
     }
-  }
-}
-
-// Panel-at-a-time variant for GEMMs with few logical rows (the gathered
-// sparse compute path's panels): packing all of B costs O(k·n) writes plus
-// a second pass of reads, which only pays for itself when many row tiles
-// reuse the packed image. Here the panel loop is outermost; a full-width
-// panel of a row-major B needs no packing at all — the micro-kernel reads
-// the kNr lanes straight out of B at stride b.cols() — and the remaining
-// cases (B^T, or the ragged last panel) pack one small L1-resident buffer,
-// use it against every row tile, and discard it. B streams through exactly
-// once. The lane values and the per-element accumulation order are
-// identical to the all-panels layout above, so results stay
-// bitwise-identical to the dense kernel (and to this kernel at any thread
-// count: panels write disjoint column ranges and each is computed
-// identically wherever it lands).
-template <int TM, int NP>
-FLASHPS_ALWAYS_INLINE void GemmPanelRangeImpl(
-    const Matrix& a, const Matrix& b, bool b_transposed, int k0, int kc, int m,
-    int n, Matrix& out, const int* a_idx, const int* c_idx, float* panel_buf,
-    int64_t panel0, int64_t panel1) {
-  const float* a_rows[TM];
-  float* c_rows[TM];
-  float* c_rows1[TM];
-  int64_t panel = panel0;
-  while (panel < panel1) {
-    const int j0 = static_cast<int>(panel) * kNr;
-    const int jw = std::min(kNr, n - j0);
-    int ng = 1;
-    const float* pp0;
-    int ldb;
-    bool packed = false;
-    if (!b_transposed && jw == kNr && m <= TM) {
-      // One tile pass total: reading the lanes straight out of row-major B
-      // beats packing, which would touch the same strided rows and then
-      // round-trip them through a buffer for a single consumer.
-      pp0 = b.row(k0) + j0;
-      ldb = b.cols();
-    } else {
-      ng = static_cast<int>(std::min<int64_t>(kPanelGroup, panel1 - panel));
-      if (b_transposed) {
-        // b^T packing already reads b's rows contiguously; pack the group
-        // panel by panel into the shared buffer.
-        for (int g = 0; g < ng; ++g) {
-          PackOnePanelTransposed(b, k0, k0 + kc, n, static_cast<int>(panel) + g,
-                                 panel_buf + static_cast<size_t>(g) * kc * kNr);
-        }
-      } else {
-        PackPanelGroup(b, k0, k0 + kc, n, static_cast<int>(panel), ng,
-                       panel_buf);
-      }
-      pp0 = panel_buf;
-      ldb = kNr;
-      packed = true;
+    const int h = base + (tile < rem ? 1 : 0);
+    const int i0 = tile * base + std::min(tile, rem);
+    for (int r = 0; r < h; ++r) {
+      const int i = i0 + r;
+      a_rows[r] = g.a->row(g.a_idx == nullptr ? i : g.a_idx[i]) + g.k0;
+      c_rows[r] = g.out->row(g.c_idx == nullptr ? i : g.c_idx[i]) + j0;
     }
-    int g = 0;
-    if (NP == 2 && packed) {
-      // Packed-panel pairs, both full width: the paired kernel shares each
-      // A broadcast between the two panels' FMAs.
-      for (; g + 1 < ng && static_cast<int>(panel + g) * kNr + 2 * kNr <= n;
-           g += 2) {
-        const int gj0 = static_cast<int>(panel + g) * kNr;
-        const float* gp0 = panel_buf + static_cast<size_t>(g) * kc * kNr;
-        const float* gp1 = gp0 + static_cast<size_t>(kc) * kNr;
-        for (int i = 0; i < m; i += TM) {
-          const int mr = std::min(TM, m - i);
-          for (int r = 0; r < mr; ++r) {
-            a_rows[r] = a.row(a_idx == nullptr ? i + r : a_idx[i + r]) + k0;
-            c_rows[r] = out.row(c_idx == nullptr ? i + r : c_idx[i + r]) + gj0;
-            c_rows1[r] = c_rows[r] + kNr;
-          }
-          if (mr == TM) {
-            MicroKernelPair<TM>(a_rows, gp0, gp1, ldb, kc, c_rows, c_rows1);
-          } else {
-            MicroKernelEdge<TM>(mr, a_rows, gp0, ldb, kc, c_rows, kNr);
-            MicroKernelEdge<TM>(mr, a_rows, gp1, ldb, kc, c_rows1, kNr);
-          }
-        }
-      }
-    }
-    for (; g < ng; ++g) {
-      const int gj0 = static_cast<int>(panel + g) * kNr;
-      const int gjw = std::min(kNr, n - gj0);
-      const float* pp =
-          packed ? panel_buf + static_cast<size_t>(g) * kc * kNr : pp0;
-      for (int i = 0; i < m; i += TM) {
-        const int mr = std::min(TM, m - i);
-        for (int r = 0; r < mr; ++r) {
-          a_rows[r] = a.row(a_idx == nullptr ? i + r : a_idx[i + r]) + k0;
-          c_rows[r] = out.row(c_idx == nullptr ? i + r : c_idx[i + r]) + gj0;
-        }
-        if (mr == TM) {
-          MicroKernel<TM>(a_rows, pp, ldb, kc, c_rows, gjw);
-        } else {
-          MicroKernelEdge<TM>(mr, a_rows, pp, ldb, kc, c_rows, gjw);
-        }
-      }
-    }
-    panel += ng;
+    MicroTileOfHeight<W>(h, a_rows, bp, ldb, g.kc, c_rows, jw,
+                         std::make_integer_sequence<int, MR>{});
   }
 }
 
@@ -411,7 +304,7 @@ FLASHPS_ALWAYS_INLINE void GemmPanelRangeImpl(
 // ---------------------------------------------------------------------------
 
 constexpr int kLanes = 16;
-typedef float Vec16 __attribute__((vector_size(kLanes * sizeof(float))));
+using Vec16 = Vec<kLanes>;
 
 // The n < kLanes floats at p in lanes [0, n), `pad` in the lanes above.
 FLASHPS_ALWAYS_INLINE Vec16 LoadTail16(const float* p, int n,
@@ -620,7 +513,9 @@ FLASHPS_ALWAYS_INLINE void GeluRangeImpl(float* data, int64_t b, int64_t e) {
 #endif
 
 // Kernel `Impl` compiled at each ISA level. The GEMM variants let the
-// compiler contract multiply-adds into FMAs at v3/v4.
+// compiler contract multiply-adds into FMAs at v3/v4. A member is only
+// compiled where it is referenced, so each GEMM instantiation below builds
+// only at the level whose vector width it was written for.
 template <auto Impl>
 struct GemmVariants;
 template <typename... Args, void (*Impl)(Args...)>
@@ -689,15 +584,24 @@ Isa ResolveIsa() {
   return widest;
 }
 
+// The GEMM's vector width W and largest tile height MR at one ISA level
+// (the table under "Blocked GEMM core").
+struct GemmGeometry {
+  int lanes;
+  int max_rows;
+};
+constexpr GemmGeometry kGemmGeneric{4, 6};
+constexpr GemmGeometry kGemmV3{8, 6};
+constexpr GemmGeometry kGemmV4{16, 12};
+
+template <GemmGeometry G>
+using GemmAt = GemmVariants<GemmTasksImpl<G.lanes, G.max_rows>>;
+
 // Every dispatched kernel at the process's ISA level.
 struct KernelSet {
   Isa isa;
-  void (*gemm_row_range)(const Matrix&, const std::vector<float>&, int, int,
-                         int, Matrix&, const int*, const int*, int64_t,
-                         int64_t);
-  void (*gemm_panel_range)(const Matrix&, const Matrix&, bool, int, int, int,
-                           int, Matrix&, const int*, const int*, float*,
-                           int64_t, int64_t);
+  GemmGeometry gemm_geometry;
+  void (*gemm_tasks)(const GemmBlock&, float*, int64_t, int64_t);
   void (*softmax_row_range)(Matrix&, float, const Matrix*, const int*, int64_t,
                             int64_t);
   void (*layernorm_row_range)(const Matrix&, const float*, const float*, float,
@@ -706,11 +610,6 @@ struct KernelSet {
 };
 
 const KernelSet& Kernels() {
-  // The AVX-512 panel kernel pairs panels (MicroKernelPair): it needs the
-  // 32 vector registers only v4 has.
-  using Gemm = GemmVariants<GemmRowRangeImpl>;
-  using Panel1 = GemmVariants<GemmPanelRangeImpl<kMrPanel, 1>>;
-  using Panel2 = GemmVariants<GemmPanelRangeImpl<kMrPanel, 2>>;
   using Softmax = RowwiseVariants<SoftmaxRowRangeImpl>;
   using Norm = RowwiseVariants<LayerNormRowRangeImpl>;
   using GeluK = RowwiseVariants<GeluRangeImpl>;
@@ -718,32 +617,24 @@ const KernelSet& Kernels() {
     const Isa isa = ResolveIsa();
     switch (isa) {
       case Isa::kV4:
-        return KernelSet{isa, Gemm::V4, Panel2::V4, Softmax::V4, Norm::V4,
-                         GeluK::V4};
+        return KernelSet{isa, kGemmV4, GemmAt<kGemmV4>::V4, Softmax::V4,
+                         Norm::V4, GeluK::V4};
       case Isa::kV3:
-        return KernelSet{isa, Gemm::V3, Panel1::V3, Softmax::V3, Norm::V3,
-                         GeluK::V3};
+        return KernelSet{isa, kGemmV3, GemmAt<kGemmV3>::V3, Softmax::V3,
+                         Norm::V3, GeluK::V3};
       case Isa::kGeneric:
         break;
     }
-    return KernelSet{isa, Gemm::Generic, Panel1::Generic,
+    return KernelSet{isa, kGemmGeneric, GemmAt<kGemmGeneric>::Generic,
                      Softmax::Generic, Norm::Generic, GeluK::Generic};
   }();
   return kernels;
 }
 
-// Below this many logical rows the driver switches to the panel-at-a-time
-// kernel: packing all of B costs ~2 extra passes over it plus a packed
-// image that blows the cache, which this few row tiles cannot amortize.
-// 64 rows is 8 tall tiles — the gathered sparse compute path's panels at
-// the mask ratios it serves (m ~= 0.1..0.4) sit below this on every model
-// grid in the repo, while the dense flows (full token counts) stay above.
-constexpr int kPanelAtATimeMaxRows = 64;
-
-// Shared blocked-GEMM driver. `m` is the logical row count; `a_idx`/`c_idx`
-// (null = identity) remap logical rows to `a`/`out` rows, which is how the
-// gathered-panel entry points below reuse this core without materializing
-// the gathered operand or the scattered result.
+// Shared blocked-GEMM driver for every m. `m` is the logical row count;
+// `a_idx`/`c_idx` (null = identity) remap logical rows to `a`/`out` rows,
+// which is how the gathered-panel entry points below reuse this core
+// without materializing the gathered operand or the scattered result.
 void GemmBlockedInto(const Matrix& a, const Matrix& b, bool b_transposed,
                      int m, const int* a_idx, const int* c_idx, Matrix& out) {
   const int k = a.cols();
@@ -752,39 +643,25 @@ void GemmBlockedInto(const Matrix& a, const Matrix& b, bool b_transposed,
     return;
   }
   const KernelSet& kernels = Kernels();
-  if (m <= kPanelAtATimeMaxRows) {
-    for (int k0 = 0; k0 < k; k0 += kKc) {
-      const int kc = std::min(kKc, k - k0);
-      // Panels per chunk sized so each chunk carries at least
-      // kGemmParallelFlops work, rounded up to the pack-group width so
-      // chunks can amortize B's row walk. Panels own disjoint column
-      // ranges, so any split is race-free and thread-count-invariant.
-      int64_t grain = std::max<int64_t>(
-          1, kGemmParallelFlops / (2LL * kc * kNr * m + 1));
-      grain = ((grain + kPanelGroup - 1) / kPanelGroup) * kPanelGroup;
-      ParallelFor(NumPanels(n), grain, [&](int64_t p0, int64_t p1) {
-        // Scratch for one packed panel group, reused across chunks and
-        // calls — a per-chunk vector would zero-fill its floats every few
-        // panels of work.
-        thread_local std::vector<float> panel_buf;
-        panel_buf.resize(static_cast<size_t>(kc) * kNr * kPanelGroup);
-        kernels.gemm_panel_range(a, b, b_transposed, k0, kc, m, n, out, a_idx,
-                                 c_idx, panel_buf.data(), p0, p1);
-      });
-    }
-    return;
-  }
-  std::vector<float> packed;
+  const int nr = 2 * kernels.gemm_geometry.lanes;
+  const int mr = kernels.gemm_geometry.max_rows;
+  const int tiles = (m + mr - 1) / mr;
+  const int64_t tasks = static_cast<int64_t>(tiles) * ((n + nr - 1) / nr);
   for (int k0 = 0; k0 < k; k0 += kKc) {
     const int kc = std::min(kKc, k - k0);
-    PackPanels(b, k0, k0 + kc, n, b_transposed, packed);
-    // Rows per chunk sized so each chunk carries at least kGemmParallelFlops
-    // work, rounded to the row-tile height for thread-count-invariant tiling.
-    int64_t grain =
-        std::max<int64_t>(kMr, kGemmParallelFlops / (2LL * kc * n + 1));
-    grain = ((grain + kMr - 1) / kMr) * kMr;
-    ParallelFor(m, grain, [&](int64_t i0, int64_t i1) {
-      kernels.gemm_row_range(a, packed, k0, kc, n, out, a_idx, c_idx, i0, i1);
+    const GemmBlock block{&a,    &b,    b_transposed, m,     n,    k0,
+                          kc,    &out,  a_idx,        c_idx, tiles};
+    // Tasks per chunk sized so each chunk carries at least
+    // kGemmParallelFlops work. Tasks write disjoint tiles of C, so any
+    // split is race-free, and no split changes a bit (see "Bits" above).
+    const int64_t task_flops = 2LL * kc * nr * ((m + tiles - 1) / tiles);
+    const int64_t grain =
+        std::max<int64_t>(1, kGemmParallelFlops / task_flops);
+    ParallelFor(tasks, grain, [&](int64_t t0, int64_t t1) {
+      // One packed panel, reused across chunks and calls.
+      thread_local std::vector<float> panel_buf;
+      panel_buf.resize(static_cast<size_t>(kc) * nr);
+      kernels.gemm_tasks(block, panel_buf.data(), t0, t1);
     });
   }
 }

@@ -57,13 +57,17 @@ class Matrix {
 };
 
 // The GEMM, softmax, LayerNorm and GELU kernels below are vectorized (the
-// GEMM cache-blocked and register-tiled) and dispatched once per process to
-// the widest ISA level the CPU supports (FLASHPS_ISA=generic|v3|v4 pins it;
-// KernelIsa() names it). They split rows across threads via ParallelFor
-// when the calling thread has a compute-thread budget (see
-// src/common/parallel_for.h). Outputs are bitwise-identical at every
-// thread count, and every row's result depends only on that row, so
-// gathered panels match the dense matrix bit for bit.
+// GEMM register-blocked at the full vector width of its ISA level) and
+// dispatched once per process to the widest ISA level the CPU supports
+// (FLASHPS_ISA=generic|v3|v4 pins it; KernelIsa() names it). They split
+// work across threads via ParallelFor when the calling thread has a
+// compute-thread budget (see src/common/parallel_for.h): the GEMM by row
+// tiles and column panels, the row-wise kernels by rows. Every GEMM output
+// element runs one fixed chain per 512-deep k-block — acc = 0,
+// acc += a[p] * b[p] in p order (fused multiply-adds at v3/v4), c += acc —
+// whatever the tiling, so outputs are bitwise-identical at every thread
+// count, and every row's result depends only on that row: gathered panels
+// match the dense matrix bit for bit.
 // Against the scalar naive:: reference: the GEMMs differ only by FMA
 // contraction, softmax and LayerNorm by their vector exp and lane-blocked
 // sums (tests/kernel_equivalence_test.cc states the bounds), and GELU not
@@ -117,7 +121,7 @@ void ScatterRows(Matrix& dst, const Matrix& src, const std::vector<int>& indices
 // bitwise-identical to row rows[i] of MatMul(a, b): the blocked kernel
 // computes every output row from its own A row alone, in a fixed
 // k-blocked accumulation order that does not depend on which other rows
-// are present. Cost is O(|rows|·k·n) — proportional to the mask ratio
+// are present or how many there are. Cost is O(|rows|·k·n) — proportional to the mask ratio
 // when `rows` is a mask's token list. `rows` must hold valid, distinct
 // row indices of `a`.
 Matrix MatMulRows(const Matrix& a, const Matrix& b,
@@ -129,7 +133,7 @@ Matrix MatMulRows(const Matrix& a, const Matrix& b,
 // (cached) rows. The written rows are bitwise-identical to the same rows
 // of MatMul(x, b) whenever a_panel holds the gathered rows of x (see
 // MatMulRows). `rows` must hold valid, DISTINCT row indices of `out`
-// (duplicates would race across row-panel threads).
+// (duplicates would race across row-tile threads).
 void MatMulScatterRows(const Matrix& a_panel, const Matrix& b,
                        const std::vector<int>& rows, Matrix& out);
 

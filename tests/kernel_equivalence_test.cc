@@ -1,16 +1,19 @@
 // Equivalence of the vectorized/threaded kernels against the retained naive
 // reference, across awkward shapes (non-multiples of the register tile and
 // of the 16-lane row width, prime dims, tall/thin, wide/flat, degenerate
-// 1x1), extreme values and thread counts 1/2/4 — plus the ParallelFor
-// facility's own contract. scripts/check.sh runs this suite once per ISA
-// level the CPU supports (FLASHPS_ISA), and under ThreadSanitizer and
-// AddressSanitizer.
+// 1x1), extreme values and thread counts 1/2/4; the GEMM's bits against a
+// scalar replay of its accumulation chain at every tile height and panel
+// width; plus the ParallelFor facility's own contract. scripts/check.sh
+// runs this suite once per ISA level the CPU supports (FLASHPS_ISA), and
+// under ThreadSanitizer and AddressSanitizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,9 +32,9 @@ struct GemmShape {
   int n;
 };
 
-// Non-multiple-of-tile sizes on purpose: the micro-kernel tile is 4x8, so
-// exercise 1x1, primes, tall/thin, wide/flat, and the SDXL block shapes the
-// serving path actually runs (tokens=256, hidden=64, ff=256).
+// Non-multiple-of-tile sizes on purpose: 1x1, primes, tall/thin, wide/flat,
+// and the SDXL block shapes the serving path actually runs (tokens=256,
+// hidden=64, ff=256). The tile-by-tile sweep is GemmFollowsTheChain below.
 const std::vector<GemmShape>& Shapes() {
   static const std::vector<GemmShape> shapes = {
       {1, 1, 1},    {1, 7, 1},    {2, 3, 5},      {17, 13, 7},
@@ -94,9 +97,8 @@ TEST(KernelEquivalenceTest, MatMulTransposedMatchesNaiveAcrossShapesAndThreads) 
 }
 
 TEST(KernelEquivalenceTest, GemmIsBitwiseIdenticalAcrossThreadCounts) {
-  // Chunk boundaries are grain-aligned with grain a multiple of the row
-  // tile, so the tile decomposition — and the result bits — cannot move
-  // with the thread count.
+  // No output element's accumulation chain depends on which thread, tile
+  // or panel computes it, so the bits cannot move with the thread count.
   for (const auto& s : Shapes()) {
     const Matrix a = RandomMatrix(s.m, s.k, 57 + s.m);
     const Matrix b = RandomMatrix(s.k, s.n, 71 + s.n);
@@ -116,6 +118,158 @@ TEST(KernelEquivalenceTest, GemmIsBitwiseIdenticalAcrossThreadCounts) {
       EXPECT_TRUE(BitwiseEqual(MatMulTransposed(a, bt), base_t))
           << "m=" << s.m << " k=" << s.k << " n=" << s.n
           << " threads=" << threads;
+    }
+  }
+}
+
+Matrix Transposed(const Matrix& m) {
+  Matrix t(m.cols(), m.rows());
+  for (int r = 0; r < m.rows(); ++r) {
+    for (int c = 0; c < m.cols(); ++c) {
+      t.at(c, r) = m.at(r, c);
+    }
+  }
+  return t;
+}
+
+// The accumulation chain every GEMM output element runs (see "Bits" in
+// src/tensor/matrix.cc), replayed in scalar code: per 512-deep k-block,
+// acc = +0, then acc += a[p] * b[p] in p order — fused at v3/v4, rounded
+// twice at generic — then c += acc on a zeroed c. The generic product is
+// taken in double, where it is exact, so no compiler contraction can fuse
+// it with the add.
+Matrix ChainReference(const Matrix& a, const Matrix& b) {
+  constexpr int kKc = 512;
+  const bool fused = std::strcmp(KernelIsa(), "generic") != 0;
+  Matrix c(a.rows(), b.cols());
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j < b.cols(); ++j) {
+      float cij = 0.0f;
+      for (int k0 = 0; k0 < a.cols(); k0 += kKc) {
+        float acc = 0.0f;
+        for (int p = k0; p < std::min(a.cols(), k0 + kKc); ++p) {
+          const float x = a.at(i, p);
+          const float y = b.at(p, j);
+          acc = fused ? std::fma(x, y, acc)
+                      : acc + static_cast<float>(static_cast<double>(x) * y);
+        }
+        cij += acc;
+      }
+      c.at(i, j) = cij;
+    }
+  }
+  return c;
+}
+
+// Every tile height the GEMM splits rows into (1..12 at v4, 1..6 below;
+// 2 * 12 + 1 also covers every two-tile split), the tall dense-flow panels,
+// panel widths on both sides of the 8-, 16- and 32-float panels, and k on
+// both sides of the SIMD widths and of the 512 k-block.
+TEST(KernelEquivalenceTest, GemmFollowsTheChainAtEveryTileAndPanel) {
+  std::vector<int> heights;
+  for (int m = 1; m <= 25; ++m) {
+    heights.push_back(m);
+  }
+  heights.insert(heights.end(), {64, 65, 256});
+  const int widths[] = {1, 15, 16, 17, 31, 32, 33, 48, 400};
+  for (const int k : {1, 17, 64, 513}) {
+    for (const int m : heights) {
+      // The two-block k only at a few heights: it exercises the c += acc
+      // step, not the tiling.
+      if (k == 513 && m != 1 && m != 13 && m != 25 && m != 65) {
+        continue;
+      }
+      for (const int n : widths) {
+        const Matrix a = RandomMatrix(m, k, 1000 + m);
+        const Matrix b = RandomMatrix(k, n, 2000 + n);
+        const Matrix bt = Transposed(b);
+        const Matrix want = ChainReference(a, b);
+        for (const int threads : {1, 3}) {
+          ComputeThreadsScope scope(threads);
+          EXPECT_TRUE(BitwiseEqual(MatMul(a, b), want))
+              << "MatMul m=" << m << " k=" << k << " n=" << n
+              << " threads=" << threads;
+          // Packing B^T is pure data movement.
+          EXPECT_TRUE(BitwiseEqual(MatMulTransposed(a, bt), want))
+              << "MatMulTransposed m=" << m << " k=" << k << " n=" << n
+              << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
+// B rows of a page or more, whose panels are packed once several row tiles
+// read them.
+TEST(KernelEquivalenceTest, GemmFollowsTheChainOnPageWideB) {
+  for (const int m : {7, 25, 65}) {
+    for (const int n : {1024, 1030}) {
+      const Matrix a = RandomMatrix(m, 70, 3000 + m);
+      const Matrix b = RandomMatrix(70, n, 4000 + n);
+      EXPECT_TRUE(BitwiseEqual(MatMul(a, b), ChainReference(a, b)))
+          << "m=" << m << " n=" << n;
+    }
+  }
+}
+
+// The chain's edge cases: -0 inputs, products that underflow (an FMA chain
+// can then end at -0, which c += acc turns into +0), infinities and NaN.
+TEST(KernelEquivalenceTest, GemmFollowsTheChainOnSpecialValues) {
+  const float specials[] = {0.0f,   -0.0f,  1e-30f, -1e-30f, 1e-20f,
+                            -1e-25f, 3e38f, -3e38f,  1.0f,    -1.0f};
+  Matrix a = RandomMatrix(29, 70, 5);
+  Matrix b = RandomMatrix(70, 45, 6);
+  for (size_t i = 0; i < a.size(); i += 3) {
+    a.data()[i] = specials[i % std::size(specials)];
+  }
+  for (size_t i = 0; i < b.size(); i += 2) {
+    b.data()[i] = specials[(i / 2) % std::size(specials)];
+  }
+  // One row of tiny products only, so its chains end at signed zeros.
+  for (int p = 0; p < a.cols(); ++p) {
+    a.at(3, p) = p % 2 == 0 ? 1e-30f : -1e-30f;
+  }
+  b.at(7, 4) = std::numeric_limits<float>::infinity();
+  b.at(9, 5) = std::numeric_limits<float>::quiet_NaN();
+  const Matrix want = ChainReference(a, b);
+  EXPECT_TRUE(BitwiseEqual(MatMul(a, b), want));
+  EXPECT_TRUE(BitwiseEqual(MatMulTransposed(a, Transposed(b)), want));
+}
+
+TEST(KernelEquivalenceTest, MatMulTransposedIsMatMulOfTheTransposeBitwise) {
+  for (const auto& s : Shapes()) {
+    const Matrix a = RandomMatrix(s.m, s.k, 81 + s.m);
+    const Matrix b = RandomMatrix(s.n, s.k, 83 + s.n);
+    EXPECT_TRUE(BitwiseEqual(MatMulTransposed(a, b), MatMul(a, Transposed(b))))
+        << "m=" << s.m << " k=" << s.k << " n=" << s.n;
+  }
+}
+
+// Gathered row subsets of every size around 64 rows, where the GEMM used
+// to switch between two code paths: each gathered or scattered row is
+// bitwise the same row of the dense product.
+TEST(KernelEquivalenceTest, RowSubsetsMatchTheDenseProductBitwise) {
+  const Matrix a = RandomMatrix(150, 64, 91);
+  const Matrix b = RandomMatrix(64, 80, 92);
+  const Matrix dense = MatMul(a, b);
+  for (const int size : {1, 20, 63, 64, 65, 66, 130, 150}) {
+    std::vector<int> rows;
+    for (int i = 0; i < size; ++i) {
+      rows.push_back((i * 37) % 150);  // Distinct: 37 and 150 are coprime.
+    }
+    std::sort(rows.begin(), rows.end());
+    const Matrix gathered = MatMulRows(a, b, rows);
+    Matrix scattered(150, 80);
+    MatMulScatterRows(GatherRows(a, rows), b, rows, scattered);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const int r = rows[i];
+      EXPECT_EQ(std::memcmp(gathered.row(static_cast<int>(i)), dense.row(r),
+                            sizeof(float) * 80),
+                0)
+          << "gathered row " << r << " of " << size;
+      EXPECT_EQ(std::memcmp(scattered.row(r), dense.row(r), sizeof(float) * 80),
+                0)
+          << "scattered row " << r << " of " << size;
     }
   }
 }

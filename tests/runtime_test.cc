@@ -311,13 +311,18 @@ TEST_F(OnlineServerTest, ContinuousBatchingInterleavesRequests) {
   // first request's denoise_done.
   OnlineServer::Options options;
   options.max_batch = 2;
-  options.numerics.num_steps = 12;  // Long enough to observe interleaving.
+  // Long enough that the second request's CPU-lane pre-processing lands
+  // while the first is still denoising, even on a loaded host.
+  options.numerics.num_steps = 48;
   OnlineServer server(options);
   Rng rng(5);
 
   auto f1 = server.Submit(MakeRequest(options.numerics, 0, rng));
-  // Give the first request a head start, then submit the second.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // Submit the second once the first is in the running batch. A fixed head
+  // start would assume how long twelve steps take on this CPU.
+  while (server.Snapshot().running_ratios.empty()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
   auto f2 = server.Submit(MakeRequest(options.numerics, 1, rng));
 
   const OnlineResponse r1 = f1.get();
