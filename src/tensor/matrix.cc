@@ -41,10 +41,10 @@ namespace {
 // row tile reads it. A full panel of row-major B is read in place at
 // stride b.cols(); only B^T (MatMulTransposed), a ragged last panel and a
 // B with page-sized rows (kInPlaceMaxStride) are packed, one panel at a
-// time, into a small thread-local buffer. The m
-// logical rows split into ceil(m / MR) tiles of near-equal height (m = 20
-// runs as 10 + 10 at v4), and each height is its own compile-time
-// instantiation, so no tile carries a run-time row count.
+// time, into a small thread-local buffer. The m logical rows split into
+// ceil(m / MR) tiles of near-equal height (m = 20 runs as 10 + 10 at v4),
+// and each height is its own compile-time instantiation, so no tile
+// carries a run-time row count.
 //
 // Bits. Every output element runs one fixed chain per k-block:
 //   acc = +0;  acc += a[p] * b[p] for p in order;  c += acc
@@ -649,8 +649,8 @@ void GemmBlockedInto(const Matrix& a, const Matrix& b, bool b_transposed,
   const int64_t tasks = static_cast<int64_t>(tiles) * ((n + nr - 1) / nr);
   for (int k0 = 0; k0 < k; k0 += kKc) {
     const int kc = std::min(kKc, k - k0);
-    const GemmBlock block{&a,    &b,    b_transposed, m,     n,    k0,
-                          kc,    &out,  a_idx,        c_idx, tiles};
+    const GemmBlock block{&a, &b, b_transposed, m, n, k0, kc, &out, a_idx,
+                          c_idx, tiles};
     // Tasks per chunk sized so each chunk carries at least
     // kGemmParallelFlops work. Tasks write disjoint tiles of C, so any
     // split is race-free, and no split changes a bit (see "Bits" above).
