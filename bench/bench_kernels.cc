@@ -35,7 +35,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
