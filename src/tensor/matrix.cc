@@ -37,14 +37,14 @@ namespace {
 //   v4       16         32              12              24 zmm
 //
 // Within each kKc block of k, column panels are the outer loop and row
-// tiles the inner one, so a panel's k-slab of B stays in L1 while every
-// row tile reads it. A full panel of row-major B is read in place at
-// stride b.cols(); only B^T (MatMulTransposed), a ragged last panel and a
-// B with page-sized rows (kInPlaceMaxStride) are packed, one panel at a
-// time, into a small thread-local buffer. The m logical rows split into
-// ceil(m / MR) tiles of near-equal height (m = 20 runs as 10 + 10 at v4),
-// and each height is its own compile-time instantiation, so no tile
-// carries a run-time row count.
+// tiles the inner one, so every row tile reuses a panel's k-slab of B
+// from cache (from L1 at the serving shapes, k <= 256; a full 512-deep
+// slab is 64 KB at v4 and spills out of L1). A full panel of row-major B
+// is read in place at stride b.cols(); only B^T (MatMulTransposed) and a
+// ragged last panel are packed, one panel at a time, into a small
+// thread-local buffer. The m logical rows split into ceil(m / MR) tiles of
+// near-equal height (m = 20 runs as 10 + 10 at v4), and each height is its
+// own compile-time instantiation, so no tile carries a run-time row count.
 //
 // Bits. Every output element runs one fixed chain per k-block:
 //   acc = +0;  acc += a[p] * b[p] for p in order;  c += acc
@@ -216,13 +216,6 @@ FLASHPS_ALWAYS_INLINE void PackPanel(const Matrix& b, bool b_transposed, int k0,
   }
 }
 
-// Widest row-major B (in floats) whose full panels are read in place by
-// several row tiles. At a stride of 4 KB or more every k row of a panel
-// sits on its own page and in the same two L1 sets, so the slab cannot
-// stay in L1 between tiles; such panels are packed like B^T. The serving
-// shapes (hidden 64, feed-forward 256) stay far below it.
-constexpr int kInPlaceMaxStride = 1024;
-
 // One k-block of a GEMM as (column panel, row tile) tasks, panel-major:
 // task t is row tile t % tiles of column panel t / tiles. `a_idx`/`c_idx`
 // are the gathered-panel hooks (null = identity): logical row i reads
@@ -263,8 +256,7 @@ FLASHPS_ALWAYS_INLINE void GemmTasksImpl(const GemmBlock& g, float* buf,
       panel = tp;
       j0 = panel * kNr;
       jw = std::min(kNr, g.n - j0);
-      if (!g.b_transposed && jw == kNr &&
-          (g.tiles == 1 || g.b->cols() < kInPlaceMaxStride)) {
+      if (!g.b_transposed && jw == kNr) {
         bp = g.b->row(g.k0) + j0;
         ldb = g.b->cols();
       } else {
@@ -513,14 +505,16 @@ FLASHPS_ALWAYS_INLINE void GeluRangeImpl(float* data, int64_t b, int64_t e) {
 #endif
 
 // Kernel `Impl` compiled at each ISA level. The GEMM variants let the
-// compiler contract multiply-adds into FMAs at v3/v4. A member is only
-// compiled where it is referenced, so each GEMM instantiation below builds
-// only at the level whose vector width it was written for.
+// compiler contract multiply-adds into FMAs at v3/v4; the generic one
+// never does, so it rounds each product and sum (the "Bits" chain) even
+// when the build flags enable FMA at baseline. A member is only compiled
+// where it is referenced, so each GEMM instantiation below builds only at
+// the level whose vector width it was written for.
 template <auto Impl>
 struct GemmVariants;
 template <typename... Args, void (*Impl)(Args...)>
 struct GemmVariants<Impl> {
-  static void Generic(Args... args) { Impl(args...); }
+  FLASHPS_NO_FP_CONTRACT static void Generic(Args... args) { Impl(args...); }
   FLASHPS_TARGET_V3 static void V3(Args... args) { Impl(args...); }
   FLASHPS_TARGET_V4 static void V4(Args... args) { Impl(args...); }
 };

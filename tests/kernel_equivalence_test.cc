@@ -135,9 +135,9 @@ Matrix Transposed(const Matrix& m) {
 // The accumulation chain every GEMM output element runs (see "Bits" in
 // src/tensor/matrix.cc), replayed in scalar code: per 512-deep k-block,
 // acc = +0, then acc += a[p] * b[p] in p order — fused at v3/v4, rounded
-// twice at generic — then c += acc on a zeroed c. The generic product is
-// taken in double, where it is exact, so no compiler contraction can fuse
-// it with the add.
+// twice at generic — then c += acc on a zeroed c. The generic product goes
+// through a volatile, so no compiler contraction can fuse it with the add
+// even when the test itself is built with FMA enabled.
 Matrix ChainReference(const Matrix& a, const Matrix& b) {
   constexpr int kKc = 512;
   const bool fused = std::strcmp(KernelIsa(), "generic") != 0;
@@ -150,8 +150,12 @@ Matrix ChainReference(const Matrix& a, const Matrix& b) {
         for (int p = k0; p < std::min(a.cols(), k0 + kKc); ++p) {
           const float x = a.at(i, p);
           const float y = b.at(p, j);
-          acc = fused ? std::fma(x, y, acc)
-                      : acc + static_cast<float>(static_cast<double>(x) * y);
+          if (fused) {
+            acc = std::fma(x, y, acc);
+          } else {
+            volatile float product = x * y;
+            acc += product;
+          }
         }
         cij += acc;
       }
@@ -195,19 +199,6 @@ TEST(KernelEquivalenceTest, GemmFollowsTheChainAtEveryTileAndPanel) {
               << " threads=" << threads;
         }
       }
-    }
-  }
-}
-
-// B rows of a page or more, whose panels are packed once several row tiles
-// read them.
-TEST(KernelEquivalenceTest, GemmFollowsTheChainOnPageWideB) {
-  for (const int m : {7, 25, 65}) {
-    for (const int n : {1024, 1030}) {
-      const Matrix a = RandomMatrix(m, 70, 3000 + m);
-      const Matrix b = RandomMatrix(70, n, 4000 + n);
-      EXPECT_TRUE(BitwiseEqual(MatMul(a, b), ChainReference(a, b)))
-          << "m=" << m << " n=" << n;
     }
   }
 }
