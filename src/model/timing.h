@@ -85,16 +85,17 @@ struct TimingConfig {
   // mirror the serving engine's OnlineServer::Options::sparse_compute so
   // routing/admission price steps the way the workers execute them.
   bool sparse_compute = false;
-  // Relative throughput of gather/GEMM/scatter sparse kernels vs the dense
-  // path. Measured, not hand-tuned: bench_kernels times this repo's
-  // gathered block kernel (BlockForwardMaskedGathered) against the dense
-  // reference at m = 0.1 and emits the achieved-FLOP/s ratio as
-  // "sparse_kernel_efficiency_measured" in BENCH_kernels.json. With panel
-  // group packing and the paired micro-kernel the gathered panels reach
-  // dense parity (runs cluster around 1.0, roughly 0.9-1.15 depending on
-  // host noise), so the analytic model uses 1.0. FISEdit-style custom GPU
-  // kernels historically ran well below dense-library rates (§2.4, §6.2);
-  // lower this to model such a backend.
+  // kSparse only: throughput of the sparse kernels relative to the dense
+  // library, beyond the occupancy loss that sm_half_sat_tokens already
+  // charges for their m·L active tokens; kSparse block FLOPs are divided by
+  // it. 1.0 is a sparse path built on the dense library's kernels. This
+  // repo's is: bench_kernels reports "sparse_kernel_efficiency_measured"
+  // (BlockForwardSparse vs BlockForwardFull FLOP/s at m = 0.1 and 0.2),
+  // and both blocks run the same full-width GEMM. It reads ~0.88 on the
+  // CPU because a ~26-row panel fills 3 row tiles where the full block
+  // fills 22, the small-panel effect the occupancy term models, so it is
+  // not folded in again here. FISEdit-style custom GPU kernels ran well
+  // below dense-library rates (§2.4, §6.2); the FISEdit worker sets 0.5.
   double sparse_kernel_efficiency = 1.0;
   // Fraction of the mask-aware token-wise work that pads to the batch's
   // largest masked-token count (ragged batches under static-shape kernels).

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <set>
+#include <thread>
 
 #include "src/common/concurrent_queue.h"
 #include "src/common/thread_pool.h"
@@ -319,8 +322,11 @@ TEST_F(OnlineServerTest, ContinuousBatchingInterleavesRequests) {
 
   auto f1 = server.Submit(MakeRequest(options.numerics, 0, rng));
   // Submit the second once the first is in the running batch. A fixed head
-  // start would assume how long twelve steps take on this CPU.
-  while (server.Snapshot().running_ratios.empty()) {
+  // start would assume how long twelve steps take on this CPU. If the
+  // first finishes between two polls, stop waiting; the interleaving check
+  // below then reports the miss.
+  while (server.Snapshot().running_ratios.empty() &&
+         f1.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   auto f2 = server.Submit(MakeRequest(options.numerics, 1, rng));
