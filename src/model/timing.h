@@ -88,14 +88,13 @@ struct TimingConfig {
   // kSparse only: throughput of the sparse kernels relative to the dense
   // library, beyond the occupancy loss that sm_half_sat_tokens already
   // charges for their m·L active tokens; kSparse block FLOPs are divided by
-  // it. 1.0 is a sparse path built on the dense library's kernels. This
-  // repo's is: bench_kernels reports "sparse_kernel_efficiency_measured"
-  // (BlockForwardSparse vs BlockForwardFull FLOP/s at m = 0.1 and 0.2),
-  // and both blocks run the same full-width GEMM. It reads ~0.88 on the
-  // CPU because a ~26-row panel fills 3 row tiles where the full block
-  // fills 22, the small-panel effect the occupancy term models, so it is
-  // not folded in again here. FISEdit-style custom GPU kernels ran well
-  // below dense-library rates (§2.4, §6.2); the FISEdit worker sets 0.5.
+  // it. 1.0 is a sparse path built on the dense library's kernels, as this
+  // repo's is: BlockForwardSparse and BlockForwardFull run the same
+  // full-width GEMM, and bench_kernels' "sparse_kernel_efficiency_measured"
+  // (their FLOP/s ratio at m = 0.1 and 0.2) scatters around parity,
+  // 0.90-1.06 over three runs on an AVX-512 host. FISEdit-style custom GPU
+  // kernels ran well below dense-library rates (§2.4, §6.2); the FISEdit
+  // worker sets 0.5.
   double sparse_kernel_efficiency = 1.0;
   // Fraction of the mask-aware token-wise work that pads to the batch's
   // largest masked-token count (ragged batches under static-shape kernels).
