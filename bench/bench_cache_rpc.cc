@@ -1,7 +1,8 @@
-// Shared cache-tier microbenchmark: RemoteActivationStore against an
-// in-process flashps_cached node over loopback TCP.
+// Shared cache-tier microbenchmark: the cache client (ShardedRemoteStore)
+// against in-process flashps_cached nodes over loopback TCP. Every leg but
+// the three-node ring talks to one node, as a one-member ring.
 //
-// Three legs, mirroring a fleet's lifecycle (EXPERIMENTS.md §cache-rpc):
+// Legs, mirroring a fleet's lifecycle (EXPERIMENTS.md §cache-rpc):
 //
 //   cold   — the first worker of a fleet: every template misses the node,
 //            registers locally, and publishes the record back. Measures
@@ -23,7 +24,7 @@
 //            remote-fetch stalls after warmup (near zero when the window
 //            keeps ahead of consumption).
 //   ring   — the same Zipf trace replayed against a three-node
-//            consistent-hash ring (ShardedRemoteStore, k=2): single-node
+//            consistent-hash ring (k=2): a single node (one-member ring)
 //            vs cold ring vs warm ring vs ring with one member killed at
 //            the trace midpoint. Every leg's per-acquire record checksums
 //            must be bitwise-identical to a local ActivationStore replay
@@ -40,7 +41,7 @@
 //
 // Client and node byte counters are reconciled at the end (bytes put ==
 // bytes stored, bytes fetched == bytes served) and everything is written
-// to BENCH_cache_rpc.json.
+// to BENCH_cache_rpc.json behind the host header.
 //
 //   bench_cache_rpc --templates=12 --steps=4 --trace-len=96
 //                   --queue-ahead=8 --prefetch-workers=3
@@ -54,7 +55,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/cache/remote_store.h"
 #include "src/cache/ring/sharded_store.h"
 #include "src/common/flag_parser.h"
 #include "src/common/rng.h"
@@ -74,9 +74,10 @@ double MsSince(Clock::time_point start) {
       .count();
 }
 
-cache::RemoteStoreOptions StoreOptions(uint16_t port, size_t lru_capacity) {
-  cache::RemoteStoreOptions options;
-  options.port = port;
+// One cache node: a one-member ring, so replication clamps to 1.
+cache::ShardedStoreOptions StoreOptions(uint16_t port, size_t lru_capacity) {
+  cache::ShardedStoreOptions options;
+  options.nodes = {{"127.0.0.1", port}};
   options.lru_capacity = lru_capacity;
   options.connect_attempts = 2;
   return options;
@@ -145,24 +146,24 @@ int main(int argc, char** argv) {
               templates, steps);
 
   // --- cold leg: first worker populates the node -------------------------
-  auto cold = std::make_unique<cache::RemoteActivationStore>(
+  auto cold = std::make_unique<cache::ShardedRemoteStore>(
       StoreOptions(port, /*lru_capacity=*/0));
   const auto cold_start = Clock::now();
   for (int t = 0; t < templates; ++t) {
     cold->Acquire(model, t, /*record_kv=*/false);
   }
   const double cold_ms = MsSince(cold_start);
-  const cache::RemoteStoreStats cold_stats = cold->Stats();
+  const cache::ShardedStoreStats cold_stats = cold->Stats();
 
   // --- warm leg: a fresh worker fetches everything remotely --------------
-  auto warm = std::make_unique<cache::RemoteActivationStore>(
+  auto warm = std::make_unique<cache::ShardedRemoteStore>(
       StoreOptions(port, /*lru_capacity=*/0));
   const auto warm_start = Clock::now();
   for (int t = 0; t < templates; ++t) {
     warm->Acquire(model, t, /*record_kv=*/false);
   }
   const double warm_ms = MsSince(warm_start);
-  const cache::RemoteStoreStats warm_stats = warm->Stats();
+  const cache::ShardedStoreStats warm_stats = warm->Stats();
 
   // Local baseline: registration cost with no cache tier at all.
   cache::ActivationStore local;
@@ -206,7 +207,7 @@ int main(int argc, char** argv) {
                    "p50 us", "p99 us"},
                   12);
   for (size_t capacity : {1ul, 2ul, 4ul, 8ul, 16ul}) {
-    auto store = std::make_unique<cache::RemoteActivationStore>(
+    auto store = std::make_unique<cache::ShardedRemoteStore>(
         StoreOptions(port, capacity));
     const auto start = Clock::now();
     for (int t : trace) {
@@ -215,7 +216,7 @@ int main(int argc, char** argv) {
     SweepPoint point;
     point.capacity = capacity;
     point.wall_ms = MsSince(start);
-    const cache::RemoteStoreStats stats = store->Stats();
+    const cache::ShardedStoreStats stats = store->Stats();
     point.front_hits = stats.front_hits;
     point.remote_hits = stats.remote_hits;
     point.hit_rate = static_cast<double>(stats.front_hits) / trace.size();
@@ -259,16 +260,16 @@ int main(int argc, char** argv) {
   bench::PrintRow({"capacity", "wall ms", "gap closed", "issued", "coalesced",
                    "stalls", "steady"},
                   12);
-  const auto stalls_of = [](const cache::RemoteStoreStats& s) {
+  const auto stalls_of = [](const cache::ShardedStoreStats& s) {
     return s.remote_hits + s.remote_misses + s.fallbacks;
   };
   for (size_t i = 0; i < sweep.size(); ++i) {
     const size_t capacity = sweep[i].capacity;
-    cache::RemoteStoreOptions options = StoreOptions(port, capacity);
+    cache::ShardedStoreOptions options = StoreOptions(port, capacity);
     options.prefetch_workers = prefetch_workers;
-    options.connection_pool = prefetch_workers + 1;
+    options.connections_per_member = prefetch_workers + 1;
     options.prefetch_queue_cap = static_cast<size_t>(queue_ahead) * 2;
-    auto store = std::make_unique<cache::RemoteActivationStore>(options);
+    auto store = std::make_unique<cache::ShardedRemoteStore>(options);
     const int warmup = trace_len / 4;
     uint64_t stalls_at_warmup = 0;
     const auto start = Clock::now();
@@ -292,7 +293,7 @@ int main(int argc, char** argv) {
     PrefetchPoint point;
     point.capacity = capacity;
     point.wall_ms = MsSince(start);
-    const cache::RemoteStoreStats stats = store->Stats();
+    const cache::ShardedStoreStats stats = store->Stats();
     point.front_hits = stats.front_hits;
     point.prefetch_issued = stats.prefetch_issued;
     point.prefetch_coalesced = stats.prefetch_coalesced;
@@ -316,13 +317,13 @@ int main(int argc, char** argv) {
 
   // --- ring legs: the same trace over a three-node consistent-hash ring --
   //
-  // Four replays of one Zipf trace, all required to produce bitwise-
+  // Five replays of one Zipf trace, all required to produce bitwise-
   // identical per-acquire record checksums: a local ActivationStore (the
-  // reference), a single cache node, a cold three-node ring (k=2), and a
-  // three-node ring that loses a member at the trace midpoint. The
-  // degraded leg is the acceptance check: zero failed Acquires, zero
-  // output drift, while the per-member counters show the dead node's
-  // ranges shifting to its successors.
+  // reference), a single cache node (a one-member ring), a cold and a warm
+  // three-node ring (k=2), and a three-node ring that loses a member at
+  // the trace midpoint. The degraded leg is the acceptance check: zero
+  // failed Acquires, zero output drift, while the per-member counters show
+  // the dead node's ranges shifting to its successors.
   constexpr int kRingNodes = 3;
   constexpr int kReplication = 2;
   // Fresh nodes and a fresh template range so the earlier legs' residency
@@ -394,7 +395,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot start single-node server\n");
     return 1;
   }
-  cache::RemoteActivationStore single_store(
+  cache::ShardedRemoteStore single_store(
       StoreOptions(single_server.port(), /*lru_capacity=*/0));
   const ReplayResult single = replay(single_store, nullptr);
 
@@ -420,9 +421,9 @@ int main(int argc, char** argv) {
         busiest = i;
       }
     }
-    const uint16_t port = degraded_ring.ring().member(busiest).port;
+    const uint16_t victim_port = degraded_ring.ring().member(busiest).port;
     for (size_t i = 0; i < ring_servers.size(); ++i) {
-      if (ring_servers[i]->port() == port) {
+      if (ring_servers[i]->port() == victim_port) {
         ring_servers[i]->Stop();
         killed_member = static_cast<int>(busiest);
         break;
@@ -456,7 +457,7 @@ int main(int argc, char** argv) {
   };
   ring_row("local ref", reference, 0, 0, 0, true);
   {
-    const cache::RemoteStoreStats s = single_store.Stats();
+    const cache::ShardedStoreStats s = single_store.Stats();
     ring_row("single node", single, s.remote_hits, s.remote_misses,
              s.fallbacks, single_ok);
   }
@@ -528,23 +529,23 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot start precision-leg cache node\n");
       return 1;
     }
-    cache::RemoteStoreOptions options =
+    cache::ShardedStoreOptions options =
         StoreOptions(prec_server.port(), /*lru_capacity=*/0);
     options.precision = mode;
 
     PrecisionLeg leg;
     leg.mode = quant::ToString(mode);
-    cache::RemoteActivationStore prec_cold(options);
+    cache::ShardedRemoteStore prec_cold(options);
     const auto prec_cold_start = Clock::now();
     for (int t = 0; t < templates; ++t) {
       prec_cold.Acquire(model, prec_base + t, /*record_kv=*/false);
     }
     leg.cold_ms = MsSince(prec_cold_start);
-    const cache::RemoteStoreStats cold_s = prec_cold.Stats();
+    const cache::ShardedStoreStats cold_s = prec_cold.Stats();
     leg.bytes_put = cold_s.remote_bytes_put;
     leg.wire_bytes_put = cold_s.remote_wire_bytes_put;
 
-    cache::RemoteActivationStore prec_warm(options);
+    cache::ShardedRemoteStore prec_warm(options);
     bool bitwise = true;
     const auto prec_warm_start = Clock::now();
     for (int t = 0; t < templates; ++t) {
@@ -554,7 +555,7 @@ int main(int argc, char** argv) {
                     prec_reference[static_cast<size_t>(t)];
     }
     leg.warm_ms = MsSince(prec_warm_start);
-    const cache::RemoteStoreStats warm_s = prec_warm.Stats();
+    const cache::ShardedStoreStats warm_s = prec_warm.Stats();
     leg.bytes_fetched = warm_s.remote_bytes_fetched;
     leg.wire_bytes_fetched = warm_s.remote_wire_bytes_fetched;
     leg.fetch_p50_us = warm_s.fetch_p50_us;
@@ -609,7 +610,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(node_stats.bytes_served));
 
   std::ostringstream json;
-  json << "{\"templates\":" << templates << ",\"steps\":" << steps
+  json << "{\n" << bench::HostHeaderJson();
+  json << "  \"templates\":" << templates << ",\"steps\":" << steps
        << ",\"trace_len\":" << trace_len
        << ",\"cold\":{\"wall_ms\":" << cold_ms
        << ",\"remote_misses\":" << cold_stats.remote_misses

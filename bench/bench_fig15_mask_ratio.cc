@@ -6,12 +6,8 @@
 //  Measured: real-numerics step latency of the gathered sparse compute
 //         path vs the dense mask-aware path on the CPU substrate, with a
 //         bitwise-equality gate (non-zero exit on drift).
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-
-#include <algorithm>
-#include <functional>
 
 #include "bench/bench_util.h"
 #include "src/common/rng.h"
@@ -107,30 +103,6 @@ bool BitwiseEqual(const Matrix& a, const Matrix& b) {
          std::memcmp(a.data(), b.data(), a.bytes()) == 0;
 }
 
-// Interleaved min-of-N: alternating the two sides sample-by-sample makes
-// the ratio robust to time-correlated steal noise on shared hosts. Each
-// call here is >> 1 ms, so one call per sample suffices.
-std::pair<double, double> InterleavedMinMs(const std::function<void()>& a,
-                                           const std::function<void()>& b,
-                                           int samples) {
-  using Clock = std::chrono::steady_clock;
-  auto once = [](const std::function<void()>& fn) {
-    const auto t0 = Clock::now();
-    fn();
-    const auto t1 = Clock::now();
-    return std::chrono::duration<double, std::milli>(t1 - t0).count();
-  };
-  once(a);
-  once(b);
-  double best_a = 1e300;
-  double best_b = 1e300;
-  for (int s = 0; s < samples; ++s) {
-    best_a = std::min(best_a, once(a));
-    best_b = std::min(best_b, once(b));
-  }
-  return {best_a, best_b};
-}
-
 // Real numerics on the CPU substrate: one denoise step, dense mask-aware Y
 // path vs the gathered sparse compute path, across mask ratios. The dense
 // path recomputes K/V for ALL tokens, so its latency is nearly flat in m;
@@ -180,10 +152,9 @@ bool MeasuredStepLevel() {
     dense_opts.sparse_compute = false;
     model::DiffusionModel::RunOptions sparse_opts = opts;
     sparse_opts.sparse_compute = true;
-    const auto [dense_ms, sparse_ms] = InterleavedMinMs(
+    const auto [dense_ms, sparse_ms] = bench::InterleavedMinMs(
         [&] { dm.RunStepRange(latent, dense_opts, 0, 1); },
-        [&] { dm.RunStepRange(latent, sparse_opts, 0, 1); },
-        /*samples=*/5);
+        [&] { dm.RunStepRange(latent, sparse_opts, 0, 1); });
     bench::PrintRow({Fmt(ratio, 1), Fmt(dense_ms, 2), Fmt(sparse_ms, 2),
                      Fmt(dense_ms / sparse_ms, 2) + "x"});
     ms.push_back(ratio);

@@ -22,7 +22,8 @@
 //
 // A virtual-time cluster leg (4 Flux workers, the Fig. 16 mixed-resolution
 // trace) records SLO attainment under serving::HybridMode::kPatchGranular
-// vs kPadToLargest. Everything lands in BENCH_hybrid.json.
+// vs kPadToLargest. Everything lands in BENCH_hybrid.json, behind the
+// host header.
 //
 // Flags: --smoke shrinks the model and the timing windows so the binary
 // finishes in ~seconds (the scripts/check.sh --bench-smoke leg); gates
@@ -328,6 +329,7 @@ int main(int argc, char** argv) {
   json.setf(std::ios::fixed);
   json.precision(6);
   json << "{\n";
+  json << bench::HostHeaderJson();
   json << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
   json << "  \"batch\": {\"members\": " << mixed.size()
        << ", \"grids\": [\"8x8\", \"12x12\", \"16x16\"], \"hidden\": "

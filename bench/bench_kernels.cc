@@ -279,49 +279,6 @@ double MedianCallMs(const std::function<void()>& fn, int samples = 5) {
   return per_call[per_call.size() / 2];
 }
 
-// Best-of timing for closures compared with each other: alternates them
-// sample by sample and returns each one's fastest per-call milliseconds.
-// Timing each side independently (each a median over its own window) lets
-// a noisy neighbour on a time-shared core land on one side only and swing
-// a ratio double-digit percent run to run; interleaving exposes every side
-// to the same windows, and min-of-N recovers each side's unloaded floor.
-// Batch sizes are calibrated per closure so every sample spans >= ~20 ms
-// of wall clock.
-std::vector<double> InterleavedMinMs(
-    const std::vector<std::function<void()>>& fns, int samples = 9) {
-  using Clock = std::chrono::steady_clock;
-  auto time_batch = [](const std::function<void()>& fn, int iters) {
-    const auto start = Clock::now();
-    for (int i = 0; i < iters; ++i) {
-      fn();
-    }
-    const auto stop = Clock::now();
-    return std::chrono::duration<double, std::milli>(stop - start).count();
-  };
-  std::vector<int> iters(fns.size(), 1);
-  for (size_t f = 0; f < fns.size(); ++f) {
-    double ms = time_batch(fns[f], 1);
-    while (ms < 20.0 && iters[f] < (1 << 20)) {
-      iters[f] *= 2;
-      ms = time_batch(fns[f], iters[f]);
-    }
-  }
-  std::vector<double> best(fns.size(), 1e300);
-  for (int s = 0; s < samples; ++s) {
-    for (size_t f = 0; f < fns.size(); ++f) {
-      best[f] = std::min(best[f], time_batch(fns[f], iters[f]) / iters[f]);
-    }
-  }
-  return best;
-}
-
-// The two-sided form: a speedup pair.
-std::pair<double, double> InterleavedMinMs(const std::function<void()>& a,
-                                           const std::function<void()>& b) {
-  const std::vector<double> best = InterleavedMinMs({a, b});
-  return {best[0], best[1]};
-}
-
 // ---------------------------------------------------------------------------
 // Single-core FMA peak at the dispatched ISA level: 12 independent chains of
 // full-width vector multiply-adds (fused at v3/v4, a multiply and an add at
@@ -400,7 +357,7 @@ double FmaPeakGflops() {
   std::fill(seed.begin() + (kPeakChains + 1) * lanes, seed.end(), 0.001f);
   constexpr int64_t kIters = 1 << 20;
   float sink = 0.0f;
-  const double ms = InterleavedMinMs(
+  const double ms = bench::InterleavedMinMs(
       {[&] { sink += chains(seed.data(), kIters); }})[0];
   benchmark::DoNotOptimize(sink);
   return 2.0 * kPeakChains * lanes * static_cast<double>(kIters) / ms / 1e6;
@@ -511,7 +468,7 @@ bool WriteKernelsJson() {
       };
       for (const Leg& leg : legs) {
         const Matrix& in = *leg.input;
-        const auto [naive_ms, dispatched_ms] = InterleavedMinMs(
+        const auto [naive_ms, dispatched_ms] = bench::InterleavedMinMs(
             [&] {
               work = in;
               leg.naive();
@@ -580,7 +537,7 @@ bool WriteKernelsJson() {
                                        : MatMul(*op.a, *op.b));
         });
       }
-      const std::vector<double> ms = InterleavedMinMs(calls);
+      const std::vector<double> ms = bench::InterleavedMinMs(calls);
       for (size_t i = 0; i < std::size(ops); ++i) {
         const Op& op = ops[i];
         const int n = op.b_transposed ? op.b->rows() : op.b->cols();
@@ -691,7 +648,7 @@ bool WriteKernelsJson() {
       std::cerr << "BITWISE DRIFT: gathered block vs dense masked-KV block\n";
       bitwise_ok = false;
     }
-    const auto [dense_y_ms, gathered_ms] = InterleavedMinMs(
+    const auto [dense_y_ms, gathered_ms] = bench::InterleavedMinMs(
         [&] {
           benchmark::DoNotOptimize(
               model::BlockForwardMaskedY(*f.weights, f.x, f.bias, m10,
@@ -794,7 +751,7 @@ bool WriteKernelsJson() {
       dense_opts.sparse_compute = false;
       model::DiffusionModel::RunOptions sparse_opts = opts;
       sparse_opts.sparse_compute = true;
-      const auto [dense_ms, sparse_ms] = InterleavedMinMs(
+      const auto [dense_ms, sparse_ms] = bench::InterleavedMinMs(
           [&] {
             benchmark::DoNotOptimize(dm.RunStepRange(latent, dense_opts, 0, 1));
           },

@@ -1,16 +1,18 @@
 // Shared helpers for the experiment-reproduction binaries: consistent table
-// printing, paper-vs-measured reporting, and the host header a measured
-// BENCH_*.json carries.
+// printing, paper-vs-measured reporting, interleaved min-of-N timing, and
+// the host header a measured BENCH_*.json carries.
 #ifndef FLASHPS_BENCH_BENCH_UTIL_H_
 #define FLASHPS_BENCH_BENCH_UTIL_H_
 
 #include <sched.h>
 #include <time.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -38,6 +40,49 @@ inline std::string Fmt(double v, int precision = 3) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
   return buf;
+}
+
+// Best-of timing for closures compared with each other: alternates them
+// sample by sample and returns each one's fastest per-call milliseconds.
+// Timing each side independently (each a median over its own window) lets
+// a noisy neighbour on a time-shared core land on one side only and swing
+// a ratio double-digit percent run to run; interleaving exposes every side
+// to the same windows, and min-of-N recovers each side's unloaded floor.
+// Batch sizes are calibrated per closure so every sample spans >= ~20 ms
+// of wall clock.
+inline std::vector<double> InterleavedMinMs(
+    const std::vector<std::function<void()>>& fns, int samples = 9) {
+  using Clock = std::chrono::steady_clock;
+  auto time_batch = [](const std::function<void()>& fn, int iters) {
+    const auto start = Clock::now();
+    for (int i = 0; i < iters; ++i) {
+      fn();
+    }
+    const auto stop = Clock::now();
+    return std::chrono::duration<double, std::milli>(stop - start).count();
+  };
+  std::vector<int> iters(fns.size(), 1);
+  for (size_t f = 0; f < fns.size(); ++f) {
+    double ms = time_batch(fns[f], 1);
+    while (ms < 20.0 && iters[f] < (1 << 20)) {
+      iters[f] *= 2;
+      ms = time_batch(fns[f], iters[f]);
+    }
+  }
+  std::vector<double> best(fns.size(), 1e300);
+  for (int s = 0; s < samples; ++s) {
+    for (size_t f = 0; f < fns.size(); ++f) {
+      best[f] = std::min(best[f], time_batch(fns[f], iters[f]) / iters[f]);
+    }
+  }
+  return best;
+}
+
+// The two-sided form: a speedup pair.
+inline std::pair<double, double> InterleavedMinMs(
+    const std::function<void()>& a, const std::function<void()>& b) {
+  const std::vector<double> best = InterleavedMinMs({a, b});
+  return {best[0], best[1]};
 }
 
 // The git commit of the working directory's checkout, or "unknown".

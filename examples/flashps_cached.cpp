@@ -3,10 +3,10 @@
 // Exposes a net::CacheNode on a TCP port through TcpServer's service
 // mode: the same poll loop, back-pressure, and graceful drain as
 // flashps_served, with every cache fetch/put answered inline on the poll
-// thread (the handlers are memcpy-scale). Workers configured with
-// --cache-host/--cache-port — or with this node in their --cache-nodes
-// ring list — fetch template activations here instead of re-registering
-// them per process; a metrics frame (or SIGINT/SIGTERM at exit) reports
+// thread (the handlers are memcpy-scale). Workers with this node in
+// their --cache-nodes list (alone, or as one member of a ring) fetch
+// template activations here instead of re-registering them per
+// process; a metrics frame (or SIGINT/SIGTERM at exit) reports
 // the node's hit/miss/byte/eviction counters.
 //
 // --cache-precision sets the node's admission floor: lossless (the

@@ -7,32 +7,28 @@
 // gateway's MetricsJson(). SIGINT/SIGTERM triggers a graceful drain:
 // stop admitting, finish in-flight requests, flush replies, then exit.
 //
-// Cache tier, three shapes:
+// Cache tier, two shapes:
 //
 //   (none)            — the fleet shares one in-process activation store.
-//   --cache-host/--cache-port
-//                     — one flashps_cached node behind a
-//                       RemoteActivationStore (LRU front, single-flight,
-//                       circuit breaker, local fallback).
 //   --cache-nodes=host:port,host:port,...
 //                     — a sharded, replicated cache ring: consistent-hash
 //                       placement over every listed node,
 //                       --cache-replication=k copies of each template,
 //                       per-member circuit breakers, read repair, and
 //                       failover down each template's preference list.
-//                       Member health is probed at startup (metrics
-//                       frame) and visible per member in the final
-//                       metrics dump.
+//                       One listed node is a ring of one (replication
+//                       clamps to 1). Member health is probed at startup
+//                       (metrics frame) and visible per member in the
+//                       final metrics dump.
 //
 // Queue-ahead prefetch (--cache-prefetch=N, default 2) starts each
 // admitted request's activation fetch while it waits behind earlier work,
-// over --cache-connections wire connections (per ring member, when a ring
-// is configured); set --cache-prefetch=0 for strictly on-demand fetches.
+// over --cache-connections wire connections per ring member; set
+// --cache-prefetch=0 for strictly on-demand fetches.
 //
 //   flashps_served --port=7411 --workers=2 --steps=8 --max-batch=4
 //                  --policy=mask-aware --slo-ms=0 --stats-every-s=10
-//                  [--cache-host=127.0.0.1 --cache-port=7412 |
-//                   --cache-nodes=127.0.0.1:7412,127.0.0.1:7413,127.0.0.1:7414
+//                  [--cache-nodes=127.0.0.1:7412,127.0.0.1:7413,127.0.0.1:7414
 //                   --cache-replication=2]
 //                  [--cache-prefetch=2 --cache-connections=2]
 //                  [--cache-precision=lossless|fp16|staged]
@@ -49,7 +45,6 @@
 #include <string>
 #include <thread>
 
-#include "src/cache/remote_store.h"
 #include "src/cache/ring/sharded_store.h"
 #include "src/common/flag_parser.h"
 #include "src/net/tcp_server.h"
@@ -96,22 +91,18 @@ int main(int argc, char** argv) {
   options.slo = Duration::Millis(slo_ms);
   options.admission_control = slo_ms > 0;
 
-  // Cache tier: a ring of cache nodes, a single node, or in-process.
-  // Whatever the shape, every worker shares ONE ActivationSource (the
+  // Cache tier: a ring of cache nodes (one node is a ring of one), or
+  // in-process. Either way every worker shares ONE ActivationSource (the
   // shared_ptr is copied into each worker's options) — never a
   // worker-private cache.
   const std::string cache_nodes = flags.String(
       "cache-nodes", "", "cache ring members, HOST:PORT,HOST:PORT,...");
-  const std::string cache_host =
-      flags.String("cache-host", "", "single remote cache node host");
   const int prefetch_workers = static_cast<int>(flags.LongInRange(
       "cache-prefetch", 2, 0, 64, "queue-ahead prefetch depth (0 = off)"));
   const int cache_connections = static_cast<int>(flags.LongInRange(
       "cache-connections", 2, 1, 64, "wire connections per cache node"));
   const int replication = static_cast<int>(flags.LongInRange(
       "cache-replication", 2, 1, 64, "copies of each template on the ring"));
-  const uint16_t cache_port = static_cast<uint16_t>(flags.LongInRange(
-      "cache-port", 7412, 1, 65535, "single remote cache node port"));
   const std::string precision_name =
       flags.String("cache-precision", "lossless",
                    "published record codec: lossless|fp16|staged");
@@ -162,13 +153,6 @@ int main(int argc, char** argv) {
 
   std::string cache_label = "local";
   std::shared_ptr<cache::ShardedRemoteStore> ring_store;
-  if (!cache_nodes.empty() && !cache_host.empty()) {
-    std::fprintf(stderr,
-                 "flashps_served: --cache-nodes and --cache-host are "
-                 "mutually exclusive\n%s",
-                 usage.c_str());
-    return 2;
-  }
   if (!cache_nodes.empty()) {
     std::string parse_error;
     cache::ShardedStoreOptions sharded;
@@ -186,17 +170,6 @@ int main(int argc, char** argv) {
     ring_store = std::make_shared<cache::ShardedRemoteStore>(sharded);
     options.worker.activation_source = ring_store;
     cache_label = "ring(" + cache_nodes + ")";
-  } else if (!cache_host.empty()) {
-    cache::RemoteStoreOptions remote;
-    remote.host = cache_host;
-    remote.port = cache_port;
-    remote.prefetch_workers = prefetch_workers;
-    remote.connection_pool = cache_connections;
-    remote.precision = precision;
-    remote.auth_token = auth_token;
-    options.worker.activation_source =
-        std::make_shared<cache::RemoteActivationStore>(remote);
-    cache_label = cache_host;
   } else {
     options.worker.activation_source =
         std::make_shared<cache::ActivationStore>();

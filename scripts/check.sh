@@ -5,10 +5,11 @@
 #      FLASHPS_ISA pin; unpinned runs only ever exercise the widest);
 #   2. emit BENCH_kernels.json from the kernel microbenchmarks;
 #   3. rebuild the threaded suites under ThreadSanitizer and run them;
-#   4. rebuild the net + gateway + kernel suites under AddressSanitizer and
-#      run them (malformed-frame handling must be memory-clean, not just
-#      not-crash, and so must the vector kernels' ragged-tail loads and
-#      stores).
+#   4. rebuild the kernel, net, gateway, cache-rpc, cache-ring, fed and
+#      codec suites under AddressSanitizer + UndefinedBehaviorSanitizer
+#      and run them (malformed-frame handling must be memory-clean, not
+#      just not-crash, and so must the vector kernels' ragged-tail loads
+#      and stores; any undefined-behaviour report fails the test).
 # The codec suites (Quant*, CodecQuality*) run in every leg: tier-1 via
 # ctest, and again under both sanitizers — the decoder's malformed-frame
 # rejection paths must be clean under ASan, and the codec is on the hot
@@ -149,7 +150,7 @@ ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
   --timeout "${test_timeout}" \
   -R "${filter:-${tsan_regex}}"
 
-echo "== asan: build kernel + net + gateway + cache-rpc + cache-ring suites =="
+echo "== asan+ubsan: build kernel + net + gateway + cache-rpc + cache-ring suites =="
 cmake -B build-asan -S . -DFLASHPS_SANITIZE=address >/dev/null
 cmake --build build-asan -j --target \
   kernel_equivalence_test tensor_test sparse_compute_test \
@@ -159,7 +160,7 @@ cmake --build build-asan -j --target \
   quant_test codec_quality_test \
   >/dev/null
 
-echo "== asan: run kernel + net + gateway + cache-rpc + cache-ring suites =="
+echo "== asan+ubsan: run kernel + net + gateway + cache-rpc + cache-ring suites =="
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
   --timeout "${test_timeout}" \
   -R "${filter:-${asan_regex}}"

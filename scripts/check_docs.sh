@@ -70,7 +70,7 @@ while IFS= read -r flag; do
   for a in "${allowlist[@]}"; do
     [[ "${flag}" == "${a}" ]] && known=1
   done
-  # A longer daemon flag can embed a shorter token (--cache-port contains
+  # A longer daemon flag can embed a shorter token (--cache-nodes contains
   # --cache); only exact matches count, so no prefix special-casing.
   if [[ "${known}" -eq 0 ]]; then
     echo "UNKNOWN: docs mention ${flag} but no daemon --help advertises it" \

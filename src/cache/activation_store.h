@@ -1,8 +1,8 @@
 // In-memory store of real activation records keyed by template, used by the
 // numerics path (examples, quality benchmarks) and — through the
 // ActivationSource interface — by the online serving tier, where the
-// records may instead come from a shared cache node over the wire
-// (cache::RemoteActivationStore). The timing path uses CacheEngine, which
+// records may instead come from shared cache nodes over the wire
+// (cache::ShardedRemoteStore). The timing path uses CacheEngine, which
 // manages the same caches as byte-sized resources in virtual time; this
 // class holds the actual matrices.
 #ifndef FLASHPS_SRC_CACHE_ACTIVATION_STORE_H_
@@ -19,8 +19,9 @@ namespace flashps::cache {
 
 // Where a worker's template activations come from. The serving runtime
 // programs against this, so the backing store can be the worker-local
-// ActivationStore below or a RemoteActivationStore fronting a shared
-// cache node — the denoise loop cannot tell the difference.
+// ActivationStore below or a ShardedRemoteStore fronting a ring of shared
+// cache nodes (one node is a ring of one) — the denoise loop cannot tell
+// the difference.
 //
 // Acquire() returns a shared_ptr pin: the caller holds the record for the
 // lifetime of its request, so a source that evicts (LRU fronts, remote

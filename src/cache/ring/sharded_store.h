@@ -1,8 +1,31 @@
-// ActivationSource backed by a sharded, replicated ring of cache nodes.
+// ActivationSource backed by the shared cache tier: a sharded, replicated
+// ring of flashps_cached nodes. A single cache node is a ring of one —
+// replication clamps to 1, and read repair and failover have nothing to
+// do — so every remote deployment runs this one client ladder:
 //
-// Where cache::RemoteActivationStore speaks to exactly one flashps_cached
-// node, this store routes every fetch and publish through a CacheRing over
-// N of them, converting the cache tier from "a node" into "a fleet":
+//   1. in-process LRU front   — a hit costs no RPC at all; capacity is a
+//                               record count (the hot templates of one
+//                               worker, not the fleet's whole corpus).
+//   2. prefetch staging       — records fetched by the background prefetch
+//                               pipeline that no Acquire() has consumed
+//                               yet, held outside the LRU cap so an
+//                               undersized front cannot evict a prefetched
+//                               record before its request arrives.
+//   3. single-flight dedup    — concurrent Acquire()s of the same
+//                               (template, kv) key collapse into one
+//                               fetch; Prefetch() opens its flight
+//                               synchronously, so a foreground Acquire()
+//                               racing a prefetch joins it.
+//   4. ring fetch             — the whole record, pipelined one matrix per
+//                               frame and checksum-verified, from the
+//                               template's preferred members (below).
+//   5. fallback               — a miss registers locally and publishes
+//                               the record to the replica set; with no
+//                               member reachable it registers locally
+//                               only, so one sick member degrades only
+//                               its own arcs of the ring.
+//
+// The ring, over N members:
 //
 //   placement   — each template maps to an ordered preference list of
 //                 nodes (consistent hashing, vnodes, FNV-1a over the
@@ -21,20 +44,24 @@
 //                 is written back (best effort) to every earlier reachable
 //                 replica that missed, healing holes left by node restarts
 //                 and membership change without a rebalance pass.
-//   fallback    — if no member is reachable, the request registers the
-//                 template locally: the "Acquire never fails" invariant is
-//                 preserved node-by-node, and one sick member degrades
-//                 only its own arcs of the ring.
 //
-// The PR-5 prefetch pipeline composes unchanged: Prefetch() opens the same
-// single-flight entries and the background workers run the same ring walk
-// (wire part only — a prefetch never registers locally), with one
-// net::CacheClientPool per ring member so prefetches and foreground
-// fetches to different nodes never share a socket.
+// The prefetch pipeline (Prefetch(), `prefetch_workers` > 0) is the
+// serving-tier extension of the paper's Algorithm 1: the gateway and the
+// worker runtime hint queued requests' templates ahead of admission, so
+// the wire fetch overlaps the predecessor requests' denoise loop. A
+// prefetch job runs the ring walk only — it never registers locally
+// (registration needs the model, whose lifetime belongs to the hinting
+// worker); a prefetch that misses or dies resolves its flight empty and
+// the foreground Acquire() runs the ladder itself. Each ring member has
+// its own net::CacheClientPool, so prefetches and foreground fetches to
+// different nodes never share a socket.
 //
-// Every counter exists twice: aggregated (the ladder invariant of
-// RemoteStoreStats holds identically) and per member, so a sick ring
-// member is visible in one MetricsJson() dump instead of averaged away.
+// The invariant the serving tier relies on: Acquire() NEVER fails — a
+// worker must never fail a request because the cache tier is down; the
+// worst case is local-registration latency, visible in the fallback
+// counters. Every counter exists twice: aggregated (the ladder identity
+// on ShardedStoreStats) and per member, so a sick ring member is visible
+// in one MetricsJson() dump instead of averaged away.
 #ifndef FLASHPS_SRC_CACHE_RING_SHARDED_STORE_H_
 #define FLASHPS_SRC_CACHE_RING_SHARDED_STORE_H_
 
@@ -68,7 +95,9 @@ struct ShardedStoreOptions {
 
   // In-process front capacity, in records (0 = front disabled).
   size_t lru_capacity = 64;
-  // Per-connection transport knobs (same meaning as RemoteStoreOptions).
+  // Per-connection transport knobs: bounded connect retry with
+  // exponential backoff, and the deadline for one whole-record fetch or
+  // put.
   int connect_attempts = 2;
   std::chrono::milliseconds connect_backoff{50};
   std::chrono::milliseconds call_timeout{5000};
@@ -83,8 +112,10 @@ struct ShardedStoreOptions {
   // Publish locally registered records to the replica set on a miss.
   bool put_on_miss = true;
   // Encoding policy for replica publishes and read repairs
-  // (--cache-precision); fetches are self-describing. Same contract as
-  // RemoteStoreOptions::precision.
+  // (--cache-precision): lossless keeps every cached byte bitwise-exact;
+  // fp16/staged shrink wire frames and node residency at a quality-gated
+  // precision cost. Fetches are self-describing, so this only shapes what
+  // THIS store publishes.
   quant::PrecisionMode precision = quant::PrecisionMode::kLossless;
   // Back-fill earlier replicas that missed when a later one hits.
   bool read_repair = true;
@@ -114,9 +145,16 @@ struct RingMemberStats {
   uint64_t wire_bytes_put = 0;
 };
 
-// Aggregate ladder counters, same accounting identity as RemoteStoreStats:
+// Aggregate ladder counters. Every non-coalesced Acquire() lands in exactly
+// one of front_hits / remote_hits / remote_misses / fallbacks; coalesced
+// ones land in singleflight_waits (joined a foreground fetch) or
+// prefetch_coalesced (joined a prefetch flight or consumed a staged
+// record). So
 //   front_hits + remote_hits + remote_misses + fallbacks
-//     + singleflight_waits + prefetch_coalesced == Acquire() calls.
+//     + singleflight_waits + prefetch_coalesced == Acquire() calls,
+// and remote_hits + remote_misses + fallbacks counts the foreground
+// Acquire()s that stalled on the ladder (what queue-ahead prefetch drives
+// toward zero).
 struct ShardedStoreStats {
   uint64_t front_hits = 0;
   uint64_t remote_hits = 0;
@@ -138,7 +176,11 @@ struct ShardedStoreStats {
   double fetch_p50_us = 0.0;   // Over successful foreground record fetches.
   double fetch_p99_us = 0.0;
 
-  // Prefetch pipeline (same meaning as RemoteStoreStats).
+  // Prefetch pipeline. issued = hints that opened a flight; wasted =
+  // prefetched records discarded unconsumed (staging overflow, or
+  // redundant by the time they landed); redundant = hint already
+  // satisfied at issue; dropped = job queue full at issue; the
+  // remote_hits/misses/fallbacks split is per finished job.
   uint64_t prefetch_issued = 0;
   uint64_t prefetch_wasted = 0;
   uint64_t prefetch_redundant = 0;
@@ -169,7 +211,11 @@ class ShardedRemoteStore : public ActivationSource {
       const model::DiffusionModel& m, int template_id,
       bool record_kv) override;
 
-  // Queue-ahead hint; same contract as RemoteActivationStore::Prefetch.
+  // Queue-ahead hint: opens a single-flight entry and hands the ring walk
+  // to the background workers. Never blocks on the fetch; reads only
+  // m.config() (steps/blocks) during the call. No-op when
+  // `prefetch_workers` is 0; suppressed while every member's circuit is
+  // open. Thread-safe.
   void Prefetch(const model::DiffusionModel& m, int template_id,
                 bool record_kv) override;
 

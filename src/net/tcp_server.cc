@@ -295,6 +295,11 @@ void TcpServer::HandleSubmit(Conn& conn, const ParsedFrame& frame) {
     conn.close_after_flush = true;
     return;
   }
+  // Count the submit in flight before reading draining_: Stop() stores
+  // draining_ and then waits for total_inflight_ to drain, so either Stop()
+  // sees this submit and waits for its reply, or this submit sees the
+  // drain and is rejected.
+  total_inflight_.fetch_add(1);
   WireResponse rejection;
   if (draining_.load()) {
     rejection.status =
@@ -303,12 +308,18 @@ void TcpServer::HandleSubmit(Conn& conn, const ParsedFrame& frame) {
     WireSubmission sub = frontend_->Submit(std::move(request));
     if (sub.accepted()) {
       conn.inflight.fetch_add(1);
-      total_inflight_.fetch_add(1);
       PendingCompletion pending;
       pending.conn_id = conn.id;
       pending.seq = frame.header.seq;
       pending.completion = std::move(sub.completion);
-      completions_.Push(std::move(pending));
+      if (!completions_.Push(std::move(pending))) {
+        // The drain deadline passed and the completer is gone: the gateway
+        // runs the request, but no reply can be sent.
+        conn.inflight.fetch_sub(1);
+        total_inflight_.fetch_sub(1);
+        std::lock_guard<std::mutex> lock(stats_mu_);
+        ++stats_.orphaned_completions;
+      }
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.submits_accepted;
       return;
@@ -317,6 +328,7 @@ void TcpServer::HandleSubmit(Conn& conn, const ParsedFrame& frame) {
     rejection.worker_id = sub.worker_id;
     rejection.estimated_wall_us = sub.estimated_wall_us;
   }
+  total_inflight_.fetch_sub(1);
   QueueBytes(conn, EncodeSubmitResult(frame.header.seq, rejection));
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++stats_.submits_rejected;

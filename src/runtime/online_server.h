@@ -148,7 +148,7 @@ class OnlineServer {
     int compute_threads = 1;
     // Where template activations come from. Null (the default) keeps the
     // seed behavior: a private in-process ActivationStore. A
-    // cache::RemoteActivationStore here puts the worker on the shared
+    // cache::ShardedRemoteStore here puts the worker on the shared
     // cache tier; a shared_ptr to one local store puts a whole fleet on
     // one in-process store. Either way the denoise loop is identical —
     // records are acquired once per request and pinned until it retires.

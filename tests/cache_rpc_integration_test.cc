@@ -1,10 +1,10 @@
 // Cache-tier integration over loopback:
 //
-//  1. A worker fleet whose activation source is a RemoteActivationStore
-//     (one shared cache node) produces latent checksums bitwise-identical
-//     to the same requests served by a fleet on the default local store,
-//     and the node's hit/miss/byte counters reconcile with the client
-//     side's.
+//  1. A worker fleet whose activation source is one shared cache node (a
+//     ShardedRemoteStore over a one-member ring) produces latent
+//     checksums bitwise-identical to the same requests served by a fleet
+//     on the default local store, and the node's hit/miss/byte counters
+//     reconcile with the client side's.
 //  2. Killing the cache daemon mid-run never fails a request: every
 //     submission still completes — via local fallback — with checksums
 //     identical to the healthy run.
@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/cache/remote_store.h"
+#include "src/cache/ring/sharded_store.h"
 #include "src/common/rng.h"
 #include "src/gateway/gateway.h"
 #include "src/net/cache_node.h"
@@ -85,10 +85,11 @@ std::vector<uint64_t> RunFleet(
   return checksums;
 }
 
-cache::RemoteStoreOptions StoreOptionsFor(uint16_t port) {
-  cache::RemoteStoreOptions options;
-  options.host = "127.0.0.1";
-  options.port = port;
+// One cache node is a one-member ring; replication keeps its default and
+// clamps to 1.
+cache::ShardedStoreOptions StoreOptionsFor(uint16_t port) {
+  cache::ShardedStoreOptions options;
+  options.nodes = {{"127.0.0.1", port}};
   options.connect_attempts = 1;
   options.connect_backoff = std::chrono::milliseconds(1);
   return options;
@@ -104,7 +105,7 @@ TEST(CacheRpcIntegrationTest, RemoteFleetMatchesLocalFleetAndReconciles) {
   const std::vector<uint64_t> local = RunFleet(requests, nullptr);
 
   // --- cold fleet: every template misses, registers, publishes -------------
-  auto cold_store = std::make_shared<cache::RemoteActivationStore>(
+  auto cold_store = std::make_shared<cache::ShardedRemoteStore>(
       StoreOptionsFor(server.port()));
   const std::vector<uint64_t> cold = RunFleet(requests, cold_store);
   ASSERT_EQ(cold.size(), local.size());
@@ -112,7 +113,7 @@ TEST(CacheRpcIntegrationTest, RemoteFleetMatchesLocalFleetAndReconciles) {
     EXPECT_EQ(cold[i], local[i]) << "request " << i
                                  << ": remote-sourced latent differs";
   }
-  const cache::RemoteStoreStats cold_stats = cold_store->Stats();
+  const cache::ShardedStoreStats cold_stats = cold_store->Stats();
   EXPECT_EQ(cold_stats.remote_misses,
             static_cast<uint64_t>(kNumTemplates));
   EXPECT_EQ(cold_stats.fallbacks, 0u);
@@ -126,14 +127,14 @@ TEST(CacheRpcIntegrationTest, RemoteFleetMatchesLocalFleetAndReconciles) {
   EXPECT_EQ(node_stats.puts > 0, true);
 
   // --- warm fleet: a fresh front fetches whole records remotely ------------
-  auto warm_store = std::make_shared<cache::RemoteActivationStore>(
+  auto warm_store = std::make_shared<cache::ShardedRemoteStore>(
       StoreOptionsFor(server.port()));
   const std::vector<uint64_t> warm = RunFleet(requests, warm_store);
   for (size_t i = 0; i < local.size(); ++i) {
     EXPECT_EQ(warm[i], local[i]) << "request " << i
                                  << ": warm remote latent differs";
   }
-  const cache::RemoteStoreStats warm_stats = warm_store->Stats();
+  const cache::ShardedStoreStats warm_stats = warm_store->Stats();
   EXPECT_EQ(warm_stats.remote_hits, static_cast<uint64_t>(kNumTemplates));
   EXPECT_EQ(warm_stats.remote_misses, 0u);
   EXPECT_EQ(warm_stats.local_registrations, 0u);
@@ -159,15 +160,15 @@ TEST(CacheRpcIntegrationTest, PrefetchFleetMatchesLocalAndPrefetchOffBitwise) {
   const std::vector<uint64_t> local = RunFleet(requests, nullptr);
 
   // Prefetch off: this run also publishes every template to the node.
-  auto off_store = std::make_shared<cache::RemoteActivationStore>(
+  auto off_store = std::make_shared<cache::ShardedRemoteStore>(
       StoreOptionsFor(server.port()));
   const std::vector<uint64_t> off = RunFleet(requests, off_store);
 
   // Prefetch on, warm node: the gateway's queue-ahead hints load each
   // template before its request reaches admission.
-  cache::RemoteStoreOptions on_options = StoreOptionsFor(server.port());
+  cache::ShardedStoreOptions on_options = StoreOptionsFor(server.port());
   on_options.prefetch_workers = 2;
-  auto on_store = std::make_shared<cache::RemoteActivationStore>(on_options);
+  auto on_store = std::make_shared<cache::ShardedRemoteStore>(on_options);
   const std::vector<uint64_t> on = RunFleet(requests, on_store);
 
   // Pipelining the fetch must not change a single output bit.
@@ -177,7 +178,7 @@ TEST(CacheRpcIntegrationTest, PrefetchFleetMatchesLocalAndPrefetchOffBitwise) {
     EXPECT_EQ(on[i], local[i]) << "request " << i << " (prefetch on)";
   }
 
-  const cache::RemoteStoreStats stats = on_store->Stats();
+  const cache::ShardedStoreStats stats = on_store->Stats();
   // The pipeline did real work: hints became wire fetches, and requests
   // were absorbed by them instead of stalling on foreground fetches.
   EXPECT_GE(stats.prefetch_issued, 1u);
@@ -210,16 +211,16 @@ TEST(CacheRpcIntegrationTest, PrefetchOnFleetSurvivesKilledNode) {
       MakeRequests(kNumRequests);
   const std::vector<uint64_t> reference = RunFleet(requests, nullptr);
 
-  cache::RemoteStoreOptions store_options = StoreOptionsFor(port);
+  cache::ShardedStoreOptions store_options = StoreOptionsFor(port);
   store_options.prefetch_workers = 2;
-  auto store = std::make_shared<cache::RemoteActivationStore>(store_options);
+  auto store = std::make_shared<cache::ShardedRemoteStore>(store_options);
   const std::vector<uint64_t> degraded = RunFleet(requests, store);
 
   ASSERT_EQ(degraded.size(), reference.size());
   for (size_t i = 0; i < reference.size(); ++i) {
     EXPECT_EQ(degraded[i], reference[i]) << "request " << i;
   }
-  const cache::RemoteStoreStats stats = store->Stats();
+  const cache::ShardedStoreStats stats = store->Stats();
   EXPECT_EQ(stats.remote_hits, 0u);
   EXPECT_EQ(stats.prefetch_remote_hits, 0u);
   EXPECT_GE(stats.fallbacks, 1u);
@@ -232,7 +233,7 @@ TEST(CacheRpcIntegrationTest, GatewayMetricsCarryActivationSource) {
   ASSERT_TRUE(server.Start());
 
   gateway::GatewayOptions options = FleetOptions();
-  auto store = std::make_shared<cache::RemoteActivationStore>(
+  auto store = std::make_shared<cache::ShardedRemoteStore>(
       StoreOptionsFor(server.port()));
   options.worker.activation_source = store;
   gateway::Gateway gw(options);
@@ -242,7 +243,9 @@ TEST(CacheRpcIntegrationTest, GatewayMetricsCarryActivationSource) {
 
   const std::string json = gw.MetricsJson();
   EXPECT_NE(json.find("\"activation_source\""), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"remote\""), std::string::npos);
+  EXPECT_NE(json.find("\"kind\":\"sharded\""), std::string::npos);
+  EXPECT_EQ(JsonCounter(json, "nodes"), 1u);
+  EXPECT_EQ(JsonCounter(json, "replication"), 1u);
   EXPECT_EQ(JsonCounter(json, "remote_misses"), 1u);
   // The gateway hinted the accepted request's template (even though this
   // store runs with the pipeline disabled, hints are still counted).
@@ -267,9 +270,9 @@ TEST(CacheRpcIntegrationTest, KilledCacheNodeNeverFailsARequest) {
   all.insert(all.end(), late_requests.begin(), late_requests.end());
   const std::vector<uint64_t> reference = RunFleet(all, nullptr);
 
-  cache::RemoteStoreOptions store_options = StoreOptionsFor(port);
+  cache::ShardedStoreOptions store_options = StoreOptionsFor(port);
   store_options.call_timeout = std::chrono::milliseconds(2000);
-  auto store = std::make_shared<cache::RemoteActivationStore>(store_options);
+  auto store = std::make_shared<cache::ShardedRemoteStore>(store_options);
   gateway::GatewayOptions options = FleetOptions();
   options.worker.activation_source = store;
   gateway::Gateway gw(options);
@@ -299,7 +302,7 @@ TEST(CacheRpcIntegrationTest, KilledCacheNodeNeverFailsARequest) {
         << "request " << i << " diverged after the cache node died";
   }
   // The late templates could not have come from the dead node.
-  const cache::RemoteStoreStats stats = store->Stats();
+  const cache::ShardedStoreStats stats = store->Stats();
   EXPECT_GE(stats.fallbacks, static_cast<uint64_t>(late_requests.size()));
   EXPECT_EQ(stats.front_hits + stats.singleflight_waits + stats.remote_hits +
                 stats.remote_misses + stats.fallbacks,
@@ -321,18 +324,18 @@ TEST(CacheRpcIntegrationTest, NeverReachableNodeDegradesToLocal) {
   const std::vector<runtime::OnlineRequest> requests = MakeRequests(6);
   const std::vector<uint64_t> reference = RunFleet(requests, nullptr);
 
-  cache::RemoteStoreOptions store_options = StoreOptionsFor(dead_port);
+  cache::ShardedStoreOptions store_options = StoreOptionsFor(dead_port);
   store_options.max_consecutive_failures = 2;
   store_options.degrade_cooldown = std::chrono::hours(1);
   auto store =
-      std::make_shared<cache::RemoteActivationStore>(store_options);
+      std::make_shared<cache::ShardedRemoteStore>(store_options);
   const std::vector<uint64_t> degraded = RunFleet(requests, store);
 
   ASSERT_EQ(degraded.size(), reference.size());
   for (size_t i = 0; i < reference.size(); ++i) {
     EXPECT_EQ(degraded[i], reference[i]) << "request " << i;
   }
-  const cache::RemoteStoreStats stats = store->Stats();
+  const cache::ShardedStoreStats stats = store->Stats();
   EXPECT_EQ(stats.fallbacks, static_cast<uint64_t>(kNumTemplates));
   EXPECT_EQ(stats.remote_hits, 0u);
   EXPECT_GE(stats.degrade_trips, 1u);

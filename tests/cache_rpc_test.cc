@@ -1,8 +1,9 @@
 // Cache-tier RPC units: the cache frame codec (v2: encoded matrices),
 // the CacheNode store semantics (encoded residency, admission policy),
 // the CacheClient whole-record transfer over a loopback TcpServer in
-// service mode, and the RemoteActivationStore ladder (LRU front,
-// single-flight, miss-publish, fallback, circuit breaker).
+// service mode, and the client ladder against one cache node — a
+// ShardedRemoteStore over a one-member ring (LRU front, single-flight,
+// miss-publish, fallback, circuit breaker, prefetch).
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -12,7 +13,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/cache/remote_store.h"
+#include "src/cache/ring/sharded_store.h"
 #include "src/net/cache_client.h"
 #include "src/net/cache_node.h"
 #include "src/net/tcp_server.h"
@@ -608,7 +609,7 @@ TEST_F(CacheRpcClientTest, ConnectToDeadPortFailsAfterBoundedRetries) {
   EXPECT_EQ(client.last_error(), WireError::kConnectionClosed);
 }
 
-// --- remote store ---------------------------------------------------------
+// --- one-member ring ------------------------------------------------------
 
 class CacheRpcRemoteStoreTest : public ::testing::Test {
  protected:
@@ -621,10 +622,11 @@ class CacheRpcRemoteStoreTest : public ::testing::Test {
   }
   void TearDown() override { server_->Stop(); }
 
-  cache::RemoteStoreOptions StoreOptions() {
-    cache::RemoteStoreOptions options;
-    options.host = "127.0.0.1";
-    options.port = server_->port();
+  // One cache node is a one-member ring: replication (default 2) clamps
+  // to 1, and read repair and failover have nothing to do.
+  cache::ShardedStoreOptions StoreOptions() {
+    cache::ShardedStoreOptions options;
+    options.nodes = {{"127.0.0.1", server_->port()}};
     options.connect_attempts = 1;
     options.connect_backoff = std::chrono::milliseconds(1);
     return options;
@@ -637,12 +639,12 @@ class CacheRpcRemoteStoreTest : public ::testing::Test {
 };
 
 TEST_F(CacheRpcRemoteStoreTest, MissRegistersLocallyAndPublishes) {
-  cache::RemoteActivationStore store(StoreOptions());
+  cache::ShardedRemoteStore store(StoreOptions());
   auto record = store.Acquire(*model_, 3, /*record_kv=*/false);
   ASSERT_NE(record, nullptr);
   EXPECT_TRUE(RecordsEqual(*record, model_->Register(3, false)));
 
-  const cache::RemoteStoreStats stats = store.Stats();
+  const cache::ShardedStoreStats stats = store.Stats();
   EXPECT_EQ(stats.remote_misses, 1u);
   EXPECT_EQ(stats.local_registrations, 1u);
   EXPECT_EQ(stats.puts_ok, 1u);
@@ -654,16 +656,16 @@ TEST_F(CacheRpcRemoteStoreTest, MissRegistersLocallyAndPublishes) {
 }
 
 TEST_F(CacheRpcRemoteStoreTest, SecondStoreFetchesRemotelyBitwise) {
-  cache::RemoteActivationStore first(StoreOptions());
+  cache::ShardedRemoteStore first(StoreOptions());
   auto published = first.Acquire(*model_, 3, false);
 
   // A fresh store (fresh LRU front) — like a new worker process joining.
-  cache::RemoteActivationStore second(StoreOptions());
+  cache::ShardedRemoteStore second(StoreOptions());
   auto fetched = second.Acquire(*model_, 3, false);
   ASSERT_NE(fetched, nullptr);
   EXPECT_TRUE(RecordsEqual(*fetched, *published));
 
-  const cache::RemoteStoreStats stats = second.Stats();
+  const cache::ShardedStoreStats stats = second.Stats();
   EXPECT_EQ(stats.remote_hits, 1u);
   EXPECT_EQ(stats.remote_misses, 0u);
   EXPECT_EQ(stats.local_registrations, 0u);
@@ -674,17 +676,17 @@ TEST_F(CacheRpcRemoteStoreTest, SecondStoreFetchesRemotelyBitwise) {
 }
 
 TEST_F(CacheRpcRemoteStoreTest, Fp16StoreMovesFewerWireBytes) {
-  cache::RemoteStoreOptions options = StoreOptions();
+  cache::ShardedStoreOptions options = StoreOptions();
   options.precision = quant::PrecisionMode::kF16;
-  cache::RemoteActivationStore first(options);
+  cache::ShardedRemoteStore first(options);
   ASSERT_NE(first.Acquire(*model_, 3, false), nullptr);
-  const cache::RemoteStoreStats cold = first.Stats();
+  const cache::ShardedStoreStats cold = first.Stats();
   EXPECT_EQ(cold.remote_wire_bytes_put * 2, cold.remote_bytes_put);
   EXPECT_EQ(node_.Stats().bytes_stored, cold.remote_wire_bytes_put);
 
-  cache::RemoteActivationStore second(options);
+  cache::ShardedRemoteStore second(options);
   ASSERT_NE(second.Acquire(*model_, 3, false), nullptr);
-  const cache::RemoteStoreStats warm = second.Stats();
+  const cache::ShardedStoreStats warm = second.Stats();
   EXPECT_EQ(warm.remote_hits, 1u);
   EXPECT_EQ(warm.remote_wire_bytes_fetched * 2, warm.remote_bytes_fetched);
 
@@ -696,7 +698,7 @@ TEST_F(CacheRpcRemoteStoreTest, Fp16StoreMovesFewerWireBytes) {
 }
 
 TEST_F(CacheRpcRemoteStoreTest, FrontHitCostsNoRpc) {
-  cache::RemoteActivationStore store(StoreOptions());
+  cache::ShardedRemoteStore store(StoreOptions());
   auto first = store.Acquire(*model_, 3, false);
   const uint64_t fetches_after_first =
       node_.Stats().fetch_hits + node_.Stats().fetch_misses;
@@ -708,7 +710,7 @@ TEST_F(CacheRpcRemoteStoreTest, FrontHitCostsNoRpc) {
 }
 
 TEST_F(CacheRpcRemoteStoreTest, SingleFlightCoalescesConcurrentAcquires) {
-  cache::RemoteActivationStore store(StoreOptions());
+  cache::ShardedRemoteStore store(StoreOptions());
   constexpr int kThreads = 4;
   std::vector<std::shared_ptr<const model::ActivationRecord>> records(
       kThreads);
@@ -723,7 +725,7 @@ TEST_F(CacheRpcRemoteStoreTest, SingleFlightCoalescesConcurrentAcquires) {
   for (int i = 1; i < kThreads; ++i) {
     EXPECT_EQ(records[0].get(), records[i].get());
   }
-  const cache::RemoteStoreStats stats = store.Stats();
+  const cache::ShardedStoreStats stats = store.Stats();
   // Exactly one thread went remote; the rest either joined its flight or
   // hit the front after it completed.
   EXPECT_EQ(stats.remote_hits + stats.remote_misses, 1u);
@@ -732,7 +734,7 @@ TEST_F(CacheRpcRemoteStoreTest, SingleFlightCoalescesConcurrentAcquires) {
 }
 
 TEST_F(CacheRpcRemoteStoreTest, KvUpgradeReplacesYOnlyFrontEntry) {
-  cache::RemoteActivationStore store(StoreOptions());
+  cache::ShardedRemoteStore store(StoreOptions());
   auto y_only = store.Acquire(*model_, 3, /*record_kv=*/false);
   EXPECT_FALSE(y_only->has_kv());
   auto with_kv = store.Acquire(*model_, 3, /*record_kv=*/true);
@@ -743,27 +745,27 @@ TEST_F(CacheRpcRemoteStoreTest, KvUpgradeReplacesYOnlyFrontEntry) {
 }
 
 TEST_F(CacheRpcRemoteStoreTest, UnreachableNodeFallsBackLocally) {
-  cache::RemoteStoreOptions options = StoreOptions();
+  cache::ShardedStoreOptions options = StoreOptions();
   server_->Stop();  // Nothing listens on the port now.
-  cache::RemoteActivationStore store(options);
+  cache::ShardedRemoteStore store(options);
   auto record = store.Acquire(*model_, 3, false);
   ASSERT_NE(record, nullptr);
   EXPECT_TRUE(RecordsEqual(*record, model_->Register(3, false)));
-  const cache::RemoteStoreStats stats = store.Stats();
+  const cache::ShardedStoreStats stats = store.Stats();
   EXPECT_EQ(stats.fallbacks, 1u);
   EXPECT_EQ(stats.local_registrations, 1u);
   EXPECT_EQ(stats.remote_hits, 0u);
 }
 
 TEST_F(CacheRpcRemoteStoreTest, CircuitBreakerSkipsFetchWhileOpen) {
-  cache::RemoteStoreOptions options = StoreOptions();
+  cache::ShardedStoreOptions options = StoreOptions();
   options.max_consecutive_failures = 1;
   options.degrade_cooldown = std::chrono::hours(1);
   server_->Stop();
-  cache::RemoteActivationStore store(options);
+  cache::ShardedRemoteStore store(options);
   store.Acquire(*model_, 1, false);  // Trips the breaker.
   store.Acquire(*model_, 2, false);  // Served while the circuit is open.
-  const cache::RemoteStoreStats stats = store.Stats();
+  const cache::ShardedStoreStats stats = store.Stats();
   EXPECT_EQ(stats.degrade_trips, 1u);
   EXPECT_EQ(stats.fallbacks, 2u);
   EXPECT_EQ(stats.local_registrations, 2u);
@@ -792,9 +794,9 @@ TEST_F(CacheRpcRemoteStoreTest, PrefetchWarmsStagingAndAcquireCoalesces) {
   ASSERT_TRUE(
       publisher.PutRecord(3, model_->Register(3, false)).transport_ok);
 
-  cache::RemoteStoreOptions options = StoreOptions();
+  cache::ShardedStoreOptions options = StoreOptions();
   options.prefetch_workers = 1;
-  cache::RemoteActivationStore store(options);
+  cache::ShardedRemoteStore store(options);
   store.Prefetch(*model_, 3, /*record_kv=*/false);
   ASSERT_TRUE(WaitFor([&] { return store.Stats().prefetch_remote_hits == 1; }));
 
@@ -806,7 +808,7 @@ TEST_F(CacheRpcRemoteStoreTest, PrefetchWarmsStagingAndAcquireCoalesces) {
   // The Acquire consumed the staged prefetch — no wire traffic of its own.
   EXPECT_EQ(node_.Stats().fetch_hits + node_.Stats().fetch_misses,
             node_fetches_before);
-  const cache::RemoteStoreStats stats = store.Stats();
+  const cache::ShardedStoreStats stats = store.Stats();
   EXPECT_EQ(stats.prefetch_issued, 1u);
   EXPECT_EQ(stats.prefetch_coalesced, 1u);
   EXPECT_EQ(stats.remote_hits, 0u);   // Foreground never fetched.
@@ -826,9 +828,9 @@ TEST_F(CacheRpcRemoteStoreTest, PrefetchRacingForegroundAcquireSingleFlights) {
   const uint64_t record_matrices =
       static_cast<uint64_t>(numerics_.num_steps) * numerics_.num_blocks;
 
-  cache::RemoteStoreOptions options = StoreOptions();
+  cache::ShardedStoreOptions options = StoreOptions();
   options.prefetch_workers = 1;
-  cache::RemoteActivationStore store(options);
+  cache::ShardedRemoteStore store(options);
   // The hint opens the flight synchronously, so the immediate foreground
   // Acquire joins it (or consumes its staged result) — never a second
   // fetch, no matter how the race lands.
@@ -837,7 +839,7 @@ TEST_F(CacheRpcRemoteStoreTest, PrefetchRacingForegroundAcquireSingleFlights) {
   ASSERT_NE(record, nullptr);
   EXPECT_TRUE(RecordsEqual(*record, published));
 
-  const cache::RemoteStoreStats stats = store.Stats();
+  const cache::ShardedStoreStats stats = store.Stats();
   EXPECT_EQ(stats.prefetch_issued, 1u);
   EXPECT_EQ(stats.prefetch_coalesced, 1u);
   EXPECT_EQ(stats.remote_hits, 0u);
@@ -850,16 +852,16 @@ TEST_F(CacheRpcRemoteStoreTest, PrefetchMissResolvesEmptyAndForegroundLadders) {
   // Nothing resident: the prefetch job cannot register locally (it has no
   // model), so it resolves its flight empty and the foreground Acquire
   // runs the miss ladder itself — register + publish, never a null record.
-  cache::RemoteStoreOptions options = StoreOptions();
+  cache::ShardedStoreOptions options = StoreOptions();
   options.prefetch_workers = 1;
-  cache::RemoteActivationStore store(options);
+  cache::ShardedRemoteStore store(options);
   store.Prefetch(*model_, 4, /*record_kv=*/false);
   auto record = store.Acquire(*model_, 4, false);
   ASSERT_NE(record, nullptr);
   EXPECT_TRUE(RecordsEqual(*record, model_->Register(4, false)));
 
   ASSERT_TRUE(WaitFor([&] { return store.Stats().prefetch_remote_misses == 1; }));
-  const cache::RemoteStoreStats stats = store.Stats();
+  const cache::ShardedStoreStats stats = store.Stats();
   EXPECT_EQ(stats.prefetch_issued, 1u);
   EXPECT_EQ(stats.prefetch_coalesced, 0u);  // The empty flight coalesced nobody.
   EXPECT_EQ(stats.remote_misses, 1u);
@@ -868,10 +870,10 @@ TEST_F(CacheRpcRemoteStoreTest, PrefetchMissResolvesEmptyAndForegroundLadders) {
 }
 
 TEST_F(CacheRpcRemoteStoreTest, KilledNodeWithPrefetchesInFlightNeverHangs) {
-  cache::RemoteStoreOptions options = StoreOptions();
+  cache::ShardedStoreOptions options = StoreOptions();
   options.prefetch_workers = 2;
   server_->Stop();  // The node dies before any prefetch lands.
-  cache::RemoteActivationStore store(options);
+  cache::ShardedRemoteStore store(options);
   constexpr int kTemplates = 4;
   for (int t = 0; t < kTemplates; ++t) {
     store.Prefetch(*model_, t, /*record_kv=*/false);
@@ -884,7 +886,7 @@ TEST_F(CacheRpcRemoteStoreTest, KilledNodeWithPrefetchesInFlightNeverHangs) {
     ASSERT_NE(record, nullptr);
     EXPECT_TRUE(RecordsEqual(*record, model_->Register(t, false)));
   }
-  const cache::RemoteStoreStats stats = store.Stats();
+  const cache::ShardedStoreStats stats = store.Stats();
   EXPECT_EQ(stats.fallbacks, static_cast<uint64_t>(kTemplates));
   EXPECT_EQ(stats.local_registrations, static_cast<uint64_t>(kTemplates));
   EXPECT_EQ(stats.remote_hits, 0u);
@@ -897,27 +899,27 @@ TEST_F(CacheRpcRemoteStoreTest, KilledNodeWithPrefetchesInFlightNeverHangs) {
 }
 
 TEST_F(CacheRpcRemoteStoreTest, OpenCircuitSuppressesPrefetchAtIssue) {
-  cache::RemoteStoreOptions options = StoreOptions();
+  cache::ShardedStoreOptions options = StoreOptions();
   options.prefetch_workers = 1;
   options.max_consecutive_failures = 1;
   options.degrade_cooldown = std::chrono::hours(1);
   server_->Stop();
-  cache::RemoteActivationStore store(options);
+  cache::ShardedRemoteStore store(options);
   store.Acquire(*model_, 1, false);  // Trips the breaker.
   ASSERT_EQ(store.Stats().degrade_trips, 1u);
   store.Prefetch(*model_, 2, /*record_kv=*/false);
-  const cache::RemoteStoreStats stats = store.Stats();
+  const cache::ShardedStoreStats stats = store.Stats();
   EXPECT_EQ(stats.prefetch_suppressed, 1u);
   EXPECT_EQ(stats.prefetch_issued, 0u);
 }
 
 TEST_F(CacheRpcRemoteStoreTest, RedundantPrefetchHintsAreDeduped) {
-  cache::RemoteStoreOptions options = StoreOptions();
+  cache::ShardedStoreOptions options = StoreOptions();
   options.prefetch_workers = 1;
-  cache::RemoteActivationStore store(options);
+  cache::ShardedRemoteStore store(options);
   store.Acquire(*model_, 3, false);  // Front now holds template 3.
   store.Prefetch(*model_, 3, /*record_kv=*/false);
-  const cache::RemoteStoreStats stats = store.Stats();
+  const cache::ShardedStoreStats stats = store.Stats();
   EXPECT_EQ(stats.prefetch_redundant, 1u);
   EXPECT_EQ(stats.prefetch_issued, 0u);
 }
@@ -926,9 +928,9 @@ TEST_F(CacheRpcRemoteStoreTest, MetricsJsonCarriesPrefetchCounters) {
   CacheClient publisher("127.0.0.1", server_->port());
   ASSERT_TRUE(
       publisher.PutRecord(5, model_->Register(5, false)).transport_ok);
-  cache::RemoteStoreOptions options = StoreOptions();
+  cache::ShardedStoreOptions options = StoreOptions();
   options.prefetch_workers = 1;
-  cache::RemoteActivationStore store(options);
+  cache::ShardedRemoteStore store(options);
   store.Prefetch(*model_, 5, /*record_kv=*/false);
   ASSERT_TRUE(WaitFor([&] { return store.Stats().prefetch_remote_hits == 1; }));
   store.Acquire(*model_, 5, false);
@@ -941,7 +943,7 @@ TEST_F(CacheRpcRemoteStoreTest, MetricsJsonCarriesPrefetchCounters) {
 }
 
 TEST_F(CacheRpcRemoteStoreTest, MetricsJsonCarriesTheLadderCounters) {
-  cache::RemoteActivationStore store(StoreOptions());
+  cache::ShardedRemoteStore store(StoreOptions());
   store.Acquire(*model_, 3, false);  // remote miss -> register + publish
   store.Acquire(*model_, 3, false);  // front hit
   const std::string json = store.MetricsJson();
@@ -949,7 +951,7 @@ TEST_F(CacheRpcRemoteStoreTest, MetricsJsonCarriesTheLadderCounters) {
   EXPECT_EQ(JsonCounter(json, "remote_misses"), 1u);
   EXPECT_EQ(JsonCounter(json, "puts_ok"), 1u);
   EXPECT_EQ(JsonCounter(json, "front_size"), 1u);
-  EXPECT_NE(json.find("\"kind\":\"remote\""), std::string::npos);
+  EXPECT_NE(json.find("\"kind\":\"sharded\""), std::string::npos);
 }
 
 }  // namespace

@@ -144,7 +144,10 @@ TEST(NetIntegrationTest, StopRacesConcurrentSubmitsCleanly) {
   const uint16_t port = server.port();
 
   std::atomic<bool> stop_requested{false};
+  // Every reply, and the accepted ones among them: a draining server
+  // answers late submits with kRejectedShutdown.
   std::atomic<uint64_t> replies{0};
+  std::atomic<uint64_t> accepted_replies{0};
   std::thread pounder([&] {
     const std::vector<runtime::OnlineRequest> requests = MakeRequests();
     ClientOptions one_shot;
@@ -166,8 +169,13 @@ TEST(NetIntegrationTest, StopRacesConcurrentSubmitsCleanly) {
         seqs.push_back(seq);
       }
       for (uint64_t seq : seqs) {
-        if (client.Await(seq, std::chrono::milliseconds(30000)).has_value()) {
-          replies.fetch_add(1);
+        const auto reply = client.Await(seq, std::chrono::milliseconds(30000));
+        if (!reply.has_value()) {
+          continue;
+        }
+        replies.fetch_add(1);
+        if (reply->submit_status() == gateway::SubmitStatus::kAccepted) {
+          accepted_replies.fetch_add(1);
         }
       }
     }
@@ -182,7 +190,8 @@ TEST(NetIntegrationTest, StopRacesConcurrentSubmitsCleanly) {
 
   EXPECT_EQ(server.inflight(), 0u);
   const TcpServerStats stats = server.Stats();
-  EXPECT_GE(stats.submits_accepted, replies.load());
+  EXPECT_GE(stats.submits_accepted, accepted_replies.load());
+  EXPECT_GE(stats.submits_accepted + stats.submits_rejected, replies.load());
   EXPECT_EQ(stats.connections_closed, stats.connections_accepted);
 }
 

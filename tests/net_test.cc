@@ -458,7 +458,12 @@ TEST_F(TcpServerTest, TruncatedFrameOnDisconnectIsCounted) {
 }
 
 TEST_F(TcpServerTest, ClientDisconnectMidRequestOrphansCompletion) {
-  gateway::Gateway gateway(FastOptions());
+  // Enough steps that the request is still running when the client
+  // vanishes: a reply that lands before the server sees the disconnect is
+  // delivered, not orphaned.
+  gateway::GatewayOptions options = FastOptions();
+  options.worker.numerics.num_steps = 48;
+  gateway::Gateway gateway(options);
   TcpServer server(gateway);
   ASSERT_TRUE(server.Start());
 
