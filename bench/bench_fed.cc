@@ -303,7 +303,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(failover.stats.redispatched));
 
   std::ostringstream json;
-  json << "{\"requests\":" << requests << ",\"steps\":" << steps
+  json << "{\n" << bench::HostHeaderJson();
+  json << "  \"requests\":" << requests << ",\"steps\":" << steps
        << ",\"nodes\":" << num_nodes << ",\"route\":\"" << route_name << "\""
        << ",\"steady\":" << LegJson(steady, trace.size())
        << ",\"failover\":" << LegJson(failover, trace.size()) << "}";

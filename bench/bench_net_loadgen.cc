@@ -267,7 +267,8 @@ int main(int argc, char** argv) {
               server_metrics.c_str());
 
   std::ostringstream json;
-  json << "{\"requests\":" << workload.size() << ",\"rps\":" << rps
+  json << "{\n" << bench::HostHeaderJson();
+  json << "  \"requests\":" << workload.size() << ",\"rps\":" << rps
        << ",\"steps\":" << steps << ",\"workers\":" << workers
        << ",\"self_host\":" << (self_host ? "true" : "false")
        << ",\"client\":{\"accepted\":" << accepted

@@ -5,11 +5,14 @@
 #      FLASHPS_ISA pin; unpinned runs only ever exercise the widest);
 #   2. emit BENCH_kernels.json from the kernel microbenchmarks;
 #   3. rebuild the threaded suites under ThreadSanitizer and run them;
-#   4. rebuild the kernel, net, gateway, cache-rpc, cache-ring, fed and
-#      codec suites under AddressSanitizer + UndefinedBehaviorSanitizer
+#   4. rebuild the kernel, net, client, gateway, cache-rpc, cache-ring, fed
+#      and codec suites under AddressSanitizer + UndefinedBehaviorSanitizer
 #      and run them (malformed-frame handling must be memory-clean, not
 #      just not-crash, and so must the vector kernels' ragged-tail loads
 #      and stores; any undefined-behaviour report fails the test).
+# The client suites (Client*: deadline closes, mutated-reply fuzz) run in
+# both sanitizer legs: the fuzz cases drive the client's read path with
+# bytes no daemon sends, and every case starts and stops a server.
 # The codec suites (Quant*, CodecQuality*) run in every leg: tier-1 via
 # ctest, and again under both sanitizers — the decoder's malformed-frame
 # rejection paths must be clean under ASan, and the codec is on the hot
@@ -57,8 +60,8 @@ cd "${repo}"
 
 # The threaded suites the sanitizers exercise. Keep the two lists in sync
 # with the build target lists below.
-tsan_regex='^(ParallelFor|KernelEquivalence|SparseCompute|ConcurrentQueue|ThreadPool|OnlineServer|Gateway|MetricsRegistry|StatAccumulator|Serde|Wire|TcpServer|NetIntegration|CacheRpc|CacheRing|Quant|CodecQuality|Fed)'
-asan_regex='^(KernelEquivalence|ParallelFor|Matrix|SparseCompute|Serde|Wire|TcpServer|NetIntegration|Gateway|CacheRpc|CacheRing|Quant|CodecQuality|Fed)'
+tsan_regex='^(ParallelFor|KernelEquivalence|SparseCompute|ConcurrentQueue|ThreadPool|OnlineServer|Gateway|MetricsRegistry|StatAccumulator|Serde|Wire|TcpServer|NetIntegration|Client|CacheRpc|CacheRing|Quant|CodecQuality|Fed)'
+asan_regex='^(KernelEquivalence|ParallelFor|Matrix|SparseCompute|Serde|Wire|TcpServer|NetIntegration|Client|Gateway|CacheRpc|CacheRing|Quant|CodecQuality|Fed)'
 # The suites that gate kernel bits, rerun once per ISA level: the GEMM's
 # vector width and tile heights differ per level, so the sparse == dense
 # gates and the golden hashes must hold at each (kernel_equivalence_test,
@@ -139,7 +142,8 @@ cmake -B build-tsan -S . -DFLASHPS_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target \
   kernel_equivalence_test sparse_compute_test runtime_test gateway_test \
   common_test \
-  net_test net_integration_test cache_rpc_test cache_rpc_integration_test \
+  net_test net_integration_test client_test \
+  cache_rpc_test cache_rpc_integration_test \
   cache_ring_test cache_ring_integration_test \
   fed_test fed_integration_test \
   quant_test codec_quality_test \
@@ -150,17 +154,17 @@ ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
   --timeout "${test_timeout}" \
   -R "${filter:-${tsan_regex}}"
 
-echo "== asan+ubsan: build kernel + net + gateway + cache-rpc + cache-ring suites =="
+echo "== asan+ubsan: build kernel + net + client + gateway + cache-rpc + cache-ring suites =="
 cmake -B build-asan -S . -DFLASHPS_SANITIZE=address >/dev/null
 cmake --build build-asan -j --target \
   kernel_equivalence_test tensor_test sparse_compute_test \
-  net_test net_integration_test gateway_test cache_rpc_test \
+  net_test net_integration_test client_test gateway_test cache_rpc_test \
   cache_rpc_integration_test cache_ring_test cache_ring_integration_test \
   fed_test fed_integration_test \
   quant_test codec_quality_test \
   >/dev/null
 
-echo "== asan+ubsan: run kernel + net + gateway + cache-rpc + cache-ring suites =="
+echo "== asan+ubsan: run kernel + net + client + gateway + cache-rpc + cache-ring suites =="
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
   --timeout "${test_timeout}" \
   -R "${filter:-${asan_regex}}"

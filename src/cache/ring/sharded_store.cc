@@ -17,10 +17,10 @@ ShardedRemoteStore::ShardedRemoteStore(ShardedStoreOptions options)
   replication_ = std::clamp(options_.replication, 1,
                             static_cast<int>(std::max<size_t>(1, ring_.size())));
 
-  net::CacheClientOptions copts;
+  net::ClientOptions copts;
   copts.connect_attempts = options_.connect_attempts;
   copts.connect_backoff = options_.connect_backoff;
-  copts.call_timeout = options_.call_timeout;
+  copts.default_timeout = options_.call_timeout;
   copts.auth_token = options_.auth_token;
   // Per member: enough connections that every prefetch worker plus one
   // foreground fetch can be on the wire against the SAME member at once —
@@ -33,7 +33,7 @@ ShardedRemoteStore::ShardedRemoteStore(ShardedStoreOptions options)
   stats_.members.reserve(ring_.size());
   for (size_t i = 0; i < ring_.size(); ++i) {
     Member member;
-    member.pool = std::make_unique<net::CacheClientPool>(
+    member.pool = std::make_unique<net::ClientPool>(
         ring_.member(i).host, ring_.member(i).port, copts, pool_size);
     members_.push_back(std::move(member));
     RingMemberStats member_stats;
@@ -185,7 +185,7 @@ ShardedRemoteStore::RingFetchResult ShardedRemoteStore::RingFetch(
       ++result.failovers;
       continue;
     }
-    net::CacheClientPool::Lease lease = members_[member].pool->Checkout();
+    net::ClientPool::Lease lease = members_[member].pool->Checkout();
     const auto t0 = std::chrono::steady_clock::now();
     net::FetchRecordResult fetched =
         lease->FetchRecord(template_id, steps, blocks, want_kv);
@@ -216,7 +216,7 @@ ShardedRemoteStore::RingFetchResult ShardedRemoteStore::RingFetch(
   if (result.record != nullptr && options_.read_repair) {
     for (int idx : result.missed) {
       const size_t member = static_cast<size_t>(idx);
-      net::CacheClientPool::Lease lease = members_[member].pool->Checkout();
+      net::ClientPool::Lease lease = members_[member].pool->Checkout();
       net::PutRecordResult put = lease->PutRecord(
           template_id, *result.record, options_.precision);
       NoteTransport(member, put.transport_ok);
@@ -257,7 +257,7 @@ int ShardedRemoteStore::Replicate(int template_id,
     if (!CircuitClosed(member)) {
       continue;
     }
-    net::CacheClientPool::Lease lease = members_[member].pool->Checkout();
+    net::ClientPool::Lease lease = members_[member].pool->Checkout();
     net::PutRecordResult put =
         lease->PutRecord(template_id, record, options_.precision);
     NoteTransport(member, put.transport_ok);
@@ -483,8 +483,8 @@ std::vector<bool> ShardedRemoteStore::ProbeMembers(
     std::chrono::milliseconds timeout) {
   std::vector<bool> alive(members_.size(), false);
   for (size_t i = 0; i < members_.size(); ++i) {
-    net::CacheClientPool::Lease lease = members_[i].pool->Checkout();
-    alive[i] = lease->Probe(timeout);
+    net::ClientPool::Lease lease = members_[i].pool->Checkout();
+    alive[i] = lease->QueryMetrics(timeout).has_value();
     NoteTransport(i, alive[i]);
   }
   return alive;

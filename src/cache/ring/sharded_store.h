@@ -53,7 +53,7 @@
 // (registration needs the model, whose lifetime belongs to the hinting
 // worker); a prefetch that misses or dies resolves its flight empty and
 // the foreground Acquire() runs the ladder itself. Each ring member has
-// its own net::CacheClientPool, so prefetches and foreground fetches to
+// its own net::ClientPool, so prefetches and foreground fetches to
 // different nodes never share a socket.
 //
 // The invariant the serving tier relies on: Acquire() NEVER fails — a
@@ -80,7 +80,7 @@
 #include "src/cache/activation_store.h"
 #include "src/cache/ring/cache_ring.h"
 #include "src/common/stats.h"
-#include "src/net/cache_client.h"
+#include "src/net/client.h"
 
 namespace flashps::cache {
 
@@ -260,7 +260,7 @@ class ShardedRemoteStore : public ActivationSource {
   // synchronized; breaker fields live under breaker_mu_; counters under
   // mu_ (in stats_.members).
   struct Member {
-    std::unique_ptr<net::CacheClientPool> pool;
+    std::unique_ptr<net::ClientPool> pool;
     int consecutive_failures = 0;  // Under breaker_mu_.
     std::chrono::steady_clock::time_point degraded_until{};  // breaker_mu_.
   };

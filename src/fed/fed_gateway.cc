@@ -251,9 +251,9 @@ void FedGateway::DispatcherLoop(int node) {
     }
     if (!reply.has_value()) {
       // Transport failure: connect refused, call timeout, or the node
-      // died mid-call. Fail the ticket over to a sibling; determinism
-      // makes the re-run bitwise identical, so the client never sees it.
-      client.Close();
+      // died mid-call (the client has closed its connection either way).
+      // Fail the ticket over to a sibling; determinism makes the re-run
+      // bitwise identical, so the client never sees it.
       registry_.NoteDispatchFailure(node);
       {
         std::lock_guard<std::mutex> lock(mu_);

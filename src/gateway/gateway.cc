@@ -396,7 +396,7 @@ SubmitResult Gateway::Submit(runtime::OnlineRequest request) {
     pending.worker_future = workers_[worker_id]->Submit(std::move(request));
   } catch (const std::exception&) {
     // Worker already stopping (we lost a shutdown race despite the gate).
-    inflight_.fetch_sub(1);
+    RetireInflight();
     metrics_.RecordRejectedShutdown();
     result.status = SubmitStatus::kRejectedShutdown;
     return result;
@@ -467,22 +467,26 @@ void Gateway::TimerLoop() {
     timed_.pop();
     lock.unlock();
     Submit(std::move(item.request));
-    timer_pending_.fetch_sub(1);
     lock.lock();
+    timer_pending_.fetch_sub(1);
+    drained_cv_.notify_all();
   }
 }
 
 void Gateway::Drain() {
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(timer_mu_);
-      if (timed_.empty() && timer_pending_.load() == 0 &&
-          inflight_.load() == 0) {
-        return;
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::unique_lock<std::mutex> lock(timer_mu_);
+  drained_cv_.wait(lock, [&] {
+    return timed_.empty() && timer_pending_.load() == 0 &&
+           inflight_.load() == 0;
+  });
+}
+
+void Gateway::RetireInflight() {
+  {
+    std::lock_guard<std::mutex> lock(timer_mu_);
+    inflight_.fetch_sub(1);
   }
+  drained_cv_.notify_all();
 }
 
 void Gateway::StopAccepting() {
@@ -516,8 +520,9 @@ void Gateway::Stop() {
   }
 
   // Drain accepted work, then retire the collector and the workers.
-  while (inflight_.load() > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  {
+    std::unique_lock<std::mutex> lock(timer_mu_);
+    drained_cv_.wait(lock, [&] { return inflight_.load() == 0; });
   }
   completions_.Close();
   if (collector_.joinable()) {
@@ -541,7 +546,7 @@ void Gateway::CollectorLoop() {
     } catch (...) {
       pending->caller_promise.set_exception(std::current_exception());
     }
-    inflight_.fetch_sub(1);
+    RetireInflight();
   }
 }
 

@@ -164,6 +164,9 @@ class Gateway {
 
   void CollectorLoop();
   void TimerLoop();
+  // Retires one accepted request (inflight_ drops under timer_mu_) and
+  // wakes Drain()/Stop().
+  void RetireInflight();
   // Queue-ahead: hand the request's template to the shared activation
   // source as a prefetch hint, so a slow (remote) acquisition overlaps the
   // queueing delay ahead of it instead of stalling admission later.
@@ -199,6 +202,9 @@ class Gateway {
   // cannot slip between a pop and the Submit() it feeds.
   std::mutex timer_mu_;
   std::condition_variable timer_cv_;
+  // Drain() and Stop() wait here; inflight_ and timer_pending_ drop only
+  // under timer_mu_, and each drop signals it.
+  std::condition_variable drained_cv_;
   std::priority_queue<Timed, std::vector<Timed>, std::greater<Timed>> timed_;
   std::chrono::steady_clock::time_point epoch_;
   uint64_t timer_seq_ = 0;

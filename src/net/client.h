@@ -1,12 +1,32 @@
-// Remote client for the FlashPS wire protocol.
+// Client for the FlashPS wire protocol, in both of its roles: submits,
+// metrics queries and heartbeats against a serving daemon, and whole
+// activation records against a flashps_cached node.
 //
-// Single-threaded by design: one blocking socket, one read buffer, and a
-// response map keyed by correlation id. Pipelining falls out of that —
-// Send() fires any number of requests down the connection without
-// waiting, the server replies in completion order, and Await(seq) pumps
-// the socket until the wanted reply (which may arrive after others)
-// shows up or the per-call timeout lapses. Instances are not thread-safe;
-// drive one client per thread.
+// Single-threaded by design: one blocking socket, one read buffer, and
+// one bank of replies keyed by correlation id. Pipelining falls out of
+// that — Send() fires any number of requests down the connection
+// without waiting, the server replies in completion order, and every
+// call waits in one loop that pumps the socket until its replies (which
+// may arrive after others) show up or the per-call deadline lapses.
+// Instances are not thread-safe; drive one client per thread, or lease
+// them from a ClientPool.
+//
+// A record of S steps x B blocks is S*B cache fetches (3x that with
+// K/V), all fired before the first reply is awaited, so a whole-record
+// fetch costs one round trip plus the transfer, not S*B round trips.
+// Every payload that arrives is checksum-verified by the wire decoder and
+// must name the key its seq asked for before it is placed into the
+// record, and every put acknowledgement is checked against the checksum
+// of the bytes that were sent — a corrupted matrix can neither enter a
+// record nor be believed stored.
+//
+// Every failed call — a lapsed deadline, a dead socket, an error frame,
+// a reply that does not decode as what its seq asked for — leaves a typed
+// last_error() and closes the connection, so no late reply is ever banked
+// under a seq that no caller will ask for. QueryMetrics(), FetchRecord()
+// and PutRecord() connect first, so their next call reconnects; Send()
+// needs Connect() again. Close() keeps the submit replies already banked
+// for TryTake().
 //
 // Connect() retries with exponential backoff (connect_attempts /
 // connect_backoff), so a client can be started before its daemon and
@@ -15,13 +35,18 @@
 #define FLASHPS_SRC_NET_CLIENT_H_
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/model/diffusion_model.h"
 #include "src/net/socket_util.h"
 #include "src/net/wire.h"
 
@@ -31,10 +56,34 @@ struct ClientOptions {
   int connect_attempts = 1;
   // First retry delay; doubles per attempt (50, 100, 200, ... ms).
   std::chrono::milliseconds connect_backoff{50};
+  // Deadline of a call given no timeout of its own, and of one whole
+  // record fetch or put (all frames + all replies).
   std::chrono::milliseconds default_timeout{30000};
   // When non-empty, Connect() opens every session with a kAuth handshake
   // carrying this token and fails unless the daemon acknowledges it.
   std::string auth_token;
+};
+
+// Outcome of one whole-record fetch. `transport_ok` distinguishes "the
+// node answered" from "the socket/protocol died mid-call": misses with a
+// healthy transport mean the record simply is not resident yet, while a
+// dead transport means the caller should count a fallback and consider
+// the node unreachable.
+struct FetchRecordResult {
+  bool transport_ok = false;
+  bool complete = false;  // Every key hit; `record` holds the whole record.
+  std::shared_ptr<model::ActivationRecord> record;
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t bytes = 0;       // Decoded fp32 bytes placed into the record.
+  uint64_t wire_bytes = 0;  // Encoded bytes received in hits (post-codec).
+};
+
+struct PutRecordResult {
+  bool transport_ok = false;  // Every matrix acked with a matching checksum.
+  uint64_t puts = 0;
+  uint64_t bytes = 0;       // Decoded fp32 bytes the record holds.
+  uint64_t wire_bytes = 0;  // Encoded bytes shipped (post-codec).
 };
 
 class Client {
@@ -65,9 +114,27 @@ class Client {
       const WireRequest& request,
       std::optional<std::chrono::milliseconds> timeout = {});
 
-  // Fetches the daemon's MetricsJson() via a metrics frame.
+  // Connects if needed and fetches the daemon's MetricsJson() via a
+  // metrics frame. Doubles as a liveness probe with a short timeout.
   std::optional<std::string> QueryMetrics(
       std::optional<std::chrono::milliseconds> timeout = {});
+
+  // Fetches every matrix of one template's record from a cache node:
+  // `steps` x `blocks` Y matrices, plus K and V when `want_kv`.
+  // Pipelined; blocks until every reply lands or the call deadline
+  // lapses. Payloads arrive encoded (self-describing dtype) and are
+  // decoded into the record here.
+  FetchRecordResult FetchRecord(int template_id, int steps, int blocks,
+                                bool want_kv);
+
+  // Stores every matrix of `record` under its content address, each step
+  // encoded at the dtype `precision` assigns it (default: lossless f32).
+  // Pipelined; blocks until every ack lands. A matrix whose encoded put
+  // frame would exceed kMaxPayloadBytes fails the call with
+  // kOversizedFrame *before* any of its bytes hit the socket.
+  PutRecordResult PutRecord(
+      int template_id, const model::ActivationRecord& record,
+      quant::PrecisionMode precision = quant::PrecisionMode::kLossless);
 
   // Drains whatever the socket has ready, waiting at most `budget` for
   // the first byte. Use between open-loop sends to harvest replies early.
@@ -77,13 +144,46 @@ class Client {
   std::optional<WireResponse> TryTake(uint64_t seq);
 
   WireError last_error() const { return last_error_; }
-  size_t banked_responses() const { return responses_.size(); }
+  // Replies received but not yet taken, of every type.
+  size_t banked_responses() const { return replies_.size(); }
 
  private:
-  // Reads once (bounded by `budget` waiting for readability) and parses
-  // every complete frame into the response maps. False when the
-  // connection is gone or the stream is unframeable.
+  // One cache frame awaiting its reply: the key the reply must name, and
+  // for a put the checksum its ack must echo.
+  struct CacheOp {
+    CacheKey key;
+    uint64_t checksum = 0;
+  };
+  // Handed each cache reply as it lands (`hit` is null for a miss);
+  // false refuses it and fails the call.
+  using CacheReplyFn =
+      std::function<bool(const CacheOp& op, const CacheHitBody* hit)>;
+
+  // Records `error` and closes the connection. Always false.
+  bool Fail(WireError error);
+  // Reads once (bounded by `budget` waiting for readability) and banks
+  // every complete reply frame by seq. False when the connection is gone,
+  // the stream is unframeable, or the daemon sent an error frame.
   bool PumpOnce(std::chrono::milliseconds budget);
+  // The one deadline wait: pumps until `done` holds or `timeout` lapses.
+  // A lapse records kTimeout and closes the connection.
+  bool Wait(std::chrono::milliseconds timeout,
+            const std::function<bool()>& done);
+  // Waits for the reply to `seq` and takes it; it must be of `type`.
+  std::optional<ParsedFrame> AwaitReply(
+      uint64_t seq, FrameType type,
+      std::optional<std::chrono::milliseconds> timeout);
+  // Removes the reply banked under `seq`, if any. A reply of another type
+  // fails the call with kBadType.
+  std::optional<ParsedFrame> Take(uint64_t seq, FrameType type);
+  // Decodes a taken submit result; one that does not decode fails the
+  // call with kMalformedPayload.
+  std::optional<WireResponse> DecodeResponse(std::optional<ParsedFrame> frame);
+  // Waits until every op in `outstanding` is answered by a hit or a miss
+  // naming its key, handing each to `take`. A reply that fails that check
+  // or that `take` refuses fails the call with kMalformedPayload.
+  bool AwaitCacheReplies(std::map<uint64_t, CacheOp> outstanding,
+                         const CacheReplyFn& take);
   bool SendFrame(const std::vector<uint8_t>& frame);
   // Runs the kAuth handshake (options_.auth_token) to completion.
   bool Authenticate();
@@ -94,10 +194,58 @@ class Client {
   UniqueFd fd_;
   uint64_t next_seq_ = 1;
   std::vector<uint8_t> inbuf_;
-  std::map<uint64_t, WireResponse> responses_;
-  std::map<uint64_t, std::string> metrics_;
-  std::set<uint64_t> auth_acks_;
+  std::map<uint64_t, ParsedFrame> replies_;
   WireError last_error_ = WireError::kOk;
+};
+
+// A small pool of Client connections to one node, so concurrent
+// whole-record transfers (foreground fetches, background prefetches)
+// ride separate sockets instead of serializing behind one call. Each
+// client is still single-threaded; the pool hands out exclusive leases.
+// Checkout() blocks until a connection is free — the pool size is the
+// concurrency cap, and pressure beyond it queues at the checkout.
+class ClientPool {
+ public:
+  ClientPool(std::string host, uint16_t port, ClientOptions options,
+             int size);
+
+  ClientPool(const ClientPool&) = delete;
+  ClientPool& operator=(const ClientPool&) = delete;
+
+  // Exclusive lease on one pooled connection; returns it on destruction.
+  class Lease {
+   public:
+    Lease(ClientPool* pool, Client* client) : pool_(pool), client_(client) {}
+    ~Lease() {
+      if (pool_ != nullptr) {
+        pool_->Return(client_);
+      }
+    }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    Lease(Lease&& o) noexcept
+        : pool_(std::exchange(o.pool_, nullptr)),
+          client_(std::exchange(o.client_, nullptr)) {}
+
+    Client* operator->() const { return client_; }
+    Client& operator*() const { return *client_; }
+
+   private:
+    ClientPool* pool_;
+    Client* client_;
+  };
+
+  Lease Checkout();
+  int size() const { return static_cast<int>(clients_.size()); }
+
+ private:
+  friend class Lease;
+  void Return(Client* client);
+
+  std::vector<std::unique_ptr<Client>> clients_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<Client*> idle_;
 };
 
 }  // namespace flashps::net

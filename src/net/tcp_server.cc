@@ -390,6 +390,15 @@ bool TcpServer::ShouldClose(const Conn& conn) const {
   return conn.outbuf.empty();
 }
 
+void TcpServer::SignalDrain() {
+  if (!draining_.load()) {
+    return;
+  }
+  // Taking the lock orders this wake after Stop()'s predicate check.
+  { std::lock_guard<std::mutex> lock(drain_mu_); }
+  drain_cv_.notify_all();
+}
+
 void TcpServer::PollLoop() {
   bool listener_open = true;
   std::vector<pollfd> fds;
@@ -498,6 +507,7 @@ void TcpServer::PollLoop() {
       std::lock_guard<std::mutex> lock(stats_mu_);
       stats_.connections_closed += closable.size();
     }
+    SignalDrain();
   }
   // Shutdown: close everything still open.
   std::lock_guard<std::mutex> lock(conns_mu_);
@@ -552,6 +562,7 @@ void TcpServer::CompleterLoop() {
       }
       total_inflight_.fetch_sub(1);
       wake_.Wake();
+      SignalDrain();
       it = pending.erase(it);
     }
     if (!pending.empty() && !progressed) {
@@ -577,12 +588,6 @@ void TcpServer::Stop() {
 
   // Drain: let accepted requests finish and their replies flush, bounded
   // by the configured timeout.
-  const auto deadline =
-      std::chrono::steady_clock::now() + options_.drain_timeout;
-  while (total_inflight_.load() > 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
   auto unflushed = [this] {
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (auto& [id, conn] : conns_) {
@@ -593,9 +598,11 @@ void TcpServer::Stop() {
     }
     return false;
   };
-  while (unflushed() && std::chrono::steady_clock::now() < deadline) {
-    wake_.Wake();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  {
+    std::unique_lock<std::mutex> lock(drain_mu_);
+    drain_cv_.wait_until(
+        lock, std::chrono::steady_clock::now() + options_.drain_timeout,
+        [&] { return total_inflight_.load() == 0 && !unflushed(); });
   }
 
   if (total_inflight_.load() > 0) {

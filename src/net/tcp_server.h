@@ -44,6 +44,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -181,6 +182,8 @@ class TcpServer {
   bool DeliverToConn(uint64_t conn_id, const std::vector<uint8_t>& bytes);
   void CountWireError(WireError error);
   bool ShouldClose(const Conn& conn) const;
+  // Wakes Stop()'s drain wait; a no-op until Stop() begins draining.
+  void SignalDrain();
 
   // Exactly one backend is set: frontend mode (frontend_ != nullptr;
   // gateway mode is frontend mode over owned_frontend_) or service mode
@@ -211,6 +214,11 @@ class TcpServer {
   // Set when the drain deadline expires: the completer abandons futures
   // that never resolved instead of scanning them forever.
   std::atomic<bool> completer_abandon_{false};
+  // Stop() waits here for the drain: the completer signals as
+  // total_inflight_ drops, the poll thread after each flush pass. Never
+  // taken while holding conns_mu_ or a connection's out_mu.
+  std::mutex drain_mu_;
+  std::condition_variable drain_cv_;
   std::mutex stop_mu_;
   bool stopped_ = false;
 

@@ -319,7 +319,9 @@ bool DecodeError(const ParsedFrame& frame, WireErrorBody* out) {
   WireErrorBody body;
   body.code = r.U8();
   body.message = r.String();
-  if (!r.ok()) {
+  // The code must name a failure: kOk and kNeedMore never travel.
+  if (!r.ok() || body.code < static_cast<uint8_t>(WireError::kBadMagic) ||
+      body.code > static_cast<uint8_t>(WireError::kUnauthorized)) {
     return false;
   }
   *out = std::move(body);

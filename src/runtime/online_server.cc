@@ -84,6 +84,7 @@ void OnlineServer::Postprocess(InFlightPtr item) {
   response.completed = std::chrono::steady_clock::now();
   response.deadline = item->request.deadline;
   completed_.fetch_add(1);
+  completed_.notify_all();  // Stop() waits on it.
   item->promise.set_value(std::move(response));
 }
 
@@ -93,6 +94,7 @@ void OnlineServer::Reject(InFlightPtr item) {
   // and fail the caller's future explicitly.
   StatusRetire(item->id);
   completed_.fetch_add(1);
+  completed_.notify_all();
   item->promise.set_exception(std::make_exception_ptr(
       std::runtime_error("OnlineServer: shutting down")));
 }
@@ -334,8 +336,9 @@ void OnlineServer::Stop() {
   }
   // No new submissions are accepted now. The denoise loop keeps running, so
   // wait for every accepted request to fully complete before tearing down.
-  while (completed_.load() < accepted_.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (uint64_t done = completed_.load(); done < accepted_.load();
+       done = completed_.load()) {
+    completed_.wait(done);
   }
   ready_.Close();
   if (denoise_thread_.joinable()) {

@@ -12,8 +12,8 @@
 #include "gtest/gtest.h"
 #include "src/cache/ring/cache_ring.h"
 #include "src/cache/ring/sharded_store.h"
-#include "src/net/cache_client.h"
 #include "src/net/cache_node.h"
+#include "src/net/client.h"
 #include "src/net/tcp_server.h"
 
 namespace flashps::net {
@@ -265,7 +265,7 @@ TEST_F(CacheRingStoreTest, ReadRepairBackfillsEarlierReplicaOnLaterHit) {
       model_->Register(kTemplate, false);
   {
     const int slot = SlotOf(ring, prefs[1]);
-    CacheClient publisher("127.0.0.1", servers_[slot]->port());
+    Client publisher("127.0.0.1", servers_[slot]->port());
     ASSERT_TRUE(publisher.PutRecord(kTemplate, published).transport_ok);
   }
 
@@ -301,7 +301,7 @@ TEST_F(CacheRingStoreTest, FailoverWalksPastDeadPrimaryToReplica) {
       model_->Register(kTemplate, false);
   {
     const int slot = SlotOf(ring, prefs[1]);
-    CacheClient publisher("127.0.0.1", servers_[slot]->port());
+    Client publisher("127.0.0.1", servers_[slot]->port());
     ASSERT_TRUE(publisher.PutRecord(kTemplate, published).transport_ok);
   }
   const int dead_slot = SlotOf(ring, prefs[0]);
@@ -456,7 +456,7 @@ TEST_F(CacheRingStoreTest, PrefetchPipelineComposesOverTheRing) {
   // Warm the primary so the prefetch hits remotely.
   {
     const int slot = SlotOf(ring, ring.PrimaryFor(kTemplate));
-    CacheClient publisher("127.0.0.1", servers_[slot]->port());
+    Client publisher("127.0.0.1", servers_[slot]->port());
     ASSERT_TRUE(publisher.PutRecord(kTemplate, model_->Register(kTemplate,
                                                                 false))
                     .transport_ok);

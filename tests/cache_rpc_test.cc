@@ -1,9 +1,9 @@
 // Cache-tier RPC units: the cache frame codec (v2: encoded matrices),
 // the CacheNode store semantics (encoded residency, admission policy),
-// the CacheClient whole-record transfer over a loopback TcpServer in
-// service mode, and the client ladder against one cache node — a
-// ShardedRemoteStore over a one-member ring (LRU front, single-flight,
-// miss-publish, fallback, circuit breaker, prefetch).
+// net::Client's whole-record transfers (FetchRecord / PutRecord) over a
+// loopback TcpServer in service mode, and the client ladder against one
+// cache node — a ShardedRemoteStore over a one-member ring (LRU front,
+// single-flight, miss-publish, fallback, circuit breaker, prefetch).
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -14,8 +14,8 @@
 
 #include "gtest/gtest.h"
 #include "src/cache/ring/sharded_store.h"
-#include "src/net/cache_client.h"
 #include "src/net/cache_node.h"
+#include "src/net/client.h"
 #include "src/net/tcp_server.h"
 #include "src/tensor/quant.h"
 
@@ -431,7 +431,7 @@ TEST_F(CacheRpcClientTest, PutRecordThenFetchRecordIsBitwiseIdentical) {
   model::DiffusionModel model(numerics);
   const model::ActivationRecord record = model.Register(5, /*record_kv=*/true);
 
-  CacheClient client("127.0.0.1", server_->port());
+  Client client("127.0.0.1", server_->port());
   PutRecordResult put = client.PutRecord(5, record);
   ASSERT_TRUE(put.transport_ok) << ToString(client.last_error());
   const uint64_t matrices =
@@ -451,7 +451,7 @@ TEST_F(CacheRpcClientTest, PutRecordThenFetchRecordIsBitwiseIdentical) {
 }
 
 TEST_F(CacheRpcClientTest, FetchOfAbsentRecordMissesEveryKey) {
-  CacheClient client("127.0.0.1", server_->port());
+  Client client("127.0.0.1", server_->port());
   FetchRecordResult fetched = client.FetchRecord(1, 2, 3, /*want_kv=*/false);
   ASSERT_TRUE(fetched.transport_ok);
   EXPECT_FALSE(fetched.complete);
@@ -466,7 +466,7 @@ TEST_F(CacheRpcClientTest, KvFetchOfYOnlyRecordIsIncomplete) {
   model::DiffusionModel model(numerics);
   const model::ActivationRecord record = model.Register(5, /*record_kv=*/false);
 
-  CacheClient client("127.0.0.1", server_->port());
+  Client client("127.0.0.1", server_->port());
   ASSERT_TRUE(client.PutRecord(5, record).transport_ok);
   FetchRecordResult fetched =
       client.FetchRecord(5, numerics.num_steps, numerics.num_blocks,
@@ -483,7 +483,7 @@ TEST_F(CacheRpcClientTest, MetricsQueryReconcilesWithClientCounts) {
   model::NumericsConfig numerics = model::NumericsConfig::ForTests();
   numerics.num_steps = 2;
   model::DiffusionModel model(numerics);
-  CacheClient client("127.0.0.1", server_->port());
+  Client client("127.0.0.1", server_->port());
   PutRecordResult put =
       client.PutRecord(9, model.Register(9, /*record_kv=*/false));
   ASSERT_TRUE(put.transport_ok);
@@ -505,7 +505,7 @@ TEST_F(CacheRpcClientTest, OversizedPutFailsClientSideBeforeSocket) {
   record.steps.resize(1);
   record.steps[0].y.push_back(Matrix(1200, 1024));
 
-  CacheClient client("127.0.0.1", server_->port());
+  Client client("127.0.0.1", server_->port());
   PutRecordResult put = client.PutRecord(1, record);
   EXPECT_FALSE(put.transport_ok);
   EXPECT_EQ(client.last_error(), WireError::kOversizedFrame);
@@ -528,7 +528,7 @@ TEST_F(CacheRpcClientTest, Fp16RecordRoundTripsWithinTolerance) {
   model::DiffusionModel model(numerics);
   const model::ActivationRecord record = model.Register(5, false);
 
-  CacheClient client("127.0.0.1", server_->port());
+  Client client("127.0.0.1", server_->port());
   PutRecordResult put =
       client.PutRecord(5, record, quant::PrecisionMode::kF16);
   ASSERT_TRUE(put.transport_ok) << ToString(client.last_error());
@@ -561,7 +561,7 @@ TEST_F(CacheRpcClientTest, StagedPutSplitsDtypesByStep) {
   model::NumericsConfig numerics = model::NumericsConfig::ForTests();
   numerics.num_steps = 4;
   model::DiffusionModel model(numerics);
-  CacheClient client("127.0.0.1", server_->port());
+  Client client("127.0.0.1", server_->port());
   ASSERT_TRUE(client
                   .PutRecord(6, model.Register(6, false),
                              quant::PrecisionMode::kStaged)
@@ -584,7 +584,7 @@ TEST_F(CacheRpcClientTest, CompressedPutRejectedByLosslessNode) {
   model::NumericsConfig numerics = model::NumericsConfig::ForTests();
   numerics.num_steps = 1;
   model::DiffusionModel model(numerics);
-  CacheClient client("127.0.0.1", strict_server.port());
+  Client client("127.0.0.1", strict_server.port());
   PutRecordResult put = client.PutRecord(3, model.Register(3, false),
                                          quant::PrecisionMode::kF16);
   EXPECT_FALSE(put.transport_ok);
@@ -600,10 +600,10 @@ TEST_F(CacheRpcClientTest, CompressedPutRejectedByLosslessNode) {
 
 TEST_F(CacheRpcClientTest, ConnectToDeadPortFailsAfterBoundedRetries) {
   server_->Stop();
-  CacheClientOptions options;
+  ClientOptions options;
   options.connect_attempts = 2;
   options.connect_backoff = std::chrono::milliseconds(1);
-  CacheClient client("127.0.0.1", server_->port(), options);
+  Client client("127.0.0.1", server_->port(), options);
   FetchRecordResult fetched = client.FetchRecord(1, 1, 1, false);
   EXPECT_FALSE(fetched.transport_ok);
   EXPECT_EQ(client.last_error(), WireError::kConnectionClosed);
@@ -790,7 +790,7 @@ bool WaitFor(Predicate done,
 
 TEST_F(CacheRpcRemoteStoreTest, PrefetchWarmsStagingAndAcquireCoalesces) {
   // Publish template 3 so the prefetch hits remotely.
-  CacheClient publisher("127.0.0.1", server_->port());
+  Client publisher("127.0.0.1", server_->port());
   ASSERT_TRUE(
       publisher.PutRecord(3, model_->Register(3, false)).transport_ok);
 
@@ -822,7 +822,7 @@ TEST_F(CacheRpcRemoteStoreTest, PrefetchWarmsStagingAndAcquireCoalesces) {
 }
 
 TEST_F(CacheRpcRemoteStoreTest, PrefetchRacingForegroundAcquireSingleFlights) {
-  CacheClient publisher("127.0.0.1", server_->port());
+  Client publisher("127.0.0.1", server_->port());
   const model::ActivationRecord published = model_->Register(7, false);
   ASSERT_TRUE(publisher.PutRecord(7, published).transport_ok);
   const uint64_t record_matrices =
@@ -925,7 +925,7 @@ TEST_F(CacheRpcRemoteStoreTest, RedundantPrefetchHintsAreDeduped) {
 }
 
 TEST_F(CacheRpcRemoteStoreTest, MetricsJsonCarriesPrefetchCounters) {
-  CacheClient publisher("127.0.0.1", server_->port());
+  Client publisher("127.0.0.1", server_->port());
   ASSERT_TRUE(
       publisher.PutRecord(5, model_->Register(5, false)).transport_ok);
   cache::ShardedStoreOptions options = StoreOptions();

@@ -1,0 +1,565 @@
+// net::Client against a daemon whose replies the test controls: a
+// service-mode TcpServer answers the client's real calls, so every byte
+// goes through the client's own socket, framing and reply bank.
+//
+//   ClientTest      a call that misses its deadline closes the
+//                   connection, so late replies never bank and the next
+//                   call starts clean.
+//   ClientFuzzTest  seeded mutations of every reply type the client
+//                   parses — submit result, metrics report, auth-ok,
+//                   error, cache hit with and without a payload, cache
+//                   miss — by bit flips, truncation, lying length fields,
+//                   type and seq swaps and spliced frames. Every call
+//                   must return by its deadline, fail with a typed error,
+//                   and never report a record or an ack it did not get.
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstring>
+#include <map>
+#include <mutex>
+#include <string>
+#include <vector>
+
+#include "gtest/gtest.h"
+#include "src/common/rng.h"
+#include "src/net/cache_node.h"
+#include "src/net/client.h"
+#include "src/net/tcp_server.h"
+
+namespace flashps::net {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+using std::chrono::milliseconds;
+
+// A record of `steps` x `blocks` small random matrices: Y, plus K and V
+// when `kv`.
+model::ActivationRecord TestRecord(int steps, int blocks, bool kv) {
+  Rng rng(0x5EC0ull + static_cast<uint64_t>(steps * 16 + blocks));
+  auto random = [&rng] {
+    Matrix m(6, 5);
+    m.FillNormal(rng, 1.0f);
+    return m;
+  };
+  model::ActivationRecord record;
+  record.steps.resize(static_cast<size_t>(steps));
+  for (model::StepActivations& acts : record.steps) {
+    for (int b = 0; b < blocks; ++b) {
+      acts.y.push_back(random());
+      if (kv) {
+        acts.k.push_back(random());
+        acts.v.push_back(random());
+      }
+    }
+  }
+  return record;
+}
+
+bool SameBits(const std::vector<Matrix>& a, const std::vector<Matrix>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].rows() != b[i].rows() || a[i].cols() != b[i].cols() ||
+        std::memcmp(a[i].data(), b[i].data(), a[i].bytes()) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool SameRecord(const model::ActivationRecord& a,
+                const model::ActivationRecord& b) {
+  if (a.steps.size() != b.steps.size()) {
+    return false;
+  }
+  for (size_t s = 0; s < a.steps.size(); ++s) {
+    if (!SameBits(a.steps[s].y, b.steps[s].y) ||
+        !SameBits(a.steps[s].k, b.steps[s].k) ||
+        !SameBits(a.steps[s].v, b.steps[s].v)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+WireResponse CannedResponse() {
+  WireResponse response;
+  response.worker_id = 1;
+  response.e2e_us = 1234;
+  response.latent_checksum = 0xC0FFEEull;
+  return response;
+}
+
+WireRequest CannedRequest() {
+  WireRequest wire;
+  wire.denoise_steps = 2;
+  wire.request.template_id = 3;
+  wire.request.prompt_seed = 7;
+  return wire;
+}
+
+// Holds the server's poll thread inside the service until opened, so the
+// replies it owes reach the client only after the client's deadline.
+class Gate {
+ public:
+  void Pass() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait_for(lock, std::chrono::seconds(10), [&] { return open_; });
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+TEST(ClientTest, TimedOutFetchClosesAndLeavesNothingBanked) {
+  CacheNode node;
+  const InlineService answer = node.Service();
+  Gate gate;
+  TcpServer server([&](const ParsedFrame& frame) {
+    if (frame.type() == FrameType::kCacheFetch) {
+      gate.Pass();
+    }
+    return answer(frame);
+  });
+  ASSERT_TRUE(server.Start());
+
+  // 2 steps x 4 blocks x {Y, K, V}: 24 fetches in one call.
+  const model::ActivationRecord record = TestRecord(2, 4, /*kv=*/true);
+  Client publisher("127.0.0.1", server.port());
+  ASSERT_TRUE(publisher.PutRecord(5, record).transport_ok)
+      << ToString(publisher.last_error());
+  ClientOptions options;
+  options.default_timeout = milliseconds(1000);  // Slack for sanitizers.
+  Client client("127.0.0.1", server.port(), options);
+
+  const FetchRecordResult late = client.FetchRecord(5, 2, 4, /*want_kv=*/true);
+  gate.Open();  // The node now answers all 24, after the deadline.
+  EXPECT_FALSE(late.transport_ok);
+  EXPECT_EQ(client.last_error(), WireError::kTimeout);
+  EXPECT_FALSE(client.connected());
+
+  // The next call reconnects; no late reply lands in its bank.
+  const FetchRecordResult fetched =
+      client.FetchRecord(5, 2, 4, /*want_kv=*/true);
+  ASSERT_TRUE(fetched.complete) << ToString(client.last_error());
+  EXPECT_TRUE(SameRecord(*fetched.record, record));
+  EXPECT_EQ(client.banked_responses(), 0u);
+  server.Stop();
+}
+
+TEST(ClientTest, TimedOutAwaitClosesTheConnection) {
+  Gate gate;
+  TcpServer server([&](const ParsedFrame& frame) {
+    gate.Pass();
+    return InlineReply{EncodeSubmitResult(frame.header.seq, CannedResponse())};
+  });
+  ASSERT_TRUE(server.Start());
+
+  Client client("127.0.0.1", server.port());
+  ASSERT_TRUE(client.Connect());
+  EXPECT_FALSE(client.Call(CannedRequest(), milliseconds(100)).has_value());
+  gate.Open();
+  EXPECT_EQ(client.last_error(), WireError::kTimeout);
+  EXPECT_FALSE(client.connected());
+
+  ASSERT_TRUE(client.Connect());
+  const auto reply = client.Call(CannedRequest(), milliseconds(10000));
+  ASSERT_TRUE(reply.has_value()) << ToString(client.last_error());
+  EXPECT_EQ(reply->latent_checksum, CannedResponse().latent_checksum);
+  EXPECT_EQ(client.banked_responses(), 0u);
+  server.Stop();
+}
+
+TEST(ClientTest, PutAckThatMisquotesTheChecksumFailsThePut) {
+  CacheNode node;
+  const InlineService answer = node.Service();
+  TcpServer server([&](const ParsedFrame& frame) {
+    InlineReply reply = answer(frame);
+    if (frame.type() == FrameType::kCachePut) {
+      // The ack's checksum follows the header and the 13-byte key.
+      reply.frame[kFrameHeaderBytes + 13] ^= 1;
+    }
+    return reply;
+  });
+  ASSERT_TRUE(server.Start());
+
+  Client client("127.0.0.1", server.port());
+  const PutRecordResult put = client.PutRecord(5, TestRecord(1, 2, false));
+  EXPECT_FALSE(put.transport_ok);
+  EXPECT_EQ(put.puts, 0u);
+  EXPECT_EQ(client.last_error(), WireError::kMalformedPayload);
+  EXPECT_FALSE(client.connected());
+  server.Stop();
+}
+
+// --- mutated replies --------------------------------------------------------
+
+// Every reply type the client parses; each case mutates one of them.
+enum class Reply {
+  kSubmitResult,
+  kMetricsReport,
+  kAuthOk,
+  kError,
+  kCacheHit,  // With a payload: a fetch of a resident record.
+  kPutAck,    // A cache hit without a payload.
+  kCacheMiss,
+  kCount
+};
+
+enum class Mutation {
+  kBitFlip,
+  kTruncate,
+  kLengthLie,
+  kTypeSwap,
+  kSeqSwap,
+  kSplice,
+  kCount
+};
+
+// The call that draws each reply type. An error can answer any call; an
+// auth-ok reaches the client as the reply to a metrics query, because
+// the server's own auth gate answers kAuth frames before any service.
+enum class Call { kSubmit, kMetrics, kFetch, kFetchKv, kPut };
+
+constexpr int kFuzzCases = 600;
+constexpr uint64_t kFuzzSeed = 0xF0CC5EEDull;
+constexpr milliseconds kFuzzTimeout{20};
+// Scheduling slack on top of a call's deadline: sanitizer builds on a
+// loaded host run slow.
+constexpr milliseconds kSlack{1500};
+constexpr int kSteps = 1;
+constexpr int kBlocks = 2;
+constexpr int kResident = 5;  // The template every case's node holds.
+
+// Frame header offsets (see wire.h).
+constexpr size_t kTypeAt = 6;
+constexpr size_t kSeqAt = 8;
+constexpr size_t kLenAt = 16;
+
+void SetLe(std::vector<uint8_t>& bytes, size_t at, uint64_t value,
+           size_t width) {
+  for (size_t i = 0; i < width && at + i < bytes.size(); ++i) {
+    bytes[at + i] = static_cast<uint8_t>(value >> (8 * i));
+  }
+}
+
+uint64_t GetLe(const std::vector<uint8_t>& bytes, size_t at, size_t width) {
+  uint64_t value = 0;
+  for (size_t i = 0; i < width && at + i < bytes.size(); ++i) {
+    value |= static_cast<uint64_t>(bytes[at + i]) << (8 * i);
+  }
+  return value;
+}
+
+// A well-formed reply of a random type under `seq`: what a splice mixes
+// in. Cache replies name keys of the resident record.
+std::vector<uint8_t> AnyReply(uint64_t seq,
+                              const model::ActivationRecord& record,
+                              Rng& rng) {
+  CacheKey key{kResident, 0, static_cast<int32_t>(rng.NextBelow(kBlocks)),
+               kCacheKindY};
+  switch (rng.NextBelow(6)) {
+    case 0:
+      return EncodeSubmitResult(seq, CannedResponse());
+    case 1:
+      return EncodeMetricsReport(seq, "{\"spliced\":1}");
+    case 2:
+      return EncodeAuthOk(seq);
+    case 3:
+      return EncodeError(seq, WireError::kMalformedPayload, "spliced");
+    case 4: {
+      const quant::EncodedMatrix data = quant::Encode(
+          record.steps[0].y[static_cast<size_t>(key.block)],
+          quant::Dtype::kF32);
+      return EncodeCacheHit(seq, key, EncodedChecksum(data), &data);
+    }
+    default:
+      return EncodeCacheMiss(seq, key);
+  }
+}
+
+std::vector<uint8_t> Mutate(std::vector<uint8_t> frame,
+                            const std::vector<uint8_t>& other,
+                            Mutation mutation, Rng& rng) {
+  switch (mutation) {
+    case Mutation::kBitFlip:
+      // One flip half the time, else two or three. Half the flips land in
+      // the payload, past the header checks that catch most header flips
+      // outright.
+      for (uint64_t n = rng.NextBelow(2) == 0 ? 1 : 2 + rng.NextBelow(2);
+           n > 0; --n) {
+        const size_t from =
+            rng.NextBelow(2) == 0 || frame.size() == kFrameHeaderBytes
+                ? 0
+                : kFrameHeaderBytes;
+        const uint64_t bit = from * 8 + rng.NextBelow((frame.size() - from) * 8);
+        frame[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      }
+      return frame;
+    case Mutation::kTruncate:
+      frame.resize(rng.NextBelow(frame.size()));
+      return frame;
+    case Mutation::kLengthLie: {
+      const uint64_t len = frame.size() - kFrameHeaderBytes;
+      const uint64_t lies[] = {0, len - 1, len + 1 + rng.NextBelow(64),
+                               kMaxPayloadBytes + 1ull, rng.NextU64()};
+      SetLe(frame, kLenAt, lies[rng.NextBelow(5)], 4);
+      return frame;
+    }
+    case Mutation::kTypeSwap: {
+      const uint64_t types[] = {2, 4, 5, 8, 9, 11, rng.NextBelow(16)};
+      SetLe(frame, kTypeAt, types[rng.NextBelow(7)], 2);
+      return frame;
+    }
+    case Mutation::kSeqSwap: {
+      // A neighbour's seq is another outstanding request of a pipelined
+      // call.
+      const uint64_t seq = GetLe(frame, kSeqAt, 8);
+      const uint64_t seqs[] = {seq - 1, seq + 1, 0, rng.NextU64()};
+      SetLe(frame, kSeqAt, seqs[rng.NextBelow(4)], 8);
+      return frame;
+    }
+    case Mutation::kSplice:
+    case Mutation::kCount:
+      break;
+  }
+  switch (rng.NextBelow(4)) {
+    case 0:  // An extra frame after the reply.
+      frame.insert(frame.end(), other.begin(), other.end());
+      return frame;
+    case 1: {  // An extra frame before it.
+      std::vector<uint8_t> out = other;
+      out.insert(out.end(), frame.begin(), frame.end());
+      return out;
+    }
+    case 2: {  // One frame's header on the other's payload.
+      std::vector<uint8_t> out(other.begin(),
+                               other.begin() + kFrameHeaderBytes);
+      out.insert(out.end(), frame.begin() + kFrameHeaderBytes, frame.end());
+      return out;
+    }
+    default: {  // The reply cut into the tail of the other.
+      frame.resize(rng.NextBelow(frame.size()));
+      frame.insert(frame.end(),
+                   other.begin() + static_cast<ptrdiff_t>(
+                                       rng.NextBelow(other.size())),
+                   other.end());
+      return frame;
+    }
+  }
+}
+
+// One case's server side: answers every frame well-formed except the
+// `target`-th reply, which it mutates (and may hang up after), logging
+// the puts it saw and every byte it sent.
+struct FuzzServer {
+  FuzzServer(const model::ActivationRecord& stored, Reply reply_type,
+             Mutation how, uint64_t seed)
+      : record(stored), reply(reply_type), mutation(how), rng(seed) {
+    // The node holds kResident's record, stored the way a client puts it.
+    uint64_t seq = 1;
+    for (int b = 0; b < kBlocks; ++b) {
+      const CacheKey key{kResident, 0, b, kCacheKindY};
+      node.Handle(ParseOne(EncodeCachePut(seq++, key, record.steps[0].y[b])));
+    }
+  }
+
+  static ParsedFrame ParseOne(const std::vector<uint8_t>& bytes) {
+    ParsedFrame frame;
+    size_t consumed = 0;
+    TryParseFrame(bytes.data(), bytes.size(), &frame, &consumed);
+    return frame;
+  }
+
+  InlineReply Answer(const ParsedFrame& frame) {
+    const uint64_t seq = frame.header.seq;
+    InlineReply out;
+    switch (frame.type()) {
+      case FrameType::kSubmit:
+        out.frame = EncodeSubmitResult(seq, CannedResponse());
+        break;
+      case FrameType::kMetricsQuery:
+        out.frame = reply == Reply::kAuthOk
+                        ? EncodeAuthOk(seq)
+                        : EncodeMetricsReport(seq, "{\"fuzz\":true}");
+        break;
+      default: {
+        CachePutBody put;
+        if (frame.type() == FrameType::kCachePut &&
+            DecodeCachePut(frame, &put, nullptr)) {
+          puts_seen[seq] = put;
+        }
+        out = node.Handle(frame);
+        break;
+      }
+    }
+    if (answered++ == target) {
+      if (reply == Reply::kError) {
+        out.frame = EncodeError(
+            seq, static_cast<WireError>(2 + rng.NextBelow(9)), "fuzz");
+      }
+      out.frame = Mutate(std::move(out.frame),
+                         AnyReply(seq + rng.NextBelow(3) - 1, record, rng),
+                         mutation, rng);
+      out.close_connection = hang_up;
+    }
+    sent.insert(sent.end(), out.frame.begin(), out.frame.end());
+    return out;
+  }
+
+  const model::ActivationRecord& record;
+  const Reply reply;
+  const Mutation mutation;
+  Rng rng;
+  CacheNode node;
+  uint64_t target = 0;
+  bool hang_up = false;
+  uint64_t answered = 0;
+  std::map<uint64_t, CachePutBody> puts_seen;
+  std::vector<uint8_t> sent;
+};
+
+// True when, framed exactly as the client frames `stream`, the first
+// reply under each put's seq is a payload-less hit echoing that put's
+// key and checksum.
+bool EveryPutAcked(const std::map<uint64_t, CachePutBody>& puts,
+                   const std::vector<uint8_t>& stream) {
+  std::map<uint64_t, ParsedFrame> first;
+  size_t offset = 0;
+  for (;;) {
+    ParsedFrame frame;
+    size_t consumed = 0;
+    if (TryParseFrame(stream.data() + offset, stream.size() - offset, &frame,
+                      &consumed) != WireError::kOk) {
+      break;
+    }
+    offset += consumed;
+    first.try_emplace(frame.header.seq, std::move(frame));
+  }
+  for (const auto& [seq, put] : puts) {
+    auto it = first.find(seq);
+    CacheHitBody ack;
+    if (it == first.end() || it->second.type() != FrameType::kCacheHit ||
+        !DecodeCacheHit(it->second, &ack, nullptr) || ack.has_payload() ||
+        !(ack.key == put.key) || ack.checksum != put.checksum) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(ClientFuzzTest, MutatedRepliesFailTypedByTheDeadline) {
+  const model::ActivationRecord stored = TestRecord(kSteps, kBlocks, false);
+  const auto started = Clock::now();
+  int cases = 0;
+  int failed_calls = 0;
+  for (int i = 0; i < kFuzzCases && !HasFailure(); ++i, ++cases) {
+    const uint64_t seed = kFuzzSeed + static_cast<uint64_t>(i);
+    SCOPED_TRACE(testing::Message() << "fuzz case seed " << seed);
+    Rng pick(seed);
+    const auto reply = static_cast<Reply>(
+        pick.NextBelow(static_cast<uint64_t>(Reply::kCount)));
+    const auto mutation = static_cast<Mutation>(
+        pick.NextBelow(static_cast<uint64_t>(Mutation::kCount)));
+    Call call = Call::kMetrics;
+    switch (reply) {
+      case Reply::kSubmitResult:
+        call = Call::kSubmit;
+        break;
+      case Reply::kCacheHit:
+        call = Call::kFetch;
+        break;
+      case Reply::kPutAck:
+        call = Call::kPut;
+        break;
+      case Reply::kCacheMiss:
+        call = Call::kFetchKv;  // Y hits, K and V miss.
+        break;
+      case Reply::kError:
+        call = static_cast<Call>(pick.NextBelow(5));
+        break;
+      default:
+        break;
+    }
+    const uint64_t frames = call == Call::kFetchKv ? 3 * kBlocks
+                            : call == Call::kFetch || call == Call::kPut
+                                ? kBlocks
+                                : 1;
+
+    FuzzServer fuzz(stored, reply, mutation, pick.NextU64());
+    fuzz.target = pick.NextBelow(frames);
+    fuzz.hang_up = pick.NextBelow(4) != 0;
+    TcpServer server(
+        [&fuzz](const ParsedFrame& frame) { return fuzz.Answer(frame); });
+    ASSERT_TRUE(server.Start());
+    ClientOptions options;
+    options.default_timeout = kFuzzTimeout;
+    Client client("127.0.0.1", server.port(), options);
+
+    bool ok = false;
+    const auto t0 = Clock::now();
+    switch (call) {
+      case Call::kSubmit:
+        ok = client.Connect() &&
+             client.Call(CannedRequest(), kFuzzTimeout).has_value();
+        break;
+      case Call::kMetrics:
+        ok = client.QueryMetrics(kFuzzTimeout).has_value();
+        break;
+      case Call::kFetch:
+      case Call::kFetchKv: {
+        const FetchRecordResult fetched = client.FetchRecord(
+            kResident, kSteps, kBlocks, call == Call::kFetchKv);
+        ok = fetched.transport_ok;
+        if (fetched.complete) {
+          EXPECT_TRUE(SameRecord(*fetched.record, stored))
+              << "a complete fetch differs from the stored record";
+        }
+        break;
+      }
+      case Call::kPut: {
+        const PutRecordResult put = client.PutRecord(kResident, stored);
+        ok = put.transport_ok;
+        if (ok) {
+          server.Stop();  // Every reply is sent and logged.
+          EXPECT_EQ(put.puts, static_cast<uint64_t>(kBlocks));
+          EXPECT_EQ(fuzz.puts_seen.size(), static_cast<size_t>(kBlocks));
+          EXPECT_TRUE(EveryPutAcked(fuzz.puts_seen, fuzz.sent))
+              << "transport_ok without an echoed checksum for every put";
+        }
+        break;
+      }
+    }
+    EXPECT_LE(std::chrono::duration_cast<milliseconds>(Clock::now() - t0)
+                  .count(),
+              (kFuzzTimeout + kSlack).count())
+        << "the call overran its deadline";
+    if (!ok) {
+      ++failed_calls;
+      EXPECT_NE(client.last_error(), WireError::kOk);
+      EXPECT_NE(client.last_error(), WireError::kNeedMore);
+      EXPECT_FALSE(client.connected()) << "a failed call left its socket open";
+    }
+    server.Stop();
+  }
+  // Most mutations must break the call they hit: a mutator that
+  // produces nothing the client rejects is not testing anything.
+  EXPECT_GT(failed_calls, cases / 2);
+  std::printf("%d fuzz cases (%d failed calls) in %.2f s\n", cases,
+              failed_calls,
+              std::chrono::duration<double>(Clock::now() - started).count());
+}
+
+}  // namespace
+}  // namespace flashps::net
