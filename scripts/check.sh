@@ -143,7 +143,7 @@ cmake --build build-tsan -j --target \
   kernel_equivalence_test sparse_compute_test runtime_test gateway_test \
   common_test \
   net_test net_integration_test client_test \
-  cache_rpc_test cache_rpc_integration_test \
+  cache_rpc_test cache_rpc_fuzz_test cache_rpc_integration_test \
   cache_ring_test cache_ring_integration_test \
   fed_test fed_integration_test \
   quant_test codec_quality_test \
@@ -159,7 +159,8 @@ cmake -B build-asan -S . -DFLASHPS_SANITIZE=address >/dev/null
 cmake --build build-asan -j --target \
   kernel_equivalence_test tensor_test sparse_compute_test \
   net_test net_integration_test client_test gateway_test cache_rpc_test \
-  cache_rpc_integration_test cache_ring_test cache_ring_integration_test \
+  cache_rpc_fuzz_test cache_rpc_integration_test cache_ring_test \
+  cache_ring_integration_test \
   fed_test fed_integration_test \
   quant_test codec_quality_test \
   >/dev/null

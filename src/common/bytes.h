@@ -3,9 +3,11 @@
 // Everything FlashPS puts on a wire or a disk goes through these two
 // cursors: multi-byte integers are assembled byte-by-byte, so the encoded
 // form is identical on every host and nothing is ever reinterpret_cast off
-// a buffer. The reader is fail-soft — the first short or out-of-range read
-// flips ok() to false and every later read returns zero, so decoders can
-// run straight-line and check once at the end.
+// a buffer. Byte runs whose order the caller already fixed (an encoded
+// matrix payload) move in bulk, one bounds check and one memcpy. The
+// reader is fail-soft — the first short or out-of-range read flips ok()
+// to false and every later read returns zero (or copies nothing), so
+// decoders can run straight-line and check once at the end.
 #ifndef FLASHPS_SRC_COMMON_BYTES_H_
 #define FLASHPS_SRC_COMMON_BYTES_H_
 
@@ -97,6 +99,13 @@ class ByteReader {
     std::string s(reinterpret_cast<const char*>(data_ + off_), n);
     off_ += n;
     return s;
+  }
+  // Copies the next `n` bytes to `out` verbatim. A short read copies
+  // nothing and latches ok() false.
+  void Bytes(void* out, size_t n) {
+    if (!Need(n)) return;
+    if (n > 0) std::memcpy(out, data_ + off_, n);
+    off_ += n;
   }
 
   bool ok() const { return ok_; }

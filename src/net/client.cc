@@ -12,7 +12,9 @@ namespace flashps::net {
 
 namespace {
 
-constexpr size_t kReadChunk = 4096;
+// One recv takes up to this much: a fetched record arrives as ~30 KB
+// frames, so a read takes whole frames, not slivers of one.
+constexpr size_t kReadChunk = 64 * 1024;
 
 bool IsReplyType(FrameType type) {
   switch (type) {
@@ -351,11 +353,13 @@ PutRecordResult Client::PutRecord(int template_id,
     if (CachePutPayloadBytes(encoded) > kMaxPayloadBytes) {
       return Fail(WireError::kOversizedFrame);
     }
+    // One hash serves the frame and the ack check.
+    const uint64_t checksum = EncodedChecksum(encoded);
     const uint64_t seq = next_seq_++;
-    if (!SendFrame(EncodeCachePut(seq, key, encoded))) {
+    if (!SendFrame(EncodeCachePut(seq, key, encoded, checksum))) {
       return false;
     }
-    outstanding.emplace(seq, CacheOp{key, EncodedChecksum(encoded)});
+    outstanding.emplace(seq, CacheOp{key, checksum});
     result.bytes += m.bytes();
     result.wire_bytes += encoded.StoredBytes();
     return true;

@@ -56,6 +56,23 @@ UniqueFd OpenListener(uint16_t port, int backlog, uint16_t* bound_port) {
   return fd;
 }
 
+namespace {
+
+bool SetNoDelay(int fd) {
+  const int one = 1;
+  return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) == 0;
+}
+
+}  // namespace
+
+UniqueFd AcceptTcp(int listener_fd) {
+  UniqueFd fd(::accept(listener_fd, nullptr, nullptr));
+  if (!fd.valid() || !SetNonBlocking(fd.get()) || !SetNoDelay(fd.get())) {
+    return UniqueFd();
+  }
+  return fd;
+}
+
 UniqueFd ConnectTcp(const std::string& host, uint16_t port) {
   addrinfo hints{};
   hints.ai_family = AF_INET;
@@ -73,9 +90,7 @@ UniqueFd ConnectTcp(const std::string& host, uint16_t port) {
       continue;
     }
     if (::connect(candidate.get(), ai->ai_addr, ai->ai_addrlen) == 0) {
-      const int one = 1;
-      ::setsockopt(candidate.get(), IPPROTO_TCP, TCP_NODELAY, &one,
-                   sizeof(one));
+      SetNoDelay(candidate.get());
       fd = std::move(candidate);
       break;
     }

@@ -57,6 +57,12 @@ UniqueFd ConnectTcpWithRetry(const std::string& host, uint16_t port,
 
 bool SetNonBlocking(int fd);
 
+// Accepts one pending connection off a non-blocking listener and readies
+// it for a poll() loop: non-blocking, with TCP_NODELAY so small replies
+// (acks, metrics) leave at once instead of waiting on the peer's delayed
+// ACK. Invalid when nothing is pending or the setup failed.
+UniqueFd AcceptTcp(int listener_fd);
+
 // A pipe whose read end a poll() loop watches; writing one byte wakes it.
 struct WakePipe {
   UniqueFd read_end;

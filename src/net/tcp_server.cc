@@ -2,9 +2,9 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 
 namespace flashps::net {
@@ -12,9 +12,13 @@ namespace flashps::net {
 namespace {
 
 constexpr int kPollTimeoutMs = 50;
-constexpr size_t kReadChunk = 4096;
+// One recv takes up to this much, so a ~30 KB cache put lands in one read.
+constexpr size_t kReadChunk = 64 * 1024;
 constexpr size_t kMaxReadPerEvent = 256 * 1024;
 constexpr size_t kMaxWritePerEvent = 256 * 1024;
+// Queued frames handed to one sendmsg: a burst of small acks leaves in one
+// call and, with TCP_NODELAY, in as few segments as their bytes need.
+constexpr size_t kMaxFramesPerSend = 64;
 // Sentinel ids in the pollfd index for the two non-connection fds.
 constexpr uint64_t kWakeId = 0;
 constexpr uint64_t kListenerId = ~0ull;
@@ -77,34 +81,32 @@ void TcpServer::CountWireError(WireError error) {
   }
 }
 
-void TcpServer::QueueBytes(Conn& conn, const std::vector<uint8_t>& bytes) {
+void TcpServer::QueueFrame(Conn& conn, std::vector<uint8_t> frame) {
+  if (frame.empty()) {
+    return;  // Would hand sendmsg nothing to send.
+  }
   std::lock_guard<std::mutex> lock(conn.out_mu);
-  conn.outbuf.insert(conn.outbuf.end(), bytes.begin(), bytes.end());
+  conn.outbuf.push_back(std::move(frame));
 }
 
-bool TcpServer::DeliverToConn(uint64_t conn_id,
-                              const std::vector<uint8_t>& bytes) {
+bool TcpServer::DeliverToConn(uint64_t conn_id, std::vector<uint8_t> frame) {
   std::lock_guard<std::mutex> lock(conns_mu_);
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) {
     return false;
   }
-  QueueBytes(*it->second, bytes);
+  QueueFrame(*it->second, std::move(frame));
   return true;
 }
 
 void TcpServer::AcceptNewConnections() {
   for (;;) {
-    const int fd = ::accept(listener_.get(), nullptr, nullptr);
-    if (fd < 0) {
+    UniqueFd fd = AcceptTcp(listener_.get());
+    if (!fd.valid()) {
       return;  // EAGAIN or a transient error; poll() will retry.
     }
-    if (!SetNonBlocking(fd)) {
-      ::close(fd);
-      continue;
-    }
     auto conn = std::make_unique<Conn>();
-    conn->fd.Reset(fd);
+    conn->fd = std::move(fd);
     {
       std::lock_guard<std::mutex> lock(conns_mu_);
       conn->id = next_conn_id_++;
@@ -164,7 +166,7 @@ void TcpServer::ParseFrames(Conn& conn) {
     }
     if (err != WireError::kOk) {
       CountWireError(err);
-      QueueBytes(conn, EncodeError(0, err, ToString(err)));
+      QueueFrame(conn, EncodeError(0, err, ToString(err)));
       conn.close_after_flush = true;
       // Whatever follows the bad bytes is unframeable; drop it.
       conn.inbuf.clear();
@@ -197,13 +199,13 @@ bool TcpServer::HandleAuthGate(Conn& conn, const ParsedFrame& frame) {
     std::string error;
     if (!DecodeAuth(frame, &body, &error)) {
       CountWireError(WireError::kMalformedPayload);
-      QueueBytes(conn, EncodeError(frame.header.seq,
+      QueueFrame(conn, EncodeError(frame.header.seq,
                                    WireError::kMalformedPayload, error));
       conn.close_after_flush = true;
       return true;
     }
     if (!options_.auth_token.empty() && body.token != options_.auth_token) {
-      QueueBytes(conn, EncodeError(frame.header.seq, WireError::kUnauthorized,
+      QueueFrame(conn, EncodeError(frame.header.seq, WireError::kUnauthorized,
                                    "auth token rejected"));
       conn.close_after_flush = true;
       std::lock_guard<std::mutex> lock(stats_mu_);
@@ -212,14 +214,14 @@ bool TcpServer::HandleAuthGate(Conn& conn, const ParsedFrame& frame) {
     }
     // Tokenless daemons still acknowledge so clients can handshake blindly.
     conn.authed = true;
-    QueueBytes(conn, EncodeAuthOk(frame.header.seq));
+    QueueFrame(conn, EncodeAuthOk(frame.header.seq));
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.auth_ok;
     ++stats_.responses_sent;
     return true;
   }
   if (!options_.auth_token.empty() && !conn.authed) {
-    QueueBytes(conn, EncodeError(frame.header.seq, WireError::kUnauthorized,
+    QueueFrame(conn, EncodeError(frame.header.seq, WireError::kUnauthorized,
                                  "this daemon requires a kAuth handshake"));
     conn.close_after_flush = true;
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -245,7 +247,7 @@ void TcpServer::DispatchFrame(Conn& conn, const ParsedFrame& frame) {
       CountWireError(WireError::kMalformedPayload);
       conn.close_after_flush = true;
     }
-    QueueBytes(conn, reply.frame);
+    QueueFrame(conn, std::move(reply.frame));
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.service_replies;
     ++stats_.responses_sent;
@@ -256,7 +258,7 @@ void TcpServer::DispatchFrame(Conn& conn, const ParsedFrame& frame) {
       HandleSubmit(conn, frame);
       return;
     case FrameType::kMetricsQuery: {
-      QueueBytes(conn, EncodeMetricsReport(frame.header.seq,
+      QueueFrame(conn, EncodeMetricsReport(frame.header.seq,
                                            frontend_->MetricsJson()));
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.responses_sent;
@@ -267,7 +269,7 @@ void TcpServer::DispatchFrame(Conn& conn, const ParsedFrame& frame) {
       // Structurally valid cache-tier frames sent to a serving daemon
       // that has no cache service behind it.
       CountWireError(WireError::kBadType);
-      QueueBytes(conn,
+      QueueFrame(conn,
                  EncodeError(frame.header.seq, WireError::kBadType,
                              "cache frame sent to a daemon with no cache "
                              "service"));
@@ -277,7 +279,7 @@ void TcpServer::DispatchFrame(Conn& conn, const ParsedFrame& frame) {
     default: {
       // Structurally valid but not a client-to-server type.
       CountWireError(WireError::kBadType);
-      QueueBytes(conn, EncodeError(frame.header.seq, WireError::kBadType,
+      QueueFrame(conn, EncodeError(frame.header.seq, WireError::kBadType,
                                    "frame type not valid for this direction"));
       conn.close_after_flush = true;
       return;
@@ -290,7 +292,7 @@ void TcpServer::HandleSubmit(Conn& conn, const ParsedFrame& frame) {
   std::string error;
   if (!DecodeSubmit(frame, &request, &error)) {
     CountWireError(WireError::kMalformedPayload);
-    QueueBytes(conn, EncodeError(frame.header.seq,
+    QueueFrame(conn, EncodeError(frame.header.seq,
                                  WireError::kMalformedPayload, error));
     conn.close_after_flush = true;
     return;
@@ -329,7 +331,7 @@ void TcpServer::HandleSubmit(Conn& conn, const ParsedFrame& frame) {
     rejection.estimated_wall_us = sub.estimated_wall_us;
   }
   total_inflight_.fetch_sub(1);
-  QueueBytes(conn, EncodeSubmitResult(frame.header.seq, rejection));
+  QueueFrame(conn, EncodeSubmitResult(frame.header.seq, rejection));
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++stats_.submits_rejected;
   ++stats_.responses_sent;
@@ -338,22 +340,40 @@ void TcpServer::HandleSubmit(Conn& conn, const ParsedFrame& frame) {
 void TcpServer::HandleWritable(Conn& conn) {
   size_t written = 0;
   while (written < kMaxWritePerEvent) {
-    std::vector<uint8_t> chunk;
+    iovec iov[kMaxFramesPerSend];
+    size_t frames = 0;
     {
       std::lock_guard<std::mutex> lock(conn.out_mu);
-      if (conn.outbuf.empty()) {
-        return;
+      for (auto it = conn.outbuf.begin();
+           it != conn.outbuf.end() && frames < kMaxFramesPerSend; ++it) {
+        const size_t skip = frames == 0 ? conn.out_sent : 0;
+        iov[frames].iov_base = it->data() + skip;
+        iov[frames].iov_len = it->size() - skip;
+        ++frames;
       }
-      const size_t n = std::min(conn.outbuf.size(), kReadChunk * 8);
-      chunk.assign(conn.outbuf.begin(),
-                   conn.outbuf.begin() + static_cast<ptrdiff_t>(n));
     }
-    const ssize_t n =
-        ::send(conn.fd.get(), chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    if (frames == 0) {
+      return;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = frames;
+    const ssize_t n = ::sendmsg(conn.fd.get(), &msg, MSG_NOSIGNAL);
     if (n > 0) {
+      // Retire what went out; a frame is freed the moment its last byte
+      // is sent.
       std::lock_guard<std::mutex> lock(conn.out_mu);
-      conn.outbuf.erase(conn.outbuf.begin(),
-                        conn.outbuf.begin() + static_cast<ptrdiff_t>(n));
+      size_t left = static_cast<size_t>(n);
+      while (left > 0) {
+        const size_t rest = conn.outbuf.front().size() - conn.out_sent;
+        if (left < rest) {
+          conn.out_sent += left;
+          break;
+        }
+        left -= rest;
+        conn.outbuf.pop_front();
+        conn.out_sent = 0;
+      }
       written += static_cast<size_t>(n);
       continue;
     }
@@ -368,6 +388,7 @@ void TcpServer::HandleWritable(Conn& conn) {
     conn.close_after_flush = true;
     std::lock_guard<std::mutex> lock(conn.out_mu);
     conn.outbuf.clear();
+    conn.out_sent = 0;
     return;
   }
 }
@@ -473,6 +494,7 @@ void TcpServer::PollLoop() {
         conn->close_after_flush = true;
         std::lock_guard<std::mutex> lock(conn->out_mu);
         conn->outbuf.clear();
+        conn->out_sent = 0;
         continue;
       }
       if (revents & (POLLIN | POLLHUP)) {

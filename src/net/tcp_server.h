@@ -145,10 +145,14 @@ class TcpServer {
     uint64_t id = 0;
     UniqueFd fd;
     std::vector<uint8_t> inbuf;
-    // Reply bytes; appended by both threads under out_mu, drained by the
-    // poll thread.
+    // Encoded reply frames, each whole; queued by both threads under
+    // out_mu, sent and freed by the poll thread. `out_sent` counts the
+    // bytes of the front frame already on the wire. Only the poll thread
+    // removes frames, so the front frame's bytes stay put while it sends
+    // them without the lock (a deque's push_back moves no element).
     std::mutex out_mu;
-    std::deque<uint8_t> outbuf;
+    std::deque<std::vector<uint8_t>> outbuf;
+    size_t out_sent = 0;
     std::atomic<int> inflight{0};
     // Poll-thread-only state.
     bool read_closed = false;
@@ -176,10 +180,10 @@ class TcpServer {
   // frame was consumed (handled or rejected) here.
   bool HandleAuthGate(Conn& conn, const ParsedFrame& frame);
   void HandleSubmit(Conn& conn, const ParsedFrame& frame);
-  // Appends bytes to a connection's write buffer (any thread).
-  void QueueBytes(Conn& conn, const std::vector<uint8_t>& bytes);
+  // Queues one encoded frame on a connection's write buffer (any thread).
+  void QueueFrame(Conn& conn, std::vector<uint8_t> frame);
   // Completer-side delivery by connection id; false if the peer is gone.
-  bool DeliverToConn(uint64_t conn_id, const std::vector<uint8_t>& bytes);
+  bool DeliverToConn(uint64_t conn_id, std::vector<uint8_t> frame);
   void CountWireError(WireError error);
   bool ShouldClose(const Conn& conn) const;
   // Wakes Stop()'s drain wait; a no-op until Stop() begins draining.

@@ -1,5 +1,6 @@
 #include "src/net/wire.h"
 
+#include <bit>
 #include <cstring>
 
 namespace flashps::net {
@@ -59,8 +60,9 @@ bool ValidCacheKey(const CacheKey& key, std::string* error) {
 // Encoded matrices travel as rows, cols, the dtype tag, a scale count,
 // each scale's IEEE-754 bit pattern as a little-endian u32, then the
 // element payload bytes (already little-endian by construction in
-// quant::Encode) — the same byte-by-byte discipline as every other wire
-// integer.
+// quant::Encode). The payload moves in bulk both ways, and the reader
+// takes the scale bits in one copy on a little-endian host, where a float
+// already sits in wire order.
 void AppendEncodedMatrixLe(ByteWriter& w, const quant::EncodedMatrix& m) {
   w.U32(static_cast<uint32_t>(m.rows));
   w.U32(static_cast<uint32_t>(m.cols));
@@ -109,9 +111,13 @@ bool ReadEncodedMatrixBody(ByteReader& r, uint32_t rows, uint32_t cols,
     return false;
   }
   m.scales.resize(scale_count);
-  for (uint32_t i = 0; i < scale_count; ++i) {
-    const uint32_t bits = r.U32();
-    std::memcpy(&m.scales[i], &bits, sizeof(bits));
+  if constexpr (std::endian::native == std::endian::little) {
+    r.Bytes(m.scales.data(), m.scales.size() * sizeof(float));
+  } else {
+    for (float& scale : m.scales) {
+      const uint32_t bits = r.U32();
+      std::memcpy(&scale, &bits, sizeof(bits));
+    }
   }
   const uint64_t payload_bytes = static_cast<uint64_t>(rows) * cols *
                                  quant::DtypeBytes(m.dtype);
@@ -120,9 +126,7 @@ bool ReadEncodedMatrixBody(ByteReader& r, uint32_t rows, uint32_t cols,
     return false;
   }
   m.payload.resize(payload_bytes);
-  for (uint64_t i = 0; i < payload_bytes; ++i) {
-    m.payload[i] = r.U8();
-  }
+  r.Bytes(m.payload.data(), m.payload.size());
   if (!r.ok()) {
     if (error != nullptr) *error = "matrix payload truncated";
     return false;
@@ -336,18 +340,20 @@ std::vector<uint8_t> EncodeCacheFetch(uint64_t seq, const CacheKey& key) {
 }
 
 std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
-                                    const quant::EncodedMatrix& data) {
+                                    const quant::EncodedMatrix& data,
+                                    uint64_t checksum) {
   std::vector<uint8_t> payload;
   ByteWriter w(payload);
   AppendCacheKey(w, key);
-  w.U64(EncodedChecksum(data));
+  w.U64(checksum);
   AppendEncodedMatrixLe(w, data);
   return EncodeFrame(FrameType::kCachePut, seq, payload);
 }
 
 std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
                                     const Matrix& data) {
-  return EncodeCachePut(seq, key, quant::Encode(data, quant::Dtype::kF32));
+  const quant::EncodedMatrix encoded = quant::Encode(data, quant::Dtype::kF32);
+  return EncodeCachePut(seq, key, encoded, EncodedChecksum(encoded));
 }
 
 std::vector<uint8_t> EncodeCacheHit(uint64_t seq, const CacheKey& key,

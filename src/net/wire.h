@@ -286,10 +286,13 @@ std::vector<uint8_t> EncodeMetricsReport(uint64_t seq,
 std::vector<uint8_t> EncodeError(uint64_t seq, WireError code,
                                  const std::string& message);
 std::vector<uint8_t> EncodeCacheFetch(uint64_t seq, const CacheKey& key);
-// Computes the checksum itself (EncodedChecksum of `data`).
+// `checksum` must be EncodedChecksum(data): the caller hashes once and
+// keeps the value to check the ack against.
 std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
-                                    const quant::EncodedMatrix& data);
-// Lossless convenience: encodes `data` as f32 (bitwise round-trip) first.
+                                    const quant::EncodedMatrix& data,
+                                    uint64_t checksum);
+// Lossless convenience: encodes `data` as f32 (bitwise round-trip) first
+// and computes the checksum itself.
 std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
                                     const Matrix& data);
 // `data` may be null: a payload-less put acknowledgement.

@@ -1,6 +1,7 @@
 #include "src/tensor/quant.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -131,12 +132,17 @@ EncodedMatrix Encode(const Matrix& m, Dtype dtype) {
   switch (dtype) {
     case Dtype::kF32: {
       e.payload.resize(n * 4);
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t bits = F32Bits(data[i]);
-        e.payload[i * 4 + 0] = static_cast<uint8_t>(bits);
-        e.payload[i * 4 + 1] = static_cast<uint8_t>(bits >> 8);
-        e.payload[i * 4 + 2] = static_cast<uint8_t>(bits >> 16);
-        e.payload[i * 4 + 3] = static_cast<uint8_t>(bits >> 24);
+      if constexpr (std::endian::native == std::endian::little) {
+        // The host already holds each float in wire order.
+        if (n > 0) std::memcpy(e.payload.data(), data, n * 4);
+      } else {
+        for (size_t i = 0; i < n; ++i) {
+          const uint32_t bits = F32Bits(data[i]);
+          e.payload[i * 4 + 0] = static_cast<uint8_t>(bits);
+          e.payload[i * 4 + 1] = static_cast<uint8_t>(bits >> 8);
+          e.payload[i * 4 + 2] = static_cast<uint8_t>(bits >> 16);
+          e.payload[i * 4 + 3] = static_cast<uint8_t>(bits >> 24);
+        }
       }
       break;
     }
@@ -205,12 +211,16 @@ bool Decode(const EncodedMatrix& e, Matrix* out, std::string* error) {
   float* data = m.data();
   switch (e.dtype) {
     case Dtype::kF32: {
-      for (size_t i = 0; i < n; ++i) {
-        uint32_t bits = 0;
-        for (int b = 0; b < 4; ++b) {
-          bits |= static_cast<uint32_t>(e.payload[i * 4 + b]) << (8 * b);
+      if constexpr (std::endian::native == std::endian::little) {
+        if (n > 0) std::memcpy(data, e.payload.data(), n * 4);
+      } else {
+        for (size_t i = 0; i < n; ++i) {
+          uint32_t bits = 0;
+          for (int b = 0; b < 4; ++b) {
+            bits |= static_cast<uint32_t>(e.payload[i * 4 + b]) << (8 * b);
+          }
+          data[i] = BitsToF32(bits);
         }
-        data[i] = BitsToF32(bits);
       }
       break;
     }

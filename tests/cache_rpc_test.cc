@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -56,6 +57,12 @@ ParsedFrame Parse(const std::vector<uint8_t>& bytes) {
             WireError::kOk);
   EXPECT_EQ(consumed, bytes.size());
   return frame;
+}
+
+// The put frame of an encoded matrix, checksummed once as a client does.
+std::vector<uint8_t> PutFrame(uint64_t seq, const CacheKey& key,
+                              const quant::EncodedMatrix& data) {
+  return EncodeCachePut(seq, key, data, EncodedChecksum(data));
 }
 
 bool MatricesEqual(const Matrix& a, const Matrix& b) {
@@ -122,7 +129,7 @@ TEST(CacheRpcWireTest, CompressedPutRoundTripsItsEncoding) {
   const Matrix m = TestMatrix(6, 5, 1);
   for (const quant::Dtype dtype : {quant::Dtype::kF16, quant::Dtype::kI8}) {
     const quant::EncodedMatrix encoded = quant::Encode(m, dtype);
-    const ParsedFrame frame = Parse(EncodeCachePut(7, TestKey(), encoded));
+    const ParsedFrame frame = Parse(PutFrame(7, TestKey(), encoded));
     CachePutBody body;
     std::string error;
     ASSERT_TRUE(DecodeCachePut(frame, &body, &error)) << error;
@@ -253,14 +260,96 @@ TEST(CacheRpcWireTest, DtypeLengthComboMismatchRejected) {
   // byte count inconsistent with the claimed dtype.
   const quant::EncodedMatrix encoded =
       quant::Encode(TestMatrix(3, 4, 11), quant::Dtype::kI8);
-  std::vector<uint8_t> payload =
-      PutPayload(EncodeCachePut(1, TestKey(), encoded));
+  std::vector<uint8_t> payload = PutPayload(PutFrame(1, TestKey(), encoded));
   payload[kPutDtypeOffset] = static_cast<uint8_t>(quant::Dtype::kF16);
   const ParsedFrame frame =
       Parse(EncodeFrame(FrameType::kCachePut, 1, payload));
   CachePutBody body;
   std::string error;
   EXPECT_FALSE(DecodeCachePut(frame, &body, &error));
+}
+
+// --- golden bytes ---------------------------------------------------------
+//
+// The cache frames of one fixed matrix, byte for byte as the byte-wise
+// encoder and decoder wrote them before any payload moved in bulk. A bulk
+// path that writes host order, or copies the wrong number of bytes, fails
+// here; a round trip alone would not notice.
+
+float FloatFromBits(uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+uint32_t BitsOf(float f) {
+  uint32_t bits;
+  std::memcpy(&bits, &f, sizeof(bits));
+  return bits;
+}
+
+// Row 0 has a finite maximum, so its int8 scale is an ordinary number;
+// row 1's is infinite.
+Matrix GoldenMatrix() {
+  Matrix m(2, 4);
+  const uint32_t bits[] = {0x80000000u, 0x00000001u, 0x3f800000u,
+                           0xc0200000u, 0x7f800000u, 0xff800000u,
+                           0x7fc0beefu, 0x3f400000u};
+  for (size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = FloatFromBits(bits[i]);
+  }
+  return m;
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+TEST(CacheRpcWireTest, GoldenFramesKeepTheirBytes) {
+  const Matrix m = GoldenMatrix();
+  const CacheKey key = TestKey(9, 1, 2, kCacheKindV);
+  const std::vector<uint8_t> put =
+      EncodeCachePut(0x0102030405060708ull, key, m);
+  EXPECT_EQ(Hex(put),
+            "46505331" "0300" "0700" "0807060504030201" "42000000"  // Header.
+            "09000000" "01000000" "02000000" "02"                  // Key.
+            "b0a5e7fa08dcc4f3"                                     // FNV-1a.
+            "02000000" "04000000" "00" "00000000"  // Shape, f32, no scales.
+            "00000080" "01000000" "0000803f" "000020c0"
+            "0000807f" "000080ff" "efbec07f" "0000403f");
+  const quant::EncodedMatrix i8 = quant::Encode(m, quant::Dtype::kI8);
+  const std::vector<uint8_t> hit = EncodeCacheHit(
+      0x1112131415161718ull, key, EncodedChecksum(i8), &i8);
+  EXPECT_EQ(Hex(hit),
+            "46505331" "0300" "0800" "1817161514131211" "32000000"  // Header.
+            "09000000" "01000000" "02000000" "02"                  // Key.
+            "98dc6ef2d00825af"                                     // FNV-1a.
+            "02000000" "04000000" "02" "02000000"  // Shape, i8, two scales.
+            "8542a13c" "0000807f"                  // Scale bits.
+            "00003381" "00000000");
+
+  // Both decode back to the bits they were built from.
+  CachePutBody put_body;
+  std::string error;
+  ASSERT_TRUE(DecodeCachePut(Parse(put), &put_body, &error)) << error;
+  Matrix back;
+  ASSERT_TRUE(quant::Decode(put_body.data, &back, &error)) << error;
+  for (size_t i = 0; i < m.size(); ++i) {
+    EXPECT_EQ(BitsOf(back.data()[i]), BitsOf(m.data()[i])) << i;
+  }
+  CacheHitBody hit_body;
+  ASSERT_TRUE(DecodeCacheHit(Parse(hit), &hit_body, &error)) << error;
+  EXPECT_EQ(hit_body.data.payload, i8.payload);
+  ASSERT_EQ(hit_body.data.scales.size(), i8.scales.size());
+  for (size_t r = 0; r < i8.scales.size(); ++r) {
+    EXPECT_EQ(BitsOf(hit_body.data.scales[r]), BitsOf(i8.scales[r])) << r;
+  }
 }
 
 // --- node -----------------------------------------------------------------
@@ -348,8 +437,8 @@ TEST(CacheRpcNodeTest, CompressedPutsRestAndServeEncoded) {
   const Matrix m = TestMatrix(8, 6, 12);
   const quant::EncodedMatrix f16 = quant::Encode(m, quant::Dtype::kF16);
   const quant::EncodedMatrix i8 = quant::Encode(m, quant::Dtype::kI8);
-  node.Handle(Parse(EncodeCachePut(1, TestKey(1, 0, 0), f16)));
-  node.Handle(Parse(EncodeCachePut(2, TestKey(2, 0, 0), i8)));
+  node.Handle(Parse(PutFrame(1, TestKey(1, 0, 0), f16)));
+  node.Handle(Parse(PutFrame(2, TestKey(2, 0, 0), i8)));
   const CacheNodeStats stats = node.Stats();
   EXPECT_EQ(stats.entries_f16, 1u);
   EXPECT_EQ(stats.entries_i8, 1u);
@@ -369,7 +458,7 @@ TEST(CacheRpcNodeTest, LosslessAdmitRejectsCompressedPuts) {
   CacheNode node(options);
   const Matrix m = TestMatrix(4, 4, 13);
   InlineReply reply = node.Handle(Parse(
-      EncodeCachePut(1, TestKey(), quant::Encode(m, quant::Dtype::kF16))));
+      PutFrame(1, TestKey(), quant::Encode(m, quant::Dtype::kF16))));
   EXPECT_TRUE(reply.close_connection);
   WireErrorBody error_body;
   ASSERT_TRUE(DecodeError(Parse(reply.frame), &error_body));
@@ -390,9 +479,8 @@ TEST(CacheRpcNodeTest, ByteCapCountsCompressedBytes) {
   CacheNode node(options);
   // Four f16 entries fit where only two f32 entries would.
   for (int t = 0; t < 4; ++t) {
-    node.Handle(Parse(EncodeCachePut(static_cast<uint64_t>(t + 1),
-                                     TestKey(t, 0, 0),
-                                     quant::Encode(m, quant::Dtype::kF16))));
+    node.Handle(Parse(PutFrame(static_cast<uint64_t>(t + 1), TestKey(t, 0, 0),
+                               quant::Encode(m, quant::Dtype::kF16))));
   }
   EXPECT_EQ(node.Stats().entries, 4u);
   EXPECT_EQ(node.Stats().evictions, 0u);

@@ -15,7 +15,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <string>
@@ -26,9 +25,14 @@
 #include "src/net/cache_node.h"
 #include "src/net/client.h"
 #include "src/net/tcp_server.h"
+#include "tests/wire_fuzz.h"
 
 namespace flashps::net {
 namespace {
+
+using fuzz::Mutate;
+using fuzz::Mutation;
+using fuzz::SameRecord;
 
 using Clock = std::chrono::steady_clock;
 using std::chrono::milliseconds;
@@ -54,34 +58,6 @@ model::ActivationRecord TestRecord(int steps, int blocks, bool kv) {
     }
   }
   return record;
-}
-
-bool SameBits(const std::vector<Matrix>& a, const std::vector<Matrix>& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].rows() != b[i].rows() || a[i].cols() != b[i].cols() ||
-        std::memcmp(a[i].data(), b[i].data(), a[i].bytes()) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool SameRecord(const model::ActivationRecord& a,
-                const model::ActivationRecord& b) {
-  if (a.steps.size() != b.steps.size()) {
-    return false;
-  }
-  for (size_t s = 0; s < a.steps.size(); ++s) {
-    if (!SameBits(a.steps[s].y, b.steps[s].y) ||
-        !SameBits(a.steps[s].k, b.steps[s].k) ||
-        !SameBits(a.steps[s].v, b.steps[s].v)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 WireResponse CannedResponse() {
@@ -217,16 +193,6 @@ enum class Reply {
   kCount
 };
 
-enum class Mutation {
-  kBitFlip,
-  kTruncate,
-  kLengthLie,
-  kTypeSwap,
-  kSeqSwap,
-  kSplice,
-  kCount
-};
-
 // The call that draws each reply type. An error can answer any call; an
 // auth-ok reaches the client as the reply to a metrics query, because
 // the server's own auth gate answers kAuth frames before any service.
@@ -241,26 +207,6 @@ constexpr milliseconds kSlack{1500};
 constexpr int kSteps = 1;
 constexpr int kBlocks = 2;
 constexpr int kResident = 5;  // The template every case's node holds.
-
-// Frame header offsets (see wire.h).
-constexpr size_t kTypeAt = 6;
-constexpr size_t kSeqAt = 8;
-constexpr size_t kLenAt = 16;
-
-void SetLe(std::vector<uint8_t>& bytes, size_t at, uint64_t value,
-           size_t width) {
-  for (size_t i = 0; i < width && at + i < bytes.size(); ++i) {
-    bytes[at + i] = static_cast<uint8_t>(value >> (8 * i));
-  }
-}
-
-uint64_t GetLe(const std::vector<uint8_t>& bytes, size_t at, size_t width) {
-  uint64_t value = 0;
-  for (size_t i = 0; i < width && at + i < bytes.size(); ++i) {
-    value |= static_cast<uint64_t>(bytes[at + i]) << (8 * i);
-  }
-  return value;
-}
 
 // A well-formed reply of a random type under `seq`: what a splice mixes
 // in. Cache replies name keys of the resident record.
@@ -286,77 +232,6 @@ std::vector<uint8_t> AnyReply(uint64_t seq,
     }
     default:
       return EncodeCacheMiss(seq, key);
-  }
-}
-
-std::vector<uint8_t> Mutate(std::vector<uint8_t> frame,
-                            const std::vector<uint8_t>& other,
-                            Mutation mutation, Rng& rng) {
-  switch (mutation) {
-    case Mutation::kBitFlip:
-      // One flip half the time, else two or three. Half the flips land in
-      // the payload, past the header checks that catch most header flips
-      // outright.
-      for (uint64_t n = rng.NextBelow(2) == 0 ? 1 : 2 + rng.NextBelow(2);
-           n > 0; --n) {
-        const size_t from =
-            rng.NextBelow(2) == 0 || frame.size() == kFrameHeaderBytes
-                ? 0
-                : kFrameHeaderBytes;
-        const uint64_t bit = from * 8 + rng.NextBelow((frame.size() - from) * 8);
-        frame[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-      }
-      return frame;
-    case Mutation::kTruncate:
-      frame.resize(rng.NextBelow(frame.size()));
-      return frame;
-    case Mutation::kLengthLie: {
-      const uint64_t len = frame.size() - kFrameHeaderBytes;
-      const uint64_t lies[] = {0, len - 1, len + 1 + rng.NextBelow(64),
-                               kMaxPayloadBytes + 1ull, rng.NextU64()};
-      SetLe(frame, kLenAt, lies[rng.NextBelow(5)], 4);
-      return frame;
-    }
-    case Mutation::kTypeSwap: {
-      const uint64_t types[] = {2, 4, 5, 8, 9, 11, rng.NextBelow(16)};
-      SetLe(frame, kTypeAt, types[rng.NextBelow(7)], 2);
-      return frame;
-    }
-    case Mutation::kSeqSwap: {
-      // A neighbour's seq is another outstanding request of a pipelined
-      // call.
-      const uint64_t seq = GetLe(frame, kSeqAt, 8);
-      const uint64_t seqs[] = {seq - 1, seq + 1, 0, rng.NextU64()};
-      SetLe(frame, kSeqAt, seqs[rng.NextBelow(4)], 8);
-      return frame;
-    }
-    case Mutation::kSplice:
-    case Mutation::kCount:
-      break;
-  }
-  switch (rng.NextBelow(4)) {
-    case 0:  // An extra frame after the reply.
-      frame.insert(frame.end(), other.begin(), other.end());
-      return frame;
-    case 1: {  // An extra frame before it.
-      std::vector<uint8_t> out = other;
-      out.insert(out.end(), frame.begin(), frame.end());
-      return out;
-    }
-    case 2: {  // One frame's header on the other's payload.
-      std::vector<uint8_t> out(other.begin(),
-                               other.begin() + kFrameHeaderBytes);
-      out.insert(out.end(), frame.begin() + kFrameHeaderBytes, frame.end());
-      return out;
-    }
-    default: {  // The reply cut into the tail of the other.
-      frame.resize(rng.NextBelow(frame.size()));
-      frame.insert(frame.end(),
-                   other.begin() + static_cast<ptrdiff_t>(
-                                       rng.NextBelow(other.size())),
-                   other.end());
-      return frame;
-    }
   }
 }
 

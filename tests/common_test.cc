@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
+#include "src/common/bytes.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/time.h"
@@ -9,6 +11,28 @@
 
 namespace flashps {
 namespace {
+
+TEST(ByteReaderTest, BulkReadCopiesExactlyOrNothing) {
+  const uint8_t bytes[] = {1, 2, 3, 4, 5};
+  ByteReader reader(bytes, sizeof(bytes));
+  uint8_t out[4] = {9, 9, 9, 9};
+  reader.Bytes(out, 2);
+  EXPECT_TRUE(reader.ok());
+  EXPECT_EQ(reader.offset(), 2u);
+  // Three bytes remain: a four-byte read latches the failure and leaves
+  // `out` and the cursor untouched.
+  reader.Bytes(out, 4);
+  EXPECT_FALSE(reader.ok());
+  EXPECT_EQ(reader.offset(), 2u);
+  EXPECT_EQ(out[0], 1);
+  EXPECT_EQ(out[1], 2);
+  EXPECT_EQ(out[2], 9);
+  EXPECT_EQ(out[3], 9);
+  // Once failed, even a read that would fit copies nothing.
+  reader.Bytes(out + 2, 1);
+  EXPECT_EQ(out[2], 9);
+  EXPECT_EQ(reader.U8(), 0);
+}
 
 TEST(DurationTest, ArithmeticAndConversions) {
   const Duration d = Duration::Millis(1500);

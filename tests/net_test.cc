@@ -6,6 +6,9 @@
 // Stop()-with-in-flight at a live TcpServer and asserts it answers with
 // the right distinct error, never hangs, never crashes, and never leaks
 // file descriptors.
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 
@@ -267,6 +270,95 @@ TEST(WireTest, LatentChecksumTracksShapeAndBits) {
   EXPECT_NE(LatentChecksum(a), LatentChecksum(b));
   Matrix c(2, 8);  // Same values, different shape.
   EXPECT_NE(LatentChecksum(a), LatentChecksum(c));
+}
+
+// --- socket I/O -----------------------------------------------------------
+
+TEST(TcpServerSocketTest, AcceptedSocketsAreNonBlockingWithNoDelay) {
+  uint16_t port = 0;
+  const UniqueFd listener = OpenListener(0, 4, &port);
+  ASSERT_TRUE(listener.valid());
+  // Nothing pending: no connection, and no blocking wait for one.
+  EXPECT_FALSE(AcceptTcp(listener.get()).valid());
+
+  const UniqueFd client = ConnectTcp("127.0.0.1", port);
+  ASSERT_TRUE(client.valid());
+  pollfd pfd{listener.get(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
+  const UniqueFd accepted = AcceptTcp(listener.get());
+  ASSERT_TRUE(accepted.valid());
+  // Without TCP_NODELAY a reply smaller than a segment waits for the
+  // peer's delayed ACK.
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(accepted.get(), IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         &len),
+            0);
+  EXPECT_NE(nodelay, 0);
+  EXPECT_NE(::fcntl(accepted.get(), F_GETFL, 0) & O_NONBLOCK, 0);
+}
+
+// The reply to metrics query `seq`: 1 MiB and change for odd seqs, a few
+// bytes for even ones, every byte a function of its seq and offset.
+std::string PatternReply(uint64_t seq) {
+  std::string body(seq % 2 == 1 ? (1u << 20) + seq : 17 + seq, '\0');
+  for (size_t i = 0; i < body.size(); ++i) {
+    body[i] = static_cast<char>(i * 131 + seq * 7);
+  }
+  return body;
+}
+
+TEST(TcpServerSocketTest, PipelinedLargeRepliesArriveWholeAndInOrder) {
+  TcpServer server([](const ParsedFrame& frame) {
+    return InlineReply{
+        EncodeMetricsReport(frame.header.seq, PatternReply(frame.header.seq))};
+  });
+  ASSERT_TRUE(server.Start());
+  const UniqueFd fd = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(fd.valid());
+  // ~6 MiB of replies to one burst of queries: more than the socket
+  // buffers hold, so the server's writer must resume frames mid-way.
+  constexpr uint64_t kQueries = 12;
+  std::vector<uint8_t> burst;
+  for (uint64_t seq = 1; seq <= kQueries; ++seq) {
+    const std::vector<uint8_t> query = EncodeMetricsQuery(seq);
+    burst.insert(burst.end(), query.begin(), query.end());
+  }
+  ASSERT_TRUE(SendAll(fd.get(), burst.data(), burst.size()));
+
+  std::vector<uint8_t> buf;
+  size_t offset = 0;
+  uint64_t next = 1;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (next <= kQueries && std::chrono::steady_clock::now() < deadline) {
+    ParsedFrame frame;
+    size_t consumed = 0;
+    const WireError err = TryParseFrame(buf.data() + offset,
+                                        buf.size() - offset, &frame, &consumed);
+    if (err == WireError::kOk) {
+      offset += consumed;
+      ASSERT_EQ(frame.type(), FrameType::kMetricsReport);
+      ASSERT_EQ(frame.header.seq, next);
+      ASSERT_TRUE(std::string(frame.payload.begin(), frame.payload.end()) ==
+                  PatternReply(next))
+          << "reply " << next << " arrived corrupted";
+      ++next;
+      continue;
+    }
+    ASSERT_EQ(err, WireError::kNeedMore);
+    pollfd pfd{fd.get(), POLLIN, 0};
+    if (::poll(&pfd, 1, 1000) <= 0) {
+      continue;
+    }
+    uint8_t chunk[4096];
+    const ssize_t n = ::recv(fd.get(), chunk, sizeof(chunk), 0);
+    ASSERT_GT(n, 0) << "the server closed mid-reply";
+    buf.insert(buf.end(), chunk, chunk + n);
+  }
+  EXPECT_EQ(next, kQueries + 1) << "replies missing by the deadline";
+  EXPECT_EQ(offset, buf.size()) << "bytes after the last reply";
+  server.Stop();
 }
 
 // --- live server robustness ----------------------------------------------

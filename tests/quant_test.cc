@@ -23,12 +23,6 @@ Matrix TestMatrix(int rows, int cols, uint64_t seed, float scale = 1.0f) {
   return m;
 }
 
-float BitsToFloat(uint32_t bits) {
-  float f;
-  std::memcpy(&f, &bits, sizeof(f));
-  return f;
-}
-
 uint32_t FloatToBits(float f) {
   uint32_t bits;
   std::memcpy(&bits, &f, sizeof(bits));
@@ -109,6 +103,14 @@ TEST(QuantCodecTest, F32RoundTripIsBitwise) {
   for (size_t i = 0; i < m.size(); ++i) {
     EXPECT_EQ(FloatToBits(back.data()[i]), FloatToBits(m.data()[i])) << i;
   }
+}
+
+TEST(QuantCodecTest, F32EncodesLittleEndianBytes) {
+  // The wire order, whatever the host's: 1.0f is 0x3f800000.
+  Matrix m(1, 1);
+  m.data()[0] = 1.0f;
+  const EncodedMatrix encoded = Encode(m, Dtype::kF32);
+  EXPECT_EQ(encoded.payload, (std::vector<uint8_t>{0x00, 0x00, 0x80, 0x3f}));
 }
 
 TEST(QuantCodecTest, F16RoundTripHalvesBytes) {
