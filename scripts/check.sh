@@ -142,7 +142,7 @@ cmake -B build-tsan -S . -DFLASHPS_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target \
   kernel_equivalence_test sparse_compute_test runtime_test gateway_test \
   common_test \
-  net_test net_integration_test client_test \
+  net_test net_integration_test client_test tcp_server_fuzz_test \
   cache_rpc_test cache_rpc_fuzz_test cache_rpc_integration_test \
   cache_ring_test cache_ring_integration_test \
   fed_test fed_integration_test \
@@ -158,7 +158,8 @@ echo "== asan+ubsan: build kernel + net + client + gateway + cache-rpc + cache-r
 cmake -B build-asan -S . -DFLASHPS_SANITIZE=address >/dev/null
 cmake --build build-asan -j --target \
   kernel_equivalence_test tensor_test sparse_compute_test \
-  net_test net_integration_test client_test gateway_test cache_rpc_test \
+  net_test net_integration_test client_test tcp_server_fuzz_test \
+  gateway_test cache_rpc_test \
   cache_rpc_fuzz_test cache_rpc_integration_test cache_ring_test \
   cache_ring_integration_test \
   fed_test fed_integration_test \

@@ -97,6 +97,18 @@ InlineReply CacheNode::Handle(const ParsedFrame& frame) {
         return reply;
       }
       const size_t incoming = body.data.StoredBytes();
+      if (options_.max_bytes != 0 && incoming > options_.max_bytes) {
+        // Evicting every resident entry still would not make room.
+        ++stats_.bad_frames;
+        ++stats_.oversized_puts;
+        reply.frame = EncodeError(
+            seq, WireError::kMalformedPayload,
+            "put of " + std::to_string(incoming) +
+                " bytes exceeds the node's byte cap (--max-bytes=" +
+                std::to_string(options_.max_bytes) + ")");
+        reply.close_connection = true;
+        return reply;
+      }
       auto it = entries_.find(body.key);
       if (it != entries_.end()) {
         ++stats_.put_overwrites;
@@ -174,6 +186,7 @@ std::string CacheNode::MetricsJson() const {
      << ",\"put_overwrites\":" << s.put_overwrites
      << ",\"bad_frames\":" << s.bad_frames
      << ",\"precision_rejects\":" << s.precision_rejects
+     << ",\"oversized_puts\":" << s.oversized_puts
      << ",\"admit\":\"" << quant::ToString(options_.admit) << "\""
      << ",\"bytes_served\":" << s.bytes_served
      << ",\"bytes_stored\":" << s.bytes_stored

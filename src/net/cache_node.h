@@ -7,7 +7,8 @@
 //   kCacheFetch  -> kCacheHit (matrix + checksum) or kCacheMiss
 //   kCachePut    -> checksum-verified store, acked by a payload-less
 //                   kCacheHit; a put whose bytes fail their declared
-//                   FNV-1a checksum is rejected as kMalformedPayload
+//                   XXH64 checksum, or that alone exceeds the byte cap,
+//                   is rejected as kMalformedPayload
 //   kMetricsQuery-> kMetricsReport carrying MetricsJson()
 //   anything else-> kError(kBadType): a cache node serves no submits
 //
@@ -18,6 +19,10 @@
 // Capacity: `max_bytes` (0 = unbounded) bounds resident payload bytes with
 // LRU eviction — fetch hits and put upserts both refresh recency, so a hot
 // fleet's working set stays resident while one-shot templates age out.
+//
+// Each entry keeps the checksum its put declared and the decoder verified;
+// a fetch hit serves it with the bytes, so the node hashes a matrix once,
+// when it arrives.
 #ifndef FLASHPS_SRC_NET_CACHE_NODE_H_
 #define FLASHPS_SRC_NET_CACHE_NODE_H_
 
@@ -36,9 +41,10 @@ namespace flashps::net {
 
 struct CacheNodeOptions {
   // Resident payload-byte cap; 0 = unbounded. Exceeding it evicts the
-  // least-recently-used entries until the new entry fits. Entries rest in
-  // their *encoded* (wire) form, so the cap counts compressed bytes — a
-  // staged-precision fleet fits ~2-4x more templates per node.
+  // least-recently-used entries until the new entry fits; a put larger
+  // than the whole cap is refused before anything is evicted. Entries
+  // rest in their *encoded* (wire) form, so the cap counts compressed
+  // bytes — a staged-precision fleet fits ~2-4x more templates per node.
   size_t max_bytes = 0;
   // Laxest encoding this node admits: kLossless accepts only f32 puts,
   // kF16 adds f16, kStaged (the default) accepts everything. An operator
@@ -58,6 +64,7 @@ struct CacheNodeStats {
   uint64_t put_overwrites = 0;
   uint64_t bad_frames = 0;    // Malformed payloads + wrong-direction types.
   uint64_t precision_rejects = 0;  // Puts refused by the admit policy.
+  uint64_t oversized_puts = 0;     // Puts larger than max_bytes, refused.
   uint64_t bytes_served = 0;  // Encoded payload bytes shipped in fetch hits.
   uint64_t bytes_stored = 0;  // Encoded payload bytes admitted by puts.
   uint64_t evictions = 0;

@@ -353,10 +353,10 @@ PutRecordResult Client::PutRecord(int template_id,
     if (CachePutPayloadBytes(encoded) > kMaxPayloadBytes) {
       return Fail(WireError::kOversizedFrame);
     }
-    // One hash serves the frame and the ack check.
-    const uint64_t checksum = EncodedChecksum(encoded);
+    // The encoder's one hash serves the frame and the ack check.
+    uint64_t checksum = 0;
     const uint64_t seq = next_seq_++;
-    if (!SendFrame(EncodeCachePut(seq, key, encoded, checksum))) {
+    if (!SendFrame(EncodeCachePut(seq, key, encoded, &checksum))) {
       return false;
     }
     outstanding.emplace(seq, CacheOp{key, checksum});

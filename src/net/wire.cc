@@ -62,7 +62,8 @@ bool ValidCacheKey(const CacheKey& key, std::string* error) {
 // element payload bytes (already little-endian by construction in
 // quant::Encode). The payload moves in bulk both ways, and the reader
 // takes the scale bits in one copy on a little-endian host, where a float
-// already sits in wire order.
+// already sits in wire order. These bytes, from rows through the last
+// element byte, are what a cache checksum covers.
 void AppendEncodedMatrixLe(ByteWriter& w, const quant::EncodedMatrix& m) {
   w.U32(static_cast<uint32_t>(m.rows));
   w.U32(static_cast<uint32_t>(m.cols));
@@ -133,6 +134,58 @@ bool ReadEncodedMatrixBody(ByteReader& r, uint32_t rows, uint32_t cols,
   }
   *out = std::move(m);
   return true;
+}
+
+uint64_t ReadLe64(const uint8_t* p) {
+  uint64_t v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(v));
+  } else {
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<uint64_t>(p[i]) << (8 * i);
+    }
+  }
+  return v;
+}
+
+uint32_t ReadLe32(const uint8_t* p) {
+  uint32_t v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(v));
+  } else {
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<uint32_t>(p[i]) << (8 * i);
+    }
+  }
+  return v;
+}
+
+// The XXH64 primes and lane round of the reference implementation.
+constexpr uint64_t kXxhPrime1 = 0x9e3779b185ebca87ull;
+constexpr uint64_t kXxhPrime2 = 0xc2b2ae3d27d4eb4full;
+constexpr uint64_t kXxhPrime3 = 0x165667b19e3779f9ull;
+constexpr uint64_t kXxhPrime4 = 0x85ebca77c2b2ae63ull;
+constexpr uint64_t kXxhPrime5 = 0x27d4eb2f165667c5ull;
+
+uint64_t XxhRound(uint64_t acc, uint64_t input) {
+  return std::rotl(acc + input * kXxhPrime2, 31) * kXxhPrime1;
+}
+
+uint64_t XxhMerge(uint64_t hash, uint64_t lane) {
+  return (hash ^ XxhRound(0, lane)) * kXxhPrime1 + kXxhPrime4;
+}
+
+// Checks `declared` against Xxh64 of the payload's tail from `body_at`: the
+// matrix body of a put or hit, hashed where it landed.
+bool BodyChecksumMatches(const ParsedFrame& frame, size_t body_at,
+                         uint64_t declared, const char* what,
+                         std::string* error) {
+  if (Xxh64(frame.payload.data() + body_at, frame.payload.size() - body_at) ==
+      declared) {
+    return true;
+  }
+  if (error != nullptr) *error = std::string(what) + " checksum mismatch";
+  return false;
 }
 
 bool ReadEncodedMatrixLe(ByteReader& r, quant::EncodedMatrix* out,
@@ -255,6 +308,11 @@ WireError TryParseFrame(const uint8_t* data, size_t size, ParsedFrame* out,
   if (!ValidFrameType(header.type)) {
     return WireError::kBadType;
   }
+  const auto type = static_cast<FrameType>(header.type);
+  if (header.version < kCacheChecksumWireVersion &&
+      (type == FrameType::kCachePut || type == FrameType::kCacheHit)) {
+    return WireError::kBadVersion;
+  }
   if (header.payload_len > kMaxPayloadBytes) {
     return WireError::kOversizedFrame;
   }
@@ -341,19 +399,30 @@ std::vector<uint8_t> EncodeCacheFetch(uint64_t seq, const CacheKey& key) {
 
 std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
                                     const quant::EncodedMatrix& data,
-                                    uint64_t checksum) {
+                                    uint64_t* checksum) {
   std::vector<uint8_t> payload;
+  payload.reserve(CachePutPayloadBytes(data));
   ByteWriter w(payload);
   AppendCacheKey(w, key);
-  w.U64(checksum);
+  const size_t checksum_at = w.size();
+  w.U64(0);  // Filled in once the body it covers is written.
+  const size_t body_at = w.size();
   AppendEncodedMatrixLe(w, data);
+  const uint64_t sum =
+      Xxh64(payload.data() + body_at, payload.size() - body_at);
+  for (int i = 0; i < 8; ++i) {
+    payload[checksum_at + static_cast<size_t>(i)] =
+        static_cast<uint8_t>(sum >> (8 * i));
+  }
+  if (checksum != nullptr) {
+    *checksum = sum;
+  }
   return EncodeFrame(FrameType::kCachePut, seq, payload);
 }
 
 std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
                                     const Matrix& data) {
-  const quant::EncodedMatrix encoded = quant::Encode(data, quant::Dtype::kF32);
-  return EncodeCachePut(seq, key, encoded, EncodedChecksum(encoded));
+  return EncodeCachePut(seq, key, quant::Encode(data, quant::Dtype::kF32));
 }
 
 std::vector<uint8_t> EncodeCacheHit(uint64_t seq, const CacheKey& key,
@@ -416,6 +485,7 @@ bool DecodeCachePut(const ParsedFrame& frame, CachePutBody* out,
   if (!ValidCacheKey(body.key, error)) {
     return false;
   }
+  const size_t body_at = r.offset();
   if (!ReadEncodedMatrixLe(r, &body.data, error)) {
     return false;
   }
@@ -423,8 +493,8 @@ bool DecodeCachePut(const ParsedFrame& frame, CachePutBody* out,
     if (error != nullptr) *error = "trailing bytes after cache put payload";
     return false;
   }
-  if (EncodedChecksum(body.data) != body.checksum) {
-    if (error != nullptr) *error = "cache put checksum mismatch";
+  if (!BodyChecksumMatches(frame, body_at, body.checksum, "cache put",
+                           error)) {
     return false;
   }
   *out = std::move(body);
@@ -437,6 +507,7 @@ bool DecodeCacheHit(const ParsedFrame& frame, CacheHitBody* out,
   CacheHitBody body;
   body.key = ReadCacheKey(r);
   body.checksum = r.U64();
+  const size_t body_at = r.offset();
   const uint32_t rows = r.U32();
   const uint32_t cols = r.U32();
   if (!r.ok()) {
@@ -462,8 +533,8 @@ bool DecodeCacheHit(const ParsedFrame& frame, CacheHitBody* out,
     if (error != nullptr) *error = "trailing bytes after cache hit payload";
     return false;
   }
-  if (EncodedChecksum(body.data) != body.checksum) {
-    if (error != nullptr) *error = "cache hit checksum mismatch";
+  if (!BodyChecksumMatches(frame, body_at, body.checksum, "cache hit",
+                           error)) {
     return false;
   }
   *out = std::move(body);
@@ -534,29 +605,51 @@ uint64_t LatentChecksum(const Matrix& m) {
   return hash;
 }
 
-uint64_t EncodedChecksum(const quant::EncodedMatrix& e) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  auto mix_byte = [&hash](uint8_t b) {
-    hash ^= b;
-    hash *= 0x100000001b3ull;
-  };
-  auto mix = [&mix_byte](uint32_t v) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      mix_byte(static_cast<uint8_t>(v >> shift));
+uint64_t Xxh64(const void* data, size_t size) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  const uint8_t* const end = p + size;
+  uint64_t hash = kXxhPrime5;
+  if (size >= 32) {
+    // Four independent lanes, one 8-byte word each per 32-byte stripe.
+    uint64_t v1 = kXxhPrime1 + kXxhPrime2;
+    uint64_t v2 = kXxhPrime2;
+    uint64_t v3 = 0;
+    uint64_t v4 = 0 - kXxhPrime1;
+    for (; end - p >= 32; p += 32) {
+      v1 = XxhRound(v1, ReadLe64(p));
+      v2 = XxhRound(v2, ReadLe64(p + 8));
+      v3 = XxhRound(v3, ReadLe64(p + 16));
+      v4 = XxhRound(v4, ReadLe64(p + 24));
     }
-  };
-  mix(static_cast<uint32_t>(e.rows));
-  mix(static_cast<uint32_t>(e.cols));
-  mix_byte(static_cast<uint8_t>(e.dtype));
-  for (const float scale : e.scales) {
-    uint32_t bits;
-    std::memcpy(&bits, &scale, sizeof(bits));
-    mix(bits);
+    hash = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+           std::rotl(v4, 18);
+    hash = XxhMerge(XxhMerge(XxhMerge(XxhMerge(hash, v1), v2), v3), v4);
   }
-  for (const uint8_t b : e.payload) {
-    mix_byte(b);
+  hash += size;
+  for (; end - p >= 8; p += 8) {
+    hash = std::rotl(hash ^ XxhRound(0, ReadLe64(p)), 27) * kXxhPrime1 +
+           kXxhPrime4;
   }
-  return hash;
+  if (end - p >= 4) {
+    hash = std::rotl(hash ^ ReadLe32(p) * kXxhPrime1, 23) * kXxhPrime2 +
+           kXxhPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    hash = std::rotl(hash ^ *p * kXxhPrime5, 11) * kXxhPrime1;
+  }
+  hash ^= hash >> 33;
+  hash *= kXxhPrime2;
+  hash ^= hash >> 29;
+  hash *= kXxhPrime3;
+  return hash ^ (hash >> 32);
+}
+
+uint64_t EncodedChecksum(const quant::EncodedMatrix& e) {
+  std::vector<uint8_t> body;
+  ByteWriter w(body);
+  AppendEncodedMatrixLe(w, e);
+  return Xxh64(body.data(), body.size());
 }
 
 }  // namespace flashps::net

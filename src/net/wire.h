@@ -42,13 +42,22 @@ inline constexpr uint32_t kWireMagic = 0x31535046u;  // "FPS1" on the wire.
 // scale metadata, src/tensor/quant.h) instead of raw fp32.
 // v3: submit payloads append the request's resolution (res_h/res_w i32,
 // validated equal to the mask grid) for hybrid-resolution serving.
-inline constexpr uint16_t kWireVersion = 3;
+// v4: cache puts and hits carry XXH64 (seed 0) of the encoded-matrix body
+// as it travels, in place of a byte-wise FNV-1a; every layout is
+// unchanged.
+inline constexpr uint16_t kWireVersion = 4;
 // Oldest frame version this release still decodes: v2 submits carry no
-// resolution fields and decode with resolution = mask grid. Frames older
-// than this (or newer than kWireVersion) are kBadVersion.
+// resolution fields and decode with resolution = mask grid; v3 and v4
+// submits share one layout. Frames older than this (or newer than
+// kWireVersion) are kBadVersion.
 inline constexpr uint16_t kMinWireVersion = 2;
 // First version whose submit payload carries the resolution fields.
 inline constexpr uint16_t kResolutionWireVersion = 3;
+// First version whose cache puts and hits carry the XXH64 checksum. A put
+// or hit below it is kBadVersion: its checksum means something else, and
+// a v3 peer rejects every v4 reply anyway, so no older cache exchange can
+// complete.
+inline constexpr uint16_t kCacheChecksumWireVersion = 4;
 inline constexpr size_t kFrameHeaderBytes = 20;
 // Hard cap on one frame's payload: bounds decoder allocations and makes
 // oversized/garbage length fields detectable before any buffering happens.
@@ -79,7 +88,7 @@ enum class FrameType : uint16_t {
   // kCacheHit (payload attached) or kCacheMiss.
   kCacheFetch = 6,
   // client -> cache node: CachePutBody — stores one activation matrix under
-  // its content address, FNV-1a checksum verified server-side before the
+  // its content address, XXH64 checksum verified server-side before the
   // entry is admitted. Acknowledged by a payload-less kCacheHit echoing the
   // key and the stored checksum.
   kCachePut = 7,
@@ -116,8 +125,9 @@ enum class WireError : uint8_t {
   // protocol (or the stream desynchronized). Checked the moment four bytes
   // exist, before waiting for a full header.
   kBadMagic = 2,
-  // Header version field outside [kMinWireVersion, kWireVersion]: an
-  // incompatible peer release.
+  // Header version field outside [kMinWireVersion, kWireVersion], or a
+  // cache put or hit below kCacheChecksumWireVersion: an incompatible peer
+  // release.
   kBadVersion = 3,
   // Header type field names no FrameType, or a structurally valid type
   // arrived in the wrong direction (e.g. a kSubmitResult sent *to* a
@@ -243,12 +253,14 @@ struct CacheFetchBody {
   CacheKey key;
 };
 
-// Payload of kCachePut: the key, the *encoded* matrix (dtype tag + scale
-// metadata + element bytes, src/tensor/quant.h), and the sender's FNV-1a
-// checksum of that encoded form (EncodedChecksum). The node recomputes and
-// rejects a mismatch as kMalformedPayload, so a bit flipped in flight can
-// never become a resident cache entry — and it never has to decode to
-// verify, so lossy entries rest exactly as they traveled.
+// Payload of kCachePut: the key, the sender's checksum, and the *encoded*
+// matrix (dtype tag + scale metadata + element bytes, src/tensor/quant.h).
+// The checksum is XXH64 of the matrix body exactly as it travels, rows
+// through the last element byte (EncodedChecksum). The node hashes that
+// span of the received frame and rejects a mismatch as kMalformedPayload,
+// so a bit flipped in flight can never become a resident cache entry —
+// and it never has to decode to verify, so lossy entries rest exactly as
+// they traveled.
 struct CachePutBody {
   CacheKey key;
   uint64_t checksum = 0;
@@ -286,15 +298,16 @@ std::vector<uint8_t> EncodeMetricsReport(uint64_t seq,
 std::vector<uint8_t> EncodeError(uint64_t seq, WireError code,
                                  const std::string& message);
 std::vector<uint8_t> EncodeCacheFetch(uint64_t seq, const CacheKey& key);
-// `checksum` must be EncodedChecksum(data): the caller hashes once and
-// keeps the value to check the ack against.
+// Hashes the matrix body it has just written into the frame and, when
+// `checksum` is non-null, stores that value there (EncodedChecksum(data))
+// for the caller to check the ack against.
 std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
                                     const quant::EncodedMatrix& data,
-                                    uint64_t checksum);
-// Lossless convenience: encodes `data` as f32 (bitwise round-trip) first
-// and computes the checksum itself.
+                                    uint64_t* checksum = nullptr);
+// Lossless convenience: encodes `data` as f32 (bitwise round-trip) first.
 std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
                                     const Matrix& data);
+// `checksum` is sent as given; a node serves the one it verified at put.
 // `data` may be null: a payload-less put acknowledgement.
 std::vector<uint8_t> EncodeCacheHit(uint64_t seq, const CacheKey& key,
                                     uint64_t checksum,
@@ -326,8 +339,10 @@ bool DecodeSubmitResult(const ParsedFrame& frame, WireResponse* out);
 bool DecodeError(const ParsedFrame& frame, WireErrorBody* out);
 bool DecodeCacheFetch(const ParsedFrame& frame, CacheFetchBody* out,
                       std::string* error);
-// Validates the declared checksum against the decoded matrix bytes; a
-// mismatch is a malformed payload (it means corruption in flight).
+// Both hash the received matrix body in place and check it against the
+// declared checksum; a mismatch is a malformed payload (it means
+// corruption in flight). A put acknowledgement carries no body and is not
+// checked here: the client compares its checksum with the one it sent.
 bool DecodeCachePut(const ParsedFrame& frame, CachePutBody* out,
                     std::string* error);
 bool DecodeCacheHit(const ParsedFrame& frame, CacheHitBody* out,
@@ -337,17 +352,25 @@ bool DecodeAuth(const ParsedFrame& frame, AuthBody* out, std::string* error);
 
 // --- checksums ------------------------------------------------------------
 
-// FNV-1a over arbitrary bytes; stable across hosts.
+// FNV-1a over arbitrary bytes; stable across hosts. Places cache keys and
+// members on the ring (src/cache/ring).
 uint64_t Fnv1a64(const void* data, size_t size);
+// XXH64 with seed 0 over arbitrary bytes, each 8-byte word read
+// little-endian on every host. Byte for byte the reference algorithm:
+// four 64-bit lanes over 32-byte stripes, so it runs at memory speed
+// where FNV-1a takes one multiply per byte.
+uint64_t Xxh64(const void* data, size_t size);
 // Checksum of a latent/image matrix: shape plus the float bit patterns,
 // each float hashed as its little-endian IEEE-754 encoding. Used where a
 // *decoded* matrix is attested: submit-result latents.
 uint64_t LatentChecksum(const Matrix& m);
-// Checksum of an *encoded* matrix: shape, dtype tag, scale bits, and the
-// element payload bytes. This is what cache puts and hits carry — the node
-// verifies and re-serves entries without ever decoding them. For an f32
-// encoding it covers exactly the same float bit patterns as LatentChecksum
-// (plus the dtype tag), so lossless mode keeps end-to-end bit attestation.
+// Checksum of an *encoded* matrix: Xxh64 of its wire body — shape, dtype
+// tag, scale count, scale bits and element payload bytes, exactly the span
+// a cache put or hit carries after its checksum field. This is what cache
+// puts and hits carry — the node verifies and re-serves entries without
+// ever decoding them. For an f32 encoding it covers every float bit
+// pattern, so lossless mode keeps end-to-end bit attestation. The wire
+// paths hash that span in the frame itself; this builds it first.
 uint64_t EncodedChecksum(const quant::EncodedMatrix& e);
 
 }  // namespace flashps::net

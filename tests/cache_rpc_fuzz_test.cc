@@ -1,6 +1,7 @@
 // The cache node's decoders under mutated input: seeded mutations (bit
 // flips, truncation, lying length fields, type and seq swaps, spliced
-// frames, tests/wire_fuzz.h) of kCachePut and kCacheFetch frames,
+// frames, tests/wire_fuzz.h) of kCachePut and kCacheFetch frames, some
+// stamped with the older wire v3,
 //
 //   fed straight to CacheNode::Handle, and
 //   written through a real socket to a service-mode TcpServer, whose
@@ -31,6 +32,7 @@
 namespace flashps::net {
 namespace {
 
+using fuzz::Frames;
 using fuzz::Mutate;
 using fuzz::Mutation;
 using fuzz::SameRecord;
@@ -104,8 +106,7 @@ std::vector<uint8_t> AnyRequest(uint64_t seq, Rng& rng) {
   m.FillNormal(rng, 1.0f);
   const quant::EncodedMatrix data =
       quant::Encode(m, static_cast<quant::Dtype>(rng.NextBelow(3)));
-  return EncodeCachePut(seq, AnyKey(kFuzzed, rng), data,
-                        EncodedChecksum(data));
+  return EncodeCachePut(seq, AnyKey(kFuzzed, rng), data);
 }
 
 // One mutated request stream, drawn from `seed`.
@@ -115,29 +116,12 @@ std::vector<uint8_t> MutatedStream(uint64_t seed) {
       rng.NextBelow(static_cast<uint64_t>(Mutation::kCount)));
   const uint64_t seq = 100 + rng.NextBelow(1000);
   std::vector<uint8_t> frame = AnyRequest(seq, rng);
-  return Mutate(std::move(frame), AnyRequest(seq + 1, rng), mutation, rng);
-}
-
-// Splits `stream` into the whole frames a server would dispatch, in
-// order. `*error` is the header error that stops the stream (kOk when it
-// ends cleanly or on a partial frame).
-std::vector<ParsedFrame> Frames(const std::vector<uint8_t>& stream,
-                                WireError* error) {
-  std::vector<ParsedFrame> frames;
-  size_t offset = 0;
-  for (;;) {
-    ParsedFrame frame;
-    size_t consumed = 0;
-    const WireError err = TryParseFrame(stream.data() + offset,
-                                        stream.size() - offset, &frame,
-                                        &consumed);
-    if (err != WireError::kOk) {
-      *error = err == WireError::kNeedMore ? WireError::kOk : err;
-      return frames;
-    }
-    offset += consumed;
-    frames.push_back(std::move(frame));
+  // One request in eight is stamped v3, as a peer one release back sends
+  // it: a v3 fetch still decodes, a v3 put is kBadVersion.
+  if (rng.NextBelow(8) == 0) {
+    fuzz::SetLe(frame, fuzz::kVersionAt, 3, 2);
   }
+  return Mutate(std::move(frame), AnyRequest(seq + 1, rng), mutation, rng);
 }
 
 // Checks one reply of `node` to `request` and returns whether it closes

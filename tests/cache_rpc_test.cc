@@ -1,11 +1,16 @@
-// Cache-tier RPC units: the cache frame codec (v2: encoded matrices),
+// Cache-tier RPC units: the cache frame codec (v2: encoded matrices; v4:
+// the XXH64 checksum, hashed in place),
 // the CacheNode store semantics (encoded residency, admission policy),
 // net::Client's whole-record transfers (FetchRecord / PutRecord) over a
 // loopback TcpServer in service mode, and the client ladder against one
 // cache node — a ShardedRemoteStore over a one-member ring (LRU front,
 // single-flight, miss-publish, fallback, circuit breaker, prefetch).
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -17,6 +22,7 @@
 #include "src/cache/ring/sharded_store.h"
 #include "src/net/cache_node.h"
 #include "src/net/client.h"
+#include "src/net/socket_util.h"
 #include "src/net/tcp_server.h"
 #include "src/tensor/quant.h"
 
@@ -57,12 +63,6 @@ ParsedFrame Parse(const std::vector<uint8_t>& bytes) {
             WireError::kOk);
   EXPECT_EQ(consumed, bytes.size());
   return frame;
-}
-
-// The put frame of an encoded matrix, checksummed once as a client does.
-std::vector<uint8_t> PutFrame(uint64_t seq, const CacheKey& key,
-                              const quant::EncodedMatrix& data) {
-  return EncodeCachePut(seq, key, data, EncodedChecksum(data));
 }
 
 bool MatricesEqual(const Matrix& a, const Matrix& b) {
@@ -129,7 +129,7 @@ TEST(CacheRpcWireTest, CompressedPutRoundTripsItsEncoding) {
   const Matrix m = TestMatrix(6, 5, 1);
   for (const quant::Dtype dtype : {quant::Dtype::kF16, quant::Dtype::kI8}) {
     const quant::EncodedMatrix encoded = quant::Encode(m, dtype);
-    const ParsedFrame frame = Parse(PutFrame(7, TestKey(), encoded));
+    const ParsedFrame frame = Parse(EncodeCachePut(7, TestKey(), encoded));
     CachePutBody body;
     std::string error;
     ASSERT_TRUE(DecodeCachePut(frame, &body, &error)) << error;
@@ -178,6 +178,65 @@ TEST(CacheRpcWireTest, CorruptedPutPayloadFailsItsChecksum) {
   std::string error;
   EXPECT_FALSE(DecodeCachePut(frame, &body, &error));
   EXPECT_NE(error.find("checksum"), std::string::npos) << error;
+}
+
+// --- checksum -------------------------------------------------------------
+
+uint64_t Xxh64Of(const std::string& s) { return Xxh64(s.data(), s.size()); }
+
+TEST(CacheRpcWireTest, Xxh64MatchesTheReferenceVectors) {
+  EXPECT_EQ(Xxh64Of(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(Xxh64Of("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(Xxh64Of("abc"), 0x44bc2cf5ad770999ull);
+  // 43 bytes: one 32-byte stripe, then the word and byte tails.
+  EXPECT_EQ(Xxh64Of("The quick brown fox jumps over the lazy dog"),
+            0x0b242d361fda71bcull);
+}
+
+TEST(CacheRpcWireTest, Xxh64NoticesAnyOneFlippedBit) {
+  // Lengths 0..96 cover every tail (8-, 4- and 1-byte steps) with and
+  // without 32-byte stripes; every bit of every byte is flipped once.
+  Rng rng(0x8badf00dull);
+  for (size_t len = 0; len <= 96; ++len) {
+    std::vector<uint8_t> bytes(len);
+    for (uint8_t& b : bytes) {
+      b = static_cast<uint8_t>(rng.NextBelow(256));
+    }
+    const uint64_t base = Xxh64(bytes.data(), bytes.size());
+    EXPECT_EQ(base, Xxh64(bytes.data(), bytes.size())) << "len " << len;
+    for (size_t bit = 0; bit < len * 8; ++bit) {
+      bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      EXPECT_NE(Xxh64(bytes.data(), bytes.size()), base)
+          << "len " << len << " bit " << bit;
+      bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+  }
+}
+
+TEST(CacheRpcWireTest, InPlaceChecksumsEqualEncodedChecksum) {
+  const Matrix m = TestMatrix(7, 9, 15);
+  for (const quant::Dtype dtype :
+       {quant::Dtype::kF32, quant::Dtype::kF16, quant::Dtype::kI8}) {
+    SCOPED_TRACE(quant::ToString(dtype));
+    const quant::EncodedMatrix encoded = quant::Encode(m, dtype);
+    // The encoder hashes the body it wrote into the frame...
+    uint64_t sent = 0;
+    const std::vector<uint8_t> put =
+        EncodeCachePut(1, TestKey(), encoded, &sent);
+    EXPECT_EQ(sent, EncodedChecksum(encoded));
+    // ...a node verifies the same span where it landed and serves that
+    // value back with the entry...
+    CacheNode node;
+    ASSERT_FALSE(node.Handle(Parse(put)).close_connection);
+    const InlineReply hit = node.Handle(Parse(EncodeCacheFetch(2, TestKey())));
+    CacheHitBody body;
+    std::string error;
+    ASSERT_TRUE(DecodeCacheHit(Parse(hit.frame), &body, &error)) << error;
+    // ...and the hit, checked in place by its decoder, still carries the
+    // checksum of the matrix it decodes to.
+    EXPECT_EQ(body.checksum, sent);
+    EXPECT_EQ(body.checksum, EncodedChecksum(body.data));
+  }
 }
 
 TEST(CacheRpcWireTest, TrailingBytesRejected) {
@@ -260,7 +319,8 @@ TEST(CacheRpcWireTest, DtypeLengthComboMismatchRejected) {
   // byte count inconsistent with the claimed dtype.
   const quant::EncodedMatrix encoded =
       quant::Encode(TestMatrix(3, 4, 11), quant::Dtype::kI8);
-  std::vector<uint8_t> payload = PutPayload(PutFrame(1, TestKey(), encoded));
+  std::vector<uint8_t> payload =
+      PutPayload(EncodeCachePut(1, TestKey(), encoded));
   payload[kPutDtypeOffset] = static_cast<uint8_t>(quant::Dtype::kF16);
   const ParsedFrame frame =
       Parse(EncodeFrame(FrameType::kCachePut, 1, payload));
@@ -271,10 +331,11 @@ TEST(CacheRpcWireTest, DtypeLengthComboMismatchRejected) {
 
 // --- golden bytes ---------------------------------------------------------
 //
-// The cache frames of one fixed matrix, byte for byte as the byte-wise
-// encoder and decoder wrote them before any payload moved in bulk. A bulk
-// path that writes host order, or copies the wrong number of bytes, fails
-// here; a round trip alone would not notice.
+// The cache frames of one fixed matrix, byte for byte. A bulk path that
+// writes host order, or copies the wrong number of bytes, fails here; a
+// round trip alone would not notice. The same frames as wire v3 wrote
+// them, with a byte-wise FNV-1a checksum, stay below verbatim: v4 changed
+// only the version field and the checksum, and refuses those frames.
 
 float FloatFromBits(uint32_t bits) {
   float f;
@@ -311,15 +372,49 @@ std::string Hex(const std::vector<uint8_t>& bytes) {
   return out;
 }
 
+std::vector<uint8_t> FromHex(const std::string& hex) {
+  std::vector<uint8_t> out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<uint8_t>(std::stoi(hex.substr(i, 2), nullptr,
+                                                  16)));
+  }
+  return out;
+}
+
+// The put (seq 0x0102030405060708) and hit (seq 0x1112131415161718) below
+// as wire v3 sent them.
+constexpr char kV3PutHex[] =
+    "46505331" "0300" "0700" "0807060504030201" "42000000"  // Header.
+    "09000000" "01000000" "02000000" "02"                  // Key.
+    "b0a5e7fa08dcc4f3"                                     // FNV-1a.
+    "02000000" "04000000" "00" "00000000"  // Shape, f32, no scales.
+    "00000080" "01000000" "0000803f" "000020c0"
+    "0000807f" "000080ff" "efbec07f" "0000403f";
+constexpr char kV3HitHex[] =
+    "46505331" "0300" "0800" "1817161514131211" "32000000"  // Header.
+    "09000000" "01000000" "02000000" "02"                  // Key.
+    "98dc6ef2d00825af"                                     // FNV-1a.
+    "02000000" "04000000" "02" "02000000"  // Shape, i8, two scales.
+    "8542a13c" "0000807f"                  // Scale bits.
+    "00003381" "00000000";
+
+// `hex` (a put or hit frame) with its version field and its checksum
+// blanked: the header's bytes 4-5 and the payload's bytes 13-20.
+std::string WithoutVersionAndChecksum(std::string hex) {
+  hex.replace(2 * (kFrameHeaderBytes + 13), 16, 16, '-');
+  hex.replace(2 * 4, 4, 4, '-');
+  return hex;
+}
+
 TEST(CacheRpcWireTest, GoldenFramesKeepTheirBytes) {
   const Matrix m = GoldenMatrix();
   const CacheKey key = TestKey(9, 1, 2, kCacheKindV);
   const std::vector<uint8_t> put =
       EncodeCachePut(0x0102030405060708ull, key, m);
   EXPECT_EQ(Hex(put),
-            "46505331" "0300" "0700" "0807060504030201" "42000000"  // Header.
+            "46505331" "0400" "0700" "0807060504030201" "42000000"  // Header.
             "09000000" "01000000" "02000000" "02"                  // Key.
-            "b0a5e7fa08dcc4f3"                                     // FNV-1a.
+            "6676477969ef0181"                                     // XXH64.
             "02000000" "04000000" "00" "00000000"  // Shape, f32, no scales.
             "00000080" "01000000" "0000803f" "000020c0"
             "0000807f" "000080ff" "efbec07f" "0000403f");
@@ -327,12 +422,17 @@ TEST(CacheRpcWireTest, GoldenFramesKeepTheirBytes) {
   const std::vector<uint8_t> hit = EncodeCacheHit(
       0x1112131415161718ull, key, EncodedChecksum(i8), &i8);
   EXPECT_EQ(Hex(hit),
-            "46505331" "0300" "0800" "1817161514131211" "32000000"  // Header.
+            "46505331" "0400" "0800" "1817161514131211" "32000000"  // Header.
             "09000000" "01000000" "02000000" "02"                  // Key.
-            "98dc6ef2d00825af"                                     // FNV-1a.
+            "63f41688aa6e0816"                                     // XXH64.
             "02000000" "04000000" "02" "02000000"  // Shape, i8, two scales.
             "8542a13c" "0000807f"                  // Scale bits.
             "00003381" "00000000");
+  // Apart from those two fields, v4 sends v3's bytes.
+  EXPECT_EQ(WithoutVersionAndChecksum(Hex(put)),
+            WithoutVersionAndChecksum(kV3PutHex));
+  EXPECT_EQ(WithoutVersionAndChecksum(Hex(hit)),
+            WithoutVersionAndChecksum(kV3HitHex));
 
   // Both decode back to the bits they were built from.
   CachePutBody put_body;
@@ -350,6 +450,75 @@ TEST(CacheRpcWireTest, GoldenFramesKeepTheirBytes) {
   for (size_t r = 0; r < i8.scales.size(); ++r) {
     EXPECT_EQ(BitsOf(hit_body.data.scales[r]), BitsOf(i8.scales[r])) << r;
   }
+}
+
+TEST(CacheRpcWireTest, V3CacheFramesAreBadVersion) {
+  for (const char* hex : {kV3PutHex, kV3HitHex}) {
+    const std::vector<uint8_t> bytes = FromHex(hex);
+    ParsedFrame frame;
+    size_t consumed = 0;
+    EXPECT_EQ(TryParseFrame(bytes.data(), bytes.size(), &frame, &consumed),
+              WireError::kBadVersion);
+  }
+  // A v3 fetch or miss carries no checksum and still decodes.
+  for (const FrameType type : {FrameType::kCacheFetch, FrameType::kCacheMiss}) {
+    std::vector<uint8_t> bytes = type == FrameType::kCacheFetch
+                                     ? EncodeCacheFetch(1, TestKey())
+                                     : EncodeCacheMiss(1, TestKey());
+    bytes[4] = 3;
+    ParsedFrame frame;
+    size_t consumed = 0;
+    EXPECT_EQ(TryParseFrame(bytes.data(), bytes.size(), &frame, &consumed),
+              WireError::kOk);
+  }
+}
+
+// Sends `bytes` to `port` and returns everything the server answers until
+// it closes the connection (empty when it does not close within 5 s).
+std::vector<uint8_t> ExchangeUntilClose(uint16_t port,
+                                        const std::vector<uint8_t>& bytes) {
+  const UniqueFd fd = ConnectTcp("127.0.0.1", port);
+  std::vector<uint8_t> got;
+  if (!fd.valid() || !SendAll(fd.get(), bytes.data(), bytes.size())) {
+    return got;
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd pfd{fd.get(), POLLIN, 0};
+    if (left.count() <= 0 ||
+        ::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) {
+      return {};
+    }
+    uint8_t chunk[4096];
+    const ssize_t n = ::recv(fd.get(), chunk, sizeof(chunk), 0);
+    if (n <= 0) {
+      return got;
+    }
+    got.insert(got.end(), chunk, chunk + n);
+  }
+}
+
+TEST(CacheRpcNodeTest, V3CacheFramesAreRefusedBehindTcpServer) {
+  CacheNode node;
+  TcpServer server(node.Service());
+  ASSERT_TRUE(server.Start());
+  for (const char* hex : {kV3PutHex, kV3HitHex}) {
+    const std::vector<uint8_t> reply =
+        ExchangeUntilClose(server.port(), FromHex(hex));
+    ASSERT_FALSE(reply.empty()) << "no kError and close";
+    const ParsedFrame frame = Parse(reply);
+    ASSERT_EQ(frame.type(), FrameType::kError);
+    WireErrorBody body;
+    ASSERT_TRUE(DecodeError(frame, &body));
+    EXPECT_EQ(static_cast<WireError>(body.code), WireError::kBadVersion);
+  }
+  server.Stop();
+  EXPECT_EQ(server.Stats().bad_version, 2u);
+  EXPECT_EQ(node.Stats().puts, 0u);
+  EXPECT_FALSE(node.Contains(TestKey(9, 1, 2, kCacheKindV)));
 }
 
 // --- node -----------------------------------------------------------------
@@ -432,13 +601,42 @@ TEST(CacheRpcNodeTest, LruEvictsUnderByteCap) {
   EXPECT_LE(stats.resident_bytes, options.max_bytes);
 }
 
+TEST(CacheRpcNodeTest, PutLargerThanTheCapIsRefusedWithoutEvicting) {
+  const Matrix small = TestMatrix(4, 4, 16);  // 64 bytes each.
+  CacheNodeOptions options;
+  options.max_bytes = 2 * small.bytes();
+  CacheNode node(options);
+  ASSERT_FALSE(node.Handle(Parse(EncodeCachePut(1, TestKey(1, 0, 0), small)))
+                   .close_connection);
+  ASSERT_FALSE(node.Handle(Parse(EncodeCachePut(2, TestKey(2, 0, 0), small)))
+                   .close_connection);
+  // 256 bytes: more than the whole cap, even with every entry evicted.
+  const InlineReply reply = node.Handle(
+      Parse(EncodeCachePut(3, TestKey(3, 0, 0), TestMatrix(8, 8, 17))));
+  EXPECT_TRUE(reply.close_connection);
+  WireErrorBody error_body;
+  ASSERT_TRUE(DecodeError(Parse(reply.frame), &error_body));
+  EXPECT_EQ(static_cast<WireError>(error_body.code),
+            WireError::kMalformedPayload);
+  EXPECT_TRUE(node.Contains(TestKey(1, 0, 0)));
+  EXPECT_TRUE(node.Contains(TestKey(2, 0, 0)));
+  EXPECT_FALSE(node.Contains(TestKey(3, 0, 0)));
+  const CacheNodeStats stats = node.Stats();
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_LE(stats.resident_bytes, options.max_bytes);
+  EXPECT_EQ(stats.oversized_puts, 1u);
+  EXPECT_EQ(stats.bad_frames, 1u);
+  EXPECT_EQ(JsonCounter(node.MetricsJson(), "oversized_puts"), 1u);
+}
+
 TEST(CacheRpcNodeTest, CompressedPutsRestAndServeEncoded) {
   CacheNode node;  // Default admission: staged, i.e. every encoding.
   const Matrix m = TestMatrix(8, 6, 12);
   const quant::EncodedMatrix f16 = quant::Encode(m, quant::Dtype::kF16);
   const quant::EncodedMatrix i8 = quant::Encode(m, quant::Dtype::kI8);
-  node.Handle(Parse(PutFrame(1, TestKey(1, 0, 0), f16)));
-  node.Handle(Parse(PutFrame(2, TestKey(2, 0, 0), i8)));
+  node.Handle(Parse(EncodeCachePut(1, TestKey(1, 0, 0), f16)));
+  node.Handle(Parse(EncodeCachePut(2, TestKey(2, 0, 0), i8)));
   const CacheNodeStats stats = node.Stats();
   EXPECT_EQ(stats.entries_f16, 1u);
   EXPECT_EQ(stats.entries_i8, 1u);
@@ -458,7 +656,7 @@ TEST(CacheRpcNodeTest, LosslessAdmitRejectsCompressedPuts) {
   CacheNode node(options);
   const Matrix m = TestMatrix(4, 4, 13);
   InlineReply reply = node.Handle(Parse(
-      PutFrame(1, TestKey(), quant::Encode(m, quant::Dtype::kF16))));
+      EncodeCachePut(1, TestKey(), quant::Encode(m, quant::Dtype::kF16))));
   EXPECT_TRUE(reply.close_connection);
   WireErrorBody error_body;
   ASSERT_TRUE(DecodeError(Parse(reply.frame), &error_body));
@@ -479,8 +677,9 @@ TEST(CacheRpcNodeTest, ByteCapCountsCompressedBytes) {
   CacheNode node(options);
   // Four f16 entries fit where only two f32 entries would.
   for (int t = 0; t < 4; ++t) {
-    node.Handle(Parse(PutFrame(static_cast<uint64_t>(t + 1), TestKey(t, 0, 0),
-                               quant::Encode(m, quant::Dtype::kF16))));
+    node.Handle(Parse(EncodeCachePut(static_cast<uint64_t>(t + 1),
+                                     TestKey(t, 0, 0),
+                                     quant::Encode(m, quant::Dtype::kF16))));
   }
   EXPECT_EQ(node.Stats().entries, 4u);
   EXPECT_EQ(node.Stats().evictions, 0u);

@@ -241,6 +241,59 @@ TEST(WireTest, DistinctHeaderErrors) {
   EXPECT_EQ(consumed, 0u);  // Errors never consume.
 }
 
+std::vector<uint8_t> FromHex(const std::string& hex) {
+  std::vector<uint8_t> out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<uint8_t>(std::stoi(hex.substr(i, 2), nullptr,
+                                                  16)));
+  }
+  return out;
+}
+
+// One submit (engine 1, 8 steps, template 3, seed 5, SLO 250 ms, 4x4
+// grid, tokens 1 and 6 masked) as a v2 and a v3 peer send it, byte for
+// byte. v2 carries no resolution pair; v3's layout is today's.
+constexpr char kV2SubmitHex[] =
+    "46505331" "0200" "0100" "2100000000000000" "2d000000"  // Header.
+    "01" "08000000"                                    // Engine, steps.
+    "03000000" "0500000000000000" "90d0030000000000"   // Template, seed, SLO.
+    "04000000" "04000000" "02000000" "01000000" "06000000";  // Grid, mask.
+constexpr char kV3SubmitHex[] =
+    "46505331" "0300" "0100" "2100000000000000" "35000000"  // Header.
+    "01" "08000000"                                    // Engine, steps.
+    "03000000" "0500000000000000" "90d0030000000000"   // Template, seed, SLO.
+    "04000000" "04000000" "02000000" "01000000" "06000000"   // Grid, mask.
+    "04000000" "04000000";                                   // Resolution.
+
+TEST(WireTest, OlderSubmitVersionsStillDecode) {
+  for (const char* hex : {kV2SubmitHex, kV3SubmitHex}) {
+    const std::vector<uint8_t> bytes = FromHex(hex);
+    ParsedFrame parsed;
+    size_t consumed = 0;
+    ASSERT_EQ(TryParseFrame(bytes.data(), bytes.size(), &parsed, &consumed),
+              WireError::kOk);
+    EXPECT_EQ(consumed, bytes.size());
+    SCOPED_TRACE(testing::Message() << "v" << parsed.header.version);
+    WireRequest decoded;
+    std::string error;
+    ASSERT_TRUE(DecodeSubmit(parsed, &decoded, &error)) << error;
+    EXPECT_EQ(decoded.engine_mode, 1);
+    EXPECT_EQ(decoded.denoise_steps, 8);
+    EXPECT_EQ(decoded.request.template_id, 3);
+    EXPECT_EQ(decoded.request.prompt_seed, 5u);
+    EXPECT_EQ(decoded.request.slo.micros(), 250000);
+    EXPECT_EQ(decoded.request.mask.grid_h, 4);
+    EXPECT_EQ(decoded.request.mask.grid_w, 4);
+    EXPECT_EQ(decoded.request.mask.masked_tokens, (std::vector<int>{1, 6}));
+    EXPECT_EQ(decoded.request.mask.unmasked_tokens.size(), 14u);
+
+    // Today's encoder writes the v3 layout under its own version.
+    std::vector<uint8_t> v3 = FromHex(kV3SubmitHex);
+    v3[4] = static_cast<uint8_t>(kWireVersion);
+    EXPECT_EQ(EncodeSubmit(0x21, decoded), v3);
+  }
+}
+
 TEST(WireTest, MalformedSubmitPayloadRejected) {
   ParsedFrame frame;
   frame.header.type = static_cast<uint16_t>(FrameType::kSubmit);

@@ -1,6 +1,7 @@
 // Shared by the wire fuzz suites: a seeded mutator of wire frames (bit
 // flips, truncation, length fields that lie, type and seq swaps, and
-// spliced frames), and the bitwise record comparison their checks use.
+// spliced frames), the split of a byte stream into the frames a server
+// would dispatch, and the bitwise record comparison their checks use.
 // Every mutation is drawn from one Rng, so a case replays from its seed
 // alone.
 #ifndef FLASHPS_TESTS_WIRE_FUZZ_H_
@@ -9,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -28,6 +30,7 @@ enum class Mutation {
 };
 
 // Frame header offsets (see wire.h).
+inline constexpr size_t kVersionAt = 4;
 inline constexpr size_t kTypeAt = 6;
 inline constexpr size_t kSeqAt = 8;
 inline constexpr size_t kLenAt = 16;
@@ -118,6 +121,28 @@ inline std::vector<uint8_t> Mutate(std::vector<uint8_t> frame,
                    other.end());
       return frame;
     }
+  }
+}
+
+// Splits `stream` into the whole frames a server would dispatch, in
+// order. `*error` is the header error that stops the stream (kOk when it
+// ends cleanly or on a partial frame).
+inline std::vector<ParsedFrame> Frames(const std::vector<uint8_t>& stream,
+                                       WireError* error) {
+  std::vector<ParsedFrame> frames;
+  size_t offset = 0;
+  for (;;) {
+    ParsedFrame frame;
+    size_t consumed = 0;
+    const WireError err = TryParseFrame(stream.data() + offset,
+                                        stream.size() - offset, &frame,
+                                        &consumed);
+    if (err != WireError::kOk) {
+      *error = err == WireError::kNeedMore ? WireError::kOk : err;
+      return frames;
+    }
+    offset += consumed;
+    frames.push_back(std::move(frame));
   }
 }
 
