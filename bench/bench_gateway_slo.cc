@@ -6,7 +6,8 @@
 // The trace is deliberately bimodal (mostly small masks with a heavy-mask
 // minority), the regime where count-based balancing misplaces the expensive
 // requests and the paper's mask-aware Algorithm 2 routing wins. Writes
-// BENCH_gateway.json.
+// BENCH_gateway.json behind the host header every measured artifact
+// opens with.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -446,7 +447,8 @@ int main(int argc, char** argv) {
                                           : "below best baseline");
 
   std::ostringstream json;
-  json << "{\"workers\":" << kWorkers << ",\"requests\":" << g_requests
+  json << "{\n" << bench::HostHeaderJson();
+  json << "  \"workers\":" << kWorkers << ",\"requests\":" << g_requests
        << ",\"traces\":" << g_seed_count << ",\"slo_multiplier\":" << slo_mult
        << ",\"slo_light_ms\":" << slo_mult * cal.SoloMs(0.055)
        << ",\"slo_heavy_ms\":" << slo_mult * cal.SoloMs(0.875)

@@ -6,8 +6,8 @@
 // receipt, so generator lateness, network, queueing and serving all count.
 // With no --host flag it self-hosts: a Gateway + TcpServer spin up
 // in-process on an ephemeral loopback port, so the whole round-trip —
-// encode, socket, poll loop, gateway, completer, socket, decode — is
-// exercised by one command. Reports client-observed p50/p99, the
+// encode, socket, poll loop, gateway, worker, poll loop, socket, decode —
+// is exercised by one command. Reports client-observed p50/p99, the
 // per-request network+pump overhead (client latency minus the daemon's
 // own e2e_us), per-status counts and achieved request rate; cross-checks
 // them against the daemon's own MetricsJson() counters; emits

@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
       "call-timeout-ms", 30000, 100, 600000, "per-dispatch reply deadline"));
   options.max_attempts = static_cast<int>(flags.LongInRange(
       "max-attempts", 0, 0, 1024,
-      "transport failures before a request fails (0 = 3x fleet size)"));
+      "failed dispatches (transport failures, shutdown rejections) "
+      "before a request fails (0 = 3x fleet size)"));
   options.auth_token = flags.String(
       "auth-token", "", "shared secret; presented to nodes AND required "
                         "of clients when set");

@@ -249,11 +249,13 @@ void FedGateway::DispatcherLoop(int node) {
     if (client.connected() || client.Connect()) {
       reply = client.Call(ticket->request, options_.call_timeout);
     }
-    if (!reply.has_value()) {
-      // Transport failure: connect refused, call timeout, or the node
-      // died mid-call (the client has closed its connection either way).
-      // Fail the ticket over to a sibling; determinism makes the re-run
-      // bitwise identical, so the client never sees it.
+    if (!reply.has_value() ||
+        reply->status == static_cast<uint8_t>(
+                             gateway::SubmitStatus::kRejectedShutdown)) {
+      // Transport failure (connect refused, call timeout, or the node
+      // died mid-call), or a node that is draining and turned the submit
+      // away. Fail the ticket over to a sibling; determinism makes the
+      // re-run bitwise identical, so the client never sees it.
       registry_.NoteDispatchFailure(node);
       {
         std::lock_guard<std::mutex> lock(mu_);

@@ -11,15 +11,17 @@
 // pipelined net::Client connection — drain the node's queue.
 //
 // Failover: a dispatch that fails in transport (connect refused, timeout,
-// mid-call EOF from a killed daemon) re-routes the ticket to a sibling,
-// excluding the failed node; the registry's on-dead callback re-routes a
-// dead node's whole queue at once. Because node outputs are bitwise
+// mid-call EOF from a killed daemon), or that a draining node answers
+// kRejectedShutdown, re-routes the ticket to a sibling, excluding the
+// failed node; the registry's on-dead callback re-routes a dead node's
+// whole queue at once. Because node outputs are bitwise
 // deterministic in (template, mask, seed, numerics) regardless of which
 // machine runs them, a re-dispatched request returns the identical latent
 // checksum it would have produced on the original node — failover is
 // invisible to the client beyond latency. A ticket only fails after
-// max_attempts transport failures; when no node is routable it parks and
-// is flushed by the next on-alive transition.
+// max_attempts such failures; when no node is routable it parks and is
+// flushed by the next on-alive transition. A node's SLO and overload
+// rejections pass through to the client.
 //
 // MetricsJson() answers with the cluster rollup: federation counters
 // under "fed" plus a per-node "members" array (same shape the cache
@@ -58,7 +60,8 @@ struct FedGatewayOptions {
   // Per-dispatch reply deadline; a node slower than this is a transport
   // failure and the ticket fails over.
   std::chrono::milliseconds call_timeout{30000};
-  // Transport failures before a ticket is failed. 0 = 3 * fleet size.
+  // Failed dispatches (transport failures and shutdown rejections) before
+  // a ticket is failed. 0 = 3 * fleet size.
   int max_attempts = 0;
   // Fallback per-request overhead (seconds) for nodes without a profile.
   double default_overhead_s = 0.0;
@@ -97,7 +100,8 @@ class FedGateway : public net::WireFrontend {
     uint64_t completed = 0;       // Tickets fulfilled with kAccepted.
     uint64_t failed = 0;          // Tickets failed after max_attempts.
     uint64_t redispatched = 0;    // Failover re-routes.
-    uint64_t rejected_by_node = 0;  // Node answered with a rejection.
+    // Node answered with an SLO or overload rejection (passed through).
+    uint64_t rejected_by_node = 0;
     uint64_t parked = 0;          // Currently parked (no routable node).
     uint64_t outstanding = 0;     // Queued + in flight right now.
   };

@@ -108,7 +108,6 @@ Gateway::Gateway(GatewayOptions options)
                                     ? model::ComputeMode::kMaskAwareY
                                     : model::ComputeMode::kFull);
   }
-  collector_ = std::thread([this] { CollectorLoop(); });
   timer_ = std::thread([this] { TimerLoop(); });
 }
 
@@ -387,13 +386,22 @@ SubmitResult Gateway::Submit(runtime::OnlineRequest request) {
   }
   worker_id = std::clamp(worker_id, 0, num_workers() - 1);
 
-  Pending pending;
-  pending.worker_id = worker_id;
-  std::future<runtime::OnlineResponse> caller_future =
-      pending.caller_promise.get_future();
+  // The worker records the completion and retires it on its own thread,
+  // before the future it hands back becomes ready.
+  const auto on_complete = [this,
+                            worker_id](const runtime::OnlineResponse* done) {
+    if (done != nullptr) {
+      metrics_.RecordCompleted(worker_id, done->queueing_ms(),
+                               done->denoise_ms(), done->post_ms(),
+                               done->total_ms(), done->has_deadline(),
+                               done->met_deadline());
+    }
+    RetireInflight();
+  };
   inflight_.fetch_add(1);
   try {
-    pending.worker_future = workers_[worker_id]->Submit(std::move(request));
+    result.future =
+        workers_[worker_id]->Submit(std::move(request), on_complete);
   } catch (const std::exception&) {
     // Worker already stopping (we lost a shutdown race despite the gate).
     RetireInflight();
@@ -402,11 +410,8 @@ SubmitResult Gateway::Submit(runtime::OnlineRequest request) {
     return result;
   }
   metrics_.RecordAccepted(worker_id);
-  completions_.Push(std::move(pending));
-
   result.status = SubmitStatus::kAccepted;
   result.worker_id = worker_id;
-  result.future = std::move(caller_future);
   return result;
 }
 
@@ -519,35 +524,15 @@ void Gateway::Stop() {
     timer_.join();
   }
 
-  // Drain accepted work, then retire the collector and the workers.
+  // Drain accepted work, then retire the workers.
   {
     std::unique_lock<std::mutex> lock(timer_mu_);
     drained_cv_.wait(lock, [&] { return inflight_.load() == 0; });
-  }
-  completions_.Close();
-  if (collector_.joinable()) {
-    collector_.join();
   }
   for (auto& worker : workers_) {
     worker->Stop();
   }
   stopped_.store(true);
-}
-
-void Gateway::CollectorLoop() {
-  while (auto pending = completions_.Pop()) {
-    try {
-      runtime::OnlineResponse response = pending->worker_future.get();
-      metrics_.RecordCompleted(pending->worker_id, response.queueing_ms(),
-                               response.denoise_ms(), response.post_ms(),
-                               response.total_ms(), response.has_deadline(),
-                               response.met_deadline());
-      pending->caller_promise.set_value(std::move(response));
-    } catch (...) {
-      pending->caller_promise.set_exception(std::current_exception());
-    }
-    RetireInflight();
-  }
 }
 
 }  // namespace flashps::gateway

@@ -18,6 +18,12 @@
 //  - graceful Drain()/Stop() and a lock-protected MetricsRegistry
 //    (admission counters, queueing/denoise/post/e2e latency percentiles,
 //    SLO attainment, per-worker utilization) exported as JSON.
+//
+// Threads: the workers' own, plus one arrival timer for SubmitAt(). A
+// finished request is recorded in the metrics and retired on the worker
+// thread that resolves it (OnlineServer's completion callback), so its
+// future is ready the moment that worker is done, whatever happens to
+// requests submitted before it.
 #ifndef FLASHPS_SRC_GATEWAY_GATEWAY_H_
 #define FLASHPS_SRC_GATEWAY_GATEWAY_H_
 
@@ -33,7 +39,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/concurrent_queue.h"
 #include "src/gateway/admission.h"
 #include "src/gateway/metrics.h"
 #include "src/gateway/worker_handle.h"
@@ -81,7 +86,8 @@ struct SubmitResult {
   int worker_id = -1;
   // Best-case wall-clock drain estimate from admission (seconds).
   double estimated_wall_s = 0.0;
-  // Valid iff status == kAccepted.
+  // Valid iff status == kAccepted: the worker's own future. Its
+  // completion is in the metrics by the time it is ready.
   std::future<runtime::OnlineResponse> future;
 
   bool accepted() const { return status == SubmitStatus::kAccepted; }
@@ -115,7 +121,8 @@ class Gateway {
   void ResetArrivalEpoch();
 
   // Blocks until every scheduled arrival has dispatched and every accepted
-  // request has completed. The gateway keeps accepting afterwards.
+  // request's completion is recorded (each future is ready right after
+  // its completion is). The gateway keeps accepting afterwards.
   void Drain();
 
   // Drain hook for network frontends: stops admitting new requests (every
@@ -148,11 +155,6 @@ class Gateway {
   double per_request_overhead_s() const { return per_request_overhead_s_; }
 
  private:
-  struct Pending {
-    int worker_id = -1;
-    std::future<runtime::OnlineResponse> worker_future;
-    std::promise<runtime::OnlineResponse> caller_promise;
-  };
   struct Timed {
     std::chrono::steady_clock::time_point due;
     uint64_t seq = 0;
@@ -162,7 +164,6 @@ class Gateway {
     }
   };
 
-  void CollectorLoop();
   void TimerLoop();
   // Retires one accepted request (inflight_ drops under timer_mu_) and
   // wakes Drain()/Stop().
@@ -190,11 +191,8 @@ class Gateway {
   std::mutex route_mu_;
   std::unique_ptr<sched::Router> router_;
 
-  // Completion harvesting: accepted requests are handed to a collector
-  // thread that waits on the worker future, records metrics, and fulfils
-  // the caller-visible future.
-  ConcurrentQueue<Pending> completions_;
-  std::thread collector_;
+  // Accepted requests not yet completed; each worker's completion callback
+  // retires its own.
   std::atomic<uint64_t> inflight_{0};
 
   // Open-loop arrival timer. timer_pending_ counts scheduled arrivals from
@@ -214,7 +212,7 @@ class Gateway {
 
   // Submissions run under a shared lock; Stop() flips accepting_ under the
   // exclusive lock, so no Submit() is mid-dispatch once the flip is visible
-  // and the inflight/completions accounting below it is race-free.
+  // and the inflight accounting is race-free.
   std::shared_mutex submit_gate_;
   std::atomic<bool> accepting_{true};
   std::atomic<bool> stopped_{false};

@@ -21,8 +21,10 @@ class WorkerHandle {
   runtime::OnlineServer& server() { return server_; }
   const runtime::OnlineServer& server() const { return server_; }
 
-  std::future<runtime::OnlineResponse> Submit(runtime::OnlineRequest request) {
-    return server_.Submit(std::move(request));
+  std::future<runtime::OnlineResponse> Submit(
+      runtime::OnlineRequest request,
+      runtime::OnlineServer::OnComplete on_complete) {
+    return server_.Submit(std::move(request), std::move(on_complete));
   }
 
   // Live snapshot in the router's vocabulary.

@@ -1,9 +1,9 @@
 // Backend seam between the TCP frontier and whatever fulfils submits.
 //
-// TcpServer's completer thread does not care whether a submit runs on the
-// local gateway's worker pool or is proxied to another machine; it only
-// needs to (a) offer the decoded request somewhere, (b) poll for the
-// reply, and (c) encode a WireResponse. WireFrontend is that contract.
+// TcpServer's poll thread does not care whether a submit runs on the local
+// gateway's worker pool or is proxied to another machine; it only needs
+// to (a) offer the decoded request somewhere, (b) poll for the reply, and
+// (c) encode a WireResponse. WireFrontend is that contract.
 // Two implementations exist:
 //
 //   GatewayFrontend   the single-machine backend — wraps gateway::Gateway
@@ -26,9 +26,9 @@
 
 namespace flashps::net {
 
-// One accepted submit's eventual reply. The server's completer thread
-// polls Ready() (never blocks) so one slow backend cannot wedge the scan
-// over every other pending completion.
+// One accepted submit's eventual reply. The server's poll thread calls
+// Ready() (which never blocks) after every poll() return, so one slow
+// backend cannot wedge the sockets or any other pending completion.
 class WireCompletion {
  public:
   virtual ~WireCompletion() = default;
@@ -51,8 +51,9 @@ struct WireSubmission {
 };
 
 // What a TcpServer needs from an asynchronous backend. Thread-safety
-// contract: Submit and MetricsJson may be called concurrently (the poll
-// thread submits while metrics queries race in from other connections).
+// contract: Submit and MetricsJson may be called concurrently (a server
+// calls both from its poll thread, but a daemon reads MetricsJson from
+// its own thread too).
 class WireFrontend {
  public:
   virtual ~WireFrontend() = default;

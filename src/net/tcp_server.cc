@@ -5,13 +5,19 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <ctime>
 
 namespace flashps::net {
 
 namespace {
 
-constexpr int kPollTimeoutMs = 50;
+// How long one ppoll() waits: idle, until a socket or Stop() wakes it (or
+// this long); with any completion pending, at most kCompletionPoll, the
+// cadence at which Ready() is checked.
+constexpr std::chrono::milliseconds kIdlePoll{50};
+constexpr std::chrono::microseconds kCompletionPoll{500};
 // One recv takes up to this much, so a ~30 KB cache put lands in one read.
 constexpr size_t kReadChunk = 64 * 1024;
 constexpr size_t kMaxReadPerEvent = 256 * 1024;
@@ -46,7 +52,6 @@ bool TcpServer::Start() {
   }
   running_.store(true);
   poll_thread_ = std::thread([this] { PollLoop(); });
-  completer_thread_ = std::thread([this] { CompleterLoop(); });
   return true;
 }
 
@@ -85,18 +90,7 @@ void TcpServer::QueueFrame(Conn& conn, std::vector<uint8_t> frame) {
   if (frame.empty()) {
     return;  // Would hand sendmsg nothing to send.
   }
-  std::lock_guard<std::mutex> lock(conn.out_mu);
   conn.outbuf.push_back(std::move(frame));
-}
-
-bool TcpServer::DeliverToConn(uint64_t conn_id, std::vector<uint8_t> frame) {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) {
-    return false;
-  }
-  QueueFrame(*it->second, std::move(frame));
-  return true;
 }
 
 void TcpServer::AcceptNewConnections() {
@@ -107,11 +101,8 @@ void TcpServer::AcceptNewConnections() {
     }
     auto conn = std::make_unique<Conn>();
     conn->fd = std::move(fd);
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conn->id = next_conn_id_++;
-      conns_[conn->id] = std::move(conn);
-    }
+    conn->id = next_conn_id_++;
+    conns_[conn->id] = std::move(conn);
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.connections_accepted;
   }
@@ -144,9 +135,9 @@ void TcpServer::ParseFrames(Conn& conn) {
   size_t offset = 0;
   bool partial = false;
   while (!conn.close_after_flush) {
-    if (conn.inflight.load() >= options_.max_inflight_per_conn) {
-      // Back-pressure: stop consuming; POLLIN interest drops until the
-      // completer retires some of this connection's requests.
+    if (conn.inflight >= options_.max_inflight_per_conn) {
+      // Back-pressure: stop consuming; POLLIN interest drops until some of
+      // this connection's replies are queued.
       if (!conn.stalled) {
         conn.stalled = true;
         std::lock_guard<std::mutex> lock(stats_mu_);
@@ -239,7 +230,7 @@ void TcpServer::DispatchFrame(Conn& conn, const ParsedFrame& frame) {
   }
   if (service_) {
     // Service mode: the backend answers every client-to-server frame
-    // synchronously; its handlers are memcpy-scale, so no completer.
+    // synchronously; its handlers are memcpy-scale.
     InlineReply reply = service_(frame);
     if (reply.close_connection) {
       // The service replies with a kError frame on protocol failures;
@@ -297,11 +288,9 @@ void TcpServer::HandleSubmit(Conn& conn, const ParsedFrame& frame) {
     conn.close_after_flush = true;
     return;
   }
-  // Count the submit in flight before reading draining_: Stop() stores
-  // draining_ and then waits for total_inflight_ to drain, so either Stop()
-  // sees this submit and waits for its reply, or this submit sees the
-  // drain and is rejected.
-  total_inflight_.fetch_add(1);
+  // The poll thread both accepts submits and ends the drain, so a submit
+  // is either accepted before the drain began (and the drain waits for
+  // its reply) or answered kRejectedShutdown here.
   WireResponse rejection;
   if (draining_.load()) {
     rejection.status =
@@ -309,19 +298,10 @@ void TcpServer::HandleSubmit(Conn& conn, const ParsedFrame& frame) {
   } else {
     WireSubmission sub = frontend_->Submit(std::move(request));
     if (sub.accepted()) {
-      conn.inflight.fetch_add(1);
-      PendingCompletion pending;
-      pending.conn_id = conn.id;
-      pending.seq = frame.header.seq;
-      pending.completion = std::move(sub.completion);
-      if (!completions_.Push(std::move(pending))) {
-        // The drain deadline passed and the completer is gone: the gateway
-        // runs the request, but no reply can be sent.
-        conn.inflight.fetch_sub(1);
-        total_inflight_.fetch_sub(1);
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.orphaned_completions;
-      }
+      ++conn.inflight;
+      pending_.push_back(
+          {conn.id, frame.header.seq, std::move(sub.completion)});
+      total_inflight_.fetch_add(1);
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.submits_accepted;
       return;
@@ -330,7 +310,6 @@ void TcpServer::HandleSubmit(Conn& conn, const ParsedFrame& frame) {
     rejection.worker_id = sub.worker_id;
     rejection.estimated_wall_us = sub.estimated_wall_us;
   }
-  total_inflight_.fetch_sub(1);
   QueueFrame(conn, EncodeSubmitResult(frame.header.seq, rejection));
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++stats_.submits_rejected;
@@ -342,15 +321,12 @@ void TcpServer::HandleWritable(Conn& conn) {
   while (written < kMaxWritePerEvent) {
     iovec iov[kMaxFramesPerSend];
     size_t frames = 0;
-    {
-      std::lock_guard<std::mutex> lock(conn.out_mu);
-      for (auto it = conn.outbuf.begin();
-           it != conn.outbuf.end() && frames < kMaxFramesPerSend; ++it) {
-        const size_t skip = frames == 0 ? conn.out_sent : 0;
-        iov[frames].iov_base = it->data() + skip;
-        iov[frames].iov_len = it->size() - skip;
-        ++frames;
-      }
+    for (auto it = conn.outbuf.begin();
+         it != conn.outbuf.end() && frames < kMaxFramesPerSend; ++it) {
+      const size_t skip = frames == 0 ? conn.out_sent : 0;
+      iov[frames].iov_base = it->data() + skip;
+      iov[frames].iov_len = it->size() - skip;
+      ++frames;
     }
     if (frames == 0) {
       return;
@@ -362,7 +338,6 @@ void TcpServer::HandleWritable(Conn& conn) {
     if (n > 0) {
       // Retire what went out; a frame is freed the moment its last byte
       // is sent.
-      std::lock_guard<std::mutex> lock(conn.out_mu);
       size_t left = static_cast<size_t>(n);
       while (left > 0) {
         const size_t rest = conn.outbuf.front().size() - conn.out_sent;
@@ -386,7 +361,6 @@ void TcpServer::HandleWritable(Conn& conn) {
     // Peer is gone; nothing queued can ever be delivered.
     conn.read_closed = true;
     conn.close_after_flush = true;
-    std::lock_guard<std::mutex> lock(conn.out_mu);
     conn.outbuf.clear();
     conn.out_sent = 0;
     return;
@@ -397,71 +371,88 @@ bool TcpServer::ShouldClose(const Conn& conn) const {
   if (conn.read_closed) {
     // EOF means the peer is gone — clients hold their socket open until
     // every reply lands and never half-close. Retire the connection now;
-    // the completer counts whatever it still owed as orphaned.
+    // whatever it is still owed counts as orphaned when it resolves.
     return true;
   }
-  if (!conn.close_after_flush) {
-    return false;
-  }
-  if (conn.inflight.load() > 0) {
-    return false;  // Replies still owed; the completer will deliver them.
-  }
-  std::lock_guard<std::mutex> lock(
-      const_cast<std::mutex&>(conn.out_mu));
-  return conn.outbuf.empty();
+  return conn.close_after_flush && conn.inflight == 0 && conn.outbuf.empty();
 }
 
-void TcpServer::SignalDrain() {
-  if (!draining_.load()) {
-    return;
+bool TcpServer::Drained() const {
+  if (!pending_.empty()) {
+    return false;
   }
-  // Taking the lock orders this wake after Stop()'s predicate check.
-  { std::lock_guard<std::mutex> lock(drain_mu_); }
-  drain_cv_.notify_all();
+  for (const auto& [id, conn] : conns_) {
+    if (!conn->outbuf.empty()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void TcpServer::ReplyToReadyCompletions() {
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    if (!it->completion->Ready()) {
+      ++it;
+      continue;
+    }
+    const WireResponse response = it->completion->Take();
+    auto conn_it = conns_.find(it->conn_id);
+    const bool delivered = conn_it != conns_.end();
+    if (delivered) {
+      --conn_it->second->inflight;
+      QueueFrame(*conn_it->second, EncodeSubmitResult(it->seq, response));
+    }
+    it = pending_.erase(it);
+    total_inflight_.fetch_sub(1);
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    if (delivered) {
+      ++stats_.responses_sent;
+    } else {
+      ++stats_.orphaned_completions;
+    }
+  }
 }
 
 void TcpServer::PollLoop() {
-  bool listener_open = true;
   std::vector<pollfd> fds;
   std::vector<uint64_t> ids;
   for (;;) {
-    if (poll_stop_.load()) {
-      break;
+    std::chrono::nanoseconds wait = kIdlePoll;
+    if (!pending_.empty()) {
+      wait = kCompletionPoll;
     }
-    if (draining_.load() && listener_open) {
+    if (draining_.load()) {
       listener_.Reset();
-      listener_open = false;
+      const std::chrono::nanoseconds left =
+          drain_deadline_ - std::chrono::steady_clock::now();
+      if (Drained() || left <= left.zero()) {
+        break;
+      }
+      wait = std::min(wait, left);
     }
     fds.clear();
     ids.clear();
     fds.push_back({wake_.read_end.get(), POLLIN, 0});
     ids.push_back(kWakeId);
-    if (listener_open) {
+    if (listener_.valid()) {
       fds.push_back({listener_.get(), POLLIN, 0});
       ids.push_back(kListenerId);
     }
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      for (auto& [id, conn] : conns_) {
-        short events = 0;
-        const bool can_read = !conn->read_closed && !conn->close_after_flush &&
-                              !draining_.load() &&
-                              conn->inflight.load() <
-                                  options_.max_inflight_per_conn;
-        if (can_read) {
-          events |= POLLIN;
-        }
-        {
-          std::lock_guard<std::mutex> out_lock(conn->out_mu);
-          if (!conn->outbuf.empty()) {
-            events |= POLLOUT;
-          }
-        }
-        fds.push_back({conn->fd.get(), events, 0});
-        ids.push_back(id);
+    for (auto& [id, conn] : conns_) {
+      short events = 0;
+      if (!conn->read_closed && !conn->close_after_flush &&
+          !draining_.load() &&
+          conn->inflight < options_.max_inflight_per_conn) {
+        events |= POLLIN;
       }
+      if (!conn->outbuf.empty()) {
+        events |= POLLOUT;
+      }
+      fds.push_back({conn->fd.get(), events, 0});
+      ids.push_back(id);
     }
-    ::poll(fds.data(), fds.size(), kPollTimeoutMs);
+    const timespec timeout{0, static_cast<long>(wait.count())};  // < 1 s.
+    ::ppoll(fds.data(), fds.size(), &timeout, nullptr);
 
     for (size_t i = 0; i < fds.size(); ++i) {
       const short revents = fds[i].revents;
@@ -478,121 +469,57 @@ void TcpServer::PollLoop() {
         }
         continue;
       }
-      Conn* conn = nullptr;
-      {
-        std::lock_guard<std::mutex> lock(conns_mu_);
-        auto it = conns_.find(ids[i]);
-        if (it != conns_.end()) {
-          conn = it->second.get();
-        }
-      }
-      if (conn == nullptr) {
+      auto it = conns_.find(ids[i]);
+      if (it == conns_.end()) {
         continue;
       }
+      Conn& conn = *it->second;
       if (revents & POLLERR) {
-        conn->read_closed = true;
-        conn->close_after_flush = true;
-        std::lock_guard<std::mutex> lock(conn->out_mu);
-        conn->outbuf.clear();
-        conn->out_sent = 0;
+        conn.read_closed = true;
+        conn.close_after_flush = true;
+        conn.outbuf.clear();
+        conn.out_sent = 0;
         continue;
       }
       if (revents & (POLLIN | POLLHUP)) {
-        HandleReadable(*conn);
+        HandleReadable(conn);
       }
       if (revents & POLLOUT) {
-        HandleWritable(*conn);
+        HandleWritable(conn);
       }
     }
 
-    // Re-parse buffered frames for connections whose in-flight count
-    // dropped below the cap (the completer wakes us for this), flush
-    // anything newly queued, and retire dead connections.
-    std::vector<uint64_t> closable;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      for (auto& [id, conn] : conns_) {
-        if (!conn->close_after_flush && !conn->inbuf.empty() &&
-            conn->inflight.load() < options_.max_inflight_per_conn) {
-          ParseFrames(*conn);
-        }
-        HandleWritable(*conn);
-        if (ShouldClose(*conn)) {
-          closable.push_back(id);
-        }
+    // Queue every finished reply, re-parse buffered frames for connections
+    // back under the in-flight cap, flush, and retire dead connections.
+    ReplyToReadyCompletions();
+    size_t closed = 0;
+    for (auto it = conns_.begin(); it != conns_.end();) {
+      Conn& conn = *it->second;
+      if (!conn.close_after_flush && !conn.inbuf.empty() &&
+          conn.inflight < options_.max_inflight_per_conn) {
+        ParseFrames(conn);
       }
-      for (const uint64_t id : closable) {
-        conns_.erase(id);
-      }
-    }
-    if (!closable.empty()) {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.connections_closed += closable.size();
-    }
-    SignalDrain();
-  }
-  // Shutdown: close everything still open.
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    stats_.connections_closed += conns_.size();
-  }
-  conns_.clear();
-  listener_.Reset();
-}
-
-void TcpServer::CompleterLoop() {
-  std::vector<PendingCompletion> pending;
-  for (;;) {
-    if (completer_abandon_.load()) {
-      return;
-    }
-    if (pending.empty()) {
-      auto item = completions_.Pop();  // Blocks; nullopt once closed+drained.
-      if (!item.has_value()) {
-        return;
-      }
-      pending.push_back(std::move(*item));
-    }
-    while (auto more = completions_.TryPop()) {
-      pending.push_back(std::move(*more));
-    }
-    bool progressed = false;
-    for (auto it = pending.begin(); it != pending.end();) {
-      if (!it->completion->Ready()) {
+      HandleWritable(conn);
+      if (ShouldClose(conn)) {
+        it = conns_.erase(it);
+        ++closed;
+      } else {
         ++it;
-        continue;
       }
-      progressed = true;
-      const WireResponse response = it->completion->Take();
-      const bool delivered =
-          DeliverToConn(it->conn_id, EncodeSubmitResult(it->seq, response));
-      {
-        std::lock_guard<std::mutex> lock(conns_mu_);
-        auto conn_it = conns_.find(it->conn_id);
-        if (conn_it != conns_.end()) {
-          conn_it->second->inflight.fetch_sub(1);
-        }
-      }
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        if (delivered) {
-          ++stats_.responses_sent;
-        } else {
-          ++stats_.orphaned_completions;
-        }
-      }
-      total_inflight_.fetch_sub(1);
-      wake_.Wake();
-      SignalDrain();
-      it = pending.erase(it);
     }
-    if (!pending.empty() && !progressed) {
-      // Futures resolve on gateway threads; a short nap keeps this scan
-      // cheap without adding meaningful completion latency.
-      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    if (closed > 0) {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      stats_.connections_closed += closed;
     }
   }
+  // The drain ended. Replies still owed past the deadline can never be
+  // sent; close everything still open.
+  total_inflight_.fetch_sub(pending_.size());
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  stats_.orphaned_completions += pending_.size();
+  stats_.connections_closed += conns_.size();
+  pending_.clear();
+  conns_.clear();
 }
 
 void TcpServer::Stop() {
@@ -604,38 +531,8 @@ void TcpServer::Stop() {
   if (!running_.load()) {
     return;
   }
-
+  drain_deadline_ = std::chrono::steady_clock::now() + options_.drain_timeout;
   draining_.store(true);
-  wake_.Wake();
-
-  // Drain: let accepted requests finish and their replies flush, bounded
-  // by the configured timeout.
-  auto unflushed = [this] {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& [id, conn] : conns_) {
-      std::lock_guard<std::mutex> out_lock(conn->out_mu);
-      if (!conn->outbuf.empty()) {
-        return true;
-      }
-    }
-    return false;
-  };
-  {
-    std::unique_lock<std::mutex> lock(drain_mu_);
-    drain_cv_.wait_until(
-        lock, std::chrono::steady_clock::now() + options_.drain_timeout,
-        [&] { return total_inflight_.load() == 0 && !unflushed(); });
-  }
-
-  if (total_inflight_.load() > 0) {
-    // Drain deadline expired with unresolved futures; don't wait on them.
-    completer_abandon_.store(true);
-  }
-  completions_.Close();
-  if (completer_thread_.joinable()) {
-    completer_thread_.join();
-  }
-  poll_stop_.store(true);
   wake_.Wake();
   if (poll_thread_.joinable()) {
     poll_thread_.join();

@@ -10,19 +10,17 @@
 //                  pluggable InlineService. This is how flashps_cached
 //                  reuses the whole server — poll loop, back-pressure,
 //                  drain, error taxonomy — for the shared cache tier, whose
-//                  handlers are memcpy-scale and need no completer.
+//                  handlers are memcpy-scale.
 //
-// Threading model (two threads + the gateway's own):
-//
-//   poll thread      one poll() loop owning the listener, the wake pipe,
-//                    and every connection fd (all non-blocking). It reads,
-//                    frames, and validates incoming bytes, answers
-//                    rejections and metrics queries inline, and flushes
-//                    per-connection write buffers.
-//   completer thread waits on the gateway futures of accepted requests
-//                    (completion order, not submission order), encodes
-//                    result frames into the owning connection's write
-//                    buffer, and wakes the poll loop via the pipe.
+// Threading model: one poll thread (plus the backend's own). It owns the
+// listener, the wake pipe (Stop() writes it), every connection fd (all
+// non-blocking) and every accepted request's pending completion. Each
+// pass reads, frames and validates incoming bytes, answers rejections
+// and metrics queries inline, checks every pending completion's Ready(),
+// encodes and queues each finished reply on its connection, and flushes
+// the write buffers. While any completion is pending, ppoll() waits at
+// most 500 µs, so a finished result is noticed within about that long;
+// with none pending it sleeps until a socket or Stop() wakes it.
 //
 // Back-pressure: each connection may have at most
 // `max_inflight_per_conn` accepted requests outstanding. At the cap the
@@ -33,29 +31,30 @@
 // Failure policy: any malformed frame (bad magic/version/type, size cap,
 // malformed payload) gets a kError frame naming the distinct WireError,
 // then the connection closes after the write buffer flushes. A peer that
-// disconnects mid-request never wedges the server: its in-flight
-// completions are counted `orphaned_completions` and dropped.
+// disconnects mid-request never wedges the server: each of its in-flight
+// completions is counted `orphaned_completions` when it resolves, and
+// dropped.
 //
-// Stop() is a graceful drain: the listener closes, reading stops,
-// accepted requests finish, replies flush (bounded by
-// `drain_timeout`), then every fd closes and both threads join.
+// Stop() is a graceful drain: the listener closes, reading stops, and
+// submits still buffered are answered kRejectedShutdown; accepted
+// requests finish and their replies flush. The poll thread exits once
+// nothing is in flight and every buffer is flushed, or at the
+// `drain_timeout` deadline, where each completion still pending counts as
+// orphaned; then every fd closes and Stop() returns.
 #ifndef FLASHPS_SRC_NET_TCP_SERVER_H_
 #define FLASHPS_SRC_NET_TCP_SERVER_H_
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "src/common/concurrent_queue.h"
 #include "src/gateway/gateway.h"
 #include "src/net/frontend.h"
 #include "src/net/socket_util.h"
@@ -121,15 +120,14 @@ class TcpServer {
   // server.
   TcpServer(WireFrontend& frontend, TcpServerOptions options = {});
   // Service mode: `service` answers every valid frame inline on the poll
-  // thread (no completer dispatch). Anything the service must outlive the
-  // server too.
+  // thread. Anything the service uses must outlive the server too.
   TcpServer(InlineService service, TcpServerOptions options = {});
   ~TcpServer();
 
   TcpServer(const TcpServer&) = delete;
   TcpServer& operator=(const TcpServer&) = delete;
 
-  // Binds, listens, and spawns the threads. False if the port is taken.
+  // Binds, listens, and spawns the poll thread. False if the port is taken.
   bool Start();
   // Graceful drain then full shutdown. Idempotent.
   void Stop();
@@ -141,20 +139,17 @@ class TcpServer {
   uint64_t inflight() const { return total_inflight_.load(); }
 
  private:
+  // Every field is the poll thread's alone.
   struct Conn {
     uint64_t id = 0;
     UniqueFd fd;
     std::vector<uint8_t> inbuf;
-    // Encoded reply frames, each whole; queued by both threads under
-    // out_mu, sent and freed by the poll thread. `out_sent` counts the
-    // bytes of the front frame already on the wire. Only the poll thread
-    // removes frames, so the front frame's bytes stay put while it sends
-    // them without the lock (a deque's push_back moves no element).
-    std::mutex out_mu;
+    // Encoded reply frames, each whole, sent in order and freed once
+    // sent. `out_sent` counts the bytes of the front frame already on the
+    // wire.
     std::deque<std::vector<uint8_t>> outbuf;
     size_t out_sent = 0;
-    std::atomic<int> inflight{0};
-    // Poll-thread-only state.
+    int inflight = 0;  // Accepted requests whose replies are still owed.
     bool read_closed = false;
     bool close_after_flush = false;
     bool stalled = false;  // At the in-flight cap (for stall accounting).
@@ -168,9 +163,9 @@ class TcpServer {
   };
 
   void PollLoop();
-  void CompleterLoop();
+  // True once a drain may end: no completion pending, every buffer sent.
+  bool Drained() const;
   void AcceptNewConnections();
-  // Reads available bytes; returns false once the connection is dead.
   void HandleReadable(Conn& conn);
   void HandleWritable(Conn& conn);
   void ParseFrames(Conn& conn);
@@ -180,14 +175,12 @@ class TcpServer {
   // frame was consumed (handled or rejected) here.
   bool HandleAuthGate(Conn& conn, const ParsedFrame& frame);
   void HandleSubmit(Conn& conn, const ParsedFrame& frame);
-  // Queues one encoded frame on a connection's write buffer (any thread).
+  // Encodes and queues the reply of every pending completion that is
+  // Ready(); a reply whose connection is gone counts as orphaned.
+  void ReplyToReadyCompletions();
   void QueueFrame(Conn& conn, std::vector<uint8_t> frame);
-  // Completer-side delivery by connection id; false if the peer is gone.
-  bool DeliverToConn(uint64_t conn_id, std::vector<uint8_t> frame);
   void CountWireError(WireError error);
   bool ShouldClose(const Conn& conn) const;
-  // Wakes Stop()'s drain wait; a no-op until Stop() begins draining.
-  void SignalDrain();
 
   // Exactly one backend is set: frontend mode (frontend_ != nullptr;
   // gateway mode is frontend mode over owned_frontend_) or service mode
@@ -200,34 +193,27 @@ class TcpServer {
 
   UniqueFd listener_;
   WakePipe wake_;
-  std::thread poll_thread_;
-  std::thread completer_thread_;
 
-  // Connection registry: mutated only by the poll thread; the lock makes
-  // completer-side lookups safe against removal.
-  mutable std::mutex conns_mu_;
+  // Poll-thread state.
   std::map<uint64_t, std::unique_ptr<Conn>> conns_;
   uint64_t next_conn_id_ = 1;
+  std::vector<PendingCompletion> pending_;
 
-  ConcurrentQueue<PendingCompletion> completions_;
+  // pending_.size(), readable from any thread.
   std::atomic<uint64_t> total_inflight_{0};
-
   std::atomic<bool> running_{false};
+  // Stop() writes drain_deadline_ and then sets draining_; the poll
+  // thread reads the deadline only after it sees draining_.
   std::atomic<bool> draining_{false};
-  std::atomic<bool> poll_stop_{false};
-  // Set when the drain deadline expires: the completer abandons futures
-  // that never resolved instead of scanning them forever.
-  std::atomic<bool> completer_abandon_{false};
-  // Stop() waits here for the drain: the completer signals as
-  // total_inflight_ drops, the poll thread after each flush pass. Never
-  // taken while holding conns_mu_ or a connection's out_mu.
-  std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
+  std::chrono::steady_clock::time_point drain_deadline_;
   std::mutex stop_mu_;
   bool stopped_ = false;
 
   mutable std::mutex stats_mu_;
   TcpServerStats stats_;
+
+  // Declared last: it uses every member above.
+  std::thread poll_thread_;
 };
 
 }  // namespace flashps::net

@@ -83,6 +83,9 @@ void OnlineServer::Postprocess(InFlightPtr item) {
   response.denoise_done = item->denoise_done;
   response.completed = std::chrono::steady_clock::now();
   response.deadline = item->request.deadline;
+  if (item->on_complete) {
+    item->on_complete(&response);
+  }
   completed_.fetch_add(1);
   completed_.notify_all();  // Stop() waits on it.
   item->promise.set_value(std::move(response));
@@ -93,6 +96,9 @@ void OnlineServer::Reject(InFlightPtr item) {
   // accounting balanced so Stop() never waits on work that will not run,
   // and fail the caller's future explicitly.
   StatusRetire(item->id);
+  if (item->on_complete) {
+    item->on_complete(nullptr);
+  }
   completed_.fetch_add(1);
   completed_.notify_all();
   item->promise.set_exception(std::make_exception_ptr(
@@ -150,7 +156,8 @@ BatchSnapshot OnlineServer::Snapshot() const {
   return snap;
 }
 
-std::future<OnlineResponse> OnlineServer::Submit(OnlineRequest request) {
+std::future<OnlineResponse> OnlineServer::Submit(OnlineRequest request,
+                                                 OnComplete on_complete) {
   if (stopping_.load()) {
     throw std::runtime_error("OnlineServer: submit after Stop()");
   }
@@ -160,6 +167,9 @@ std::future<OnlineResponse> OnlineServer::Submit(OnlineRequest request) {
     // Unsupported resolution: fail the future without touching the
     // accepted/completed accounting (neither is incremented, so Stop()
     // stays balanced).
+    if (on_complete) {
+      on_complete(nullptr);
+    }
     std::promise<OnlineResponse> failed;
     failed.set_exception(std::make_exception_ptr(std::runtime_error(
         "OnlineServer: unsupported resolution " +
@@ -174,6 +184,7 @@ std::future<OnlineResponse> OnlineServer::Submit(OnlineRequest request) {
   item->effective_template_id =
       item->request.template_id + kResolutionCacheStride * route.res_index;
   item->submitted = std::chrono::steady_clock::now();
+  item->on_complete = std::move(on_complete);
   std::future<OnlineResponse> future = item->promise.get_future();
   // The status tables publish the EFFECTIVE ratio — masked tokens over the
   // native grid's token count — so routers comparing load across a

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -155,6 +156,12 @@ class OnlineServer {
     std::shared_ptr<cache::ActivationSource> activation_source;
   };
 
+  // Runs once per submitted request, on the thread that resolves it (a
+  // CPU lane after post-processing, or whichever thread rejects it),
+  // just before its future becomes ready: with the response, or with null
+  // when the future will hold an exception instead.
+  using OnComplete = std::function<void(const OnlineResponse*)>;
+
   explicit OnlineServer(Options options);
   ~OnlineServer();
 
@@ -162,8 +169,10 @@ class OnlineServer {
   OnlineServer& operator=(const OnlineServer&) = delete;
 
   // Asynchronous submission; the future resolves when post-processing
-  // finishes. Throws std::runtime_error after Stop().
-  std::future<OnlineResponse> Submit(OnlineRequest request);
+  // finishes, right after `on_complete` (if set) returns. Throws
+  // std::runtime_error after Stop(), and then never calls `on_complete`.
+  std::future<OnlineResponse> Submit(OnlineRequest request,
+                                     OnComplete on_complete = {});
 
   // Completes all accepted requests, then joins every thread. Idempotent.
   void Stop();
@@ -207,6 +216,7 @@ class OnlineServer {
     // invalidating a batch member mid-denoise.
     std::shared_ptr<const model::ActivationRecord> cache;
     int steps_done = 0;
+    OnComplete on_complete;
     std::promise<OnlineResponse> promise;
     std::chrono::steady_clock::time_point submitted;
     std::chrono::steady_clock::time_point admitted;

@@ -12,15 +12,18 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/common/rng.h"
 #include "src/fed/fed_gateway.h"
 #include "src/fed/fed_router.h"
 #include "src/fed/node_registry.h"
 #include "src/net/tcp_server.h"
 #include "src/sched/latency_model.h"
 #include "src/sched/scheduler.h"
+#include "src/trace/workload.h"
 
 namespace flashps::fed {
 namespace {
@@ -55,6 +58,25 @@ std::unique_ptr<net::TcpServer> StartFakeNode(std::string json,
   options.port = port;
   options.auth_token = std::move(auth_token);
   auto server = std::make_unique<net::TcpServer>(service, options);
+  EXPECT_TRUE(server->Start());
+  return server;
+}
+
+// A fake fleet node that answers metrics queries with kFakeMetrics and
+// every submit with `status`, without running anything.
+std::unique_ptr<net::TcpServer> StartSubmitNode(gateway::SubmitStatus status) {
+  net::InlineService service = [status](const net::ParsedFrame& frame) {
+    net::InlineReply reply;
+    if (frame.type() == net::FrameType::kMetricsQuery) {
+      reply.frame = net::EncodeMetricsReport(frame.header.seq, kFakeMetrics);
+    } else {
+      net::WireResponse response;
+      response.status = static_cast<uint8_t>(status);
+      reply.frame = net::EncodeSubmitResult(frame.header.seq, response);
+    }
+    return reply;
+  };
+  auto server = std::make_unique<net::TcpServer>(service);
   EXPECT_TRUE(server->Start());
   return server;
 }
@@ -330,6 +352,53 @@ TEST(FedTest, ToWorkerStatusSplitsRunningAndWaiting) {
   EXPECT_FALSE(status.has_slack);
   EXPECT_TRUE(FedRouter::ToWorkerStatus(MakeSnapshot(7, 2, {0.1}, {8}))
                   .has_slack);
+}
+
+TEST(FedTest, DrainingNodeRejectionsAreRedispatched) {
+  // Node 0 is draining: it answers every submit kRejectedShutdown. The
+  // fed must re-route each such ticket to node 1, never pass the
+  // rejection through.
+  auto draining = StartSubmitNode(gateway::SubmitStatus::kRejectedShutdown);
+  auto serving = StartSubmitNode(gateway::SubmitStatus::kAccepted);
+  FedGatewayOptions options;
+  options.nodes = {FedNode{"127.0.0.1", draining->port()},
+                   FedNode{"127.0.0.1", serving->port()}};
+  options.policy = sched::RoutePolicy::kRoundRobin;
+  options.registry = FastProbeOptions();
+  options.connections_per_node = 1;
+  FedGateway fed(options);
+  fed.Start();
+
+  const model::NumericsConfig numerics = model::NumericsConfig::ForTests();
+  Rng rng(3);
+  std::vector<std::unique_ptr<net::WireCompletion>> completions;
+  for (int i = 0; i < 6; ++i) {
+    net::WireRequest request;
+    request.request.prompt_seed = 10 + static_cast<uint64_t>(i);
+    request.request.mask =
+        trace::GenerateBlobMask(numerics.grid_h, numerics.grid_w, 0.3, rng);
+    net::WireSubmission sub = fed.Submit(std::move(request));
+    ASSERT_TRUE(sub.accepted());
+    completions.push_back(std::move(sub.completion));
+  }
+  for (auto& completion : completions) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!completion->Ready() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(completion->Ready());
+    const net::WireResponse response = completion->Take();
+    EXPECT_TRUE(response.accepted());
+    EXPECT_EQ(response.worker_id, 1);
+  }
+  const FedGateway::Stats stats = fed.stats();
+  EXPECT_EQ(stats.rejected_by_node, 0u);
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.completed, 6u);
+  EXPECT_GE(stats.redispatched, 1u);
+  fed.Stop();
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <latch>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "src/cache/activation_store.h"
 #include "src/gateway/admission.h"
 #include "src/gateway/gateway.h"
 #include "src/gateway/metrics.h"
@@ -434,6 +438,68 @@ TEST(GatewayTest, MultiThreadedWorkersServeAndStayDeterministic) {
     gateway.Stop();
   }
   EXPECT_EQ(MeanAbsDiff(images[0], images[1]), 0.0);
+}
+
+// A shared activation source whose Acquire() blocks on a latch for one
+// template, stalling the denoise loop of whichever worker admits it.
+class LatchedSource : public cache::ActivationSource {
+ public:
+  explicit LatchedSource(int latched_template)
+      : latched_template_(latched_template) {}
+
+  std::shared_ptr<const model::ActivationRecord> Acquire(
+      const model::DiffusionModel& m, int template_id,
+      bool record_kv) override {
+    if (template_id == latched_template_) {
+      release_.wait();
+    }
+    return store_.Acquire(m, template_id, record_kv);
+  }
+  std::string MetricsJson() const override { return store_.MetricsJson(); }
+
+  void Release() { release_.count_down(); }
+
+ private:
+  const int latched_template_;
+  std::latch release_{1};
+  cache::ActivationStore store_;
+};
+
+TEST(GatewayTest, FinishedRequestRepliesBeforeAnEarlierSlowerOne) {
+  // Request A stalls worker 0 at admission; request B, submitted after it,
+  // runs on worker 1. B's future must be ready, and B in the metrics,
+  // while A is still blocked: no reply waits behind an unrelated one.
+  constexpr int kLatched = 7;
+  auto source = std::make_shared<LatchedSource>(kLatched);
+  GatewayOptions options = SmallGateway(sched::RoutePolicy::kRoundRobin);
+  options.worker.activation_source = source;
+  Gateway gateway(options);
+  Rng rng(41);
+  runtime::OnlineRequest slow = MakeRequest(options.worker.numerics, 0, rng);
+  slow.template_id = kLatched;
+  SubmitResult a = gateway.Submit(std::move(slow));
+  SubmitResult b =
+      gateway.Submit(MakeRequest(options.worker.numerics, 1, rng));
+  ASSERT_TRUE(a.accepted());
+  ASSERT_TRUE(b.accepted());
+  EXPECT_NE(a.worker_id, b.worker_id);
+
+  const bool b_ready = b.future.wait_for(std::chrono::seconds(20)) ==
+                       std::future_status::ready;
+  const bool a_blocked = a.future.wait_for(std::chrono::seconds(0)) ==
+                         std::future_status::timeout;
+  const MetricsSnapshot while_blocked = gateway.Metrics();
+  source->Release();
+  EXPECT_TRUE(b_ready);
+  EXPECT_TRUE(a_blocked);
+  EXPECT_EQ(while_blocked.completed, 1u);
+  EXPECT_EQ(while_blocked.worker_completed[static_cast<size_t>(b.worker_id)],
+            1u);
+
+  EXPECT_GE(a.future.get().total_ms(), 0.0);
+  EXPECT_GE(b.future.get().total_ms(), 0.0);
+  gateway.Stop();
+  EXPECT_EQ(gateway.Metrics().completed, 2u);
 }
 
 TEST(GatewayTest, SubmitStatusNamesAreDistinct) {

@@ -135,7 +135,7 @@ TEST(NetIntegrationTest, LoopbackMatchesInProcessGateway) {
 // with pipelined submits over fresh connections while the main thread
 // Stop()s it mid-stream. Every Await must either produce a real reply or
 // fail cleanly (connection closed / rejected), the server must come down
-// with nothing left in flight, and (under TSan) the poll/completer/
+// with nothing left in flight, and (under TSan) the poll-thread/worker/
 // submitter interleavings must be race-free.
 TEST(NetIntegrationTest, StopRacesConcurrentSubmitsCleanly) {
   gateway::Gateway gateway(TwoWorkerOptions());

@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -680,6 +681,52 @@ TEST_F(TcpServerTest, StopWithInflightConnectionsDrains) {
   // The replies were flushed before the close; all four must have landed.
   EXPECT_EQ(answered, 4);
   gateway.Stop();
+}
+
+// A backend whose accepted submits never complete.
+class NeverCompletes : public WireFrontend {
+ public:
+  class Completion : public WireCompletion {
+   public:
+    bool Ready() override { return false; }
+    WireResponse Take() override { return {}; }
+  };
+  WireSubmission Submit(WireRequest) override {
+    WireSubmission sub;
+    sub.status = gateway::SubmitStatus::kAccepted;
+    sub.completion = std::make_unique<Completion>();
+    return sub;
+  }
+  std::string MetricsJson() override { return "{}"; }
+};
+
+TEST_F(TcpServerTest, DrainDeadlineOrphansUnfinishedCompletions) {
+  // A reply still owed at the drain deadline can never be sent: Stop()
+  // returns at the deadline and counts it orphaned, not in flight.
+  NeverCompletes frontend;
+  TcpServerOptions options;
+  options.drain_timeout = std::chrono::milliseconds(100);
+  TcpServer server(frontend, options);
+  ASSERT_TRUE(server.Start());
+  Client client("127.0.0.1", server.port());
+  ASSERT_TRUE(client.Connect());
+  WireRequest request;
+  request.request = MakeRequest();
+  ASSERT_NE(client.Send(request), 0u);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.Stats().submits_accepted == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.inflight(), 1u);
+
+  const auto stop_begin = std::chrono::steady_clock::now();
+  server.Stop();
+  EXPECT_GE(std::chrono::steady_clock::now() - stop_begin,
+            options.drain_timeout);
+  EXPECT_EQ(server.Stats().orphaned_completions, 1u);
+  EXPECT_EQ(server.inflight(), 0u);
 }
 
 TEST_F(TcpServerTest, RepeatedConnectDisconnectLeaksNoFds) {

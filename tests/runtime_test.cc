@@ -3,6 +3,8 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <map>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -401,6 +403,55 @@ TEST_F(OnlineServerTest, UnsupportedGridFailsTheFutureNotTheServer) {
   OnlineResponse ok = server.Submit(MakeRequest(options.numerics, 0, rng)).get();
   EXPECT_EQ(ok.image.rows(), options.numerics.image_h());
   server.Stop();
+}
+
+TEST_F(OnlineServerTest, CompletionCallbackRunsOnceBeforeTheFutureIsReady) {
+  // Once a future's get() returns, its request's callback has run, once,
+  // with that response. A grid the server does not serve gets one null
+  // callback before Submit() returns; a submit after Stop() throws and
+  // never calls back.
+  OnlineServer::Options options;
+  options.max_batch = 2;
+  OnlineServer server(options);
+  Rng rng(5);
+  std::mutex mu;
+  std::map<uint64_t, int> calls;  // Response id -> callbacks seen.
+  int null_calls = 0;
+  const auto record = [&](const OnlineResponse* done) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (done == nullptr) {
+      ++null_calls;
+    } else {
+      ++calls[done->id];
+    }
+  };
+
+  std::vector<std::future<OnlineResponse>> futures;
+  for (int i = 0; i < 5; ++i) {
+    futures.push_back(
+        server.Submit(MakeRequest(options.numerics, i, rng), record));
+  }
+  for (auto& f : futures) {
+    const OnlineResponse r = f.get();
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(calls[r.id], 1);
+  }
+
+  OnlineRequest bad;
+  bad.mask = trace::GenerateBlobMask(5, 5, 0.3, rng);
+  auto failed = server.Submit(std::move(bad), record);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(null_calls, 1);
+  }
+  EXPECT_THROW(failed.get(), std::runtime_error);
+
+  server.Stop();
+  EXPECT_THROW(server.Submit(MakeRequest(options.numerics, 9, rng), record),
+               std::runtime_error);
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(calls.size(), 5u);
+  EXPECT_EQ(null_calls, 1);
 }
 
 TEST_F(OnlineServerTest, PatchBatchingMatchesSerializedBaselineBitwise) {
