@@ -5,8 +5,8 @@
 #      FLASHPS_ISA pin; unpinned runs only ever exercise the widest);
 #   2. emit BENCH_kernels.json from the kernel microbenchmarks;
 #   3. rebuild the threaded suites under ThreadSanitizer and run them;
-#   4. rebuild the kernel, net, client, runtime, gateway, cache-rpc,
-#      cache-ring, fed and codec suites under AddressSanitizer +
+#   4. rebuild the kernel, net, client, runtime, gateway, activation-store,
+#      cache-rpc, cache-ring, fed and codec suites under AddressSanitizer +
 #      UndefinedBehaviorSanitizer
 #      and run them (malformed-frame handling must be memory-clean, not
 #      just not-crash, and so must the vector kernels' ragged-tail loads
@@ -61,8 +61,8 @@ cd "${repo}"
 
 # The threaded suites the sanitizers exercise. Keep the two lists in sync
 # with the build target lists below.
-tsan_regex='^(ParallelFor|KernelEquivalence|SparseCompute|ConcurrentQueue|ThreadPool|OnlineServer|Gateway|MetricsRegistry|StatAccumulator|Serde|Wire|TcpServer|NetIntegration|Client|CacheRpc|CacheRing|Quant|CodecQuality|Fed)'
-asan_regex='^(KernelEquivalence|ParallelFor|Matrix|SparseCompute|Serde|Wire|TcpServer|NetIntegration|Client|OnlineServer|Gateway|CacheRpc|CacheRing|Quant|CodecQuality|Fed)'
+tsan_regex='^(ParallelFor|KernelEquivalence|SparseCompute|ConcurrentQueue|ThreadPool|OnlineServer|Gateway|MetricsRegistry|StatAccumulator|Serde|Wire|TcpServer|NetIntegration|Client|CacheRpc|CacheRing|ActivationStore|Quant|CodecQuality|Fed)'
+asan_regex='^(KernelEquivalence|ParallelFor|Matrix|SparseCompute|Serde|Wire|TcpServer|NetIntegration|Client|OnlineServer|Gateway|CacheRpc|CacheRing|ActivationStore|Quant|CodecQuality|Fed)'
 # The suites that gate kernel bits, rerun once per ISA level: the GEMM's
 # vector width and tile heights differ per level, so the sparse == dense
 # gates and the golden hashes must hold at each (kernel_equivalence_test,
@@ -142,7 +142,7 @@ echo "== tsan: build threaded suites =="
 cmake -B build-tsan -S . -DFLASHPS_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target \
   kernel_equivalence_test sparse_compute_test runtime_test gateway_test \
-  common_test \
+  common_test cache_test \
   net_test net_integration_test client_test tcp_server_fuzz_test \
   cache_rpc_test cache_rpc_fuzz_test cache_rpc_integration_test \
   cache_ring_test cache_ring_integration_test \
@@ -160,7 +160,7 @@ cmake -B build-asan -S . -DFLASHPS_SANITIZE=address >/dev/null
 cmake --build build-asan -j --target \
   kernel_equivalence_test tensor_test sparse_compute_test \
   net_test net_integration_test client_test tcp_server_fuzz_test \
-  runtime_test gateway_test cache_rpc_test \
+  runtime_test gateway_test cache_test cache_rpc_test \
   cache_rpc_fuzz_test cache_rpc_integration_test cache_ring_test \
   cache_ring_integration_test \
   fed_test fed_integration_test \

@@ -6,18 +6,33 @@ namespace flashps::cache {
 
 std::shared_ptr<const model::ActivationRecord> ActivationStore::Acquire(
     const model::DiffusionModel& m, int template_id, bool record_kv) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = records_.find(template_id);
-  if (it != records_.end() && (!record_kv || it->second->has_kv())) {
-    ++local_hits_;
-    return it->second;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      auto it = records_.find(template_id);
+      if (it != records_.end() && (!record_kv || it->second->has_kv())) {
+        ++local_hits_;
+        return it->second;
+      }
+      if (!registering_.contains(template_id)) {
+        break;
+      }
+      // One registration per template at a time; the one in flight may
+      // already be what this caller needs.
+      registered_.wait(lock);
+    }
+    registering_.insert(template_id);
   }
   auto record = std::make_shared<model::ActivationRecord>(
       m.Register(template_id, record_kv));
-  ++registrations_;
-  auto& slot = records_[template_id];
-  slot = std::move(record);
-  return slot;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++registrations_;
+    records_[template_id] = record;
+    registering_.erase(template_id);
+  }
+  registered_.notify_all();
+  return record;
 }
 
 const model::ActivationRecord& ActivationStore::GetOrRegister(

@@ -8,10 +8,12 @@
 #ifndef FLASHPS_SRC_CACHE_ACTIVATION_STORE_H_
 #define FLASHPS_SRC_CACHE_ACTIVATION_STORE_H_
 
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "src/model/diffusion_model.h"
 
@@ -33,7 +35,9 @@ class ActivationSource {
   // Returns the template's activation record, obtaining it however the
   // source does (local registration pass, remote fetch, ...). Never
   // returns null: every source must degrade to local registration rather
-  // than fail the request.
+  // than fail the request. A remote source may return a record that is
+  // still streaming in, step by step (ActivationRecord::stream): read only
+  // its resident steps, or AwaitWhole() first.
   virtual std::shared_ptr<const model::ActivationRecord> Acquire(
       const model::DiffusionModel& m, int template_id, bool record_kv) = 0;
 
@@ -69,9 +73,9 @@ class ActivationStore : public ActivationSource {
                                                bool record_kv = false);
 
   // ActivationSource: same records, pinned. Thread-safe like the rest of
-  // this class (one mutex; registration runs under it, which is fine —
-  // concurrent workers sharing one local store serialize registration
-  // exactly like the single-owner case they replaced).
+  // this class. Registration runs outside the lock with one flight per
+  // template: a second Acquire() of a template being registered waits for
+  // that registration, while hits on other templates never wait on it.
   std::shared_ptr<const model::ActivationRecord> Acquire(
       const model::DiffusionModel& m, int template_id,
       bool record_kv) override;
@@ -89,7 +93,9 @@ class ActivationStore : public ActivationSource {
 
  private:
   mutable std::mutex mu_;
+  std::condition_variable registered_;
   std::unordered_map<int, std::shared_ptr<model::ActivationRecord>> records_;
+  std::unordered_set<int> registering_;  // Templates in Register(); mu_.
   uint64_t registrations_ = 0;  // Under mu_.
   uint64_t local_hits_ = 0;     // Under mu_.
 };

@@ -50,11 +50,8 @@ ShardedRemoteStore::~ShardedRemoteStore() {
     std::lock_guard<std::mutex> lock(mu_);
     prefetch_stop_ = true;
     for (const PrefetchJob& job : prefetch_queue_) {
-      auto it = flights_.find(job.flight_key);
-      if (it != flights_.end()) {
-        it->second->done = true;
-        flights_.erase(it);
-      }
+      job.flight->done = true;
+      flights_.erase(job.flight_key);
     }
     prefetch_queue_.clear();
   }
@@ -171,7 +168,7 @@ void ShardedRemoteStore::NoteTransport(size_t member, bool ok) {
 }
 
 ShardedRemoteStore::RingFetchResult ShardedRemoteStore::RingFetch(
-    int template_id, int steps, int blocks, bool want_kv) {
+    int template_id, int steps, int blocks, bool want_kv, Flight& flight) {
   RingFetchResult result;
   const std::vector<int> prefs = ring_.PreferenceList(template_id);
   for (int idx : prefs) {
@@ -187,8 +184,27 @@ ShardedRemoteStore::RingFetchResult ShardedRemoteStore::RingFetch(
     }
     net::ClientPool::Lease lease = members_[member].pool->Checkout();
     const auto t0 = std::chrono::steady_clock::now();
-    net::FetchRecordResult fetched =
-        lease->FetchRecord(template_id, steps, blocks, want_kv);
+    // Joiners take this member's record once its step 0 is resident.
+    std::shared_ptr<const model::ActivationRecord> offered;
+    auto first_step = t0;
+    net::FetchRecordResult fetched = lease->FetchRecord(
+        template_id, steps, blocks, want_kv,
+        [&](const std::shared_ptr<model::ActivationRecord>& record) {
+          first_step = std::chrono::steady_clock::now();
+          offered = record;
+          {
+            std::lock_guard<std::mutex> lock(mu_);
+            flight.result = offered;
+          }
+          cv_.notify_all();
+        });
+    if (offered != nullptr && !fetched.complete) {
+      // Its stream is failed; the next member's record replaces it.
+      std::lock_guard<std::mutex> lock(mu_);
+      if (flight.result == offered) {
+        flight.result = nullptr;
+      }
+    }
     NoteTransport(member, fetched.transport_ok);
     if (!fetched.transport_ok) {
       ++result.failovers;
@@ -203,6 +219,10 @@ ShardedRemoteStore::RingFetchResult ShardedRemoteStore::RingFetch(
       result.fetch_us = static_cast<double>(
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - t0)
+              .count());
+      result.first_step_us = static_cast<double>(
+          std::chrono::duration_cast<std::chrono::microseconds>(first_step -
+                                                                t0)
               .count());
     } else {
       result.missed.push_back(idx);
@@ -277,9 +297,17 @@ int ShardedRemoteStore::Replicate(int template_id,
 
 std::shared_ptr<const model::ActivationRecord>
 ShardedRemoteStore::FetchOrRegister(const model::DiffusionModel& m,
-                                    int template_id, bool record_kv) {
-  RingFetchResult fetched = RingFetch(template_id, m.config().num_steps,
-                                      m.config().num_blocks, record_kv);
+                                    int template_id, bool record_kv,
+                                    Flight& flight, bool known_miss) {
+  RingFetchResult fetched;
+  if (known_miss) {
+    // The flight this caller joined walked the ring and heard only
+    // misses; a second walk would hear them again.
+    fetched.reachable = 1;
+  } else {
+    fetched = RingFetch(template_id, m.config().num_steps,
+                        m.config().num_blocks, record_kv, flight);
+  }
   if (fetched.record != nullptr) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.remote_hits;
@@ -288,6 +316,7 @@ ShardedRemoteStore::FetchOrRegister(const model::DiffusionModel& m,
     stats_.failovers += static_cast<uint64_t>(fetched.failovers);
     stats_.read_repairs += static_cast<uint64_t>(fetched.repairs);
     fetch_us_.Add(fetched.fetch_us);
+    first_step_us_.Add(fetched.first_step_us);
     return fetched.record;
   }
 
@@ -316,6 +345,7 @@ std::shared_ptr<const model::ActivationRecord> ShardedRemoteStore::Acquire(
     const model::DiffusionModel& m, int template_id, bool record_kv) {
   const int64_t flight_key = FlightKey(template_id, record_kv);
   std::shared_ptr<Flight> flight;
+  bool known_miss = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
@@ -341,23 +371,29 @@ std::shared_ptr<const model::ActivationRecord> ShardedRemoteStore::Acquire(
       }
       std::shared_ptr<Flight> joined = flit->second;
       joined->joined = true;
-      const bool was_prefetch = joined->prefetch;
-      cv_.wait(lock, [&] { return joined->done; });
-      if (joined->result != nullptr) {
-        if (was_prefetch) {
+      const auto usable = [&] {
+        return joined->result != nullptr && !joined->result->StreamFailed();
+      };
+      cv_.wait(lock, [&] { return joined->done || usable(); });
+      if (usable()) {
+        if (joined->prefetch) {
           ++stats_.prefetch_coalesced;
         } else {
           ++stats_.singleflight_waits;
         }
         return joined->result;
       }
+      // The flight ended without a record. After a clean miss this caller
+      // registers without walking the ring again; after transport
+      // failures it walks the ring itself.
+      known_miss = known_miss || joined->clean_miss;
     }
     flight = std::make_shared<Flight>();
     flights_.emplace(flight_key, flight);
   }
 
   std::shared_ptr<const model::ActivationRecord> record =
-      FetchOrRegister(m, template_id, record_kv);
+      FetchOrRegister(m, template_id, record_kv, *flight, known_miss);
 
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -412,9 +448,9 @@ void ShardedRemoteStore::Prefetch(const model::DiffusionModel& m,
       ++stats_.prefetch_dropped;
       return;
     }
-    auto flight = std::make_shared<Flight>();
-    flight->prefetch = true;
-    flights_.emplace(job.flight_key, flight);
+    job.flight = std::make_shared<Flight>();
+    job.flight->prefetch = true;
+    flights_.emplace(job.flight_key, job.flight);
     prefetch_queue_.push_back(job);
     ++stats_.prefetch_issued;
   }
@@ -439,11 +475,11 @@ void ShardedRemoteStore::PrefetchLoop() {
     RingFetchResult fetched;
     if (AnyMemberReachable()) {
       fetched = RingFetch(job.template_id, job.steps, job.blocks,
-                          job.want_kv);
+                          job.want_kv, *job.flight);
     }
     // A prefetch cannot register locally (it has no model); a miss or a
-    // fully dead ring resolves the flight empty and the foreground runs
-    // the ladder itself.
+    // fully dead ring resolves the flight empty and the foreground
+    // registers (clean miss) or runs the ladder itself.
 
     std::shared_ptr<model::ActivationRecord> record =
         std::move(fetched.record);
@@ -461,19 +497,18 @@ void ShardedRemoteStore::PrefetchLoop() {
       } else {
         ++stats_.prefetch_fallbacks;
       }
-      auto it = flights_.find(job.flight_key);
-      if (it != flights_.end()) {
-        if (record != nullptr) {
-          if (it->second->joined) {
-            InstallFront(job.template_id, record);
-          } else {
-            InstallStaged(job.template_id, record);
-          }
-          it->second->result = std::move(record);
+      Flight& flight = *job.flight;
+      if (record != nullptr) {
+        if (flight.joined) {
+          InstallFront(job.template_id, record);
+        } else {
+          InstallStaged(job.template_id, record);
         }
-        it->second->done = true;
-        flights_.erase(it);
       }
+      flight.result = std::move(record);
+      flight.clean_miss = flight.result == nullptr && fetched.reachable > 0;
+      flight.done = true;
+      flights_.erase(job.flight_key);
     }
     cv_.notify_all();
   }
@@ -500,6 +535,7 @@ ShardedStoreStats ShardedRemoteStore::Stats() const {
     if (!fetch_us_.empty()) {
       out.fetch_p50_us = fetch_us_.P50();
       out.fetch_p99_us = fetch_us_.P99();
+      out.first_step_p50_us = first_step_us_.P50();
     }
     if (!prefetch_us_.empty()) {
       out.prefetch_p50_us = prefetch_us_.P50();
@@ -540,6 +576,7 @@ std::string ShardedRemoteStore::MetricsJson() const {
      << ",\"front_size\":" << s.front_size
      << ",\"fetch_p50_us\":" << s.fetch_p50_us
      << ",\"fetch_p99_us\":" << s.fetch_p99_us
+     << ",\"first_step_p50_us\":" << s.first_step_p50_us
      << ",\"prefetch_issued\":" << s.prefetch_issued
      << ",\"prefetch_coalesced\":" << s.prefetch_coalesced
      << ",\"prefetch_wasted\":" << s.prefetch_wasted

@@ -15,10 +15,18 @@
 //                               (template, kv) key collapse into one
 //                               fetch; Prefetch() opens its flight
 //                               synchronously, so a foreground Acquire()
-//                               racing a prefetch joins it.
+//                               racing a prefetch joins it. A joiner
+//                               returns as soon as step 0 of the flight's
+//                               record is resident, holding a record whose
+//                               later steps keep landing (its StepStream).
+//                               A flight on which every member that
+//                               answered missed carries that verdict, so
+//                               its joiners register at once instead of
+//                               walking the ring again.
 //   4. ring fetch             — the whole record, pipelined one matrix per
-//                               frame and checksum-verified, from the
-//                               template's preferred members (below).
+//                               frame, checksum-verified and published
+//                               step by step, from the template's
+//                               preferred members (below).
 //   5. fallback               — a miss registers locally and publishes
 //                               the record to the replica set; with no
 //                               member reachable it registers locally
@@ -45,16 +53,31 @@
 //                 replica that missed, healing holes left by node restarts
 //                 and membership change without a rebalance pass.
 //
+// Streaming (the paper's Algorithm 1 on the real path): the thread that
+// fetches a record publishes each step as its frames decode, and the
+// flight hands its joiners the record once step 0 is resident, so a
+// request can run step 0 while later steps are on the wire. The thread
+// that returns a record is never the one still fetching it: a joiner
+// returns at step 0 while the prefetch worker or foreground fetcher it
+// joined keeps filling the record, and that fetcher itself returns only
+// the whole record. A record enters the front or staging only once whole.
+// If its transport dies or a member misses a key mid-stream, the stream
+// is failed (its resident steps stay readable), the flight withdraws it
+// and the walk moves on to the next member; a holder then calls Acquire()
+// again, which joins the still-open flight or, once it has ended, runs the
+// ladder — replica or local registration.
+//
 // The prefetch pipeline (Prefetch(), `prefetch_workers` > 0) is the
-// serving-tier extension of the paper's Algorithm 1: the gateway and the
-// worker runtime hint queued requests' templates ahead of admission, so
-// the wire fetch overlaps the predecessor requests' denoise loop. A
-// prefetch job runs the ring walk only — it never registers locally
-// (registration needs the model, whose lifetime belongs to the hinting
-// worker); a prefetch that misses or dies resolves its flight empty and
-// the foreground Acquire() runs the ladder itself. Each ring member has
-// its own net::ClientPool, so prefetches and foreground fetches to
-// different nodes never share a socket.
+// serving-tier extension of Algorithm 1: the gateway and the worker
+// runtime hint queued requests' templates ahead of admission, so the wire
+// fetch overlaps the predecessor requests' denoise loop. A prefetch job
+// runs the ring walk only — it never registers locally (registration needs
+// the model, whose lifetime belongs to the hinting worker); a prefetch
+// that misses or dies resolves its flight empty, and the foreground
+// Acquire() that joined it registers (after a clean miss) or runs the
+// ladder itself (after transport failures). Each ring member has its own
+// net::ClientPool, so prefetches and foreground fetches to different
+// nodes never share a socket.
 //
 // The invariant the serving tier relies on: Acquire() NEVER fails — a
 // worker must never fail a request because the cache tier is down; the
@@ -175,6 +198,8 @@ struct ShardedStoreStats {
   uint64_t front_size = 0;
   double fetch_p50_us = 0.0;   // Over successful foreground record fetches.
   double fetch_p99_us = 0.0;
+  // When step 0 of those records was resident, from the same start.
+  double first_step_p50_us = 0.0;
 
   // Prefetch pipeline. issued = hints that opened a flight; wasted =
   // prefetched records discarded unconsumed (staging overflow, or
@@ -206,7 +231,9 @@ class ShardedRemoteStore : public ActivationSource {
   ShardedRemoteStore(const ShardedRemoteStore&) = delete;
   ShardedRemoteStore& operator=(const ShardedRemoteStore&) = delete;
 
-  // Never fails; see the failure ladder above. Thread-safe.
+  // Never fails; see the failure ladder above. Returns at step 0 when it
+  // joins a flight still streaming its record (wait on the record's
+  // stream for later steps). Thread-safe.
   std::shared_ptr<const model::ActivationRecord> Acquire(
       const model::DiffusionModel& m, int template_id,
       bool record_kv) override;
@@ -240,11 +267,18 @@ class ShardedRemoteStore : public ActivationSource {
     bool done = false;
     bool prefetch = false;
     bool joined = false;
+    // Ended without a record after at least one member answered and every
+    // member that answered missed: joiners register without a walk.
+    bool clean_miss = false;
+    // What joiners take: the record of the fetch in progress once its
+    // step 0 is resident, or the finished record. Null while no fetch has
+    // a resident step.
     std::shared_ptr<const model::ActivationRecord> result;
   };
 
   struct PrefetchJob {
     int64_t flight_key = 0;
+    std::shared_ptr<Flight> flight;
     int template_id = 0;
     int steps = 0;
     int blocks = 0;
@@ -275,6 +309,7 @@ class ShardedRemoteStore : public ActivationSource {
     uint64_t bytes = 0;
     uint64_t wire_bytes = 0;
     double fetch_us = 0.0;
+    double first_step_us = 0.0;  // Until step 0 of the hit was resident.
     std::vector<int> missed;  // Reachable members that missed, pref order.
   };
 
@@ -283,15 +318,19 @@ class ShardedRemoteStore : public ActivationSource {
   }
 
   // Walks the preference list: skip open circuits, move past transport
-  // failures, stop at a hit or after `replication` clean answers. On a
-  // hit, read-repairs the earlier reachable replicas that missed. No mu_
-  // held; member counters are updated under mu_ before returning.
+  // failures, stop at a hit or after `replication` clean answers. Each
+  // member's record is offered to `flight` once its step 0 is resident
+  // and withdrawn if its fetch then fails. On a hit, read-repairs the
+  // earlier reachable replicas that missed. No mu_ held; member counters
+  // are updated under mu_ before returning.
   RingFetchResult RingFetch(int template_id, int steps, int blocks,
-                            bool want_kv);
-  // The foreground ladder: RingFetch, then register + replicate on miss,
-  // then local fallback.
+                            bool want_kv, Flight& flight);
+  // The foreground ladder: RingFetch (skipped when a joined flight already
+  // heard a clean miss), then register + replicate on miss, then local
+  // fallback. Returns only a whole record.
   std::shared_ptr<const model::ActivationRecord> FetchOrRegister(
-      const model::DiffusionModel& m, int template_id, bool record_kv);
+      const model::DiffusionModel& m, int template_id, bool record_kv,
+      Flight& flight, bool known_miss);
   // Publishes `record` to up to `replication` reachable preferred members
   // (miss path). Returns acked put count; updates member counters.
   int Replicate(int template_id, const model::ActivationRecord& record);
@@ -322,6 +361,7 @@ class ShardedRemoteStore : public ActivationSource {
   bool prefetch_stop_ = false;
   ShardedStoreStats stats_;  // members[] sized at construction.
   StatAccumulator fetch_us_;
+  StatAccumulator first_step_us_;
   StatAccumulator prefetch_us_;
 
   std::vector<Member> members_;  // Indexed like ring_.member().

@@ -255,8 +255,17 @@ void Gateway::HintPrefetch(const runtime::OnlineRequest& request) {
   metrics_.RecordPrefetchHint();
 }
 
+MetricsSnapshot Gateway::Metrics() const {
+  MetricsSnapshot snap = metrics_.Snapshot();
+  for (const auto& worker : workers_) {
+    snap.worker_sat_out_steps.push_back(worker->server().sat_out_steps());
+    snap.worker_stream_wait_ms.push_back(worker->server().stream_wait_ms());
+  }
+  return snap;
+}
+
 std::string Gateway::MetricsJson() const {
-  std::string json = metrics_.ToJson();
+  std::string json = Metrics().ToJson();
   if (options_.worker.activation_source != nullptr && !json.empty() &&
       json.back() == '}') {
     json.insert(json.size() - 1, ",\"activation_source\":" +

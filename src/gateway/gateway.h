@@ -138,7 +138,7 @@ class Gateway {
   void Stop();
 
   std::vector<sched::WorkerStatus> WorkerStatuses() const;
-  MetricsSnapshot Metrics() const { return metrics_.Snapshot(); }
+  MetricsSnapshot Metrics() const;
   // Registry JSON, plus an "activation_source" object when the fleet is
   // configured with a shared source (local or remote cache tier) — so one
   // daemon metrics query reports serving and cache-tier counters together.

@@ -60,6 +60,10 @@ std::string MetricsSnapshot::ToJson() const {
   AppendArray(out, "worker_completed", worker_completed);
   out << ",";
   AppendArray(out, "worker_busy_ms", worker_busy_ms);
+  out << ",";
+  AppendArray(out, "worker_sat_out_steps", worker_sat_out_steps);
+  out << ",";
+  AppendArray(out, "worker_stream_wait_ms", worker_stream_wait_ms);
   out << "}";
   return out.str();
 }

@@ -55,6 +55,11 @@ struct MetricsSnapshot {
   std::vector<uint64_t> worker_dispatched;
   std::vector<uint64_t> worker_completed;
   std::vector<double> worker_busy_ms;
+  // Per-worker streamed-record stalls, read from the workers at snapshot
+  // time: member-steps sat out while a record's next step was still
+  // landing, and the denoise thread's waits with no member able to step.
+  std::vector<uint64_t> worker_sat_out_steps;
+  std::vector<double> worker_stream_wait_ms;
 
   // Fraction of completed requests that met their deadline (1.0 when no
   // request carried a deadline).

@@ -16,8 +16,10 @@
 #define FLASHPS_SRC_MODEL_DIFFUSION_MODEL_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "src/model/record_stream.h"
 #include "src/model/timing.h"
 #include "src/model/transformer.h"
 #include "src/tensor/matrix.h"
@@ -52,12 +54,31 @@ struct NumericsConfig {
 // models differ in row count and are not interchangeable. K/V are recorded
 // only when requested (the Fig. 7 alternative needs them and doubles the
 // record size).
+//
+// A record fetched from the cache tier may be shared while a fetch still
+// fills it: `stream` then says how many leading steps are resident, and
+// only those may be read. Its `steps` (and each step's y/k/v vectors) are
+// sized before it is shared, so their shapes and has_kv() are stable.
 struct ActivationRecord {
   std::vector<StepActivations> steps;
+  // Null when every step was filled before the record was shared.
+  std::shared_ptr<StepStream> stream;
 
   size_t TotalBytes() const;
   bool has_kv() const {
     return !steps.empty() && !steps.front().k.empty();
+  }
+  // Leading steps that may be read now.
+  int ResidentSteps() const {
+    return stream == nullptr ? static_cast<int>(steps.size())
+                             : stream->resident();
+  }
+  bool StreamFailed() const { return stream != nullptr && stream->failed(); }
+  // Blocks until every step is resident; false when the stream failed
+  // first (then only ResidentSteps() of them may be read).
+  bool AwaitWhole() const {
+    return stream == nullptr ||
+           stream->AwaitResident(static_cast<int>(steps.size()));
   }
 };
 

@@ -268,7 +268,8 @@ bool Client::AwaitCacheReplies(std::map<uint64_t, CacheOp> outstanding,
 }
 
 FetchRecordResult Client::FetchRecord(int template_id, int steps, int blocks,
-                                      bool want_kv) {
+                                      bool want_kv,
+                                      const FirstStepFn& on_first_step) {
   FetchRecordResult result;
   if (!Connect()) {
     return result;
@@ -282,8 +283,11 @@ FetchRecordResult Client::FetchRecord(int template_id, int steps, int blocks,
       step.v.resize(static_cast<size_t>(blocks));
     }
   }
-  // Fire every fetch before awaiting any reply.
+  record->stream = std::make_shared<model::StepStream>(steps);
+  // Fire every fetch, in step order, in one write before awaiting any
+  // reply.
   std::map<uint64_t, CacheOp> outstanding;
+  std::vector<uint8_t> burst;
   const int kinds = want_kv ? 3 : 1;
   for (int step = 0; step < steps; ++step) {
     for (int block = 0; block < blocks; ++block) {
@@ -291,45 +295,63 @@ FetchRecordResult Client::FetchRecord(int template_id, int steps, int blocks,
         const CacheKey key{template_id, step, block,
                            static_cast<uint8_t>(kind)};
         const uint64_t seq = next_seq_++;
-        if (!SendFrame(EncodeCacheFetch(seq, key))) {
-          return result;
-        }
+        const std::vector<uint8_t> frame = EncodeCacheFetch(seq, key);
+        burst.insert(burst.end(), frame.begin(), frame.end());
         outstanding.emplace(seq, CacheOp{key, 0});
       }
     }
   }
-  const bool answered = AwaitCacheReplies(
-      std::move(outstanding), [&](const CacheOp& op, const CacheHitBody* hit) {
-        if (hit == nullptr) {
-          ++result.misses;
-          return true;
-        }
-        // Decode-on-fetch: the wire decoder already validated the
-        // structure and checksum, so a failure here means a broken
-        // encoder — treat it like any other malformed payload. A fetch is
-        // never answered by a payload-less put ack.
-        Matrix decoded;
-        if (!hit->has_payload() ||
-            !quant::Decode(hit->data, &decoded, nullptr)) {
-          return false;
-        }
-        auto& acts = record->steps[static_cast<size_t>(op.key.step)];
-        auto& slots = op.key.kind == kCacheKindY   ? acts.y
-                      : op.key.kind == kCacheKindK ? acts.k
-                                                   : acts.v;
-        result.wire_bytes += hit->data.StoredBytes();
-        result.bytes += decoded.bytes();
-        slots[static_cast<size_t>(op.key.block)] = std::move(decoded);
-        ++result.hits;
-        return true;
-      });
-  if (!answered) {
-    return result;
-  }
-  result.transport_ok = true;
-  result.complete = result.misses == 0;
+  // Matrices still owed per step; a step is resident once its count hits
+  // zero and every earlier step's has.
+  std::vector<int> owed(static_cast<size_t>(steps), blocks * kinds);
+  int resident = 0;
+  const bool answered =
+      SendFrame(burst) &&
+      AwaitCacheReplies(
+          std::move(outstanding),
+          [&](const CacheOp& op, const CacheHitBody* hit) {
+            if (hit == nullptr) {
+              ++result.misses;
+              return true;
+            }
+            // Decode-on-fetch: the wire decoder already validated the
+            // structure and checksum, so a failure here means a broken
+            // encoder — treat it like any other malformed payload. A
+            // fetch is never answered by a payload-less put ack.
+            Matrix decoded;
+            if (!hit->has_payload() ||
+                !quant::Decode(hit->data, &decoded, nullptr)) {
+              return false;
+            }
+            auto& acts = record->steps[static_cast<size_t>(op.key.step)];
+            auto& slots = op.key.kind == kCacheKindY   ? acts.y
+                          : op.key.kind == kCacheKindK ? acts.k
+                                                       : acts.v;
+            result.wire_bytes += hit->data.StoredBytes();
+            result.bytes += decoded.bytes();
+            slots[static_cast<size_t>(op.key.block)] = std::move(decoded);
+            ++result.hits;
+            if (--owed[static_cast<size_t>(op.key.step)] == 0) {
+              const int before = resident;
+              while (resident < steps &&
+                     owed[static_cast<size_t>(resident)] == 0) {
+                ++resident;
+              }
+              if (resident > before) {
+                record->stream->Publish(resident);
+                if (before == 0 && on_first_step) {
+                  on_first_step(record);
+                }
+              }
+            }
+            return true;
+          });
+  result.transport_ok = answered;
+  result.complete = answered && result.misses == 0;
   if (result.complete) {
     result.record = std::move(record);
+  } else {
+    record->stream->Fail();
   }
   return result;
 }

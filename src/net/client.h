@@ -12,8 +12,11 @@
 // them from a ClientPool.
 //
 // A record of S steps x B blocks is S*B cache fetches (3x that with
-// K/V), all fired before the first reply is awaited, so a whole-record
-// fetch costs one round trip plus the transfer, not S*B round trips.
+// K/V), all fired in one write before the first reply is awaited, so a
+// whole-record fetch costs one round trip plus the transfer, not S*B
+// round trips. The record streams: each step is published on its
+// StepStream as that step's last frame decodes, so a caller can hand it
+// on while later steps are still on the wire.
 // Every payload that arrives is checksum-verified by the wire decoder and
 // must name the key its seq asked for before it is placed into the
 // record, and every put acknowledgement is checked against the checksum
@@ -119,13 +122,23 @@ class Client {
   std::optional<std::string> QueryMetrics(
       std::optional<std::chrono::milliseconds> timeout = {});
 
+  // Runs on the fetching thread once step 0 of a record is resident
+  // (already published on its stream), with the record being filled.
+  using FirstStepFn =
+      std::function<void(const std::shared_ptr<model::ActivationRecord>&)>;
+
   // Fetches every matrix of one template's record from a cache node:
   // `steps` x `blocks` Y matrices, plus K and V when `want_kv`.
   // Pipelined; blocks until every reply lands or the call deadline
   // lapses. Payloads arrive encoded (self-describing dtype) and are
-  // decoded into the record here.
+  // decoded into the record here. The record carries a StepStream from
+  // the start: steps are published in order as they complete, and the
+  // stream is failed when the fetch ends without every key, so whoever
+  // `on_first_step` handed the record to never waits on a step that will
+  // not land.
   FetchRecordResult FetchRecord(int template_id, int steps, int blocks,
-                                bool want_kv);
+                                bool want_kv,
+                                const FirstStepFn& on_first_step = {});
 
   // Stores every matrix of `record` under its content address, each step
   // encoded at the dtype `precision` assigns it (default: lossless f32).

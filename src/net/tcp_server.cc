@@ -25,6 +25,11 @@ constexpr size_t kMaxWritePerEvent = 256 * 1024;
 // Queued frames handed to one sendmsg: a burst of small acks leaves in one
 // call and, with TCP_NODELAY, in as few segments as their bytes need.
 constexpr size_t kMaxFramesPerSend = 64;
+// Replies queued while a burst of frames is still being answered go out
+// once this many bytes wait, so the first replies of a long burst (a
+// record fetch is ~100 frames of ~28 KB) leave while the rest are still
+// being encoded.
+constexpr size_t kFlushBytes = 64 * 1024;
 // Sentinel ids in the pollfd index for the two non-connection fds.
 constexpr uint64_t kWakeId = 0;
 constexpr uint64_t kListenerId = ~0ull;
@@ -90,6 +95,7 @@ void TcpServer::QueueFrame(Conn& conn, std::vector<uint8_t> frame) {
   if (frame.empty()) {
     return;  // Would hand sendmsg nothing to send.
   }
+  conn.out_queued += frame.size();
   conn.outbuf.push_back(std::move(frame));
 }
 
@@ -170,6 +176,9 @@ void TcpServer::ParseFrames(Conn& conn) {
       ++stats_.frames_received;
     }
     DispatchFrame(conn, frame);
+    if (conn.out_queued >= kFlushBytes) {
+      HandleWritable(conn);
+    }
   }
   if (offset > 0) {
     conn.inbuf.erase(conn.inbuf.begin(),
@@ -338,6 +347,7 @@ void TcpServer::HandleWritable(Conn& conn) {
     if (n > 0) {
       // Retire what went out; a frame is freed the moment its last byte
       // is sent.
+      conn.out_queued -= static_cast<size_t>(n);
       size_t left = static_cast<size_t>(n);
       while (left > 0) {
         const size_t rest = conn.outbuf.front().size() - conn.out_sent;
@@ -363,6 +373,7 @@ void TcpServer::HandleWritable(Conn& conn) {
     conn.close_after_flush = true;
     conn.outbuf.clear();
     conn.out_sent = 0;
+    conn.out_queued = 0;
     return;
   }
 }
@@ -479,6 +490,7 @@ void TcpServer::PollLoop() {
         conn.close_after_flush = true;
         conn.outbuf.clear();
         conn.out_sent = 0;
+        conn.out_queued = 0;
         continue;
       }
       if (revents & (POLLIN | POLLHUP)) {

@@ -16,9 +16,13 @@
 // listener, the wake pipe (Stop() writes it), every connection fd (all
 // non-blocking) and every accepted request's pending completion. Each
 // pass reads, frames and validates incoming bytes, answers rejections
-// and metrics queries inline, checks every pending completion's Ready(),
-// encodes and queues each finished reply on its connection, and flushes
-// the write buffers. While any completion is pending, ppoll() waits at
+// and metrics queries (and, in service mode, every frame) inline, checks
+// every pending completion's Ready(), encodes and queues each finished
+// reply on its connection, and flushes the write buffers. While it
+// answers a burst of buffered frames it also sends whatever is queued
+// each time 64 KB wait, so the first replies of a long burst (a cache
+// node serving a ~100-frame record fetch) leave while the rest are
+// still being encoded. While any completion is pending, ppoll() waits at
 // most 500 µs, so a finished result is noticed within about that long;
 // with none pending it sleeps until a socket or Stop() wakes it.
 //
@@ -149,6 +153,7 @@ class TcpServer {
     // wire.
     std::deque<std::vector<uint8_t>> outbuf;
     size_t out_sent = 0;
+    size_t out_queued = 0;  // Bytes of outbuf not yet on the wire.
     int inflight = 0;  // Accepted requests whose replies are still owed.
     bool read_closed = false;
     bool close_after_flush = false;

@@ -64,12 +64,95 @@ int OnlineServer::EffectiveTemplateId(int template_id, int grid_h,
 
 void OnlineServer::Preprocess(InFlight& item) const {
   // The CPU-bound "pre-processing": decode the user's inputs into a latent.
-  // Both the template encode and the activation record (Acquire in the
-  // denoise loop) use the salted effective id, so they stay consistent
-  // per resolution.
+  // Both the template encode and the activation record (AcquireRecord)
+  // use the salted effective id, so they stay consistent per resolution.
   const Matrix tmpl = item.model->EncodeTemplate(item.effective_template_id);
   item.latent = item.model->InitEditLatent(tmpl, item.request.mask,
                                            item.request.prompt_seed);
+}
+
+std::shared_ptr<const model::ActivationRecord> OnlineServer::AcquireRecord(
+    const InFlight& item) const {
+  // Pinned for the request's lifetime. A local source registers on first
+  // use; a remote source returns once step 0 is resident, with later
+  // steps still landing, or after local registration on a miss (a request
+  // never fails because the cache tier is down). sparse_compute needs
+  // K/V in the record; the step loop degrades to the dense path if a
+  // (remote) source hands back a Y-only one.
+  return source_->Acquire(*item.model, item.effective_template_id,
+                          /*record_kv=*/options_.sparse_compute);
+}
+
+void OnlineServer::AcquireOnLane(InFlight* item) {
+  // `item` belongs to the denoise thread now; it cannot retire before it
+  // has a record, so it outlives this call. Only `acquired` is shared. A
+  // registration here gets the denoise thread's kernel parallelism, as it
+  // did when it ran there.
+  ComputeThreadsScope compute_scope(options_.compute_threads);
+  std::shared_ptr<const model::ActivationRecord> record = AcquireRecord(*item);
+  {
+    std::lock_guard<std::mutex> lock(acquired_mu_);
+    item->acquired = std::move(record);
+  }
+  bell_->Ring();
+}
+
+void OnlineServer::TakeAcquired(InFlight& item) {
+  if (!options_.mask_aware || item.cache != nullptr) {
+    return;
+  }
+  std::lock_guard<std::mutex> lock(acquired_mu_);
+  item.cache = std::move(item.acquired);
+}
+
+bool OnlineServer::MakeAdmissible(InFlightPtr item) {
+  if (auto rejected = ready_.PushOrReturn(std::move(item))) {
+    Reject(std::move(*rejected));
+    return false;
+  }
+  bell_->Ring();
+  return true;
+}
+
+bool OnlineServer::NextStepResident(const InFlight& item) const {
+  if (!options_.mask_aware) {
+    return true;
+  }
+  return item.cache != nullptr &&
+         item.cache->ResidentSteps() > item.steps_done;
+}
+
+bool OnlineServer::NextStepLost(const InFlight& item) const {
+  // Failure is final, so the resident count read after it is too.
+  return item.cache != nullptr && item.cache->StreamFailed() &&
+         item.cache->ResidentSteps() <= item.steps_done;
+}
+
+void OnlineServer::AwaitAnyStep(std::vector<InFlightPtr>& batch) {
+  const uint64_t seen = bell_->Epoch();
+  for (const InFlightPtr& member : batch) {
+    if (member->cache != nullptr && member->cache->stream != nullptr) {
+      member->cache->stream->Watch(bell_);
+    }
+  }
+  // Checked again after watching: a record or a step may have landed, or
+  // a request arrived with room for it, since the loop last looked.
+  for (InFlightPtr& member : batch) {
+    TakeAcquired(*member);
+    if (NextStepResident(*member) || NextStepLost(*member)) {
+      return;
+    }
+  }
+  if (static_cast<int>(batch.size()) < options_.max_batch &&
+      ready_.size() > 0) {
+    return;
+  }
+  const auto start = std::chrono::steady_clock::now();
+  bell_->Wait(seen);
+  stream_wait_us_.fetch_add(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count()));
 }
 
 void OnlineServer::Postprocess(InFlightPtr item) {
@@ -206,13 +289,14 @@ std::future<OnlineResponse> OnlineServer::Submit(OnlineRequest request,
 
   if (options_.disaggregate) {
     // Pre-processing runs on a CPU lane; the request becomes admissible
-    // once its latent is ready.
+    // once its latent is ready. The lane then acquires its record while
+    // the request sits in the batch, stepping once step 0 is resident.
     InFlight* raw = item.release();
     const bool ok = cpu_pool_->Submit([this, raw] {
       InFlightPtr owned(raw);
       Preprocess(*owned);
-      if (auto rejected = ready_.PushOrReturn(std::move(owned))) {
-        Reject(std::move(*rejected));
+      if (MakeAdmissible(std::move(owned)) && options_.mask_aware) {
+        AcquireOnLane(raw);
       }
     });
     if (!ok) {
@@ -220,20 +304,18 @@ std::future<OnlineResponse> OnlineServer::Submit(OnlineRequest request,
     }
   } else {
     // Strawman: raw request goes straight to the denoise thread, which will
-    // pay the pre-processing inline (interrupting the running batch).
-    if (auto rejected = ready_.PushOrReturn(std::move(item))) {
-      // Lost the race with Stop(): the queue closed between the stopping_
-      // check and the push. Surface the rejection through the future —
-      // never a silent broken promise.
-      Reject(std::move(*rejected));
-    }
+    // pay the pre-processing and the acquire inline (interrupting the
+    // running batch). Losing the race with Stop() (the queue closed
+    // between the stopping_ check and the push) surfaces through the
+    // future — never a silent broken promise.
+    MakeAdmissible(std::move(item));
   }
   return future;
 }
 
 void OnlineServer::DenoiseLoop() {
   // Kernel-level parallelism for everything this thread computes (denoise
-  // steps, cache registration, and — in the strawman — inline pre/post).
+  // steps and — in the strawman — inline pre/post and cache registration).
   ComputeThreadsScope compute_scope(options_.compute_threads);
   std::vector<InFlightPtr> batch;
   const int total_steps = options_.numerics.num_steps;
@@ -256,18 +338,9 @@ void OnlineServer::DenoiseLoop() {
       InFlightPtr inflight = std::move(*item);
       if (!options_.disaggregate) {
         Preprocess(*inflight);  // Interrupts the running batch.
-      }
-      if (options_.mask_aware) {
-        // Acquire once per request and pin for its lifetime: a local
-        // source registers on first use; a remote source fetches from the
-        // cache node (or falls back to local registration — admission
-        // never fails because the cache tier is down).
-        // sparse_compute needs K/V in the record; the step loop degrades
-        // to the dense path if a (remote) source hands back a Y-only one.
-        inflight->cache =
-            source_->Acquire(*inflight->model,
-                             inflight->effective_template_id,
-                             /*record_kv=*/options_.sparse_compute);
+        if (options_.mask_aware) {
+          inflight->cache = AcquireRecord(*inflight);
+        }
       }
       inflight->admitted = std::chrono::steady_clock::now();
       StatusMarkRunning(inflight->id);
@@ -280,24 +353,60 @@ void OnlineServer::DenoiseLoop() {
       continue;
     }
 
-    // One denoising step for every batch member (step-level interleaving).
-    // Patch-granular path: members whose pinned record carries K/V advance
-    // through ONE cross-request gathered panel per block — the token-wise
-    // GEMMs of the whole (possibly mixed-resolution) batch run as single
-    // kernels over everyone's masked tokens. The rest (full-compute mode,
-    // Y-only records from a degraded remote fetch, patch batching off)
-    // step solo; both paths produce bitwise-identical latents (see
-    // DiffusionModel::RunStepBatchGathered).
+    // Records acquired on the CPU lanes join their members here. A member
+    // whose record stopped streaming before its next step landed acquires
+    // it again — the source joins the flight still walking the ring, or
+    // fetches from a replica, or registers — and keeps its progress:
+    // every copy of a record holds the same bits.
+    for (auto& member : batch) {
+      TakeAcquired(*member);
+      if (!NextStepLost(*member)) {
+        continue;
+      }
+      if (options_.disaggregate) {
+        member->cache.reset();
+        InFlight* raw = member.get();
+        cpu_pool_->Submit([this, raw] { AcquireOnLane(raw); });
+      } else {
+        member->cache = AcquireRecord(*member);
+      }
+    }
+
+    // Members whose next step's cache is resident step; the rest sit this
+    // step out (bits do not depend on who shares a step). With nobody able
+    // to step, wait for a step to land or a request to arrive.
+    std::vector<InFlight*> stepping;
+    for (auto& member : batch) {
+      if (NextStepResident(*member)) {
+        stepping.push_back(member.get());
+      }
+    }
+    if (stepping.empty()) {
+      if (!batch.empty()) {
+        AwaitAnyStep(batch);
+      }
+      continue;
+    }
+    sat_out_steps_.fetch_add(batch.size() - stepping.size());
+
+    // One denoising step for every stepping member (step-level
+    // interleaving). Patch-granular path: members whose pinned record
+    // carries K/V advance through ONE cross-request gathered panel per
+    // block — the token-wise GEMMs of the whole (possibly mixed-resolution)
+    // batch run as single kernels over everyone's masked tokens. The rest
+    // (full-compute mode, Y-only records from a degraded remote fetch,
+    // patch batching off) step solo; both paths produce bitwise-identical
+    // latents (see DiffusionModel::RunStepBatchGathered).
     std::vector<model::DiffusionModel::StepBatchMember> panel;
     std::vector<InFlight*> solo;
-    for (auto& member : batch) {
+    for (InFlight* member : stepping) {
       if (patch_batching && member->cache != nullptr &&
           member->cache->has_kv()) {
         panel.push_back({member->model, &member->latent,
                          &member->request.mask, member->cache.get(),
                          member->steps_done});
       } else {
-        solo.push_back(member.get());
+        solo.push_back(member);
       }
     }
     if (!panel.empty()) {
@@ -313,7 +422,7 @@ void OnlineServer::DenoiseLoop() {
                                                    opts, member->steps_done,
                                                    member->steps_done + 1);
     }
-    for (auto& member : batch) {
+    for (InFlight* member : stepping) {
       ++member->steps_done;
       StatusUpdateSteps(member->id, member->steps_done);
     }

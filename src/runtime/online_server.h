@@ -1,11 +1,25 @@
 // Real-time online serving runtime (the paper's §5 implementation layer).
 //
-// A dedicated denoise thread owns the running batch and advances every
-// member by one denoising step per iteration — requests join and leave at
+// A dedicated denoise thread owns the running batch and advances its
+// members by one denoising step per iteration — requests join and leave at
 // step boundaries (continuous batching). CPU-bound pre-processing (latent
-// preparation) and post-processing (decoding) either run disaggregated on a
-// thread pool (FlashPS's design: the denoise thread is never interrupted)
-// or inline on the denoise thread (the strawman), selectable per server.
+// preparation), the template's activation acquire and post-processing
+// (decoding) either run disaggregated on a thread pool (FlashPS's design:
+// the denoise thread is never interrupted) or inline on the denoise
+// thread (the strawman), selectable per server.
+//
+// Records stream (the paper's Algorithm 1 on the real path). With
+// disaggregation a request becomes admissible once pre-processed; the
+// same CPU lane then calls Acquire(), which returns once step 0 of a
+// remote record is resident (or after local registration on a miss), and
+// hands the record to the denoise thread while its later steps are still
+// on the wire. Each iteration steps only the members whose next step is
+// resident; the others sit it out, which leaves every member's bits
+// unchanged (a member's step is bitwise the same in any panel or solo).
+// When no member can step, the thread blocks until a record or a step
+// lands or a request arrives — never on a timer. A member whose stream
+// fails before its next step lands acquires its record again (replica or
+// local registration) and keeps its progress.
 //
 // This is the actual-concurrency counterpart of serving::Worker (which
 // models the same policies in virtual time): real threads, real queues,
@@ -26,6 +40,7 @@
 
 #include "src/cache/activation_store.h"
 #include "src/common/concurrent_queue.h"
+#include "src/common/doorbell.h"
 #include "src/common/thread_pool.h"
 #include "src/common/time.h"
 #include "src/model/diffusion_model.h"
@@ -152,7 +167,8 @@ class OnlineServer {
     // cache::ShardedRemoteStore here puts the worker on the shared
     // cache tier; a shared_ptr to one local store puts a whole fleet on
     // one in-process store. Either way the denoise loop is identical —
-    // records are acquired once per request and pinned until it retires.
+    // records are acquired once per request (again only if a stream
+    // fails) and pinned until it retires.
     std::shared_ptr<cache::ActivationSource> activation_source;
   };
 
@@ -182,6 +198,14 @@ class OnlineServer {
 
   uint64_t accepted_count() const { return accepted_.load(); }
   uint64_t completed_count() const { return completed_.load(); }
+  // Member-steps skipped because the member's next step had not landed
+  // while other members stepped.
+  uint64_t sat_out_steps() const { return sat_out_steps_.load(); }
+  // Time the denoise thread waited with members in its batch but none
+  // able to step, in milliseconds.
+  double stream_wait_ms() const {
+    return static_cast<double>(stream_wait_us_.load()) / 1e3;
+  }
   const Options& options() const { return options_; }
   const model::DiffusionModel& model() const { return model_; }
 
@@ -213,8 +237,12 @@ class OnlineServer {
     Matrix latent;
     // Pinned activation record for the request's lifetime: an evicting
     // source (remote store LRU front) can drop its reference without
-    // invalidating a batch member mid-denoise.
+    // invalidating a batch member mid-denoise. Steps at or past
+    // cache->ResidentSteps() may still be landing. Null (mask-aware)
+    // until the CPU lane's acquire lands in `acquired`.
     std::shared_ptr<const model::ActivationRecord> cache;
+    // Handed over by AcquireOnLane(); guarded by acquired_mu_.
+    std::shared_ptr<const model::ActivationRecord> acquired;
     int steps_done = 0;
     OnComplete on_complete;
     std::promise<OnlineResponse> promise;
@@ -235,6 +263,23 @@ class OnlineServer {
   void DenoiseLoop();
   // Prepares the initial latent (the CPU-bound "pre-processing").
   void Preprocess(InFlight& item) const;
+  // The request's activation record from the source (mask-aware only).
+  std::shared_ptr<const model::ActivationRecord> AcquireRecord(
+      const InFlight& item) const;
+  // Acquires on a CPU lane for a request the denoise thread already owns:
+  // the record lands in `acquired` and the denoise thread is rung.
+  void AcquireOnLane(InFlight* item);
+  // Denoise thread: moves a landed `acquired` record into `cache`.
+  void TakeAcquired(InFlight& item);
+  // Queues the request for the denoise thread and rings it; false (and
+  // the request rejected) when the queue is closed.
+  bool MakeAdmissible(InFlightPtr item);
+  bool NextStepResident(const InFlight& item) const;
+  // The record's stream failed before the member's next step landed.
+  bool NextStepLost(const InFlight& item) const;
+  // Blocks until a record or a step lands for some member, a stream
+  // fails, or a request arrives with room in the batch.
+  void AwaitAnyStep(std::vector<InFlightPtr>& batch);
   // Decodes and fulfills the promise (the CPU-bound "post-processing").
   void Postprocess(InFlightPtr item);
   // Fails a request that lost the submit/Stop race (counts it completed).
@@ -254,10 +299,17 @@ class OnlineServer {
   std::vector<std::unique_ptr<model::DiffusionModel>> extra_models_;
   // The resolved activation source: options_.activation_source when set
   // (possibly shared across a fleet or remote), else a private local
-  // store. Acquire() happens only on the denoise thread, but the source
-  // itself may be shared, so it must be thread-safe (all of ours are).
+  // store. Acquire() runs on the CPU lanes (on the denoise thread in the
+  // strawman), and the source may be shared, so it must be thread-safe
+  // (all of ours are).
   std::shared_ptr<cache::ActivationSource> source_;
   ConcurrentQueue<InFlightPtr> ready_;
+  // Rung by every push to ready_, every record a CPU lane acquires, and
+  // the streams of members the denoise thread waits on.
+  std::shared_ptr<Doorbell> bell_ = std::make_shared<Doorbell>();
+  std::mutex acquired_mu_;
+  std::atomic<uint64_t> sat_out_steps_{0};
+  std::atomic<uint64_t> stream_wait_us_{0};
   std::unique_ptr<ThreadPool> cpu_pool_;
   std::thread denoise_thread_;
   std::atomic<uint64_t> next_id_{0};

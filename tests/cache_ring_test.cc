@@ -2,9 +2,15 @@
 // minimal movement on membership change), and the ShardedRemoteStore
 // ladder over three loopback cache nodes — k-way replication, read
 // repair, per-member circuit breakers, failover down the preference
-// list, and the node-by-node "Acquire never fails" invariant.
+// list, and the node-by-node "Acquire never fails" invariant; and streamed
+// records over two members: a flight that heard only misses costs one
+// ring walk, and a stream cut mid-record finishes from the replica or by
+// local registration with the whole-record bits.
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +21,7 @@
 #include "src/net/cache_node.h"
 #include "src/net/client.h"
 #include "src/net/tcp_server.h"
+#include "src/runtime/online_server.h"
 
 namespace flashps::net {
 namespace {
@@ -34,8 +41,10 @@ bool MatricesEqual(const Matrix& a, const Matrix& b) {
          LatentChecksum(a) == LatentChecksum(b);
 }
 
+// A record still streaming is compared once it is whole.
 bool RecordsEqual(const model::ActivationRecord& a,
                   const model::ActivationRecord& b) {
+  if (!a.AwaitWhole() || !b.AwaitWhole()) return false;
   if (a.steps.size() != b.steps.size()) return false;
   for (size_t s = 0; s < a.steps.size(); ++s) {
     const auto& as = a.steps[s];
@@ -514,6 +523,256 @@ TEST_F(CacheRingStoreTest, MetricsJsonCarriesPerMemberCounters) {
   }
   EXPECT_NE(json.find("\"read_repairs\":"), std::string::npos);
   EXPECT_NE(json.find("\"circuit_open\":false"), std::string::npos);
+}
+
+// A cache node whose fetches of one key hold until the test releases
+// them. Once released, that fetch and — with `dies` — every later frame on
+// any connection get a kError that closes the connection, as if the node
+// died mid-record.
+class LatchedNode {
+ public:
+  explicit LatchedNode(bool dies) : dies_(dies) {}
+
+  void HoldAt(CacheKey key) {
+    std::lock_guard<std::mutex> lock(mu_);
+    hold_at_ = key;
+  }
+
+  InlineService Service() {
+    return [this](const ParsedFrame& frame) {
+      CacheFetchBody body;
+      std::string error;
+      const bool fetch = frame.type() == FrameType::kCacheFetch &&
+                         DecodeCacheFetch(frame, &body, &error);
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        const bool held = fetch && hold_at_.has_value() && body.key == *hold_at_;
+        if (held) {
+          ++holding_;
+          cv_.notify_all();
+          cv_.wait(lock, [&] { return released_; });
+        }
+        if (dead_ || (held && dies_)) {
+          dead_ = true;
+          return InlineReply{EncodeError(frame.header.seq,
+                                         WireError::kConnectionClosed,
+                                         "node died"),
+                             /*close_connection=*/true};
+        }
+      }
+      return node_.Handle(frame);
+    };
+  }
+
+  // Blocks until a fetch of the held key is waiting on the latch.
+  bool AwaitHolding() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return holding_ > 0; });
+  }
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  CacheNode& node() { return node_; }
+
+ private:
+  const bool dies_;
+  std::optional<CacheKey> hold_at_;  // Guarded by mu_.
+  CacheNode node_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int holding_ = 0;
+  bool released_ = false;
+  bool dead_ = false;
+};
+
+// Two loopback members: member 0 latched, member 1 a plain node.
+class CacheRingStreamTest : public ::testing::Test {
+ protected:
+  void Start(bool dies) {
+    latched_ = std::make_unique<LatchedNode>(dies);
+    latched_server_ = std::make_unique<TcpServer>(latched_->Service());
+    plain_server_ = std::make_unique<TcpServer>(plain_.Service());
+    ASSERT_TRUE(latched_server_->Start());
+    ASSERT_TRUE(plain_server_->Start());
+  }
+
+  void TearDown() override {
+    if (latched_ != nullptr) {
+      latched_->Release();
+    }
+    for (TcpServer* server : {latched_server_.get(), plain_server_.get()}) {
+      if (server != nullptr) {
+        server->Stop();
+      }
+    }
+  }
+
+  cache::ShardedStoreOptions StoreOptions() {
+    cache::ShardedStoreOptions options;
+    options.nodes = {{"127.0.0.1", latched_server_->port()},
+                     {"127.0.0.1", plain_server_->port()}};
+    options.replication = 2;
+    options.prefetch_workers = 1;
+    options.connect_attempts = 1;
+    options.connect_backoff = std::chrono::milliseconds(1);
+    return options;
+  }
+
+  // A template whose primary is the latched member.
+  int TemplateOnLatchedPrimary(const cache::CacheRing& ring) {
+    for (int t = 0; t < 256; ++t) {
+      const int primary = ring.PrimaryFor(t);
+      if (ring.member(static_cast<size_t>(primary)).port ==
+          latched_server_->port()) {
+        return t;
+      }
+    }
+    return -1;
+  }
+
+  std::unique_ptr<LatchedNode> latched_;
+  CacheNode plain_;
+  std::unique_ptr<TcpServer> latched_server_;
+  std::unique_ptr<TcpServer> plain_server_;
+};
+
+TEST_F(CacheRingStreamTest, JoinerOfACleanMissRegistersWithoutASecondWalk) {
+  model::NumericsConfig numerics = model::NumericsConfig::ForTests();
+  numerics.num_steps = 2;
+  const model::DiffusionModel model(numerics);
+  constexpr int kTemplate = 4;
+  // Hold the prefetch's walk at its first fetch of the cold template, so
+  // the foreground Acquire joins the flight while it is open.
+  Start(/*dies=*/false);
+  latched_->HoldAt(CacheKey{kTemplate, 0, 0, kCacheKindY});
+  cache::ShardedRemoteStore store(StoreOptions());
+  store.Prefetch(model, kTemplate, /*record_kv=*/false);
+  std::shared_ptr<const model::ActivationRecord> record;
+  std::thread acquirer(
+      [&] { record = store.Acquire(model, kTemplate, /*record_kv=*/false); });
+  ASSERT_TRUE(latched_->AwaitHolding());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  latched_->Release();
+  acquirer.join();
+
+  ASSERT_NE(record, nullptr);
+  EXPECT_TRUE(RecordsEqual(*record, model.Register(kTemplate, false)));
+  const cache::ShardedStoreStats stats = store.Stats();
+  EXPECT_EQ(stats.local_registrations, 1u);
+  EXPECT_EQ(stats.prefetch_remote_misses, 1u);
+  EXPECT_EQ(stats.remote_misses, 1u);
+  EXPECT_EQ(stats.puts_ok, 2u);
+  // One walk: each member missed every key of the record once.
+  const uint64_t keys =
+      static_cast<uint64_t>(numerics.num_steps) * numerics.num_blocks;
+  EXPECT_EQ(latched_->node().Stats().fetch_misses + plain_.Stats().fetch_misses,
+            2 * keys);
+}
+
+// Runs one request through a worker on `store` while the latched member
+// dies after serving step 0 of its record, and checks it completes with
+// the whole-record bits. Returns the store's counters.
+cache::ShardedStoreStats RunThroughACutStream(
+    cache::ShardedRemoteStore& store, LatchedNode& latched,
+    const model::NumericsConfig& numerics, int template_id) {
+  runtime::OnlineServer::Options options;
+  options.numerics = numerics;
+  options.sparse_compute = true;
+  Rng rng(31);
+  runtime::OnlineRequest request;
+  request.template_id = template_id;
+  request.mask =
+      trace::GenerateBlobMask(numerics.grid_h, numerics.grid_w, 0.2, rng);
+  request.prompt_seed = 77;
+
+  options.activation_source =
+      std::shared_ptr<cache::ActivationSource>(&store, [](auto*) {});
+  runtime::OnlineServer server(options);
+  std::future<runtime::OnlineResponse> future = server.Submit(request);
+  // Step 0 of the record has run before the node dies.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool stepped = false;
+  while (!stepped && std::chrono::steady_clock::now() < deadline) {
+    const runtime::BatchSnapshot snap = server.Snapshot();
+    stepped = !snap.running_remaining.empty() &&
+              snap.running_remaining.front() < numerics.num_steps;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  EXPECT_TRUE(stepped) << "step 0 never ran off the stream";
+  latched.Release();
+  const Matrix streamed = future.get().image;
+  server.Stop();
+
+  options.activation_source = nullptr;
+  runtime::OnlineServer reference(options);
+  EXPECT_EQ(LatentChecksum(streamed),
+            LatentChecksum(reference.Submit(request).get().image));
+  reference.Stop();
+
+  // The request acquired twice: once off the stream that was cut, and
+  // once more for the rest of its steps.
+  const cache::ShardedStoreStats stats = store.Stats();
+  EXPECT_EQ(stats.front_hits + stats.prefetch_coalesced +
+                stats.singleflight_waits + stats.remote_hits +
+                stats.remote_misses + stats.fallbacks,
+            2u);
+  // The front holds the whole record now; the failed one stayed nowhere.
+  EXPECT_EQ(stats.prefetch_staged, 0u);
+  const model::DiffusionModel model(numerics);
+  auto again = store.Acquire(model, template_id, /*record_kv=*/true);
+  EXPECT_EQ(store.Stats().front_hits, stats.front_hits + 1);
+  EXPECT_FALSE(again->StreamFailed());
+  EXPECT_EQ(again->ResidentSteps(), numerics.num_steps);
+  EXPECT_TRUE(RecordsEqual(*again, model.Register(template_id, true)));
+  return stats;
+}
+
+TEST_F(CacheRingStreamTest, CutStreamFinishesFromTheReplica) {
+  model::NumericsConfig numerics = model::NumericsConfig::ForTests();
+  numerics.num_steps = 2;
+  const model::DiffusionModel model(numerics);
+  Start(/*dies=*/true);
+  cache::ShardedRemoteStore store(StoreOptions());
+  const int t = TemplateOnLatchedPrimary(store.ring());
+  ASSERT_GE(t, 0);
+  // Both members hold the record; the primary dies on step 1, once every
+  // frame of step 0 is out.
+  const model::ActivationRecord published = model.Register(t, true);
+  for (TcpServer* server : {latched_server_.get(), plain_server_.get()}) {
+    Client publisher("127.0.0.1", server->port());
+    ASSERT_TRUE(publisher.PutRecord(t, published).transport_ok);
+  }
+  latched_->HoldAt(CacheKey{t, 1, 1, kCacheKindY});
+  const cache::ShardedStoreStats stats =
+      RunThroughACutStream(store, *latched_, numerics, t);
+  EXPECT_EQ(stats.local_registrations, 0u);
+  EXPECT_EQ(stats.prefetch_remote_hits, 1u);
+  EXPECT_GE(stats.failovers, 1u);
+}
+
+TEST_F(CacheRingStreamTest, CutStreamFinishesByLocalRegistration) {
+  model::NumericsConfig numerics = model::NumericsConfig::ForTests();
+  numerics.num_steps = 2;
+  const model::DiffusionModel model(numerics);
+  Start(/*dies=*/true);
+  cache::ShardedRemoteStore store(StoreOptions());
+  const int t = TemplateOnLatchedPrimary(store.ring());
+  ASSERT_GE(t, 0);
+  // Only the primary holds the record, and it dies on step 1.
+  Client publisher("127.0.0.1", latched_server_->port());
+  ASSERT_TRUE(publisher.PutRecord(t, model.Register(t, true)).transport_ok);
+  latched_->HoldAt(CacheKey{t, 1, 1, kCacheKindY});
+  const cache::ShardedStoreStats stats =
+      RunThroughACutStream(store, *latched_, numerics, t);
+  EXPECT_EQ(stats.local_registrations, 1u);
+  EXPECT_EQ(stats.prefetch_remote_hits, 0u);
 }
 
 }  // namespace

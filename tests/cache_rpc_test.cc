@@ -77,8 +77,10 @@ bool DecodedEqual(const quant::EncodedMatrix& e, const Matrix& m) {
   return quant::Decode(e, &decoded, nullptr) && MatricesEqual(decoded, m);
 }
 
+// A record still streaming is compared once it is whole.
 bool RecordsEqual(const model::ActivationRecord& a,
                   const model::ActivationRecord& b) {
+  if (!a.AwaitWhole() || !b.AwaitWhole()) return false;
   if (a.steps.size() != b.steps.size()) return false;
   for (size_t s = 0; s < a.steps.size(); ++s) {
     const auto& as = a.steps[s];

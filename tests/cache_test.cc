@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <list>
+#include <memory>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "src/cache/activation_store.h"
 #include "src/cache/cache_engine.h"
@@ -168,6 +174,56 @@ TEST(ActivationStoreTest, UpgradesToKvWhenRequested) {
   EXPECT_FALSE(plain.has_kv());
   const auto& kv = store.GetOrRegister(m, 1, /*record_kv=*/true);
   EXPECT_TRUE(kv.has_kv());
+}
+
+TEST(ActivationStoreTest, HitReturnsWhileAnotherTemplateRegisters) {
+  // One registration flight per template: a hit on a resident template
+  // never waits for another template's registration.
+  model::NumericsConfig numerics = model::NumericsConfig::ForTests();
+  numerics.grid_h = numerics.grid_w = 24;  // A registration of ~100 ms.
+  const model::DiffusionModel m(numerics);
+  ActivationStore store;
+  store.Acquire(m, 1, /*record_kv=*/false);
+  std::atomic<bool> registered{false};
+  std::thread cold([&] {
+    store.Acquire(m, 2, /*record_kv=*/false);
+    registered = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto start = std::chrono::steady_clock::now();
+  auto hit = store.Acquire(m, 1, /*record_kv=*/false);
+  const double hit_ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  const bool hit_first = !registered.load();
+  cold.join();
+  EXPECT_TRUE(hit_first) << "the hit waited " << hit_ms
+                         << " ms for another template's registration";
+  EXPECT_NE(hit, nullptr);
+  const std::string json = store.MetricsJson();
+  EXPECT_NE(json.find("\"registrations\":2,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"local_hits\":1,"), std::string::npos) << json;
+}
+
+TEST(ActivationStoreTest, ConcurrentAcquiresOfOneTemplateRegisterOnce) {
+  const model::DiffusionModel m(model::NumericsConfig::ForTests());
+  ActivationStore store;
+  constexpr int kThreads = 4;
+  std::vector<std::shared_ptr<const model::ActivationRecord>> records(
+      kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] { records[i] = store.Acquire(m, 3, true); });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  for (int i = 1; i < kThreads; ++i) {
+    EXPECT_EQ(records[i].get(), records[0].get());
+  }
+  const std::string json = store.MetricsJson();
+  EXPECT_NE(json.find("\"registrations\":1,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"local_hits\":3,"), std::string::npos) << json;
 }
 
 }  // namespace

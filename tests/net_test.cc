@@ -13,8 +13,10 @@
 #include <sys/socket.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -413,6 +415,81 @@ TEST(TcpServerSocketTest, PipelinedLargeRepliesArriveWholeAndInOrder) {
   EXPECT_EQ(next, kQueries + 1) << "replies missing by the deadline";
   EXPECT_EQ(offset, buf.size()) << "bytes after the last reply";
   server.Stop();
+}
+
+TEST(TcpServerSocketTest, BlockedBurstHasAlreadySentItsEarlierReplies) {
+  // Replies leave once 64 KB of them wait, not after the whole burst: a
+  // service stuck partway through a burst has already sent what it
+  // answered before it stuck.
+  constexpr uint64_t kQueries = 16;
+  constexpr uint64_t kStuckAt = 10;
+  const std::string body(30 * 1024, 'r');
+  std::mutex mu;
+  std::condition_variable cv;
+  bool released = false;
+  TcpServer server([&](const ParsedFrame& frame) {
+    if (frame.header.seq == kStuckAt) {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return released; });
+    }
+    return InlineReply{EncodeMetricsReport(frame.header.seq, body)};
+  });
+  ASSERT_TRUE(server.Start());
+  const auto release = [&] {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      released = true;
+    }
+    cv.notify_all();
+  };
+  const UniqueFd fd = ConnectTcp("127.0.0.1", server.port());
+  std::vector<uint8_t> burst;
+  for (uint64_t seq = 1; seq <= kQueries; ++seq) {
+    const std::vector<uint8_t> query = EncodeMetricsQuery(seq);
+    burst.insert(burst.end(), query.begin(), query.end());
+  }
+  if (!fd.valid() || !SendAll(fd.get(), burst.data(), burst.size())) {
+    release();
+    FAIL() << "cannot send the burst";
+  }
+
+  // Reads replies in order until `want` have arrived or `wait` passes.
+  std::vector<uint8_t> buf;
+  size_t offset = 0;
+  uint64_t received = 0;
+  const auto read_until = [&](uint64_t want, std::chrono::milliseconds wait) {
+    const auto deadline = std::chrono::steady_clock::now() + wait;
+    while (received < want && std::chrono::steady_clock::now() < deadline) {
+      ParsedFrame frame;
+      size_t consumed = 0;
+      if (TryParseFrame(buf.data() + offset, buf.size() - offset, &frame,
+                        &consumed) == WireError::kOk) {
+        offset += consumed;
+        EXPECT_EQ(frame.header.seq, received + 1);
+        ++received;
+        continue;
+      }
+      pollfd pfd{fd.get(), POLLIN, 0};
+      if (::poll(&pfd, 1, 50) <= 0) {
+        continue;
+      }
+      uint8_t chunk[64 * 1024];
+      const ssize_t n = ::recv(fd.get(), chunk, sizeof(chunk), 0);
+      if (n <= 0) {
+        return;
+      }
+      buf.insert(buf.end(), chunk, chunk + n);
+    }
+  };
+  // Three replies pass 64 KB, so at least the first three have left while
+  // the service is stuck on reply kStuckAt.
+  read_until(3, std::chrono::seconds(5));
+  const uint64_t before_release = received;
+  release();
+  read_until(kQueries, std::chrono::seconds(10));
+  server.Stop();
+  EXPECT_GE(before_release, 3u) << "replies held back behind a stuck burst";
+  EXPECT_EQ(received, kQueries);
 }
 
 // --- live server robustness ----------------------------------------------

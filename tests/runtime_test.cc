@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <chrono>
 #include <future>
 #include <map>
@@ -492,6 +494,162 @@ TEST_F(OnlineServerTest, PatchBatchingMatchesSerializedBaselineBitwise) {
     ASSERT_EQ(images[0][i].rows(), images[1][i].rows()) << i;
     EXPECT_EQ(MeanAbsDiff(images[0][i], images[1][i]), 0.0) << i;
   }
+}
+
+// An activation source whose records land when the test says so: Acquire()
+// hands out a record with no step resident, and Land() copies the next
+// steps in from a whole registration and publishes them on the record's
+// stream, as a cache fetch does frame by frame.
+class SteppedSource : public cache::ActivationSource {
+ public:
+  std::shared_ptr<const model::ActivationRecord> Acquire(
+      const model::DiffusionModel& m, int template_id,
+      bool record_kv) override {
+    auto whole = std::make_shared<model::ActivationRecord>(
+        m.Register(template_id, record_kv));
+    auto record = std::make_shared<model::ActivationRecord>();
+    record->steps.resize(whole->steps.size());
+    for (size_t s = 0; s < whole->steps.size(); ++s) {
+      record->steps[s].y.resize(whole->steps[s].y.size());
+      record->steps[s].k.resize(whole->steps[s].k.size());
+      record->steps[s].v.resize(whole->steps[s].v.size());
+    }
+    record->stream = std::make_shared<model::StepStream>(
+        static_cast<int>(whole->steps.size()));
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      records_[template_id] = {whole, record};
+    }
+    handed_out_.notify_all();
+    return record;
+  }
+  std::string MetricsJson() const override { return "{}"; }
+
+  // Waits until `template_id`'s record is handed out, then makes steps
+  // [0, resident) resident.
+  void Land(int template_id, int resident) {
+    std::unique_lock<std::mutex> lock(mu_);
+    handed_out_.wait(lock, [&] { return records_.contains(template_id); });
+    auto& [whole, record] = records_[template_id];
+    for (int s = record->ResidentSteps(); s < resident; ++s) {
+      const model::StepActivations& from = whole->steps[s];
+      model::StepActivations& to = record->steps[s];
+      for (size_t b = 0; b < from.y.size(); ++b) {
+        to.y[b] = from.y[b];
+      }
+      for (size_t b = 0; b < from.k.size(); ++b) {
+        to.k[b] = from.k[b];
+        to.v[b] = from.v[b];
+      }
+    }
+    record->stream->Publish(resident);
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable handed_out_;
+  std::map<int, std::pair<std::shared_ptr<const model::ActivationRecord>,
+                          std::shared_ptr<model::ActivationRecord>>>
+      records_;
+};
+
+// Polls until `done` holds or ~10 s pass.
+template <typename Predicate>
+bool WaitFor(Predicate done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
+
+// The image one request gets from a server whose records are whole from
+// the start (its private local store).
+Matrix SoloImage(const OnlineServer::Options& base, OnlineRequest request) {
+  OnlineServer::Options options = base;
+  options.activation_source = nullptr;
+  OnlineServer server(options);
+  return server.Submit(std::move(request)).get().image;
+}
+
+TEST_F(OnlineServerTest, StreamedRecordStepsAsItsStepsLand) {
+  // Step 0 runs while the later steps are still landing, each later step
+  // runs once it lands, and the output is bitwise the whole-record one.
+  auto source = std::make_shared<SteppedSource>();
+  OnlineServer::Options options;
+  options.sparse_compute = true;
+  options.activation_source = source;
+  const int steps = options.numerics.num_steps;
+  Rng rng(21);
+  const OnlineRequest request = MakeRequest(options.numerics, 0, rng);
+  OnlineServer server(options);
+  std::future<OnlineResponse> future = server.Submit(request);
+  const auto steps_done = [&] {
+    const BatchSnapshot snap = server.Snapshot();
+    return snap.running_remaining.empty()
+               ? -1
+               : steps - snap.running_remaining.front();
+  };
+  for (int landed = 1; landed <= steps; ++landed) {
+    source->Land(request.template_id, landed);
+    if (landed < steps) {
+      // Everything that has landed has run; nothing else can.
+      ASSERT_TRUE(WaitFor([&] { return steps_done() == landed; }))
+          << "step " << landed - 1 << " did not run once it landed";
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      EXPECT_EQ(steps_done(), landed) << "stepped past the landed steps";
+    }
+  }
+  const Matrix streamed = future.get().image;
+  server.Stop();
+  EXPECT_EQ(server.sat_out_steps(), 0u);  // Alone in its batch.
+  EXPECT_GT(server.stream_wait_ms(), 0.0);
+  EXPECT_EQ(MeanAbsDiff(streamed, SoloImage(options, request)), 0.0);
+}
+
+TEST_F(OnlineServerTest, MemberWhoseStepHasNotLandedSitsOut) {
+  // A batch of two: the member whose next step has not landed sits out
+  // while the other runs to completion, and both keep their solo bits.
+  auto source = std::make_shared<SteppedSource>();
+  OnlineServer::Options options;
+  options.sparse_compute = true;
+  options.max_batch = 2;
+  options.activation_source = source;
+  const int steps = options.numerics.num_steps;
+  Rng rng(22);
+  const OnlineRequest late = MakeRequest(options.numerics, 0, rng);
+  const OnlineRequest ready = MakeRequest(options.numerics, 1, rng);
+  OnlineServer server(options);
+  std::future<OnlineResponse> late_future = server.Submit(late);
+  std::future<OnlineResponse> ready_future = server.Submit(ready);
+  source->Land(late.template_id, 1);
+  ASSERT_TRUE(WaitFor([&] {
+    const BatchSnapshot snap = server.Snapshot();
+    return snap.running_remaining.size() == 2 &&
+           std::count(snap.running_remaining.begin(),
+                      snap.running_remaining.end(), steps - 1) == 1;
+  })) << "the late member did not run its landed step 0";
+  source->Land(ready.template_id, steps);
+  ASSERT_EQ(ready_future.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_NE(late_future.wait_for(std::chrono::milliseconds(0)),
+            std::future_status::ready);
+  EXPECT_GE(server.sat_out_steps(), static_cast<uint64_t>(steps - 1));
+  const BatchSnapshot snap = server.Snapshot();
+  ASSERT_EQ(snap.running_remaining.size(), 1u);
+  EXPECT_EQ(snap.running_remaining.front(), steps - 1);
+
+  source->Land(late.template_id, steps);
+  const Matrix late_image = late_future.get().image;
+  const Matrix ready_image = ready_future.get().image;
+  server.Stop();
+  EXPECT_GT(server.stream_wait_ms(), 0.0);
+  EXPECT_EQ(MeanAbsDiff(late_image, SoloImage(options, late)), 0.0);
+  EXPECT_EQ(MeanAbsDiff(ready_image, SoloImage(options, ready)), 0.0);
 }
 
 }  // namespace
