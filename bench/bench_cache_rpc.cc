@@ -10,8 +10,11 @@
 //   warm   — a freshly started worker joining a warm fleet: every
 //            template is resident on the node, so the whole record
 //            arrives over the wire. Measures fetch p50/p99, when step 0
-//            of each record became resident (first_step_p50_us), and the
-//            speedup over local registration.
+//            of each record became resident (first_step_p50_us), the
+//            process CPU time and minor page faults per fetched record
+//            (fetch_cpu_us, fetch_minflt: getrusage around the leg, node
+//            and client together), and the speedup over local
+//            registration.
 //   sweep  — a Zipf-like template-reuse trace replayed through fronts of
 //            increasing LRU capacity: hit rate climbs with capacity until
 //            the working set fits and RPCs vanish. Each point reports the
@@ -46,6 +49,8 @@
 //
 //   bench_cache_rpc --templates=12 --steps=4 --trace-len=96
 //                   --queue-ahead=8 --prefetch-workers=3
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -162,12 +167,25 @@ int main(int argc, char** argv) {
   // --- warm leg: a fresh worker fetches everything remotely --------------
   auto warm = std::make_unique<cache::ShardedRemoteStore>(
       StoreOptions(port, /*lru_capacity=*/0));
+  rusage usage_before{};
+  getrusage(RUSAGE_SELF, &usage_before);
   const auto warm_start = Clock::now();
   for (int t = 0; t < templates; ++t) {
     warm->Acquire(model, t, /*record_kv=*/false);
   }
   const double warm_ms = MsSince(warm_start);
+  rusage usage_after{};
+  getrusage(RUSAGE_SELF, &usage_after);
   const cache::ShardedStoreStats warm_stats = warm->Stats();
+  const auto cpu_us = [](const rusage& u) {
+    return 1e6 * static_cast<double>(u.ru_utime.tv_sec + u.ru_stime.tv_sec) +
+           static_cast<double>(u.ru_utime.tv_usec + u.ru_stime.tv_usec);
+  };
+  const double fetch_cpu_us =
+      (cpu_us(usage_after) - cpu_us(usage_before)) / templates;
+  const double fetch_minflt =
+      static_cast<double>(usage_after.ru_minflt - usage_before.ru_minflt) /
+      templates;
 
   // Local baseline: registration cost with no cache tier at all.
   cache::ActivationStore local;
@@ -188,11 +206,13 @@ int main(int argc, char** argv) {
                    bench::Fmt(local_ms / templates, 2), "-"},
                   16);
   std::printf("\nwarm fetch p50 %.0f us (step 0 resident at %.0f us), "
-              "p99 %.0f us, %llu bytes/record\n",
+              "p99 %.0f us, %llu bytes/record, %.0f us CPU and %.0f minor "
+              "faults per record\n",
               warm_stats.fetch_p50_us, warm_stats.first_step_p50_us,
               warm_stats.fetch_p99_us,
               static_cast<unsigned long long>(warm_stats.remote_bytes_fetched /
-                                             templates));
+                                             templates),
+              fetch_cpu_us, fetch_minflt);
 
   // --- hit-rate sweep over the LRU front capacity ------------------------
   Rng rng(seed);
@@ -629,6 +649,8 @@ int main(int argc, char** argv) {
        << ",\"fetch_p50_us\":" << warm_stats.fetch_p50_us
        << ",\"first_step_p50_us\":" << warm_stats.first_step_p50_us
        << ",\"fetch_p99_us\":" << warm_stats.fetch_p99_us
+       << ",\"fetch_cpu_us\":" << fetch_cpu_us
+       << ",\"fetch_minflt\":" << fetch_minflt
        << "},\"local_baseline_ms\":" << local_ms << ",\"sweep\":[";
   for (size_t i = 0; i < sweep.size(); ++i) {
     if (i > 0) json << ",";

@@ -107,6 +107,14 @@ class ByteReader {
     if (n > 0) std::memcpy(out, data_ + off_, n);
     off_ += n;
   }
+  // The next `n` bytes where they lie, skipped over; null (and ok() false)
+  // on a short read.
+  const uint8_t* Skip(size_t n) {
+    if (!Need(n)) return nullptr;
+    const uint8_t* at = data_ + off_;
+    off_ += n;
+    return at;
+  }
 
   bool ok() const { return ok_; }
   size_t remaining() const { return size_ - off_; }

@@ -9,7 +9,9 @@ namespace {
 
 // An accepted submit's reply slot. The promise is always fulfilled with a
 // value (node reply, or a synthesized failure status), never an
-// exception, so Take() honors WireCompletion's no-throw contract.
+// exception, so Take() honors WireCompletion's no-throw contract. It is
+// set before the ticket's notify_ready runs, so the future is ready by
+// the time the server checks.
 class FedCompletion : public net::WireCompletion {
  public:
   explicit FedCompletion(std::future<net::WireResponse> future)
@@ -218,7 +220,15 @@ void FedGateway::FailTicketLocked(const TicketPtr& ticket) {
       static_cast<uint8_t>(gateway::SubmitStatus::kRejectedShutdown);
   response.worker_id = -1;
   ++failed_;
+  Resolve(ticket, response);
+}
+
+void FedGateway::Resolve(const TicketPtr& ticket,
+                         const net::WireResponse& response) {
   ticket->promise.set_value(response);
+  if (ticket->request.notify_ready) {
+    ticket->request.notify_ready();
+  }
 }
 
 void FedGateway::DispatcherLoop(int node) {
@@ -288,7 +298,7 @@ void FedGateway::DispatcherLoop(int node) {
       } else {
         ++rejected_by_node_;
       }
-      ticket->promise.set_value(response);
+      Resolve(ticket, response);
     }
     cv_.notify_all();
   }

@@ -23,6 +23,11 @@
 // flushed by the next on-alive transition. A node's SLO and overload
 // rejections pass through to the client.
 //
+// Replies: Submit() hands the front TcpServer a completion on the
+// ticket's promise. A dispatcher (or a failure path: Stop(), max_attempts)
+// resolves the ticket and then calls the request's notify_ready, which
+// wakes the front's poll thread; no completion is polled on a timer.
+//
 // MetricsJson() answers with the cluster rollup: federation counters
 // under "fed" plus a per-node "members" array (same shape the cache
 // ring's members report) with each node's own MetricsJson spliced in.
@@ -131,6 +136,10 @@ class FedGateway : public net::WireFrontend {
   std::vector<NodeSnapshot> SnapshotLocked(int exclude) const;
   // Resolves a ticket with a terminal transport failure. Caller holds mu_.
   void FailTicketLocked(const TicketPtr& ticket);
+  // Sets the ticket's reply, then calls its request's notify_ready so the
+  // front TcpServer replies at once. Caller holds mu_.
+  static void Resolve(const TicketPtr& ticket,
+                      const net::WireResponse& response);
   void DispatcherLoop(int node);
   void OnNodeDead(int node);
   void OnNodeAlive(int node);

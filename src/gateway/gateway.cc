@@ -330,7 +330,8 @@ std::vector<sched::WorkerStatus> Gateway::WorkerStatuses() const {
   return statuses;
 }
 
-SubmitResult Gateway::Submit(runtime::OnlineRequest request) {
+SubmitResult Gateway::Submit(runtime::OnlineRequest request,
+                            runtime::OnlineServer::OnComplete on_complete) {
   std::shared_lock<std::shared_mutex> gate(submit_gate_);
   metrics_.RecordSubmitted();
 
@@ -395,22 +396,26 @@ SubmitResult Gateway::Submit(runtime::OnlineRequest request) {
   }
   worker_id = std::clamp(worker_id, 0, num_workers() - 1);
 
-  // The worker records the completion and retires it on its own thread,
-  // before the future it hands back becomes ready.
-  const auto on_complete = [this,
-                            worker_id](const runtime::OnlineResponse* done) {
+  // The worker records the completion, runs the caller's callback and
+  // retires the request on its own thread, before the future it hands
+  // back becomes ready.
+  auto record = [this, worker_id, caller = std::move(on_complete)](
+                    const runtime::OnlineResponse* done) {
     if (done != nullptr) {
       metrics_.RecordCompleted(worker_id, done->queueing_ms(),
                                done->denoise_ms(), done->post_ms(),
                                done->total_ms(), done->has_deadline(),
                                done->met_deadline());
     }
+    if (caller) {
+      caller(done);
+    }
     RetireInflight();
   };
   inflight_.fetch_add(1);
   try {
     result.future =
-        workers_[worker_id]->Submit(std::move(request), on_complete);
+        workers_[worker_id]->Submit(std::move(request), std::move(record));
   } catch (const std::exception&) {
     // Worker already stopping (we lost a shutdown race despite the gate).
     RetireInflight();

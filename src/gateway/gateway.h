@@ -103,8 +103,12 @@ class Gateway {
 
   // Synchronous dispatch: admission → routing → worker submission. Never
   // throws on shutdown; the outcome is always reported in the result status
-  // (and counted in the metrics).
-  SubmitResult Submit(runtime::OnlineRequest request);
+  // (and counted in the metrics). When the request is accepted,
+  // `on_complete` (if set) runs once on the thread that resolves it, after
+  // its completion is in the metrics and before its future is ready: with
+  // the response, or with null when the future will hold an exception.
+  SubmitResult Submit(runtime::OnlineRequest request,
+                      runtime::OnlineServer::OnComplete on_complete = {});
 
   // Open-loop arrival: schedules Submit() at `offset` after the arrival
   // epoch (set at construction; ResetArrivalEpoch() restarts it). Offsets

@@ -25,6 +25,10 @@ bool DtypeAdmitted(quant::PrecisionMode admit, quant::Dtype dtype) {
 
 CacheNode::CacheNode(CacheNodeOptions options) : options_(options) {}
 
+size_t CacheNode::Entry::StoredBytes() const {
+  return body->size() - kMatrixHeaderBytes;
+}
+
 void CacheNode::Touch(Entry& entry) {
   lru_.splice(lru_.begin(), lru_, entry.lru_it);
 }
@@ -37,13 +41,23 @@ void CacheNode::EvictToFit(size_t incoming) {
     const CacheKey victim = lru_.back();
     lru_.pop_back();
     auto it = entries_.find(victim);
-    resident_bytes_ -= it->second.data.StoredBytes();
+    resident_bytes_ -= it->second.StoredBytes();
     entries_.erase(it);
     ++stats_.evictions;
   }
 }
 
 InlineReply CacheNode::Handle(const ParsedFrame& frame) {
+  InlineReply reply = Serve(frame);
+  if (reply.body != nullptr) {
+    reply.frame.insert(reply.frame.end(), reply.body->begin(),
+                       reply.body->end());
+    reply.body.reset();
+  }
+  return reply;
+}
+
+InlineReply CacheNode::Serve(const ParsedFrame& frame) {
   InlineReply reply;
   const uint64_t seq = frame.header.seq;
   switch (frame.type()) {
@@ -64,39 +78,49 @@ InlineReply CacheNode::Handle(const ParsedFrame& frame) {
         reply.frame = EncodeCacheMiss(seq, body.key);
         return reply;
       }
+      const Entry& entry = it->second;
       Touch(it->second);
       ++stats_.fetch_hits;
-      stats_.bytes_served += it->second.data.StoredBytes();
-      // Served exactly as it rests: no decode, no re-encode — the entry's
+      stats_.bytes_served += entry.StoredBytes();
+      // Served exactly as it rests: a 41-byte head, then the stored body
+      // itself — no decode, no re-encode, no copy, and the entry's
       // checksum still attests the bytes end to end.
-      reply.frame = EncodeCacheHit(seq, body.key, it->second.checksum,
-                                   &it->second.data);
+      reply.frame = EncodeCacheHitHead(seq, body.key, entry.checksum,
+                                       entry.body->size());
+      reply.body = entry.body;
       return reply;
     }
     case FrameType::kCachePut: {
-      CachePutBody body;
+      CacheBodyView body;
       std::string error;
-      // DecodeCachePut verifies the declared checksum against the decoded
-      // bytes, so corruption in flight never becomes a resident entry.
-      if (!DecodeCachePut(frame, &body, &error)) {
+      // ViewCachePut checks the body where it lies and verifies the
+      // declared checksum against those bytes, so corruption in flight
+      // never becomes a resident entry.
+      if (!ViewCachePut(frame.payload.data(), frame.payload.size(), &body,
+                        &error)) {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.bad_frames;
         reply.frame = EncodeError(seq, WireError::kMalformedPayload, error);
         reply.close_connection = true;
         return reply;
       }
+      // The verified span, kept as it traveled in an exact-size buffer
+      // (copied before the lock is taken); a later put of this key makes
+      // a new one, so hits still queued keep sending these bytes.
+      auto stored = std::make_shared<const std::vector<uint8_t>>(
+          body.body, body.body + body.body_size);
       std::lock_guard<std::mutex> lock(mu_);
-      if (!DtypeAdmitted(options_.admit, body.data.dtype)) {
+      if (!DtypeAdmitted(options_.admit, body.dtype)) {
         ++stats_.bad_frames;
         ++stats_.precision_rejects;
         reply.frame = EncodeError(
             seq, WireError::kMalformedPayload,
-            "put dtype " + quant::ToString(body.data.dtype) +
+            "put dtype " + quant::ToString(body.dtype) +
                 " not admitted by node precision policy (--cache-precision)");
         reply.close_connection = true;
         return reply;
       }
-      const size_t incoming = body.data.StoredBytes();
+      const size_t incoming = body.StoredBytes();
       if (options_.max_bytes != 0 && incoming > options_.max_bytes) {
         // Evicting every resident entry still would not make room.
         ++stats_.bad_frames;
@@ -112,14 +136,15 @@ InlineReply CacheNode::Handle(const ParsedFrame& frame) {
       auto it = entries_.find(body.key);
       if (it != entries_.end()) {
         ++stats_.put_overwrites;
-        resident_bytes_ -= it->second.data.StoredBytes();
+        resident_bytes_ -= it->second.StoredBytes();
         lru_.erase(it->second.lru_it);
         entries_.erase(it);
       }
       EvictToFit(incoming);
       Entry entry;
       entry.checksum = body.checksum;
-      entry.data = std::move(body.data);
+      entry.dtype = body.dtype;
+      entry.body = std::move(stored);
       lru_.push_front(body.key);
       entry.lru_it = lru_.begin();
       resident_bytes_ += incoming;
@@ -147,7 +172,7 @@ InlineReply CacheNode::Handle(const ParsedFrame& frame) {
 }
 
 InlineService CacheNode::Service() {
-  return [this](const ParsedFrame& frame) { return Handle(frame); };
+  return [this](const ParsedFrame& frame) { return Serve(frame); };
 }
 
 bool CacheNode::Contains(const CacheKey& key) const {
@@ -161,7 +186,7 @@ CacheNodeStats CacheNode::Stats() const {
   out.entries = entries_.size();
   out.resident_bytes = resident_bytes_;
   for (const auto& [key, entry] : entries_) {
-    switch (entry.data.dtype) {
+    switch (entry.dtype) {
       case quant::Dtype::kF32:
         ++out.entries_f32;
         break;

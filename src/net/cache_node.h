@@ -20,17 +20,26 @@
 // LRU eviction — fetch hits and put upserts both refresh recency, so a hot
 // fleet's working set stays resident while one-shot templates age out.
 //
-// Each entry keeps the checksum its put declared and the decoder verified;
-// a fetch hit serves it with the bytes, so the node hashes a matrix once,
-// when it arrives.
+// Storage and hits: a put is checked where it lies in the received frame
+// (ViewCachePut: structure, key, XXH64 of the body) and never decoded.
+// Its verified body — exactly the span the checksum covers — is copied
+// once into an immutable, exact-size buffer that the entry shares. A
+// fetch hit is answered with a 41-byte head plus that shared buffer,
+// which TcpServer hands to sendmsg() as a second segment, so serving a
+// hit copies no payload bytes in user space. A later put of the same key
+// or an eviction only drops the entry's reference: a hit still queued to
+// a slow reader keeps, and sends, the bytes it was answered with. The
+// node hashes a matrix once, when it arrives.
 #ifndef FLASHPS_SRC_NET_CACHE_NODE_H_
 #define FLASHPS_SRC_NET_CACHE_NODE_H_
 
 #include <cstdint>
 #include <list>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "src/net/tcp_server.h"
 #include "src/net/wire.h"
@@ -82,11 +91,14 @@ class CacheNode {
   CacheNode(const CacheNode&) = delete;
   CacheNode& operator=(const CacheNode&) = delete;
 
-  // Answers one parsed frame (any thread). The reply's close flag is set
-  // exactly when the reply is a kError frame.
+  // Answers one parsed frame (any thread) with one whole reply frame
+  // (a hit's stored body is appended to its head). The reply's close flag
+  // is set exactly when the reply is a kError frame.
   InlineReply Handle(const ParsedFrame& frame);
 
-  // Adapter for TcpServer's service mode. The node must outlive the server.
+  // Adapter for TcpServer's service mode: the replies of Handle(), with a
+  // hit's stored body left in InlineReply::body so it is sent without a
+  // copy. The node must outlive the server.
   InlineService Service();
 
   // Direct (non-wire) accessors for tests and the daemon's final dump.
@@ -97,10 +109,19 @@ class CacheNode {
 
  private:
   struct Entry {
-    quant::EncodedMatrix data;  // Resident exactly as it traveled.
+    // The encoded matrix body exactly as it traveled (rows through the
+    // last element byte), never written after the put.
+    std::shared_ptr<const std::vector<uint8_t>> body;
     uint64_t checksum = 0;
+    quant::Dtype dtype = quant::Dtype::kF32;
     std::list<CacheKey>::iterator lru_it;
+
+    // Scale plus element bytes: the unit of the byte counters and the cap.
+    size_t StoredBytes() const;
   };
+
+  // Handle() with a hit's stored body in InlineReply::body.
+  InlineReply Serve(const ParsedFrame& frame);
 
   // All under mu_. Touch() moves a key to the LRU front; EvictToFit()
   // drops tail entries until `incoming` more bytes fit under max_bytes.

@@ -6,15 +6,71 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <iterator>
+#include <mutex>
 #include <utility>
 
 namespace flashps::net {
 
 namespace {
 
-// One recv takes up to this much: a fetched record arrives as ~30 KB
-// frames, so a read takes whole frames, not slivers of one.
+// One recv has room for at least this much: a fetched record arrives as
+// ~30 KB frames, so a read takes whole frames, not slivers of one.
 constexpr size_t kReadChunk = 64 * 1024;
+
+// Storage of fetched records whose last owner let them go. A fleet
+// fetches records of one shape over and over, so the next fetch decodes
+// into this storage (quant::DecodeFrom fills a same-shaped matrix in
+// place) instead of allocating fresh pages that the kernel must fault in
+// and zero, and that the heap hands back once a record dies. Shared by
+// every client in the process — a record usually dies on another thread
+// than the one that fetched it — and bounded to the matrices of the two
+// largest records fetched so far. Never destroyed, so a record that
+// outlives static destruction can still die.
+class SpareMatrices {
+ public:
+  static SpareMatrices& Get() {
+    static SpareMatrices* spares = new SpareMatrices;
+    return *spares;
+  }
+
+  // Up to `n` spare matrices; raises the bound to two such records.
+  std::vector<Matrix> Take(size_t n) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (2 * n > cap_) {
+      cap_ = 2 * n;
+      spare_.reserve(cap_);  // Keep() never reallocates.
+    }
+    const size_t take = std::min(n, spare_.size());
+    std::vector<Matrix> out(std::make_move_iterator(spare_.end() - take),
+                            std::make_move_iterator(spare_.end()));
+    spare_.resize(spare_.size() - take);
+    return out;
+  }
+
+  // Keeps the matrices of a record that is being destroyed, up to the
+  // bound.
+  void Keep(model::ActivationRecord& record) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (model::StepActivations& step : record.steps) {
+      for (std::vector<Matrix>* slots : {&step.y, &step.k, &step.v}) {
+        for (Matrix& m : *slots) {
+          if (spare_.size() == cap_) {
+            return;
+          }
+          if (!m.empty()) {
+            spare_.push_back(std::move(m));
+          }
+        }
+      }
+    }
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<Matrix> spare_;
+  size_t cap_ = 0;
+};
 
 bool IsReplyType(FrameType type) {
   switch (type) {
@@ -59,7 +115,7 @@ bool Client::Authenticate() {
 
 void Client::Close() {
   fd_.Reset();
-  inbuf_.clear();
+  inbuf_.Clear();
   // Submit replies already banked stay takeable; every other reply
   // belongs to a call that is over.
   std::erase_if(replies_, [](const auto& reply) {
@@ -97,49 +153,85 @@ bool Client::PumpOnce(std::chrono::milliseconds budget) {
   if (ready <= 0) {
     return true;  // Nothing arrived within the budget; not an error.
   }
-  uint8_t chunk[kReadChunk];
-  const ssize_t n = ::recv(fd_.get(), chunk, sizeof(chunk), 0);
+  const ssize_t n = inbuf_.ReadFrom(fd_.get(), kReadChunk);
   if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
                  errno != EINTR)) {
     return Fail(WireError::kConnectionClosed);
   }
-  if (n > 0) {
-    inbuf_.insert(inbuf_.end(), chunk, chunk + n);
-  }
-  size_t offset = 0;
   for (;;) {
-    ParsedFrame frame;
+    FrameHeader header;
     size_t consumed = 0;
-    const WireError err = TryParseFrame(inbuf_.data() + offset,
-                                        inbuf_.size() - offset, &frame,
-                                        &consumed);
+    const WireError err =
+        TryParseFrameHeader(inbuf_.data(), inbuf_.size(), &header, &consumed);
     if (err == WireError::kNeedMore) {
       break;
     }
     if (err != WireError::kOk) {
       return Fail(err);
     }
-    offset += consumed;
-    if (frame.type() == FrameType::kError) {
+    const auto type = static_cast<FrameType>(header.type);
+    const uint8_t* payload = inbuf_.data() + kFrameHeaderBytes;
+    const size_t size = consumed - kFrameHeaderBytes;
+    if (type == FrameType::kError) {
       // The server names the reason and will close on us; surface the
       // distinct code to the caller.
+      ParsedFrame frame{header, std::vector<uint8_t>(payload, payload + size)};
       WireErrorBody body;
       return Fail(DecodeError(frame, &body)
                       ? static_cast<WireError>(body.code)
                       : WireError::kMalformedPayload);
     }
-    if (!IsReplyType(frame.type())) {
+    if (!IsReplyType(type)) {
       return Fail(WireError::kBadType);
     }
-    // Payloads decode when their call takes them. The first reply under
-    // a seq is the one its call sees; a duplicate still banked is dropped.
-    replies_.try_emplace(frame.header.seq, std::move(frame));
-  }
-  if (offset > 0) {
-    inbuf_.erase(inbuf_.begin(),
-                 inbuf_.begin() + static_cast<ptrdiff_t>(offset));
+    switch (AnswerCacheOp(header, payload, size)) {
+      case CacheAnswer::kTaken:
+        break;
+      case CacheAnswer::kRefused:
+        return Fail(WireError::kMalformedPayload);
+      case CacheAnswer::kNotOurs:
+        // Payloads decode when their call takes them. The first reply
+        // under a seq is the one its call sees; a duplicate still banked
+        // is dropped.
+        if (replies_.count(header.seq) == 0) {
+          replies_.emplace(
+              header.seq,
+              ParsedFrame{header, std::vector<uint8_t>(payload, payload + size)});
+        }
+        break;
+    }
+    inbuf_.Consume(consumed);
   }
   return true;
+}
+
+Client::CacheAnswer Client::AnswerCacheOp(const FrameHeader& header,
+                                          const uint8_t* payload,
+                                          size_t size) {
+  if (cache_call_ == nullptr) {
+    return CacheAnswer::kNotOurs;
+  }
+  auto it = cache_call_->outstanding.find(header.seq);
+  if (it == cache_call_->outstanding.end()) {
+    return CacheAnswer::kNotOurs;
+  }
+  const CacheOp op = it->second;
+  cache_call_->outstanding.erase(it);
+  bool answered = false;
+  if (header.type == static_cast<uint16_t>(FrameType::kCacheHit)) {
+    // Checked where it landed; a payload is decoded straight out of the
+    // read buffer by `take`.
+    CacheBodyView hit;
+    answered = ViewCacheHit(payload, size, &hit, nullptr) &&
+               hit.key == op.key && (*cache_call_->take)(op, &hit);
+  } else if (header.type == static_cast<uint16_t>(FrameType::kCacheMiss)) {
+    CacheMissBody miss;
+    const ParsedFrame frame{header,
+                            std::vector<uint8_t>(payload, payload + size)};
+    answered = DecodeCacheMiss(frame, &miss) &&
+               miss.key == op.key && (*cache_call_->take)(op, nullptr);
+  }
+  return answered ? CacheAnswer::kTaken : CacheAnswer::kRefused;
 }
 
 bool Client::Wait(std::chrono::milliseconds timeout,
@@ -237,34 +329,12 @@ std::optional<std::string> Client::QueryMetrics(
 
 bool Client::AwaitCacheReplies(std::map<uint64_t, CacheOp> outstanding,
                                const CacheReplyFn& take) {
-  const auto answers = [&take](const ParsedFrame& frame, const CacheOp& op) {
-    if (frame.type() == FrameType::kCacheHit) {
-      CacheHitBody hit;
-      return DecodeCacheHit(frame, &hit, nullptr) && hit.key == op.key &&
-             take(op, &hit);
-    }
-    CacheMissBody miss;
-    return frame.type() == FrameType::kCacheMiss &&
-           DecodeCacheMiss(frame, &miss) && miss.key == op.key &&
-           take(op, nullptr);
-  };
-  bool refused = false;
-  const bool answered = Wait(options_.default_timeout, [&] {
-    // The bank holds only what arrived since the last pass: scan it, not
-    // the (much larger) outstanding set.
-    for (auto it = replies_.begin(); it != replies_.end() && !refused;) {
-      auto op = outstanding.find(it->first);
-      if (op == outstanding.end()) {
-        ++it;
-        continue;
-      }
-      refused = !answers(it->second, op->second);
-      outstanding.erase(op);
-      it = replies_.erase(it);
-    }
-    return refused || outstanding.empty();
-  });
-  return refused ? Fail(WireError::kMalformedPayload) : answered;
+  CacheCall call{std::move(outstanding), &take};
+  cache_call_ = &call;
+  const bool answered = Wait(options_.default_timeout,
+                             [&call] { return call.outstanding.empty(); });
+  cache_call_ = nullptr;
+  return answered;
 }
 
 FetchRecordResult Client::FetchRecord(int template_id, int steps, int blocks,
@@ -274,7 +344,12 @@ FetchRecordResult Client::FetchRecord(int template_id, int steps, int blocks,
   if (!Connect()) {
     return result;
   }
-  auto record = std::make_shared<model::ActivationRecord>();
+  // Dying, the record leaves its storage to later fetches.
+  std::shared_ptr<model::ActivationRecord> record(
+      new model::ActivationRecord, [](model::ActivationRecord* dead) {
+        SpareMatrices::Get().Keep(*dead);
+        delete dead;
+      });
   record->steps.resize(static_cast<size_t>(steps));
   for (auto& step : record->steps) {
     step.y.resize(static_cast<size_t>(blocks));
@@ -289,6 +364,8 @@ FetchRecordResult Client::FetchRecord(int template_id, int steps, int blocks,
   std::map<uint64_t, CacheOp> outstanding;
   std::vector<uint8_t> burst;
   const int kinds = want_kv ? 3 : 1;
+  std::vector<Matrix> spare =
+      SpareMatrices::Get().Take(static_cast<size_t>(steps * blocks * kinds));
   for (int step = 0; step < steps; ++step) {
     for (int block = 0; block < blocks; ++block) {
       for (int kind = 0; kind < kinds; ++kind) {
@@ -309,27 +386,29 @@ FetchRecordResult Client::FetchRecord(int template_id, int steps, int blocks,
       SendFrame(burst) &&
       AwaitCacheReplies(
           std::move(outstanding),
-          [&](const CacheOp& op, const CacheHitBody* hit) {
+          [&](const CacheOp& op, const CacheBodyView* hit) {
             if (hit == nullptr) {
               ++result.misses;
               return true;
             }
-            // Decode-on-fetch: the wire decoder already validated the
-            // structure and checksum, so a failure here means a broken
-            // encoder — treat it like any other malformed payload. A
-            // fetch is never answered by a payload-less put ack.
-            Matrix decoded;
-            if (!hit->has_payload() ||
-                !quant::Decode(hit->data, &decoded, nullptr)) {
+            // A fetch is never answered by a payload-less put ack.
+            if (!hit->has_payload()) {
               return false;
             }
+            // The view is checked (structure and checksum) where it
+            // landed; decoding it into its slot is the one copy.
             auto& acts = record->steps[static_cast<size_t>(op.key.step)];
             auto& slots = op.key.kind == kCacheKindY   ? acts.y
                           : op.key.kind == kCacheKindK ? acts.k
                                                        : acts.v;
-            result.wire_bytes += hit->data.StoredBytes();
+            Matrix& decoded = slots[static_cast<size_t>(op.key.block)];
+            if (!spare.empty()) {
+              decoded = std::move(spare.back());
+              spare.pop_back();
+            }
+            DecodeBody(*hit, &decoded);
+            result.wire_bytes += hit->StoredBytes();
             result.bytes += decoded.bytes();
-            slots[static_cast<size_t>(op.key.block)] = std::move(decoded);
             ++result.hits;
             if (--owed[static_cast<size_t>(op.key.step)] == 0) {
               const int before = resident;
@@ -368,22 +447,26 @@ PutRecordResult Client::PutRecord(int template_id,
   auto fire = [&](int step, int block, uint8_t kind,
                   const Matrix& m) -> bool {
     const CacheKey key{template_id, step, block, kind};
-    const quant::EncodedMatrix encoded =
-        quant::Encode(m, quant::DtypeForStep(precision, step, num_steps));
+    const quant::Dtype dtype =
+        quant::DtypeForStep(precision, step, num_steps);
     // Refuse client-side before any of its bytes hit the socket: a frame
     // the node would reject as oversized can only desync the stream.
-    if (CachePutPayloadBytes(encoded) > kMaxPayloadBytes) {
+    const size_t payload_bytes =
+        CachePutPayloadBytes(m.rows(), m.cols(), dtype);
+    if (payload_bytes > kMaxPayloadBytes) {
       return Fail(WireError::kOversizedFrame);
     }
-    // The encoder's one hash serves the frame and the ack check.
+    // Encoded straight into the frame; the encoder's one hash serves the
+    // frame and the ack check.
     uint64_t checksum = 0;
     const uint64_t seq = next_seq_++;
-    if (!SendFrame(EncodeCachePut(seq, key, encoded, &checksum))) {
+    if (!SendFrame(EncodeCachePut(seq, key, m, dtype, &checksum))) {
       return false;
     }
     outstanding.emplace(seq, CacheOp{key, checksum});
     result.bytes += m.bytes();
-    result.wire_bytes += encoded.StoredBytes();
+    result.wire_bytes += quant::ScaleCount(dtype, m.rows()) * sizeof(float) +
+                         m.size() * quant::DtypeBytes(dtype);
     return true;
   };
   const bool has_kv = record.has_kv();
@@ -401,7 +484,7 @@ PutRecordResult Client::PutRecord(int template_id,
   // The ack must be a payload-less hit echoing the checksum of the bytes
   // we shipped; anything else means the entry did not land.
   result.transport_ok = AwaitCacheReplies(
-      std::move(outstanding), [&](const CacheOp& op, const CacheHitBody* hit) {
+      std::move(outstanding), [&](const CacheOp& op, const CacheBodyView* hit) {
         if (hit == nullptr || hit->has_payload() ||
             hit->checksum != op.checksum) {
           return false;

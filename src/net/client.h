@@ -23,6 +23,16 @@
 // of the bytes that were sent — a corrupted matrix can neither enter a
 // record nor be believed stored.
 //
+// Bytes are received straight into one reusable buffer (RecvBuffer) and
+// framed where they land. A cache reply is handed to its call in place:
+// a hit's XXH64 is checked over the bytes in the buffer and the matrix
+// decoded from there into its slot of the record, so the hit costs one
+// copy. That slot reuses the storage of an earlier fetched record that
+// has died (bounded to two records, process-wide), so a steady fleet's
+// fetches neither allocate nor fault in fresh pages. A put frame is
+// encoded whole into one buffer, the matrix straight from the record
+// (EncodeCachePut). Other replies are banked as frames.
+//
 // Every failed call — a lapsed deadline, a dead socket, an error frame,
 // a reply that does not decode as what its seq asked for — leaves a typed
 // last_error() and closes the connection, so no late reply is ever banked
@@ -167,17 +177,32 @@ class Client {
     CacheKey key;
     uint64_t checksum = 0;
   };
-  // Handed each cache reply as it lands (`hit` is null for a miss);
-  // false refuses it and fails the call.
+  // Handed each cache reply as it lands, checked where it lies in the
+  // read buffer (`hit` is null for a miss); false refuses it and fails
+  // the call.
   using CacheReplyFn =
-      std::function<bool(const CacheOp& op, const CacheHitBody* hit)>;
+      std::function<bool(const CacheOp& op, const CacheBodyView* hit)>;
+  // The cache call in progress: its ops still owed a reply, and where
+  // each reply goes.
+  struct CacheCall {
+    std::map<uint64_t, CacheOp> outstanding;
+    const CacheReplyFn* take = nullptr;
+  };
+  enum class CacheAnswer { kNotOurs, kTaken, kRefused };
 
   // Records `error` and closes the connection. Always false.
   bool Fail(WireError error);
-  // Reads once (bounded by `budget` waiting for readability) and banks
-  // every complete reply frame by seq. False when the connection is gone,
-  // the stream is unframeable, or the daemon sent an error frame.
+  // Reads once (bounded by `budget` waiting for readability) and frames
+  // every complete reply where it landed: a reply to an op of the cache
+  // call in progress goes to that call, any other is banked by seq. False
+  // when the connection is gone, the stream is unframeable, the daemon
+  // sent an error frame, or the cache call refused a reply.
   bool PumpOnce(std::chrono::milliseconds budget);
+  // Hands a reply to the cache call in progress if it answers one of its
+  // ops: kTaken when it names the op's key and the call takes it,
+  // kRefused when it does not.
+  CacheAnswer AnswerCacheOp(const FrameHeader& header, const uint8_t* payload,
+                            size_t size);
   // The one deadline wait: pumps until `done` holds or `timeout` lapses.
   // A lapse records kTimeout and closes the connection.
   bool Wait(std::chrono::milliseconds timeout,
@@ -193,8 +218,9 @@ class Client {
   // call with kMalformedPayload.
   std::optional<WireResponse> DecodeResponse(std::optional<ParsedFrame> frame);
   // Waits until every op in `outstanding` is answered by a hit or a miss
-  // naming its key, handing each to `take`. A reply that fails that check
-  // or that `take` refuses fails the call with kMalformedPayload.
+  // naming its key, handing each to `take` as it is framed. A reply that
+  // fails that check or that `take` refuses fails the call with
+  // kMalformedPayload.
   bool AwaitCacheReplies(std::map<uint64_t, CacheOp> outstanding,
                          const CacheReplyFn& take);
   bool SendFrame(const std::vector<uint8_t>& frame);
@@ -206,8 +232,9 @@ class Client {
   ClientOptions options_;
   UniqueFd fd_;
   uint64_t next_seq_ = 1;
-  std::vector<uint8_t> inbuf_;
+  RecvBuffer inbuf_;
   std::map<uint64_t, ParsedFrame> replies_;
+  CacheCall* cache_call_ = nullptr;  // Set while AwaitCacheReplies waits.
   WireError last_error_ = WireError::kOk;
 };
 

@@ -2,17 +2,25 @@
 //
 // TcpServer's poll thread does not care whether a submit runs on the local
 // gateway's worker pool or is proxied to another machine; it only needs
-// to (a) offer the decoded request somewhere, (b) poll for the reply, and
-// (c) encode a WireResponse. WireFrontend is that contract.
+// to (a) offer the decoded request somewhere, (b) be told when the reply
+// is ready, and (c) encode a WireResponse. WireFrontend is that contract.
+// (b) travels in the request itself: the server sets
+// WireRequest::notify_ready, and the backend calls it once the
+// completion's Ready() holds; the server then confirms with Ready() and
+// takes the reply. A frontend that wraps another forwards the request,
+// and with it the notify, unchanged.
 // Two implementations exist:
 //
 //   GatewayFrontend   the single-machine backend — wraps gateway::Gateway
 //                     and renders OnlineResponse into wire terms (timings
-//                     in µs, latent checksum). This is flashps_served.
+//                     in µs, latent checksum) on the worker's CPU lane,
+//                     in the completion callback that then notifies.
+//                     This is flashps_served.
 //   fed::FedGateway   the federated front tier (src/fed) — routes each
 //                     request to a fleet node over the wire protocol and
 //                     passes the node's WireResponse through verbatim, so
-//                     checksums survive machine hops untouched.
+//                     checksums survive machine hops untouched; it
+//                     notifies once a dispatcher resolves the ticket.
 #ifndef FLASHPS_SRC_NET_FRONTEND_H_
 #define FLASHPS_SRC_NET_FRONTEND_H_
 
@@ -28,7 +36,10 @@ namespace flashps::net {
 
 // One accepted submit's eventual reply. The server's poll thread calls
 // Ready() (which never blocks) after every poll() return, so one slow
-// backend cannot wedge the sockets or any other pending completion.
+// backend cannot wedge the sockets or any other pending completion. The
+// backend must call the request's notify_ready once Ready() holds (or
+// return a completion that is already Ready()): the poll thread sleeps
+// until a socket or a notify wakes it.
 class WireCompletion {
  public:
   virtual ~WireCompletion() = default;
@@ -66,7 +77,9 @@ class WireFrontend {
 
 // The single-machine backend: submits dispatch through gateway::Gateway;
 // completions translate OnlineResponse into the wire reply exactly as the
-// serving daemon has always answered (including the shutdown-race catch).
+// serving daemon has always answered (including the shutdown-race
+// status), and each is Ready() from the moment its worker's completion
+// callback has rendered it.
 class GatewayFrontend : public WireFrontend {
  public:
   explicit GatewayFrontend(gateway::Gateway& gateway) : gateway_(&gateway) {}

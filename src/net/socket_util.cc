@@ -136,6 +136,28 @@ void WakePipe::Drain() const {
   }
 }
 
+ssize_t RecvBuffer::ReadFrom(int fd, size_t chunk) {
+  if (begin_ == end_) {
+    begin_ = end_ = 0;
+  }
+  if (buf_.size() - end_ < chunk) {
+    if (begin_ > 0) {
+      // Slide the incomplete frame to the front.
+      std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+      end_ -= begin_;
+      begin_ = 0;
+    }
+    if (buf_.size() - end_ < chunk) {
+      buf_.resize(std::max(2 * buf_.size(), end_ + chunk));
+    }
+  }
+  const ssize_t n = ::recv(fd, buf_.data() + end_, buf_.size() - end_, 0);
+  if (n > 0) {
+    end_ += static_cast<size_t>(n);
+  }
+  return n;
+}
+
 bool SendAll(int fd, const void* data, size_t size) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
   size_t sent = 0;

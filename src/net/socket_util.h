@@ -5,10 +5,13 @@
 #ifndef FLASHPS_SRC_NET_SOCKET_UTIL_H_
 #define FLASHPS_SRC_NET_SOCKET_UTIL_H_
 
+#include <sys/types.h>
+
 #include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace flashps::net {
 
@@ -73,6 +76,30 @@ struct WakePipe {
   void Wake() const;
   // Drains pending wake bytes (called by the poll loop).
   void Drain() const;
+};
+
+// A socket's receive buffer that frames bytes where they land: recv()
+// writes straight into its tail and framed bytes leave from its front by
+// moving an offset, so a frame is never copied to be buffered or to be
+// dropped. Storage is allocated once and reused; only the bytes of a
+// frame still incomplete are moved, to the front, when the tail runs
+// short of room for a read.
+class RecvBuffer {
+ public:
+  // One recv() of up to the whole free tail (at least `chunk` bytes,
+  // making room first): its result, as ::recv returns it.
+  ssize_t ReadFrom(int fd, size_t chunk);
+  const uint8_t* data() const { return buf_.data() + begin_; }
+  size_t size() const { return end_ - begin_; }
+  bool empty() const { return begin_ == end_; }
+  // Drops `n` framed bytes from the front.
+  void Consume(size_t n) { begin_ += n; }
+  void Clear() { begin_ = end_ = 0; }
+
+ private:
+  std::vector<uint8_t> buf_;
+  size_t begin_ = 0;
+  size_t end_ = 0;
 };
 
 // Writes all of [data, data+size) to a blocking socket, retrying on EINTR

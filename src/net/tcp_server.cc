@@ -8,22 +8,20 @@
 #include <algorithm>
 #include <cerrno>
 #include <ctime>
+#include <optional>
 
 namespace flashps::net {
 
 namespace {
 
-// How long one ppoll() waits: idle, until a socket or Stop() wakes it (or
-// this long); with any completion pending, at most kCompletionPoll, the
-// cadence at which Ready() is checked.
-constexpr std::chrono::milliseconds kIdlePoll{50};
-constexpr std::chrono::microseconds kCompletionPoll{500};
-// One recv takes up to this much, so a ~30 KB cache put lands in one read.
+// One recv has room for at least this much, so a ~30 KB cache put lands
+// in one read.
 constexpr size_t kReadChunk = 64 * 1024;
 constexpr size_t kMaxReadPerEvent = 256 * 1024;
 constexpr size_t kMaxWritePerEvent = 256 * 1024;
-// Queued frames handed to one sendmsg: a burst of small acks leaves in one
-// call and, with TCP_NODELAY, in as few segments as their bytes need.
+// Queued frames handed to one sendmsg (two segments each at most): a
+// burst of small acks leaves in one call and, with TCP_NODELAY, in as few
+// segments as their bytes need.
 constexpr size_t kMaxFramesPerSend = 64;
 // Replies queued while a burst of frames is still being answered go out
 // once this many bytes wait, so the first replies of a long burst (a
@@ -52,7 +50,7 @@ TcpServer::~TcpServer() { Stop(); }
 
 bool TcpServer::Start() {
   listener_ = OpenListener(options_.port, options_.backlog, &port_);
-  if (!listener_.valid() || !wake_.Open()) {
+  if (!listener_.valid() || !wake_->Open()) {
     return false;
   }
   running_.store(true);
@@ -91,12 +89,14 @@ void TcpServer::CountWireError(WireError error) {
   }
 }
 
-void TcpServer::QueueFrame(Conn& conn, std::vector<uint8_t> frame) {
-  if (frame.empty()) {
+void TcpServer::QueueFrame(Conn& conn, std::vector<uint8_t> frame,
+                           std::shared_ptr<const std::vector<uint8_t>> body) {
+  OutFrame out{std::move(frame), std::move(body)};
+  if (out.size() == 0) {
     return;  // Would hand sendmsg nothing to send.
   }
-  conn.out_queued += frame.size();
-  conn.outbuf.push_back(std::move(frame));
+  conn.out_queued += out.size();
+  conn.outbuf.push_back(std::move(out));
 }
 
 void TcpServer::AcceptNewConnections() {
@@ -117,10 +117,8 @@ void TcpServer::AcceptNewConnections() {
 void TcpServer::HandleReadable(Conn& conn) {
   size_t total = 0;
   while (total < kMaxReadPerEvent) {
-    uint8_t chunk[kReadChunk];
-    const ssize_t n = ::recv(conn.fd.get(), chunk, sizeof(chunk), 0);
+    const ssize_t n = conn.inbuf.ReadFrom(conn.fd.get(), kReadChunk);
     if (n > 0) {
-      conn.inbuf.insert(conn.inbuf.end(), chunk, chunk + n);
       total += static_cast<size_t>(n);
       continue;
     }
@@ -138,7 +136,6 @@ void TcpServer::HandleReadable(Conn& conn) {
 }
 
 void TcpServer::ParseFrames(Conn& conn) {
-  size_t offset = 0;
   bool partial = false;
   while (!conn.close_after_flush) {
     if (conn.inflight >= options_.max_inflight_per_conn) {
@@ -154,11 +151,10 @@ void TcpServer::ParseFrames(Conn& conn) {
     conn.stalled = false;
     ParsedFrame frame;
     size_t consumed = 0;
-    const WireError err = TryParseFrame(conn.inbuf.data() + offset,
-                                        conn.inbuf.size() - offset, &frame,
-                                        &consumed);
+    const WireError err = TryParseFrame(conn.inbuf.data(), conn.inbuf.size(),
+                                        &frame, &consumed);
     if (err == WireError::kNeedMore) {
-      partial = conn.inbuf.size() - offset > 0;
+      partial = !conn.inbuf.empty();
       break;
     }
     if (err != WireError::kOk) {
@@ -166,11 +162,11 @@ void TcpServer::ParseFrames(Conn& conn) {
       QueueFrame(conn, EncodeError(0, err, ToString(err)));
       conn.close_after_flush = true;
       // Whatever follows the bad bytes is unframeable; drop it.
-      conn.inbuf.clear();
+      conn.inbuf.Clear();
       HandleWritable(conn);
       return;
     }
-    offset += consumed;
+    conn.inbuf.Consume(consumed);
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.frames_received;
@@ -180,15 +176,11 @@ void TcpServer::ParseFrames(Conn& conn) {
       HandleWritable(conn);
     }
   }
-  if (offset > 0) {
-    conn.inbuf.erase(conn.inbuf.begin(),
-                     conn.inbuf.begin() + static_cast<ptrdiff_t>(offset));
-  }
   if (conn.read_closed && partial) {
     // The peer closed with a frame prefix buffered: a truncated frame,
     // counted distinctly. Those bytes can never complete.
     CountWireError(WireError::kTruncatedFrame);
-    conn.inbuf.clear();
+    conn.inbuf.Clear();
   }
   HandleWritable(conn);
 }
@@ -247,7 +239,7 @@ void TcpServer::DispatchFrame(Conn& conn, const ParsedFrame& frame) {
       CountWireError(WireError::kMalformedPayload);
       conn.close_after_flush = true;
     }
-    QueueFrame(conn, std::move(reply.frame));
+    QueueFrame(conn, std::move(reply.frame), std::move(reply.body));
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.service_replies;
     ++stats_.responses_sent;
@@ -305,6 +297,10 @@ void TcpServer::HandleSubmit(Conn& conn, const ParsedFrame& frame) {
     rejection.status =
         static_cast<uint8_t>(gateway::SubmitStatus::kRejectedShutdown);
   } else {
+    // The backend calls this once the completion is Ready(). The pipe is
+    // shared, so a call after Stop() or after this server is gone lands
+    // in a pipe nobody reads.
+    request.notify_ready = [wake = wake_] { wake->Wake(); };
     WireSubmission sub = frontend_->Submit(std::move(request));
     if (sub.accepted()) {
       ++conn.inflight;
@@ -328,25 +324,36 @@ void TcpServer::HandleSubmit(Conn& conn, const ParsedFrame& frame) {
 void TcpServer::HandleWritable(Conn& conn) {
   size_t written = 0;
   while (written < kMaxWritePerEvent) {
-    iovec iov[kMaxFramesPerSend];
+    // Each frame is its encoded bytes plus, for a stored cache body, that
+    // body sent from where it rests.
+    iovec iov[2 * kMaxFramesPerSend];
+    size_t segments = 0;
     size_t frames = 0;
     for (auto it = conn.outbuf.begin();
-         it != conn.outbuf.end() && frames < kMaxFramesPerSend; ++it) {
-      const size_t skip = frames == 0 ? conn.out_sent : 0;
-      iov[frames].iov_base = it->data() + skip;
-      iov[frames].iov_len = it->size() - skip;
-      ++frames;
+         it != conn.outbuf.end() && frames < kMaxFramesPerSend;
+         ++it, ++frames) {
+      size_t skip = frames == 0 ? conn.out_sent : 0;
+      if (skip < it->head.size()) {
+        iov[segments++] = {it->head.data() + skip, it->head.size() - skip};
+        skip = 0;
+      } else {
+        skip -= it->head.size();
+      }
+      if (it->body != nullptr && skip < it->body->size()) {
+        iov[segments++] = {const_cast<uint8_t*>(it->body->data()) + skip,
+                           it->body->size() - skip};
+      }
     }
-    if (frames == 0) {
+    if (segments == 0) {
       return;
     }
     msghdr msg{};
     msg.msg_iov = iov;
-    msg.msg_iovlen = frames;
+    msg.msg_iovlen = segments;
     const ssize_t n = ::sendmsg(conn.fd.get(), &msg, MSG_NOSIGNAL);
     if (n > 0) {
-      // Retire what went out; a frame is freed the moment its last byte
-      // is sent.
+      // Retire what went out; a frame (and its hold on a stored body) is
+      // released the moment its last byte is sent.
       conn.out_queued -= static_cast<size_t>(n);
       size_t left = static_cast<size_t>(n);
       while (left > 0) {
@@ -428,10 +435,9 @@ void TcpServer::PollLoop() {
   std::vector<pollfd> fds;
   std::vector<uint64_t> ids;
   for (;;) {
-    std::chrono::nanoseconds wait = kIdlePoll;
-    if (!pending_.empty()) {
-      wait = kCompletionPoll;
-    }
+    // ppoll() sleeps until a socket, a completion's notify_ready or Stop()
+    // wakes it; only a drain has a deadline to keep.
+    std::optional<timespec> timeout;
     if (draining_.load()) {
       listener_.Reset();
       const std::chrono::nanoseconds left =
@@ -439,11 +445,13 @@ void TcpServer::PollLoop() {
       if (Drained() || left <= left.zero()) {
         break;
       }
-      wait = std::min(wait, left);
+      timeout = timespec{
+          static_cast<time_t>(left.count() / 1000000000),
+          static_cast<long>(left.count() % 1000000000)};
     }
     fds.clear();
     ids.clear();
-    fds.push_back({wake_.read_end.get(), POLLIN, 0});
+    fds.push_back({wake_->read_end.get(), POLLIN, 0});
     ids.push_back(kWakeId);
     if (listener_.valid()) {
       fds.push_back({listener_.get(), POLLIN, 0});
@@ -462,8 +470,7 @@ void TcpServer::PollLoop() {
       fds.push_back({conn->fd.get(), events, 0});
       ids.push_back(id);
     }
-    const timespec timeout{0, static_cast<long>(wait.count())};  // < 1 s.
-    ::ppoll(fds.data(), fds.size(), &timeout, nullptr);
+    ::ppoll(fds.data(), fds.size(), timeout ? &*timeout : nullptr, nullptr);
 
     for (size_t i = 0; i < fds.size(); ++i) {
       const short revents = fds[i].revents;
@@ -471,7 +478,7 @@ void TcpServer::PollLoop() {
         continue;
       }
       if (ids[i] == kWakeId) {
-        wake_.Drain();
+        wake_->Drain();
         continue;
       }
       if (ids[i] == kListenerId) {
@@ -545,7 +552,7 @@ void TcpServer::Stop() {
   }
   drain_deadline_ = std::chrono::steady_clock::now() + options_.drain_timeout;
   draining_.store(true);
-  wake_.Wake();
+  wake_->Wake();
   if (poll_thread_.joinable()) {
     poll_thread_.join();
   }

@@ -13,18 +13,30 @@
 //                  handlers are memcpy-scale.
 //
 // Threading model: one poll thread (plus the backend's own). It owns the
-// listener, the wake pipe (Stop() writes it), every connection fd (all
-// non-blocking) and every accepted request's pending completion. Each
-// pass reads, frames and validates incoming bytes, answers rejections
-// and metrics queries (and, in service mode, every frame) inline, checks
+// listener, every connection fd (all non-blocking) and every accepted
+// request's pending completion, and it reads the wake pipe. Each pass
+// reads, frames and validates incoming bytes, answers rejections and
+// metrics queries (and, in service mode, every frame) inline, checks
 // every pending completion's Ready(), encodes and queues each finished
 // reply on its connection, and flushes the write buffers. While it
 // answers a burst of buffered frames it also sends whatever is queued
 // each time 64 KB wait, so the first replies of a long burst (a cache
 // node serving a ~100-frame record fetch) leave while the rest are
-// still being encoded. While any completion is pending, ppoll() waits at
-// most 500 µs, so a finished result is noticed within about that long;
-// with none pending it sleeps until a socket or Stop() wakes it.
+// still being encoded. Between passes ppoll() sleeps, with no timeout
+// outside a drain, until a socket is ready or the wake pipe is written:
+// by Stop(), or by a backend through the request's `notify_ready` once a
+// completion is Ready(), so a finished result is replied to at once and
+// no completion is polled on a timer. The pipe is shared with every
+// `notify_ready`, so a late notify after Stop() or after the server is
+// gone writes into a pipe nobody reads.
+//
+// Socket I/O: bytes are received straight into each connection's
+// RecvBuffer and framed where they land. A reply is queued as its
+// encoded bytes plus, optionally, a shared immutable body (a cache
+// node's stored record bytes, InlineReply::body); sendmsg() gathers both
+// segments of up to 64 frames per call, so a stored body goes to the
+// socket without a user-space copy and stays alive until its last byte
+// is sent, whatever happens to the entry it came from.
 //
 // Back-pressure: each connection may have at most
 // `max_inflight_per_conn` accepted requests outstanding. At the cap the
@@ -82,10 +94,13 @@ struct TcpServerOptions {
 
 // The synchronous reply of an InlineService to one frame: the encoded
 // reply frame, plus whether the connection should close after it flushes
-// (set for protocol errors, mirroring the gateway path's policy).
+// (set for protocol errors, mirroring the gateway path's policy). When
+// `body` is set, `frame` holds only the frame's first bytes and `body`
+// the rest: shared, never written again, and sent without a copy.
 struct InlineReply {
   std::vector<uint8_t> frame;
   bool close_connection = false;
+  std::shared_ptr<const std::vector<uint8_t>> body = nullptr;
 };
 
 // A backend that answers each frame inline on the poll thread. Must be
@@ -143,15 +158,23 @@ class TcpServer {
   uint64_t inflight() const { return total_inflight_.load(); }
 
  private:
+  // One queued reply: its encoded bytes, then an optional shared body.
+  struct OutFrame {
+    std::vector<uint8_t> head;
+    std::shared_ptr<const std::vector<uint8_t>> body;
+    size_t size() const {
+      return head.size() + (body != nullptr ? body->size() : 0);
+    }
+  };
+
   // Every field is the poll thread's alone.
   struct Conn {
     uint64_t id = 0;
     UniqueFd fd;
-    std::vector<uint8_t> inbuf;
-    // Encoded reply frames, each whole, sent in order and freed once
-    // sent. `out_sent` counts the bytes of the front frame already on the
-    // wire.
-    std::deque<std::vector<uint8_t>> outbuf;
+    RecvBuffer inbuf;
+    // Reply frames, each whole, sent in order and freed once sent.
+    // `out_sent` counts the bytes of the front frame already on the wire.
+    std::deque<OutFrame> outbuf;
     size_t out_sent = 0;
     size_t out_queued = 0;  // Bytes of outbuf not yet on the wire.
     int inflight = 0;  // Accepted requests whose replies are still owed.
@@ -183,7 +206,8 @@ class TcpServer {
   // Encodes and queues the reply of every pending completion that is
   // Ready(); a reply whose connection is gone counts as orphaned.
   void ReplyToReadyCompletions();
-  void QueueFrame(Conn& conn, std::vector<uint8_t> frame);
+  void QueueFrame(Conn& conn, std::vector<uint8_t> frame,
+                  std::shared_ptr<const std::vector<uint8_t>> body = nullptr);
   void CountWireError(WireError error);
   bool ShouldClose(const Conn& conn) const;
 
@@ -197,7 +221,9 @@ class TcpServer {
   uint16_t port_ = 0;
 
   UniqueFd listener_;
-  WakePipe wake_;
+  // Shared with every accepted request's notify_ready, which may outlive
+  // the server.
+  std::shared_ptr<WakePipe> wake_ = std::make_shared<WakePipe>();
 
   // Poll-thread state.
   std::map<uint64_t, std::unique_ptr<Conn>> conns_;

@@ -77,12 +77,13 @@ void AppendEncodedMatrixLe(ByteWriter& w, const quant::EncodedMatrix& m) {
   w.Bytes(m.payload.data(), m.payload.size());
 }
 
-// Reads the encoded body of a matrix whose shape header (rows, cols) was
-// already consumed. Strict: every dtype/scale-count/length combination
-// that quant::Decode would reject is rejected here, before any bytes are
-// believed.
-bool ReadEncodedMatrixBody(ByteReader& r, uint32_t rows, uint32_t cols,
-                           quant::EncodedMatrix* out, std::string* error) {
+// Checks the encoded body of a matrix whose shape header (rows, cols)
+// was already consumed, where it lies: `out` gets the shape, the dtype
+// and pointers to the scale bits and elements. Strict: every
+// dtype/scale-count/length combination that quant::Decode would reject
+// is rejected here, before any bytes are believed.
+bool ViewMatrixBody(ByteReader& r, uint32_t rows, uint32_t cols,
+                    CacheBodyView* out, std::string* error) {
   if (rows == 0 || cols == 0 || rows > kMaxMatrixSide ||
       cols > kMaxMatrixSide) {
     if (error != nullptr) *error = "matrix dimensions out of range";
@@ -98,12 +99,8 @@ bool ReadEncodedMatrixBody(ByteReader& r, uint32_t rows, uint32_t cols,
     if (error != nullptr) *error = "unknown matrix dtype tag";
     return false;
   }
-  quant::EncodedMatrix m;
-  m.dtype = static_cast<quant::Dtype>(dtype_tag);
-  m.rows = static_cast<int>(rows);
-  m.cols = static_cast<int>(cols);
-  const uint32_t want_scales = m.dtype == quant::Dtype::kI8 ? rows : 0;
-  if (scale_count != want_scales) {
+  const auto dtype = static_cast<quant::Dtype>(dtype_tag);
+  if (scale_count != quant::ScaleCount(dtype, static_cast<int>(rows))) {
     if (error != nullptr) *error = "scale count does not match dtype";
     return false;
   }
@@ -111,29 +108,41 @@ bool ReadEncodedMatrixBody(ByteReader& r, uint32_t rows, uint32_t cols,
     if (error != nullptr) *error = "matrix scales truncated";
     return false;
   }
-  m.scales.resize(scale_count);
+  out->scales = r.Skip(scale_count * sizeof(float));
+  const uint64_t payload_bytes =
+      static_cast<uint64_t>(rows) * cols * quant::DtypeBytes(dtype);
+  if (payload_bytes > r.remaining()) {
+    if (error != nullptr) *error = "matrix payload shorter than its shape";
+    return false;
+  }
+  out->elements = r.Skip(payload_bytes);
+  out->dtype = dtype;
+  out->rows = static_cast<int>(rows);
+  out->cols = static_cast<int>(cols);
+  return true;
+}
+
+// Copies a viewed body out into an EncodedMatrix.
+quant::EncodedMatrix ToEncoded(const CacheBodyView& view) {
+  quant::EncodedMatrix m;
+  m.dtype = view.dtype;
+  m.rows = view.rows;
+  m.cols = view.cols;
+  m.scales.resize(quant::ScaleCount(view.dtype, view.rows));
   if constexpr (std::endian::native == std::endian::little) {
-    r.Bytes(m.scales.data(), m.scales.size() * sizeof(float));
+    if (!m.scales.empty()) {
+      std::memcpy(m.scales.data(), view.scales,
+                  m.scales.size() * sizeof(float));
+    }
   } else {
+    ByteReader r(view.scales, m.scales.size() * sizeof(float));
     for (float& scale : m.scales) {
       const uint32_t bits = r.U32();
       std::memcpy(&scale, &bits, sizeof(bits));
     }
   }
-  const uint64_t payload_bytes = static_cast<uint64_t>(rows) * cols *
-                                 quant::DtypeBytes(m.dtype);
-  if (payload_bytes > r.remaining()) {
-    if (error != nullptr) *error = "matrix payload shorter than its shape";
-    return false;
-  }
-  m.payload.resize(payload_bytes);
-  r.Bytes(m.payload.data(), m.payload.size());
-  if (!r.ok()) {
-    if (error != nullptr) *error = "matrix payload truncated";
-    return false;
-  }
-  *out = std::move(m);
-  return true;
+  m.payload.assign(view.elements, view.body + view.body_size);
+  return m;
 }
 
 uint64_t ReadLe64(const uint8_t* p) {
@@ -175,28 +184,36 @@ uint64_t XxhMerge(uint64_t hash, uint64_t lane) {
   return (hash ^ XxhRound(0, lane)) * kXxhPrime1 + kXxhPrime4;
 }
 
-// Checks `declared` against Xxh64 of the payload's tail from `body_at`: the
-// matrix body of a put or hit, hashed where it landed.
-bool BodyChecksumMatches(const ParsedFrame& frame, size_t body_at,
-                         uint64_t declared, const char* what,
-                         std::string* error) {
-  if (Xxh64(frame.payload.data() + body_at, frame.payload.size() - body_at) ==
-      declared) {
+// Checks `declared` against Xxh64 of the matrix body of a put or hit,
+// hashed where it landed.
+bool BodyChecksumMatches(const uint8_t* body, size_t size, uint64_t declared,
+                         const char* what, std::string* error) {
+  if (Xxh64(body, size) == declared) {
     return true;
   }
   if (error != nullptr) *error = std::string(what) + " checksum mismatch";
   return false;
 }
 
-bool ReadEncodedMatrixLe(ByteReader& r, quant::EncodedMatrix* out,
-                         std::string* error) {
-  const uint32_t rows = r.U32();
-  const uint32_t cols = r.U32();
-  if (!r.ok()) {
-    if (error != nullptr) *error = "matrix header shorter than declared";
-    return false;
+// Starts a frame whose payload will be exactly `payload_len` bytes: the
+// whole frame is reserved up front and its header written.
+std::vector<uint8_t> BeginFrame(FrameType type, uint64_t seq,
+                                size_t payload_len) {
+  std::vector<uint8_t> out;
+  out.reserve(kFrameHeaderBytes + payload_len);
+  ByteWriter w(out);
+  AppendHeader(w, type, seq, static_cast<uint32_t>(payload_len));
+  return out;
+}
+
+// Hashes the matrix body that ends the frame, from `body_at`, and writes
+// the sum into the checksum slot just before it.
+uint64_t SealCachePut(std::vector<uint8_t>& frame, size_t body_at) {
+  const uint64_t sum = Xxh64(frame.data() + body_at, frame.size() - body_at);
+  for (size_t i = 0; i < 8; ++i) {
+    frame[body_at - 8 + i] = static_cast<uint8_t>(sum >> (8 * i));
   }
-  return ReadEncodedMatrixBody(r, rows, cols, out, error);
+  return sum;
 }
 
 }  // namespace
@@ -282,8 +299,8 @@ std::vector<uint8_t> EncodeError(uint64_t seq, WireError code,
   return EncodeFrame(FrameType::kError, seq, payload);
 }
 
-WireError TryParseFrame(const uint8_t* data, size_t size, ParsedFrame* out,
-                        size_t* consumed) {
+WireError TryParseFrameHeader(const uint8_t* data, size_t size,
+                              FrameHeader* out, size_t* consumed) {
   // Reject garbage as early as possible: the magic is checked the moment
   // four bytes exist, before waiting for a full header.
   if (size >= 4) {
@@ -319,11 +336,20 @@ WireError TryParseFrame(const uint8_t* data, size_t size, ParsedFrame* out,
   if (size < kFrameHeaderBytes + header.payload_len) {
     return WireError::kNeedMore;
   }
-  out->header = header;
-  out->payload.assign(data + kFrameHeaderBytes,
-                      data + kFrameHeaderBytes + header.payload_len);
+  *out = header;
   *consumed = kFrameHeaderBytes + header.payload_len;
   return WireError::kOk;
+}
+
+WireError TryParseFrame(const uint8_t* data, size_t size, ParsedFrame* out,
+                        size_t* consumed) {
+  FrameHeader header;
+  const WireError err = TryParseFrameHeader(data, size, &header, consumed);
+  if (err == WireError::kOk) {
+    out->header = header;
+    out->payload.assign(data + kFrameHeaderBytes, data + *consumed);
+  }
+  return err;
 }
 
 bool DecodeSubmit(const ParsedFrame& frame, WireRequest* out,
@@ -400,53 +426,93 @@ std::vector<uint8_t> EncodeCacheFetch(uint64_t seq, const CacheKey& key) {
 std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
                                     const quant::EncodedMatrix& data,
                                     uint64_t* checksum) {
-  std::vector<uint8_t> payload;
-  payload.reserve(CachePutPayloadBytes(data));
-  ByteWriter w(payload);
+  std::vector<uint8_t> frame =
+      BeginFrame(FrameType::kCachePut, seq, CachePutPayloadBytes(data));
+  ByteWriter w(frame);
   AppendCacheKey(w, key);
-  const size_t checksum_at = w.size();
   w.U64(0);  // Filled in once the body it covers is written.
   const size_t body_at = w.size();
   AppendEncodedMatrixLe(w, data);
-  const uint64_t sum =
-      Xxh64(payload.data() + body_at, payload.size() - body_at);
-  for (int i = 0; i < 8; ++i) {
-    payload[checksum_at + static_cast<size_t>(i)] =
-        static_cast<uint8_t>(sum >> (8 * i));
-  }
+  const uint64_t sum = SealCachePut(frame, body_at);
   if (checksum != nullptr) {
     *checksum = sum;
   }
-  return EncodeFrame(FrameType::kCachePut, seq, payload);
+  return frame;
+}
+
+std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
+                                    const Matrix& data, quant::Dtype dtype,
+                                    uint64_t* checksum) {
+  const size_t payload_len =
+      CachePutPayloadBytes(data.rows(), data.cols(), dtype);
+  std::vector<uint8_t> frame = BeginFrame(FrameType::kCachePut, seq,
+                                          payload_len);
+  ByteWriter w(frame);
+  AppendCacheKey(w, key);
+  w.U64(0);  // Filled in once the body it covers is written.
+  const size_t body_at = w.size();
+  const size_t scale_count = quant::ScaleCount(dtype, data.rows());
+  w.U32(static_cast<uint32_t>(data.rows()));
+  w.U32(static_cast<uint32_t>(data.cols()));
+  w.U8(static_cast<uint8_t>(dtype));
+  w.U32(static_cast<uint32_t>(scale_count));
+  const size_t scales_at = frame.size();
+  frame.resize(kFrameHeaderBytes + payload_len);
+  quant::EncodeTo(data, dtype, frame.data() + scales_at,
+                  frame.data() + scales_at + scale_count * sizeof(float));
+  const uint64_t sum = SealCachePut(frame, body_at);
+  if (checksum != nullptr) {
+    *checksum = sum;
+  }
+  return frame;
 }
 
 std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
                                     const Matrix& data) {
-  return EncodeCachePut(seq, key, quant::Encode(data, quant::Dtype::kF32));
+  return EncodeCachePut(seq, key, data, quant::Dtype::kF32, nullptr);
 }
 
 std::vector<uint8_t> EncodeCacheHit(uint64_t seq, const CacheKey& key,
                                     uint64_t checksum,
                                     const quant::EncodedMatrix* data) {
-  std::vector<uint8_t> payload;
-  ByteWriter w(payload);
-  AppendCacheKey(w, key);
-  w.U64(checksum);
+  // A put acknowledgement carries shape 0x0 and nothing else.
+  const size_t body_size =
+      data != nullptr ? kMatrixHeaderBytes + data->StoredBytes() : 8;
+  std::vector<uint8_t> frame = EncodeCacheHitHead(seq, key, checksum,
+                                                  body_size);
+  ByteWriter w(frame);
   if (data != nullptr) {
     AppendEncodedMatrixLe(w, *data);
   } else {
-    // A put acknowledgement: shape 0x0, nothing else.
     w.U32(0);
     w.U32(0);
   }
-  return EncodeFrame(FrameType::kCacheHit, seq, payload);
+  return frame;
+}
+
+std::vector<uint8_t> EncodeCacheHitHead(uint64_t seq, const CacheKey& key,
+                                        uint64_t checksum, size_t body_size) {
+  std::vector<uint8_t> frame = BeginFrame(
+      FrameType::kCacheHit, seq,
+      kCacheHitHeadBytes - kFrameHeaderBytes + body_size);
+  ByteWriter w(frame);
+  AppendCacheKey(w, key);
+  w.U64(checksum);
+  return frame;
 }
 
 size_t CachePutPayloadBytes(const quant::EncodedMatrix& data) {
-  // Key (4+4+4+1) + checksum (8) + matrix header (4+4+1+4) + scale bits +
-  // element payload; must mirror EncodeCachePut exactly.
-  return 13 + 8 + 13 + data.scales.size() * sizeof(float) +
-         data.payload.size();
+  // Key (4+4+4+1) + checksum (8) + matrix header + scale bits + element
+  // payload; must mirror EncodeCachePut exactly.
+  return kCacheHitHeadBytes - kFrameHeaderBytes + kMatrixHeaderBytes +
+         data.scales.size() * sizeof(float) + data.payload.size();
+}
+
+size_t CachePutPayloadBytes(int rows, int cols, quant::Dtype dtype) {
+  return kCacheHitHeadBytes - kFrameHeaderBytes + kMatrixHeaderBytes +
+         quant::ScaleCount(dtype, rows) * sizeof(float) +
+         static_cast<size_t>(rows) * static_cast<size_t>(cols) *
+             quant::DtypeBytes(dtype);
 }
 
 std::vector<uint8_t> EncodeCacheMiss(uint64_t seq, const CacheKey& key) {
@@ -472,49 +538,56 @@ bool DecodeCacheFetch(const ParsedFrame& frame, CacheFetchBody* out,
   return true;
 }
 
-bool DecodeCachePut(const ParsedFrame& frame, CachePutBody* out,
-                    std::string* error) {
-  ByteReader r(frame.payload.data(), frame.payload.size());
-  CachePutBody body;
-  body.key = ReadCacheKey(r);
-  body.checksum = r.U64();
+bool ViewCachePut(const uint8_t* payload, size_t size, CacheBodyView* out,
+                  std::string* error) {
+  ByteReader r(payload, size);
+  CacheBodyView view;
+  view.key = ReadCacheKey(r);
+  view.checksum = r.U64();
   if (!r.ok()) {
     if (error != nullptr) *error = "cache put payload shorter than its header";
     return false;
   }
-  if (!ValidCacheKey(body.key, error)) {
+  if (!ValidCacheKey(view.key, error)) {
     return false;
   }
-  const size_t body_at = r.offset();
-  if (!ReadEncodedMatrixLe(r, &body.data, error)) {
+  view.body = payload + r.offset();
+  const uint32_t rows = r.U32();
+  const uint32_t cols = r.U32();
+  if (!r.ok()) {
+    if (error != nullptr) *error = "matrix header shorter than declared";
+    return false;
+  }
+  if (!ViewMatrixBody(r, rows, cols, &view, error)) {
     return false;
   }
   if (r.remaining() != 0) {
     if (error != nullptr) *error = "trailing bytes after cache put payload";
     return false;
   }
-  if (!BodyChecksumMatches(frame, body_at, body.checksum, "cache put",
-                           error)) {
+  view.body_size = static_cast<size_t>(payload + size - view.body);
+  if (!BodyChecksumMatches(view.body, view.body_size, view.checksum,
+                           "cache put", error)) {
     return false;
   }
-  *out = std::move(body);
+  *out = view;
   return true;
 }
 
-bool DecodeCacheHit(const ParsedFrame& frame, CacheHitBody* out,
-                    std::string* error) {
-  ByteReader r(frame.payload.data(), frame.payload.size());
-  CacheHitBody body;
-  body.key = ReadCacheKey(r);
-  body.checksum = r.U64();
-  const size_t body_at = r.offset();
+bool ViewCacheHit(const uint8_t* payload, size_t size, CacheBodyView* out,
+                  std::string* error) {
+  ByteReader r(payload, size);
+  CacheBodyView view;
+  view.key = ReadCacheKey(r);
+  view.checksum = r.U64();
+  const uint8_t* body = payload + r.offset();
   const uint32_t rows = r.U32();
   const uint32_t cols = r.U32();
   if (!r.ok()) {
     if (error != nullptr) *error = "cache hit payload shorter than its header";
     return false;
   }
-  if (!ValidCacheKey(body.key, error)) {
+  if (!ValidCacheKey(view.key, error)) {
     return false;
   }
   if (rows == 0 && cols == 0) {
@@ -523,21 +596,54 @@ bool DecodeCacheHit(const ParsedFrame& frame, CacheHitBody* out,
       if (error != nullptr) *error = "trailing bytes after cache put ack";
       return false;
     }
-    *out = std::move(body);
+    *out = view;
     return true;
   }
-  if (!ReadEncodedMatrixBody(r, rows, cols, &body.data, error)) {
+  if (!ViewMatrixBody(r, rows, cols, &view, error)) {
     return false;
   }
   if (r.remaining() != 0) {
     if (error != nullptr) *error = "trailing bytes after cache hit payload";
     return false;
   }
-  if (!BodyChecksumMatches(frame, body_at, body.checksum, "cache hit",
-                           error)) {
+  view.body = body;
+  view.body_size = static_cast<size_t>(payload + size - body);
+  if (!BodyChecksumMatches(view.body, view.body_size, view.checksum,
+                           "cache hit", error)) {
     return false;
   }
-  *out = std::move(body);
+  *out = view;
+  return true;
+}
+
+void DecodeBody(const CacheBodyView& view, Matrix* out) {
+  quant::DecodeFrom(view.dtype, view.rows, view.cols, view.scales,
+                    view.elements, out);
+}
+
+bool DecodeCachePut(const ParsedFrame& frame, CachePutBody* out,
+                    std::string* error) {
+  CacheBodyView view;
+  if (!ViewCachePut(frame.payload.data(), frame.payload.size(), &view,
+                    error)) {
+    return false;
+  }
+  out->key = view.key;
+  out->checksum = view.checksum;
+  out->data = ToEncoded(view);
+  return true;
+}
+
+bool DecodeCacheHit(const ParsedFrame& frame, CacheHitBody* out,
+                    std::string* error) {
+  CacheBodyView view;
+  if (!ViewCacheHit(frame.payload.data(), frame.payload.size(), &view,
+                    error)) {
+    return false;
+  }
+  out->key = view.key;
+  out->checksum = view.checksum;
+  out->data = view.has_payload() ? ToEncoded(view) : quant::EncodedMatrix{};
   return true;
 }
 
@@ -647,6 +753,7 @@ uint64_t Xxh64(const void* data, size_t size) {
 
 uint64_t EncodedChecksum(const quant::EncodedMatrix& e) {
   std::vector<uint8_t> body;
+  body.reserve(kMatrixHeaderBytes + e.StoredBytes());
   ByteWriter w(body);
   AppendEncodedMatrixLe(w, e);
   return Xxh64(body.data(), body.size());

@@ -23,10 +23,20 @@
 // the *serving* tier (submit / metrics frames, flashps_served) and the
 // *cache* tier (cache fetch / put frames, flashps_cached) — the shared
 // cache node that serves template activations to a whole worker fleet.
+//
+// Cache matrices are built and read where they lie. A put frame is
+// encoded whole into one buffer (header with its known length, key,
+// checksum slot, the matrix body encoded in place and hashed there); a
+// node keeps the verified body span as it arrived and answers a hit with
+// a 41-byte head (EncodeCacheHitHead) followed by those stored bytes; a
+// receiver checks a hit's body where it landed (ViewCacheHit) and
+// decodes it once into its matrix (DecodeBody). The bytes on the wire are
+// exactly those of EncodeCachePut and EncodeCacheHit.
 #ifndef FLASHPS_SRC_NET_WIRE_H_
 #define FLASHPS_SRC_NET_WIRE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -59,6 +69,12 @@ inline constexpr uint16_t kResolutionWireVersion = 3;
 // complete.
 inline constexpr uint16_t kCacheChecksumWireVersion = 4;
 inline constexpr size_t kFrameHeaderBytes = 20;
+// An encoded matrix body opens with rows, cols, the dtype tag and the
+// scale count (4 + 4 + 1 + 4 bytes); scale bits and elements follow.
+inline constexpr size_t kMatrixHeaderBytes = 13;
+// A cache hit's frame up to its matrix body: header, key (4 + 4 + 4 + 1)
+// and checksum (8).
+inline constexpr size_t kCacheHitHeadBytes = kFrameHeaderBytes + 13 + 8;
 // Hard cap on one frame's payload: bounds decoder allocations and makes
 // oversized/garbage length fields detectable before any buffering happens.
 inline constexpr uint32_t kMaxPayloadBytes = 4u << 20;
@@ -180,6 +196,12 @@ struct WireRequest {
   uint8_t engine_mode = 1;  // 0 = full recompute, 1 = mask-aware.
   int32_t denoise_steps = 50;
   runtime::OnlineRequest request;
+  // Never on the wire. The TcpServer that accepted the request sets it
+  // before WireFrontend::Submit; the backend calls it once the request's
+  // completion is Ready() (from any thread), which wakes the server to
+  // send the reply. A wrapper that forwards the request forwards it too.
+  // Calling it after the server stopped, or was destroyed, does nothing.
+  std::function<void()> notify_ready;
 };
 
 // The reply to one WireRequest: the gateway's admission outcome, the
@@ -285,6 +307,28 @@ struct CacheMissBody {
   CacheKey key;
 };
 
+// A cache put or hit payload checked where it lies: the same checks as
+// DecodeCachePut / DecodeCacheHit, nothing copied. Every pointer aims
+// into the payload, which must outlive the view.
+struct CacheBodyView {
+  CacheKey key;
+  uint64_t checksum = 0;
+  quant::Dtype dtype = quant::Dtype::kF32;
+  int rows = 0;  // 0 x 0 for a put acknowledgement: no body follows.
+  int cols = 0;
+  // The span the checksum covers: rows through the last element byte.
+  const uint8_t* body = nullptr;
+  size_t body_size = 0;
+  const uint8_t* scales = nullptr;    // ScaleCount little-endian f32 bits.
+  const uint8_t* elements = nullptr;  // rows * cols * DtypeBytes bytes.
+
+  bool has_payload() const { return rows > 0 && cols > 0; }
+  // Scale plus element bytes, as EncodedMatrix::StoredBytes counts them.
+  size_t StoredBytes() const {
+    return has_payload() ? body_size - kMatrixHeaderBytes : 0;
+  }
+};
+
 // --- frame assembly -------------------------------------------------------
 
 std::vector<uint8_t> EncodeFrame(FrameType type, uint64_t seq,
@@ -307,11 +351,22 @@ std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
 // Lossless convenience: encodes `data` as f32 (bitwise round-trip) first.
 std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
                                     const Matrix& data);
+// Encodes `data` at `dtype` straight into the put frame (quant::EncodeTo)
+// and hashes the body where it lies: the bytes EncodeCachePut makes of
+// quant::Encode(data, dtype), with no EncodedMatrix in between.
+std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
+                                    const Matrix& data, quant::Dtype dtype,
+                                    uint64_t* checksum);
 // `checksum` is sent as given; a node serves the one it verified at put.
 // `data` may be null: a payload-less put acknowledgement.
 std::vector<uint8_t> EncodeCacheHit(uint64_t seq, const CacheKey& key,
                                     uint64_t checksum,
                                     const quant::EncodedMatrix* data);
+// The first kCacheHitHeadBytes of a hit whose matrix body (the span its
+// checksum covers) is `body_size` bytes: sent ahead of a stored body, it
+// makes the same frame EncodeCacheHit builds.
+std::vector<uint8_t> EncodeCacheHitHead(uint64_t seq, const CacheKey& key,
+                                        uint64_t checksum, size_t body_size);
 std::vector<uint8_t> EncodeCacheMiss(uint64_t seq, const CacheKey& key);
 std::vector<uint8_t> EncodeAuth(uint64_t seq, const std::string& token);
 std::vector<uint8_t> EncodeAuthOk(uint64_t seq);
@@ -320,6 +375,8 @@ std::vector<uint8_t> EncodeAuthOk(uint64_t seq);
 // `data` — lets a client refuse an oversized put (> kMaxPayloadBytes)
 // before any bytes hit the socket, instead of desyncing server-side.
 size_t CachePutPayloadBytes(const quant::EncodedMatrix& data);
+// The same for a rows x cols matrix encoded at `dtype`.
+size_t CachePutPayloadBytes(int rows, int cols, quant::Dtype dtype);
 
 // Incremental stream decode: inspects the prefix of [data, data+size).
 // Returns kOk with `*out` and `*consumed` filled when one whole valid
@@ -328,6 +385,11 @@ size_t CachePutPayloadBytes(const quant::EncodedMatrix& data);
 // consumed on error — the connection is unrecoverable and must close).
 WireError TryParseFrame(const uint8_t* data, size_t size, ParsedFrame* out,
                         size_t* consumed);
+// TryParseFrame without the payload copy: the same checks and results,
+// filling only the header; the payload is the `*consumed -
+// kFrameHeaderBytes` bytes after it, where they lie.
+WireError TryParseFrameHeader(const uint8_t* data, size_t size,
+                              FrameHeader* out, size_t* consumed);
 
 // --- payload decode -------------------------------------------------------
 
@@ -348,6 +410,15 @@ bool DecodeCachePut(const ParsedFrame& frame, CachePutBody* out,
 bool DecodeCacheHit(const ParsedFrame& frame, CacheHitBody* out,
                     std::string* error);
 bool DecodeCacheMiss(const ParsedFrame& frame, CacheMissBody* out);
+// The two above without the copies: check a put or hit payload of `size`
+// bytes where it lies.
+bool ViewCachePut(const uint8_t* payload, size_t size, CacheBodyView* out,
+                  std::string* error);
+bool ViewCacheHit(const uint8_t* payload, size_t size, CacheBodyView* out,
+                  std::string* error);
+// Decodes a viewed matrix body into `out` (quant::DecodeFrom): the one
+// copy a received hit costs. `view` must have a payload.
+void DecodeBody(const CacheBodyView& view, Matrix* out);
 bool DecodeAuth(const ParsedFrame& frame, AuthBody* out, std::string* error);
 
 // --- checksums ------------------------------------------------------------

@@ -122,43 +122,60 @@ float F16ToF32(uint16_t h) {
   return BitsToF32(sign | ((exp - 15 + 127) << 23) | (mant << 13));
 }
 
-EncodedMatrix Encode(const Matrix& m, Dtype dtype) {
-  EncodedMatrix e;
-  e.dtype = dtype;
-  e.rows = m.rows();
-  e.cols = m.cols();
+namespace {
+
+void StoreLe32(uint32_t v, uint8_t* out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, &v, sizeof(v));
+  } else {
+    for (int b = 0; b < 4; ++b) {
+      out[b] = static_cast<uint8_t>(v >> (8 * b));
+    }
+  }
+}
+
+uint32_t LoadLe32(const uint8_t* in) {
+  uint32_t v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, in, sizeof(v));
+  } else {
+    for (int b = 0; b < 4; ++b) {
+      v |= static_cast<uint32_t>(in[b]) << (8 * b);
+    }
+  }
+  return v;
+}
+
+// Writes the element bytes of `m` at `dtype` to `payload`, handing each
+// kI8 row's scale to `put_scale(row, scale)`: the one encoder behind
+// Encode() and EncodeTo().
+template <typename PutScale>
+void EncodeElements(const Matrix& m, Dtype dtype, uint8_t* payload,
+                    PutScale put_scale) {
   const size_t n = m.size();
   const float* data = m.data();
   switch (dtype) {
     case Dtype::kF32: {
-      e.payload.resize(n * 4);
       if constexpr (std::endian::native == std::endian::little) {
         // The host already holds each float in wire order.
-        if (n > 0) std::memcpy(e.payload.data(), data, n * 4);
+        if (n > 0) std::memcpy(payload, data, n * 4);
       } else {
         for (size_t i = 0; i < n; ++i) {
-          const uint32_t bits = F32Bits(data[i]);
-          e.payload[i * 4 + 0] = static_cast<uint8_t>(bits);
-          e.payload[i * 4 + 1] = static_cast<uint8_t>(bits >> 8);
-          e.payload[i * 4 + 2] = static_cast<uint8_t>(bits >> 16);
-          e.payload[i * 4 + 3] = static_cast<uint8_t>(bits >> 24);
+          StoreLe32(F32Bits(data[i]), payload + i * 4);
         }
       }
-      break;
+      return;
     }
     case Dtype::kF16: {
-      e.payload.resize(n * 2);
       for (size_t i = 0; i < n; ++i) {
         const uint16_t half = F32ToF16(data[i]);
-        e.payload[i * 2 + 0] = static_cast<uint8_t>(half);
-        e.payload[i * 2 + 1] = static_cast<uint8_t>(half >> 8);
+        payload[i * 2 + 0] = static_cast<uint8_t>(half);
+        payload[i * 2 + 1] = static_cast<uint8_t>(half >> 8);
       }
-      break;
+      return;
     }
     case Dtype::kI8: {
       const size_t cols = static_cast<size_t>(m.cols());
-      e.scales.resize(static_cast<size_t>(m.rows()));
-      e.payload.resize(n);
       for (int r = 0; r < m.rows(); ++r) {
         const float* row = m.row(r);
         float maxabs = 0.0f;
@@ -166,8 +183,8 @@ EncodedMatrix Encode(const Matrix& m, Dtype dtype) {
           maxabs = std::max(maxabs, std::fabs(row[c]));
         }
         const float scale = maxabs / 127.0f;
-        e.scales[static_cast<size_t>(r)] = scale;
-        uint8_t* out = e.payload.data() + static_cast<size_t>(r) * cols;
+        put_scale(r, scale);
+        uint8_t* out = payload + static_cast<size_t>(r) * cols;
         if (scale == 0.0f || !std::isfinite(scale)) {
           // All-zero row (or non-finite garbage): quantize to zeros rather
           // than divide by zero / propagate NaN into the int domain.
@@ -181,10 +198,77 @@ EncodedMatrix Encode(const Matrix& m, Dtype dtype) {
           out[c] = static_cast<uint8_t>(static_cast<int8_t>(clamped));
         }
       }
-      break;
+      return;
     }
   }
+}
+
+// Decodes element bytes at `dtype` into `m` (already shaped), taking each
+// kI8 row's scale from `scale_of(row)`: the one decoder behind Decode()
+// and DecodeFrom().
+template <typename ScaleOf>
+void DecodeElements(Dtype dtype, const uint8_t* payload, ScaleOf scale_of,
+                    Matrix& m) {
+  const size_t n = m.size();
+  float* data = m.data();
+  switch (dtype) {
+    case Dtype::kF32: {
+      if constexpr (std::endian::native == std::endian::little) {
+        if (n > 0) std::memcpy(data, payload, n * 4);
+      } else {
+        for (size_t i = 0; i < n; ++i) {
+          data[i] = BitsToF32(LoadLe32(payload + i * 4));
+        }
+      }
+      return;
+    }
+    case Dtype::kF16: {
+      for (size_t i = 0; i < n; ++i) {
+        const uint16_t half = static_cast<uint16_t>(payload[i * 2]) |
+                              static_cast<uint16_t>(payload[i * 2 + 1]) << 8;
+        data[i] = F16ToF32(half);
+      }
+      return;
+    }
+    case Dtype::kI8: {
+      const size_t cols = static_cast<size_t>(m.cols());
+      for (int r = 0; r < m.rows(); ++r) {
+        const float scale = scale_of(r);
+        const uint8_t* in = payload + static_cast<size_t>(r) * cols;
+        float* row = m.row(r);
+        for (size_t c = 0; c < cols; ++c) {
+          row[c] = static_cast<float>(static_cast<int8_t>(in[c])) * scale;
+        }
+      }
+      return;
+    }
+  }
+}
+
+}  // namespace
+
+size_t ScaleCount(Dtype dtype, int rows) {
+  return dtype == Dtype::kI8 ? static_cast<size_t>(std::max(rows, 0)) : 0;
+}
+
+EncodedMatrix Encode(const Matrix& m, Dtype dtype) {
+  EncodedMatrix e;
+  e.dtype = dtype;
+  e.rows = m.rows();
+  e.cols = m.cols();
+  e.scales.resize(ScaleCount(dtype, m.rows()));
+  e.payload.resize(m.size() * DtypeBytes(dtype));
+  EncodeElements(m, dtype, e.payload.data(), [&e](int r, float scale) {
+    e.scales[static_cast<size_t>(r)] = scale;
+  });
   return e;
+}
+
+void EncodeTo(const Matrix& m, Dtype dtype, uint8_t* scales,
+              uint8_t* payload) {
+  EncodeElements(m, dtype, payload, [scales](int r, float scale) {
+    StoreLe32(F32Bits(scale), scales + static_cast<size_t>(r) * 4);
+  });
 }
 
 bool Decode(const EncodedMatrix& e, Matrix* out, std::string* error) {
@@ -202,52 +286,24 @@ bool Decode(const EncodedMatrix& e, Matrix* out, std::string* error) {
   if (e.payload.size() != n * DtypeBytes(e.dtype)) {
     return fail("payload length does not match shape and dtype");
   }
-  const size_t want_scales =
-      e.dtype == Dtype::kI8 ? static_cast<size_t>(e.rows) : 0;
-  if (e.scales.size() != want_scales) {
+  if (e.scales.size() != ScaleCount(e.dtype, e.rows)) {
     return fail("scale count does not match dtype contract");
   }
   Matrix m(e.rows, e.cols);
-  float* data = m.data();
-  switch (e.dtype) {
-    case Dtype::kF32: {
-      if constexpr (std::endian::native == std::endian::little) {
-        if (n > 0) std::memcpy(data, e.payload.data(), n * 4);
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          uint32_t bits = 0;
-          for (int b = 0; b < 4; ++b) {
-            bits |= static_cast<uint32_t>(e.payload[i * 4 + b]) << (8 * b);
-          }
-          data[i] = BitsToF32(bits);
-        }
-      }
-      break;
-    }
-    case Dtype::kF16: {
-      for (size_t i = 0; i < n; ++i) {
-        const uint16_t half =
-            static_cast<uint16_t>(e.payload[i * 2]) |
-            static_cast<uint16_t>(e.payload[i * 2 + 1]) << 8;
-        data[i] = F16ToF32(half);
-      }
-      break;
-    }
-    case Dtype::kI8: {
-      const size_t cols = static_cast<size_t>(e.cols);
-      for (int r = 0; r < e.rows; ++r) {
-        const float scale = e.scales[static_cast<size_t>(r)];
-        const uint8_t* in = e.payload.data() + static_cast<size_t>(r) * cols;
-        float* row = m.row(r);
-        for (size_t c = 0; c < cols; ++c) {
-          row[c] = static_cast<float>(static_cast<int8_t>(in[c])) * scale;
-        }
-      }
-      break;
-    }
-  }
+  DecodeElements(e.dtype, e.payload.data(),
+                 [&e](int r) { return e.scales[static_cast<size_t>(r)]; }, m);
   *out = std::move(m);
   return true;
+}
+
+void DecodeFrom(Dtype dtype, int rows, int cols, const uint8_t* scales,
+                const uint8_t* payload, Matrix* out) {
+  if (out->rows() != rows || out->cols() != cols) {
+    *out = Matrix(rows, cols);
+  }
+  DecodeElements(dtype, payload, [scales](int r) {
+    return BitsToF32(LoadLe32(scales + static_cast<size_t>(r) * 4));
+  }, *out);
 }
 
 std::string ToString(PrecisionMode mode) {

@@ -26,7 +26,10 @@
 // This layer is pure math + bytes: no wire framing, no checksums (the
 // wire layer checksums the *encoded* form so nodes verify without
 // decoding). It lives in flashps_tensor because every higher layer —
-// net, cache, cache/ring — needs it.
+// net, cache, cache/ring — needs it. EncodeTo() and DecodeFrom() work on
+// the wire form where it lies, so a cache frame is encoded into its send
+// buffer and decoded out of its receive buffer with no EncodedMatrix in
+// between.
 #ifndef FLASHPS_SRC_TENSOR_QUANT_H_
 #define FLASHPS_SRC_TENSOR_QUANT_H_
 
@@ -75,14 +78,31 @@ struct EncodedMatrix {
 uint16_t F32ToF16(float f);
 float F16ToF32(uint16_t h);
 
+// Per-row scales an encoding of `rows` rows carries: `rows` for kI8, else 0.
+size_t ScaleCount(Dtype dtype, int rows);
+
 // Encodes `m` at the given dtype. Never fails: any shape (including
 // empty) has a valid encoding; an all-zero row quantizes with scale 0.
 EncodedMatrix Encode(const Matrix& m, Dtype dtype);
+
+// Encode() written straight into caller-sized wire-form buffers: `scales`
+// receives ScaleCount() little-endian f32 bit patterns and `payload` the
+// element bytes, byte for byte what Encode() holds.
+void EncodeTo(const Matrix& m, Dtype dtype, uint8_t* scales,
+              uint8_t* payload);
 
 // Strict decode. False (with `error` filled when non-null) on any
 // structural inconsistency: unknown dtype, negative dims, scale count not
 // matching the dtype contract, payload length not rows*cols*DtypeBytes.
 bool Decode(const EncodedMatrix& e, Matrix* out, std::string* error);
+
+// Decodes a rows x cols encoding from wire-form bytes where they lie (the
+// layout EncodeTo() writes): the same bits Decode() makes of the same
+// encoding, in one pass. Every element is written, so an `out` that
+// already has this shape is filled in place, its storage reused; any
+// other is replaced. The caller has validated the dtype and lengths.
+void DecodeFrom(Dtype dtype, int rows, int cols, const uint8_t* scales,
+                const uint8_t* payload, Matrix* out);
 
 // --- stage policy ---------------------------------------------------------
 

@@ -1,6 +1,7 @@
 // Cache-tier RPC units: the cache frame codec (v2: encoded matrices; v4:
 // the XXH64 checksum, hashed in place),
-// the CacheNode store semantics (encoded residency, admission policy),
+// the CacheNode store semantics (encoded residency, admission policy,
+// stored bodies that outlive their entry while a hit still sends them),
 // net::Client's whole-record transfers (FetchRecord / PutRecord) over a
 // loopback TcpServer in service mode, and the client ladder against one
 // cache node — a ShardedRemoteStore over a one-member ring (LRU front,
@@ -685,6 +686,95 @@ TEST(CacheRpcNodeTest, ByteCapCountsCompressedBytes) {
   }
   EXPECT_EQ(node.Stats().entries, 4u);
   EXPECT_EQ(node.Stats().evictions, 0u);
+}
+
+TEST(CacheRpcNodeTest, QueuedHitSendsItsBytesAfterOverwriteAndEviction) {
+  // A reader asks for one 2 MB entry eight times and does not read. With
+  // its receive buffer pinned (so at most the sender's 4 MB socket buffer
+  // and this one hold bytes in the kernel), most of those 16 MB of hits
+  // wait in the server's write queue, holding the stored body. The entry
+  // is then
+  // overwritten and evicted. The reader must still receive the original
+  // bytes under the original checksum, eight times — and under ASan, no
+  // freed byte may be sent.
+  const CacheKey key = TestKey(11, 0, 0);
+  const Matrix original = TestMatrix(1024, 512, 41);  // 2 MB of f32.
+  CacheNodeOptions options;
+  options.max_bytes = 3u << 20;  // Room for one such entry, not two.
+  CacheNode node(options);
+  TcpServer server(node.Service());
+  ASSERT_TRUE(server.Start());
+  uint64_t original_sum = 0;
+  {
+    const InlineReply ack =
+        node.Handle(Parse(EncodeCachePut(1, key, original, quant::Dtype::kF32,
+                                         &original_sum)));
+    ASSERT_FALSE(ack.close_connection);
+  }
+
+  UniqueFd reader = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(reader.valid());
+  const int pinned = 128 * 1024;
+  ASSERT_EQ(::setsockopt(reader.get(), SOL_SOCKET, SO_RCVBUF, &pinned,
+                         sizeof(pinned)),
+            0);
+  constexpr int kHits = 8;
+  std::vector<uint8_t> fetches;
+  for (int i = 0; i < kHits; ++i) {
+    const std::vector<uint8_t> f = EncodeCacheFetch(100 + i, key);
+    fetches.insert(fetches.end(), f.begin(), f.end());
+  }
+  ASSERT_TRUE(SendAll(reader.get(), fetches.data(), fetches.size()));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (node.Stats().fetch_hits < kHits &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(node.Stats().fetch_hits, static_cast<uint64_t>(kHits));
+
+  // Overwrite, then evict, through another connection.
+  Client writer("127.0.0.1", server.port());
+  model::ActivationRecord replacement;
+  replacement.steps.resize(1);
+  replacement.steps[0].y.push_back(TestMatrix(1024, 512, 42));
+  ASSERT_TRUE(writer.PutRecord(11, replacement).transport_ok);
+  ASSERT_EQ(node.Stats().put_overwrites, 1u);
+  replacement.steps[0].y[0] = TestMatrix(1024, 512, 43);
+  ASSERT_TRUE(writer.PutRecord(12, replacement).transport_ok);
+  ASSERT_FALSE(node.Contains(key));
+  ASSERT_EQ(node.Stats().evictions, 1u);
+
+  // Now read everything the reader was sent.
+  const size_t frame_bytes =
+      kFrameHeaderBytes + CachePutPayloadBytes(1024, 512, quant::Dtype::kF32);
+  std::vector<uint8_t> bytes(kHits * frame_bytes);
+  size_t got = 0;
+  while (got < bytes.size() && std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{reader.get(), POLLIN, 0};
+    if (::poll(&pfd, 1, 100) <= 0) {
+      continue;
+    }
+    const ssize_t n =
+        ::recv(reader.get(), bytes.data() + got, bytes.size() - got, 0);
+    ASSERT_GT(n, 0);
+    got += static_cast<size_t>(n);
+  }
+  ASSERT_EQ(got, bytes.size());
+  for (int i = 0; i < kHits; ++i) {
+    SCOPED_TRACE(i);
+    const std::vector<uint8_t> one(
+        bytes.begin() + static_cast<ptrdiff_t>(i * frame_bytes),
+        bytes.begin() + static_cast<ptrdiff_t>((i + 1) * frame_bytes));
+    const ParsedFrame frame = Parse(one);
+    EXPECT_EQ(frame.header.seq, static_cast<uint64_t>(100 + i));
+    CacheHitBody hit;
+    std::string error;
+    ASSERT_TRUE(DecodeCacheHit(frame, &hit, &error)) << error;
+    EXPECT_EQ(hit.checksum, original_sum);
+    EXPECT_TRUE(DecodedEqual(hit.data, original));
+  }
+  server.Stop();
 }
 
 TEST(CacheRpcNodeTest, MetricsJsonCarriesCounters) {

@@ -4,26 +4,37 @@
 //
 //   ClientTest      a call that misses its deadline closes the
 //                   connection, so late replies never bank and the next
-//                   call starts clean.
+//                   call starts clean; a hit delivered split at every
+//                   byte boundary decodes to the same bits.
 //   ClientFuzzTest  seeded mutations of every reply type the client
 //                   parses — submit result, metrics report, auth-ok,
 //                   error, cache hit with and without a payload, cache
 //                   miss — by bit flips, truncation, lying length fields,
-//                   type and seq swaps and spliced frames. Every call
-//                   must return by its deadline, fail with a typed error,
-//                   and never report a record or an ack it did not get.
+//                   type and seq swaps and spliced frames; and targeted
+//                   hit defects (a truncated body, a lying length, a
+//                   wrong checksum, a duplicate seq, an unasked key) on a
+//                   fetch in flight, which the client checks where the
+//                   hit lands. Every call must return by its deadline,
+//                   fail with a typed error, and never report a record or
+//                   an ack it did not get.
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/common/rng.h"
 #include "src/net/cache_node.h"
 #include "src/net/client.h"
+#include "src/net/socket_util.h"
 #include "src/net/tcp_server.h"
 #include "tests/wire_fuzz.h"
 
@@ -177,6 +188,99 @@ TEST(ClientTest, PutAckThatMisquotesTheChecksumFailsThePut) {
   EXPECT_EQ(client.last_error(), WireError::kMalformedPayload);
   EXPECT_FALSE(client.connected());
   server.Stop();
+}
+
+// Reads exactly `n` bytes from a blocking-or-not socket, polling; false on
+// EOF, error or a 10 s stall.
+bool ReadExactly(int fd, uint8_t* out, size_t n) {
+  size_t got = 0;
+  while (got < n) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 10000) <= 0) {
+      return false;
+    }
+    const ssize_t r = ::recv(fd, out + got, n - got, 0);
+    if (r <= 0) {
+      return false;
+    }
+    got += static_cast<size_t>(r);
+  }
+  return true;
+}
+
+TEST(ClientTest, HitSplitAtEveryByteBoundaryDecodesTheSameBits) {
+  // A node that answers each one-matrix fetch with the hit frame cut in
+  // two at byte k, the halves a moment apart, for every k in the frame —
+  // at each dtype. The client frames and decodes each hit where it lands;
+  // the record must come out bit for bit what the node holds.
+  const Matrix stored = [] {
+    Rng rng(0x5B17ull);
+    Matrix m(3, 5);
+    m.FillNormal(rng, 1.0f);
+    return m;
+  }();
+  const quant::Dtype dtypes[] = {quant::Dtype::kF32, quant::Dtype::kF16,
+                                 quant::Dtype::kI8};
+  uint16_t port = 0;
+  UniqueFd listener = OpenListener(0, 4, &port);
+  ASSERT_TRUE(listener.valid());
+  const size_t fetch_bytes = EncodeCacheFetch(1, CacheKey{}).size();
+
+  std::thread node([&] {
+    pollfd pfd{listener.get(), POLLIN, 0};
+    if (::poll(&pfd, 1, 10000) <= 0) {
+      return;
+    }
+    UniqueFd conn = AcceptTcp(listener.get());
+    std::vector<uint8_t> fetch(fetch_bytes);
+    for (const quant::Dtype dtype : dtypes) {
+      const quant::EncodedMatrix data = quant::Encode(stored, dtype);
+      const size_t frame_bytes =
+          EncodeCacheHit(0, CacheKey{}, 0, &data).size();
+      for (size_t k = 1; k < frame_bytes; ++k) {
+        if (!ReadExactly(conn.get(), fetch.data(), fetch.size())) {
+          return;
+        }
+        ParsedFrame frame;
+        size_t consumed = 0;
+        CacheFetchBody body;
+        if (TryParseFrame(fetch.data(), fetch.size(), &frame, &consumed) !=
+                WireError::kOk ||
+            !DecodeCacheFetch(frame, &body, nullptr)) {
+          return;
+        }
+        const std::vector<uint8_t> hit = EncodeCacheHit(
+            frame.header.seq, body.key, EncodedChecksum(data), &data);
+        SendAll(conn.get(), hit.data(), k);
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+        SendAll(conn.get(), hit.data() + k, hit.size() - k);
+      }
+    }
+  });
+
+  ClientOptions options;
+  options.default_timeout = milliseconds(10000);
+  Client client("127.0.0.1", port, options);
+  for (const quant::Dtype dtype : dtypes) {
+    Matrix expected;
+    ASSERT_TRUE(quant::Decode(quant::Encode(stored, dtype), &expected, nullptr));
+    const size_t frame_bytes =
+        kCacheHitHeadBytes + kMatrixHeaderBytes +
+        quant::ScaleCount(dtype, stored.rows()) * sizeof(float) +
+        stored.size() * quant::DtypeBytes(dtype);
+    for (size_t k = 1; k < frame_bytes; ++k) {
+      SCOPED_TRACE(testing::Message() << quant::ToString(dtype) << " split at "
+                                      << k);
+      const FetchRecordResult fetched =
+          client.FetchRecord(9, 1, 1, /*want_kv=*/false);
+      ASSERT_TRUE(fetched.complete) << ToString(client.last_error());
+      const Matrix& got = fetched.record->steps[0].y[0];
+      ASSERT_EQ(got.rows(), expected.rows());
+      ASSERT_EQ(got.cols(), expected.cols());
+      EXPECT_EQ(std::memcmp(got.data(), expected.data(), expected.bytes()), 0);
+    }
+  }
+  node.join();
 }
 
 // --- mutated replies --------------------------------------------------------
@@ -434,6 +538,115 @@ TEST(ClientFuzzTest, MutatedRepliesFailTypedByTheDeadline) {
   std::printf("%d fuzz cases (%d failed calls) in %.2f s\n", cases,
               failed_calls,
               std::chrono::duration<double>(Clock::now() - started).count());
+}
+
+// Hit defects aimed at the client's in-place decoder, one per case, on
+// the reply to one fetch of a two-matrix record.
+enum class HitDefect {
+  kTruncatedBody,   // Body cut short, length field agreeing.
+  kLongLength,      // Length field claims more than the frame holds.
+  kShortLength,     // Length field claims less.
+  kWrongChecksum,   // One checksum bit flipped.
+  kDuplicateSeq,    // The other op's hit re-sent under this op's seq.
+  kUnaskedKey,      // A well-formed hit naming a key nobody asked for.
+  kCount
+};
+
+TEST(ClientFuzzTest, DefectiveHitsFailTheFetchInFlight) {
+  const model::ActivationRecord stored = TestRecord(kSteps, kBlocks, false);
+  for (int d = 0; d < static_cast<int>(HitDefect::kCount); ++d) {
+    for (int target = 0; target < kBlocks; ++target) {
+      const auto defect = static_cast<HitDefect>(d);
+      SCOPED_TRACE(testing::Message() << "defect " << d << " on block "
+                                      << target);
+      CacheNode node;
+      uint64_t seq = 1;
+      for (int b = 0; b < kBlocks; ++b) {
+        node.Handle(FuzzServer::ParseOne(EncodeCachePut(
+            seq++, CacheKey{kResident, 0, b, kCacheKindY},
+            stored.steps[0].y[static_cast<size_t>(b)])));
+      }
+      // The fetch burst arrives in block order, so the hits are answered
+      // in it too; the target's hit is rewritten.
+      std::vector<uint8_t> previous_hit;
+      TcpServer server([&](const ParsedFrame& frame) {
+        InlineReply reply = node.Handle(frame);
+        CacheFetchBody fetch;
+        if (frame.type() != FrameType::kCacheFetch ||
+            !DecodeCacheFetch(frame, &fetch, nullptr)) {
+          return reply;
+        }
+        std::vector<uint8_t>& hit = reply.frame;
+        const std::vector<uint8_t> original = hit;
+        if (fetch.key.block == target) {
+          const uint64_t len = fuzz::GetLe(hit, fuzz::kLenAt, 4);
+          switch (defect) {
+            case HitDefect::kTruncatedBody:
+              hit.resize(hit.size() - 7);
+              fuzz::SetLe(hit, fuzz::kLenAt, len - 7, 4);
+              break;
+            case HitDefect::kLongLength:
+              fuzz::SetLe(hit, fuzz::kLenAt, len + 5, 4);
+              break;
+            case HitDefect::kShortLength:
+              fuzz::SetLe(hit, fuzz::kLenAt, len - 5, 4);
+              break;
+            case HitDefect::kWrongChecksum:
+              hit[kFrameHeaderBytes + 13] ^= 0x10;
+              break;
+            case HitDefect::kDuplicateSeq:
+              if (!previous_hit.empty()) {
+                // Block 1's op gets block 0's hit a second time.
+                const uint64_t other = fuzz::GetLe(previous_hit, fuzz::kSeqAt, 8);
+                hit = previous_hit;
+                fuzz::SetLe(hit, fuzz::kSeqAt, other, 8);
+              } else {
+                // Block 0's hit, sent twice.
+                hit.insert(hit.end(), original.begin(), original.end());
+              }
+              break;
+            case HitDefect::kUnaskedKey:
+              // The key is not under the checksum: still a valid frame.
+              fuzz::SetLe(hit, kFrameHeaderBytes, kResident + 1, 4);
+              break;
+            case HitDefect::kCount:
+              break;
+          }
+        }
+        previous_hit = original;
+        return reply;
+      });
+      ASSERT_TRUE(server.Start());
+      ClientOptions options;
+      options.default_timeout = kFuzzTimeout * 10;
+      Client client("127.0.0.1", server.port(), options);
+      const auto t0 = Clock::now();
+      const FetchRecordResult fetched =
+          client.FetchRecord(kResident, kSteps, kBlocks, /*want_kv=*/false);
+      EXPECT_LE(std::chrono::duration_cast<milliseconds>(Clock::now() - t0)
+                    .count(),
+                (options.default_timeout + kSlack).count());
+      if (defect == HitDefect::kDuplicateSeq && target == 0) {
+        // The repeat under an answered seq is a stray: the fetch completes
+        // with the stored bits.
+        ASSERT_TRUE(fetched.complete) << ToString(client.last_error());
+        EXPECT_TRUE(SameRecord(*fetched.record, stored));
+      } else {
+        EXPECT_FALSE(fetched.transport_ok);
+        EXPECT_FALSE(fetched.complete);
+        EXPECT_EQ(fetched.record, nullptr);
+        EXPECT_NE(client.last_error(), WireError::kOk);
+        EXPECT_NE(client.last_error(), WireError::kNeedMore);
+        EXPECT_FALSE(client.connected());
+        if (defect == HitDefect::kTruncatedBody ||
+            defect == HitDefect::kWrongChecksum ||
+            defect == HitDefect::kUnaskedKey) {
+          EXPECT_EQ(client.last_error(), WireError::kMalformedPayload);
+        }
+      }
+      server.Stop();
+    }
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,10 +21,12 @@
 #include "src/fed/fed_gateway.h"
 #include "src/fed/fed_router.h"
 #include "src/fed/node_registry.h"
+#include "src/net/client.h"
 #include "src/net/tcp_server.h"
 #include "src/sched/latency_model.h"
 #include "src/sched/scheduler.h"
 #include "src/trace/workload.h"
+#include "tests/delayed_frontend.h"
 
 namespace flashps::fed {
 namespace {
@@ -399,6 +402,50 @@ TEST(FedTest, DrainingNodeRejectionsAreRedispatched) {
   EXPECT_EQ(stats.completed, 6u);
   EXPECT_GE(stats.redispatched, 1u);
   fed.Stop();
+}
+
+TEST(FedTest, NodeReplyCrossesTheFedFrontAtOnce) {
+  // A node whose completions turn ready 200 ms after submit and notify,
+  // behind a FedGateway behind a TcpServer, through a forwarding wrapper
+  // (as a tracing decorator sits there). The reply must reach the client
+  // within a few ms of the node's completion, with a handful of Ready()
+  // calls at either server, not one per 500 µs poll.
+  net::stub::DelayedFrontend node_backend(std::chrono::milliseconds(200),
+                                          kFakeMetrics);
+  net::TcpServer node(node_backend);
+  ASSERT_TRUE(node.Start());
+  FedGatewayOptions options;
+  options.nodes = {FedNode{"127.0.0.1", node.port()}};
+  options.registry = FastProbeOptions();
+  // Heartbeats wake the node's poll loop too; keep them out of the window.
+  options.registry.probe_interval = std::chrono::seconds(5);
+  options.connections_per_node = 1;
+  FedGateway fed(options);
+  fed.Start();
+  net::stub::CountingFrontend counted(fed);
+  net::TcpServer front(counted);
+  ASSERT_TRUE(front.Start());
+
+  net::Client client("127.0.0.1", front.port());
+  ASSERT_TRUE(client.Connect());
+  net::WireRequest request;
+  const model::NumericsConfig numerics = model::NumericsConfig::ForTests();
+  Rng rng(5);
+  request.request.mask =
+      trace::GenerateBlobMask(numerics.grid_h, numerics.grid_w, 0.3, rng);
+  const uint64_t seq = client.Send(request);
+  ASSERT_NE(seq, 0u);
+  const std::optional<net::WireResponse> reply =
+      client.Await(seq, std::chrono::milliseconds(10000));
+  const auto replied = std::chrono::steady_clock::now();
+  ASSERT_TRUE(reply.has_value()) << net::ToString(client.last_error());
+  EXPECT_EQ(reply->latent_checksum, 0xD1A7ull);
+  EXPECT_LT(replied - node_backend.ready_at(), std::chrono::milliseconds(100));
+  EXPECT_LE(node_backend.ready_calls(), 8);
+  EXPECT_LE(counted.ready_calls(), 8);
+  front.Stop();
+  fed.Stop();
+  node.Stop();
 }
 
 }  // namespace

@@ -5,18 +5,23 @@
 // garbage, truncation, mid-request disconnects, back-pressure, and
 // Stop()-with-in-flight at a live TcpServer and asserts it answers with
 // the right distinct error, never hangs, never crashes, and never leaks
-// file descriptors.
+// file descriptors; and it holds the server to replying by event: a
+// notified completion is answered at once without polling, and a notify
+// that outlives its server is harmless.
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +34,7 @@
 #include "src/net/wire.h"
 #include "src/runtime/serde.h"
 #include "src/trace/workload.h"
+#include "tests/delayed_frontend.h"
 
 namespace flashps::net {
 namespace {
@@ -804,6 +810,99 @@ TEST_F(TcpServerTest, DrainDeadlineOrphansUnfinishedCompletions) {
             options.drain_timeout);
   EXPECT_EQ(server.Stats().orphaned_completions, 1u);
   EXPECT_EQ(server.inflight(), 0u);
+}
+
+TEST_F(TcpServerTest, NotifiedCompletionIsRepliedAtOnce) {
+  // The completion turns ready 200 ms after submit and notifies. The
+  // server must reply within a few ms of that, having checked Ready() a
+  // handful of times — not once per 500 µs poll (~400 times).
+  stub::DelayedFrontend frontend(std::chrono::milliseconds(200), "{}");
+  TcpServer server(frontend);
+  ASSERT_TRUE(server.Start());
+  Client client("127.0.0.1", server.port());
+  ASSERT_TRUE(client.Connect());
+  WireRequest request;
+  request.request = MakeRequest();
+  const uint64_t seq = client.Send(request);
+  ASSERT_NE(seq, 0u);
+  const std::optional<WireResponse> reply =
+      client.Await(seq, std::chrono::milliseconds(10000));
+  const auto replied = std::chrono::steady_clock::now();
+  ASSERT_TRUE(reply.has_value()) << ToString(client.last_error());
+  EXPECT_EQ(reply->latent_checksum, 0xD1A7ull);
+  // Generous for a sanitizer build on a loaded host; a missed notify
+  // would never be answered at all.
+  EXPECT_LT(replied - frontend.ready_at(), std::chrono::milliseconds(100));
+  EXPECT_LE(frontend.ready_calls(), 8);
+  server.Stop();
+}
+
+// A backend that keeps each request's notify_ready and never completes.
+class KeepsNotify : public WireFrontend {
+ public:
+  WireSubmission Submit(WireRequest request) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      notify_ = std::move(request.notify_ready);
+    }
+    WireSubmission sub;
+    sub.status = gateway::SubmitStatus::kAccepted;
+    sub.completion = std::make_unique<NeverCompletes::Completion>();
+    return sub;
+  }
+  std::string MetricsJson() override { return "{}"; }
+  std::function<void()> notify() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return notify_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::function<void()> notify_;
+};
+
+TEST_F(TcpServerTest, NotifyAfterStopOrDestructionIsHarmless) {
+  // The DrainDeadlineOrphansUnfinishedCompletions setup, with the
+  // request's notify kept: it fires (from another thread, the whole
+  // time) while Stop() orphans the completion at the drain deadline,
+  // after Stop(), and after the server is destroyed. None of it may
+  // touch freed memory or wake anything that is gone.
+  KeepsNotify frontend;
+  TcpServerOptions options;
+  options.drain_timeout = std::chrono::milliseconds(100);
+  auto server = std::make_unique<TcpServer>(frontend, options);
+  ASSERT_TRUE(server->Start());
+  Client client("127.0.0.1", server->port());
+  ASSERT_TRUE(client.Connect());
+  WireRequest request;
+  request.request = MakeRequest();
+  ASSERT_NE(client.Send(request), 0u);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server->Stats().submits_accepted == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server->inflight(), 1u);
+  const std::function<void()> notify = frontend.notify();
+  ASSERT_TRUE(notify != nullptr);
+
+  std::atomic<bool> stop_ringing{false};
+  std::thread ringer([&] {
+    while (!stop_ringing.load()) {
+      notify();
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  server->Stop();
+  EXPECT_EQ(server->Stats().orphaned_completions, 1u);
+  EXPECT_EQ(server->inflight(), 0u);
+  notify();
+  server.reset();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  stop_ringing.store(true);
+  ringer.join();
+  notify();
 }
 
 TEST_F(TcpServerTest, RepeatedConnectDisconnectLeaksNoFds) {
