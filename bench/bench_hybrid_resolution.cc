@@ -17,8 +17,9 @@
 //  - bitwise: the gathered panel must land every latent on the same bits
 //    as solo stepping, for a mixed panel and for the degenerate
 //    single-resolution mixture (the tentpole's correctness keystone);
-//  - speedup: patch-granular must beat pad-to-largest by >= 1.5x mean
-//    step latency on the mixed batch.
+//  - speedup: patch-granular must beat pad-to-largest by >= 1.5x step
+//    latency on the mixed batch, each regime timed as the fastest of
+//    interleaved rounds (bench::InterleavedMinMs).
 //
 // A virtual-time cluster leg (4 Flux workers, the Fig. 16 mixed-resolution
 // trace) records SLO attainment under serving::HybridMode::kPatchGranular
@@ -28,12 +29,9 @@
 // Flags: --smoke shrinks the model and the timing windows so the binary
 // finishes in ~seconds (the scripts/check.sh --bench-smoke leg); gates
 // still run.
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -50,32 +48,6 @@ namespace {
 bool BitwiseEqual(const Matrix& a, const Matrix& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
          std::memcmp(a.data(), b.data(), a.bytes()) == 0;
-}
-
-// Median per-call milliseconds; each timed sample spans >= `min_window_ms`.
-double MedianCallMs(const std::function<void()>& fn, double min_window_ms,
-                    int samples) {
-  using Clock = std::chrono::steady_clock;
-  auto time_batch = [&](int iters) {
-    const auto start = Clock::now();
-    for (int i = 0; i < iters; ++i) {
-      fn();
-    }
-    const auto stop = Clock::now();
-    return std::chrono::duration<double, std::milli>(stop - start).count();
-  };
-  int iters = 1;
-  double ms = time_batch(1);
-  while (ms < min_window_ms && iters < (1 << 20)) {
-    iters *= 2;
-    ms = time_batch(iters);
-  }
-  std::vector<double> per_call(static_cast<size_t>(samples));
-  for (auto& sample : per_call) {
-    sample = time_batch(iters) / iters;
-  }
-  std::sort(per_call.begin(), per_call.end());
-  return per_call[per_call.size() / 2];
 }
 
 // One request in the mixed batch: its model (one per grid), pinned K/V
@@ -224,7 +196,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Hybrid-resolution serving: patch-granular step batching",
       "one gathered panel per step across requests and resolutions beats "
-      "pad-to-largest >= 1.5x mean step latency, bitwise-identically");
+      "pad-to-largest >= 1.5x step latency, bitwise-identically");
 
   // The mixed batch: three grids around a native one, all sharing the
   // native model's weight family. hidden is sized so the token-wise GEMMs
@@ -273,19 +245,20 @@ int main(int argc, char** argv) {
         MakeMember(m_large, mixed[i].mask.ratio(), 300 + static_cast<int>(i)));
   }
 
-  const double window_ms = smoke ? 5.0 : 40.0;
-  const int samples = smoke ? 3 : 5;
+  // Interleaved min-of-N: each round times every regime once, so a burst
+  // of host contention lands on one round of all three regimes rather than
+  // on every sample of one regime.
+  const int samples = smoke ? 3 : 9;
   const int steps = base.num_steps;
   const double batch = static_cast<double>(mixed.size());
   // Per-step latency of the WHOLE batch under each regime.
-  const double patch_ms =
-      MedianCallMs([&] { RunPanel(mixed, steps); }, window_ms, samples) / steps;
-  const double serialize_ms =
-      MedianCallMs([&] { RunSerialized(mixed, steps); }, window_ms, samples) /
-      steps;
-  const double pad_ms =
-      MedianCallMs([&] { RunSerialized(padded, steps); }, window_ms, samples) /
-      steps;
+  const std::vector<double> best_ms = bench::InterleavedMinMs(
+      {[&] { RunPanel(mixed, steps); }, [&] { RunSerialized(mixed, steps); },
+       [&] { RunSerialized(padded, steps); }},
+      samples);
+  const double patch_ms = best_ms[0] / steps;
+  const double serialize_ms = best_ms[1] / steps;
+  const double pad_ms = best_ms[2] / steps;
 
   bench::PrintRow({"regime", "step(ms)", "per-req(ms)", "vs patch"});
   bench::PrintRow({"patch-granular", bench::Fmt(patch_ms, 3),
@@ -300,7 +273,7 @@ int main(int argc, char** argv) {
   // Gate 2: the tentpole's headline number.
   const double speedup_vs_pad = pad_ms / patch_ms;
   const bool speedup_ok = speedup_vs_pad >= 1.5;
-  std::printf("patch-granular vs pad-to-largest: %.2fx mean step latency "
+  std::printf("patch-granular vs pad-to-largest: %.2fx step latency "
               "(gate: >= 1.5x) %s\n",
               speedup_vs_pad, speedup_ok ? "OK" : "FAIL");
 
@@ -334,6 +307,8 @@ int main(int argc, char** argv) {
   json << "  \"batch\": {\"members\": " << mixed.size()
        << ", \"grids\": [\"8x8\", \"12x12\", \"16x16\"], \"hidden\": "
        << base.hidden << ", \"blocks\": " << base.num_blocks << "},\n";
+  json << "  \"step_timing\": \"interleaved min of " << samples
+       << " rounds\",\n";
   json << "  \"step_latency_ms\": {\"patch_granular\": " << patch_ms
        << ", \"serialize_per_resolution\": " << serialize_ms
        << ", \"pad_to_largest\": " << pad_ms << "},\n";

@@ -368,6 +368,118 @@ bool BitwiseEqual(const Matrix& a, const Matrix& b) {
          std::memcmp(a.data(), b.data(), a.bytes()) == 0;
 }
 
+// edit_warm's gathered step next to its named ops: one one-member
+// RunStepBatchGathered step (the step a patch-batching worker serves a lone
+// request with) and, at the same shapes, each src/tensor op the step is
+// made of (perfbench's tensor.* set), all timed in one interleaved min-of-N
+// so host noise lands on every column alike. The named ops run on whole
+// matrices, as the step's ops would with no gather, copy or allocation
+// between them; the step's time beyond their sum is its share outside the
+// named ops. Appends one JSON entry per mask ratio.
+void EditWarmStepLeg(std::ostringstream& json) {
+  ComputeThreadsScope scope(1);
+  const model::NumericsConfig cfg =
+      model::NumericsConfig::ForModelKind(model::ModelKind::kSdxl);
+  const model::DiffusionModel dm(cfg);
+  const model::ActivationRecord rec = dm.Register(0, /*record_kv=*/true);
+  const Matrix tmpl = dm.EncodeTemplate(0);
+  const int hidden = cfg.hidden;
+  const model::BlockWeights& w = dm.block(0);
+  const model::StepActivations& acts = rec.steps.front();
+  const float scale = 1.0f / std::sqrt(static_cast<float>(hidden));
+  json << "  \"edit_warm_step\": {\"grid\": " << cfg.grid_h
+       << ", \"hidden\": " << hidden << ", \"blocks\": " << cfg.num_blocks
+       << ", \"legs\": [\n";
+  const double ratios[] = {0.07, 0.11};
+  for (size_t i = 0; i < std::size(ratios); ++i) {
+    Rng rng(7);
+    const trace::Mask mask =
+        trace::GenerateBlobMask(cfg.grid_h, cfg.grid_w, ratios[i], rng);
+    const std::vector<int>& masked = mask.masked_tokens;
+    const int rows = static_cast<int>(masked.size());
+    Matrix latent = dm.InitEditLatent(tmpl, mask, 5);
+    std::vector<RowRef> gather_rows;
+    std::vector<RowRefMut> scatter_rows;
+    Matrix scatter_target = acts.y.front();
+    for (const int t : masked) {
+      gather_rows.push_back({&latent, t});
+      scatter_rows.push_back({&scatter_target, t});
+    }
+    const Matrix x = BenchMatrix(rows, hidden, 31);
+    const Matrix ff = BenchMatrix(rows, 4 * hidden, 32);
+    const Matrix scores = BenchMatrix(rows, cfg.tokens(), 33);
+    Matrix work;
+    struct Op {
+      const char* name;
+      int per_block;  // Calls per block.
+      std::function<void()> fn;
+    };
+    const std::vector<Op> ops = {
+        {"gather", 1, [&] { benchmark::DoNotOptimize(
+                                GatherRowsMulti(gather_rows, hidden)); }},
+        {"layernorm", 2, [&] { benchmark::DoNotOptimize(
+                                   LayerNorm(x, w.ln1_gamma, w.ln1_beta)); }},
+        {"qkv", 3, [&] { benchmark::DoNotOptimize(MatMul(x, w.wq)); }},
+        {"attn_scores", 1, [&] { benchmark::DoNotOptimize(
+                                     MatMulTransposed(x, acts.k.front())); }},
+        {"softmax", 1,
+         [&] {
+           work = scores;
+           ScaleBiasSoftmaxRows(work, scale, dm.attention_bias(), &masked);
+         }},
+        {"attn_v", 1, [&] { benchmark::DoNotOptimize(
+                                MatMul(scores, acts.v.front())); }},
+        {"out_proj", 1, [&] { benchmark::DoNotOptimize(MatMul(x, w.wo)); }},
+        {"ff1", 1, [&] { benchmark::DoNotOptimize(MatMul(x, w.w1)); }},
+        {"gelu", 1,
+         [&] {
+           work = ff;
+           GeluInPlace(work);
+         }},
+        {"ff2", 1, [&] { benchmark::DoNotOptimize(MatMul(ff, w.w2)); }},
+        {"scatter", 1, [&] { ScatterRowsMulti(x, scatter_rows); }},
+    };
+    // The softmax and GELU legs pay a copy of their input first; time it
+    // alone and take it off.
+    std::vector<std::function<void()>> calls = {
+        [&] {
+          model::DiffusionModel::RunStepBatchGathered(
+              {{&dm, &latent, &mask, &rec, 0}});
+        },
+        [&] { work = scores; },
+        [&] { work = ff; }};
+    for (const Op& op : ops) {
+      calls.push_back(op.fn);
+    }
+    const std::vector<double> ms = bench::InterleavedMinMs(calls);
+    const double step_us = ms[0] * 1e3;
+    double named_us = 0.0;
+    std::ostringstream per_op;
+    for (size_t o = 0; o < ops.size(); ++o) {
+      double op_ms = ms[o + 3];
+      if (std::strcmp(ops[o].name, "softmax") == 0) {
+        op_ms -= ms[1];
+      } else if (std::strcmp(ops[o].name, "gelu") == 0) {
+        op_ms -= ms[2];
+      }
+      const double us = op_ms * 1e3 * ops[o].per_block * cfg.num_blocks;
+      named_us += us;
+      per_op << (o == 0 ? "" : ", ") << "\"" << ops[o].name << "\": " << us;
+    }
+    const double outside = step_us > 0.0 ? 1.0 - named_us / step_us : 0.0;
+    json << "    {\"mask_ratio\": " << mask.ratio() << ", \"rows\": " << rows
+         << ", \"step_us\": " << step_us
+         << ", \"named_ops_us\": " << named_us
+         << ", \"outside_named_ops_share\": " << outside
+         << ", \"ops_us\": {" << per_op.str() << "}}"
+         << (i + 1 < std::size(ratios) ? "," : "") << "\n";
+    std::cerr << "edit_warm step m=" << mask.ratio() << " (" << rows
+              << " rows): step " << step_us << " us, named ops " << named_us
+              << " us, outside named ops " << 100.0 * outside << "%\n";
+  }
+  json << "  ]},\n";
+}
+
 // Returns false when any gathered-vs-dense bitwise gate fails. BENCH
 // numbers from a drifting kernel are worthless, so drift fails the run.
 bool WriteKernelsJson() {
@@ -775,6 +887,8 @@ bool WriteKernelsJson() {
     json << "  ],\n";
     json << "  \"sparse_step_speedup_m10\": " << speedup_m10 << ",\n";
   }
+
+  EditWarmStepLeg(json);
 
   json << "  \"bitwise_gathered_vs_dense_ok\": "
        << (bitwise_ok ? "true" : "false") << "\n";

@@ -61,7 +61,7 @@ cd "${repo}"
 
 # The threaded suites the sanitizers exercise. Keep the two lists in sync
 # with the build target lists below.
-tsan_regex='^(ParallelFor|KernelEquivalence|SparseCompute|ConcurrentQueue|ThreadPool|OnlineServer|Gateway|MetricsRegistry|StatAccumulator|Serde|Wire|TcpServer|NetIntegration|Client|CacheRpc|CacheRing|ActivationStore|Quant|CodecQuality|Fed)'
+tsan_regex='^(ParallelFor|KernelEquivalence|Matrix|SparseCompute|ConcurrentQueue|ThreadPool|OnlineServer|Gateway|MetricsRegistry|StatAccumulator|Serde|Wire|TcpServer|NetIntegration|Client|CacheRpc|CacheRing|ActivationStore|Quant|CodecQuality|Fed)'
 asan_regex='^(KernelEquivalence|ParallelFor|Matrix|SparseCompute|Serde|Wire|TcpServer|NetIntegration|Client|OnlineServer|Gateway|CacheRpc|CacheRing|ActivationStore|Quant|CodecQuality|Fed)'
 # The suites that gate kernel bits, rerun once per ISA level: the GEMM's
 # vector width and tile heights differ per level, so the sparse == dense
@@ -141,7 +141,8 @@ echo "BENCH_kernels.json -> ${repo}/BENCH_kernels.json"
 echo "== tsan: build threaded suites =="
 cmake -B build-tsan -S . -DFLASHPS_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target \
-  kernel_equivalence_test sparse_compute_test runtime_test gateway_test \
+  kernel_equivalence_test tensor_test sparse_compute_test runtime_test \
+  gateway_test \
   common_test cache_test \
   net_test net_integration_test client_test tcp_server_fuzz_test \
   cache_rpc_test cache_rpc_fuzz_test cache_rpc_integration_test \

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <utility>
 
+#include "src/common/thread_name.h"
+
 namespace flashps::cache {
 
 ShardedRemoteStore::ShardedRemoteStore(ShardedStoreOptions options)
@@ -41,7 +43,10 @@ ShardedRemoteStore::ShardedRemoteStore(ShardedStoreOptions options)
     stats_.members.push_back(std::move(member_stats));
   }
   for (int i = 0; i < options_.prefetch_workers; ++i) {
-    prefetch_threads_.emplace_back([this] { PrefetchLoop(); });
+    prefetch_threads_.emplace_back([this] {
+      SetThreadName("ring-prefetch");
+      PrefetchLoop();
+    });
   }
 }
 

@@ -20,7 +20,7 @@ int ClampThreads(int n) { return std::clamp(n, 1, kMaxComputeThreads); }
 // on the task queue when idle, so an unused pool costs nothing after
 // creation; the Meyers-singleton destructor joins them at process exit.
 ThreadPool& FanoutPool() {
-  static ThreadPool pool(kMaxComputeThreads - 1);
+  static ThreadPool pool(kMaxComputeThreads - 1, "parallel-for");
   return pool;
 }
 

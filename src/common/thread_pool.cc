@@ -2,13 +2,18 @@
 
 #include <cassert>
 
+#include "src/common/thread_name.h"
+
 namespace flashps {
 
-ThreadPool::ThreadPool(int num_threads) {
+ThreadPool::ThreadPool(int num_threads, const char* name) {
   assert(num_threads > 0);
   workers_.reserve(static_cast<size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, name] {
+      SetThreadName(name);
+      WorkerLoop();
+    });
   }
 }
 

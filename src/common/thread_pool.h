@@ -14,7 +14,8 @@ namespace flashps {
 
 class ThreadPool {
  public:
-  explicit ThreadPool(int num_threads);
+  // Every worker is named `name` (a string literal; see SetThreadName).
+  explicit ThreadPool(int num_threads, const char* name = "pool");
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/common/thread_name.h"
+
 namespace flashps::fed {
 
 namespace {
@@ -76,8 +78,10 @@ void FedGateway::Start() {
   const int conns = std::max(1, options_.connections_per_node);
   for (size_t i = 0; i < registry_.size(); ++i) {
     for (int c = 0; c < conns; ++c) {
-      dispatchers_.emplace_back(
-          [this, i] { DispatcherLoop(static_cast<int>(i)); });
+      dispatchers_.emplace_back([this, i] {
+        SetThreadName("fed-dispatch");
+        DispatcherLoop(static_cast<int>(i));
+      });
     }
   }
 }

@@ -5,6 +5,8 @@
 #include <optional>
 #include <utility>
 
+#include "src/common/thread_name.h"
+
 namespace flashps::fed {
 
 namespace {
@@ -82,7 +84,10 @@ void NodeRegistry::Start() {
   }
   probing_ = true;
   probe_stop_ = false;
-  probe_thread_ = std::thread([this] { ProbeLoop(); });
+  probe_thread_ = std::thread([this] {
+    SetThreadName("registry-probe");
+    ProbeLoop();
+  });
 }
 
 void NodeRegistry::Stop() {

@@ -7,6 +7,7 @@
 
 #include "src/cache/activation_store.h"
 #include "src/common/parallel_for.h"
+#include "src/common/thread_name.h"
 
 namespace flashps::gateway {
 
@@ -14,28 +15,49 @@ namespace {
 
 constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
 
-// Timings behind each profiled sample. A vCPU's speed can swing 2x within
-// a second, so one timing may land in a slow spell and bend the fit; the
-// fastest of a few repeats is the unloaded cost (the min-of-N method the
-// kernel benches use).
+// Timings behind each profiled sample, per step of the profiled window. A
+// vCPU's speed can swing 2x within a second, so one timing may land in a
+// slow spell and bend the fit; the fastest of a few repeats is the unloaded
+// cost (the min-of-N method the kernel benches use).
 constexpr int kProfileRepeats = 3;
 
-// Advances `latent` through steps [begin, end) of `opts` and returns the
-// fastest of kProfileRepeats timings of those steps, each run from the
-// same input latent (every repeat computes the same bits).
-double MinStepSeconds(const model::DiffusionModel& m,
-                      const model::DiffusionModel::RunOptions& opts,
-                      int begin, int end, Matrix& latent) {
-  double best = std::numeric_limits<double>::infinity();
-  Matrix out;
-  for (int rep = 0; rep < kProfileRepeats; ++rep) {
-    Matrix in = latent;
-    const auto t0 = std::chrono::steady_clock::now();
-    out = m.RunStepRange(std::move(in), opts, begin, end);
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+// One profiled sample: a request on `model`, warmed up to the first timed
+// step. `opts.mask` points at `mask`, so points live in a vector reserved
+// up front.
+struct ProfilePoint {
+  const model::DiffusionModel* model = nullptr;
+  trace::Mask mask;
+  model::DiffusionModel::RunOptions opts;
+  Matrix latent;
+};
+
+// The fastest of `rounds` one-step timings of step `begin` of every point,
+// in seconds per point. The rounds run round-robin — each round times
+// every point once — so a burst of host contention inflates one round's
+// samples of several points, not every sample of one point; one step per
+// timing gives each point more samples for the same steps timed. Each
+// timing runs from the point's same input latent (every timing computes
+// the same bits); on return the latent has advanced through the step.
+std::vector<double> MinStepSeconds(std::vector<ProfilePoint>& points,
+                                   int begin, int rounds) {
+  std::vector<double> best(points.size(),
+                           std::numeric_limits<double>::infinity());
+  std::vector<Matrix> out(points.size());
+  const int end = begin + 1;
+  for (int rep = 0; rep < rounds; ++rep) {
+    for (size_t i = 0; i < points.size(); ++i) {
+      Matrix in = points[i].latent;
+      const auto t0 = std::chrono::steady_clock::now();
+      out[i] = points[i].model->RunStepRange(std::move(in), points[i].opts,
+                                             begin, end);
+      const auto t1 = std::chrono::steady_clock::now();
+      best[i] = std::min(best[i],
+                         std::chrono::duration<double>(t1 - t0).count());
+    }
   }
-  latent = std::move(out);
+  for (size_t i = 0; i < points.size(); ++i) {
+    points[i].latent = std::move(out[i]);
+  }
   return best;
 }
 
@@ -108,7 +130,10 @@ Gateway::Gateway(GatewayOptions options)
                                     ? model::ComputeMode::kMaskAwareY
                                     : model::ComputeMode::kFull);
   }
-  timer_ = std::thread([this] { TimerLoop(); });
+  timer_ = std::thread([this] {
+    SetThreadName("gateway-timer");
+    TimerLoop();
+  });
 }
 
 Gateway::~Gateway() { Stop(); }
@@ -116,13 +141,14 @@ Gateway::~Gateway() { Stop(); }
 void Gateway::ProfileHost() {
   // The paper fits its regressions on profiled (FLOPs, latency) samples of
   // the real system; do the same here. One single-request denoise step per
-  // mask ratio, warm-started, timed over two steps (the fastest of
-  // kProfileRepeats timings from the same latent). x is the Table 1
-  // whole-step FLOPs under the worker's compute mode; the per-member math
-  // serializes on the denoise thread, so batches are linear in these
-  // per-request samples by construction. Profiling runs under the workers'
-  // compute-thread budget so the fitted model prices the kernels exactly as
-  // the denoise threads will execute them.
+  // mask ratio, warm-started: the fastest of kProfileRepeats one-step
+  // timings per step of a two-step window, taken round-robin over the
+  // ratios from the same latent. x is the Table 1 whole-step FLOPs under
+  // the worker's compute mode; the per-member math serializes on the
+  // denoise thread, so batches are linear in these per-request samples by
+  // construction. Profiling runs under the workers' compute-thread budget
+  // so the fitted model prices the kernels exactly as the denoise threads
+  // will execute them.
   ComputeThreadsScope compute_scope(options_.worker.compute_threads);
   const model::DiffusionModel& m = workers_.front()->server().model();
   const model::ComputeMode mode = options_.worker.mask_aware
@@ -130,44 +156,54 @@ void Gateway::ProfileHost() {
                                       : model::ComputeMode::kFull;
   cache::ActivationStore store;
   Rng rng(0x9A7E);
-  std::vector<double> tflops;
-  std::vector<double> seconds;
-  double overhead_s = 0.0;
-  int overhead_samples = 0;
   const int total_steps = std::max(1, options_.worker.numerics.num_steps);
   const int warm = total_steps > 1 ? 1 : 0;
   const int timed = std::max(1, std::min(2, total_steps - warm));
-  for (const double target : {0.05, 0.15, 0.3, 0.5, 0.7, 0.9}) {
-    auto mask = trace::GenerateBlobMask(options_.worker.numerics.grid_h,
-                                        options_.worker.numerics.grid_w,
-                                        target, rng);
-    // Pre-processing, timed: the same template-encode + latent-init the
-    // worker's CPU lanes run per request.
+  // A sample on `rm`'s grid at mask ratio `target`, run through its
+  // warm-up steps. Returns the pre-processing seconds: the same
+  // template-encode + latent-init the worker's CPU lanes run per request.
+  auto add_point = [&](std::vector<ProfilePoint>& points,
+                       const model::DiffusionModel& rm,
+                       cache::ActivationStore& records, double target) {
+    ProfilePoint& p = points.emplace_back();
+    p.model = &rm;
+    p.mask = trace::GenerateBlobMask(rm.config().grid_h, rm.config().grid_w,
+                                     target, rng);
     const auto pre0 = std::chrono::steady_clock::now();
-    const Matrix tmpl = m.EncodeTemplate(0);
-    Matrix latent = m.InitEditLatent(tmpl, mask, /*prompt_seed=*/1);
+    const Matrix tmpl = rm.EncodeTemplate(0);
+    p.latent = rm.InitEditLatent(tmpl, p.mask, /*prompt_seed=*/1);
     const auto pre1 = std::chrono::steady_clock::now();
-    model::DiffusionModel::RunOptions opts;
-    opts.mode = mode;
+    p.opts.mode = mode;
     if (options_.worker.mask_aware) {
-      opts.cache = &store.GetOrRegister(
-          m, 0, /*record_kv=*/options_.worker.sparse_compute);
-      opts.mask = &mask;
-      opts.sparse_compute = options_.worker.sparse_compute;
+      p.opts.cache = &records.GetOrRegister(
+          rm, 0, /*record_kv=*/options_.worker.sparse_compute);
+      p.opts.mask = &p.mask;
+      p.opts.sparse_compute = options_.worker.sparse_compute;
     }
-    latent = m.RunStepRange(std::move(latent), opts, 0, warm);
-    const double step_s =
-        MinStepSeconds(m, opts, warm, warm + timed, latent) / timed;
+    p.latent = rm.RunStepRange(std::move(p.latent), p.opts, 0, warm);
+    return std::chrono::duration<double>(pre1 - pre0).count();
+  };
+
+  const std::vector<double> targets = {0.05, 0.15, 0.3, 0.5, 0.7, 0.9};
+  std::vector<ProfilePoint> points;
+  points.reserve(targets.size());
+  double overhead_s = 0.0;
+  for (const double target : targets) {
+    overhead_s += add_point(points, m, store, target);
+  }
+  const std::vector<double> step_s =
+      MinStepSeconds(points, warm, kProfileRepeats * timed);
+  std::vector<double> tflops;
+  std::vector<double> seconds;
+  for (size_t i = 0; i < points.size(); ++i) {
     // Post-processing, timed: the per-request decode.
     const auto post0 = std::chrono::steady_clock::now();
-    const Matrix image = m.DecodeLatent(latent);
+    const Matrix image = m.DecodeLatent(points[i].latent);
     const auto post1 = std::chrono::steady_clock::now();
     (void)image;
-    overhead_s += std::chrono::duration<double>(pre1 - pre0).count() +
-                  std::chrono::duration<double>(post1 - post0).count();
-    ++overhead_samples;
+    overhead_s += std::chrono::duration<double>(post1 - post0).count();
 
-    const std::vector<double> ratios{mask.ratio()};
+    const std::vector<double> ratios{points[i].mask.ratio()};
     const auto workload =
         model::BuildStepWorkload(options_.timing, ratios, mode);
     double flops = workload.non_tf_flops;
@@ -176,12 +212,11 @@ void Gateway::ProfileHost() {
                                           : block.flops_without_cache;
     }
     tflops.push_back(flops / 1e12);
-    seconds.push_back(step_s);
+    seconds.push_back(step_s[i]);
   }
   latency_model_ = sched::LatencyModel::FitProfiled(options_.timing, mode,
                                                     tflops, seconds);
-  per_request_overhead_s_ =
-      overhead_samples > 0 ? overhead_s / overhead_samples : 0.0;
+  per_request_overhead_s_ = overhead_s / static_cast<double>(points.size());
 
   // Hybrid-resolution serving: anchor TokenScale on the native grid and
   // fit one whole-step line per extra resolution from timed steps on that
@@ -206,25 +241,19 @@ void Gateway::ProfileHost() {
     // Fresh store per resolution: the profiling records are keyed by bare
     // template id, and records of different shapes must not collide.
     cache::ActivationStore res_store;
+    std::vector<ProfilePoint> res_points;
+    res_points.reserve(3);
+    for (const double target : {0.1, 0.3, 0.6}) {
+      add_point(res_points, *rm, res_store, target);
+    }
+    const std::vector<double> res_s =
+        MinStepSeconds(res_points, warm, kProfileRepeats * timed);
     std::vector<double> xs;
     std::vector<double> ys;
-    for (const double target : {0.1, 0.3, 0.6}) {
-      auto mask = trace::GenerateBlobMask(grid_h, grid_w, target, rng);
-      const Matrix tmpl = rm->EncodeTemplate(0);
-      Matrix latent = rm->InitEditLatent(tmpl, mask, /*prompt_seed=*/1);
-      model::DiffusionModel::RunOptions opts;
-      opts.mode = mode;
-      if (options_.worker.mask_aware) {
-        opts.cache = &res_store.GetOrRegister(
-            *rm, 0, /*record_kv=*/options_.worker.sparse_compute);
-        opts.mask = &mask;
-        opts.sparse_compute = options_.worker.sparse_compute;
-      }
-      latent = rm->RunStepRange(std::move(latent), opts, 0, warm);
-      xs.push_back(mask.ratio() * static_cast<double>(grid_h * grid_w) /
-                   primary_tokens);
-      ys.push_back(MinStepSeconds(*rm, opts, warm, warm + timed, latent) /
-                   timed);
+    for (size_t i = 0; i < res_points.size(); ++i) {
+      xs.push_back(res_points[i].mask.ratio() *
+                   static_cast<double>(grid_h * grid_w) / primary_tokens);
+      ys.push_back(res_s[i]);
     }
     latency_model_.AddResolutionFit(grid_h, grid_w, FitLinear(xs, ys));
   }

@@ -66,10 +66,23 @@ DiffusionModel::DiffusionModel(const NumericsConfig& config) : config_(config) {
   }
   attn_bias_ =
       MakeDistanceBias(config.grid_h, config.grid_w, config.attn_bias_strength);
-  temb_freq_ = Matrix(2, config.hidden);
-  temb_freq_.FillNormal(rng, 1.0f);
+  Matrix temb_freq(2, config.hidden);
+  temb_freq.FillNormal(rng, 1.0f);
   decode_w_ = Matrix(config.hidden, config.patch * config.patch);
   decode_w_.FillNormal(rng, 1.0f / std::sqrt(static_cast<float>(config.hidden)));
+  // Cosine sigma schedule: embeddings change fastest near the start/end of
+  // the trajectory, which is what gives TeaCache its skippable mid-steps.
+  temb_ = Matrix(config.num_steps, config.hidden);
+  for (int s = 0; s < config.num_steps; ++s) {
+    const double sigma =
+        std::cos(0.5 * M_PI * static_cast<double>(s) /
+                 static_cast<double>(config.num_steps));
+    for (int j = 0; j < config.hidden; ++j) {
+      temb_.at(s, j) = 0.3f * static_cast<float>(
+                                  std::sin(sigma * 6.0 * temb_freq.at(0, j) +
+                                           temb_freq.at(1, j)));
+    }
+  }
 }
 
 Matrix DiffusionModel::EncodeTemplate(int template_id) const {
@@ -112,30 +125,35 @@ Matrix DiffusionModel::InitEditLatent(const Matrix& template_latent,
 }
 
 Matrix DiffusionModel::TimestepEmbedding(int step) const {
-  // Cosine sigma schedule: embeddings change fastest near the start/end of
-  // the trajectory, which is what gives TeaCache its skippable mid-steps.
-  const double sigma =
-      std::cos(0.5 * M_PI * static_cast<double>(step) /
-               static_cast<double>(config_.num_steps));
+  assert(step >= 0 && step < config_.num_steps);
   Matrix e(1, config_.hidden);
-  for (int j = 0; j < config_.hidden; ++j) {
-    e.at(0, j) = 0.3f * static_cast<float>(
-                            std::sin(sigma * 6.0 * temb_freq_.at(0, j) +
-                                     temb_freq_.at(1, j)));
-  }
+  std::copy(temb_.row(step), temb_.row(step) + config_.hidden, e.row(0));
   return e;
 }
 
 namespace {
 
-void AddRowBroadcast(Matrix& m, const Matrix& row_vec) {
-  assert(row_vec.rows() == 1 && row_vec.cols() == m.cols());
+void AddRowBroadcast(Matrix& m, const float* row_vec) {
   for (int i = 0; i < m.rows(); ++i) {
     float* r = m.row(i);
     for (int j = 0; j < m.cols(); ++j) {
-      r[j] += row_vec.at(0, j);
+      r[j] += row_vec[j];
     }
   }
+}
+
+// Whether every step of a run takes the copy-free gathered step: a
+// mask-aware sparse run on a K/V record whose every block uses the cache
+// and that records nothing. Such a plan keeps the replenish invariant
+// (see RunOptions::sparse_compute) at every step.
+bool CopyFreeSteps(const DiffusionModel::RunOptions& options,
+                   const std::vector<bool>& use_cache) {
+  const bool mask_aware = options.mode == ComputeMode::kMaskAwareY ||
+                          options.mode == ComputeMode::kMaskAwareKV;
+  return mask_aware && options.sparse_compute && options.cache != nullptr &&
+         options.cache->has_kv() && options.record == nullptr &&
+         std::all_of(use_cache.begin(), use_cache.end(),
+                     [](bool use) { return use; });
 }
 
 double RelChangeL1(const Matrix& a, const Matrix& b) {
@@ -247,7 +265,7 @@ DiffusionModel::RunResult DiffusionModel::RunDenoise(
     Matrix xm = GatherRows(latent, options.mask->masked_tokens);
     for (int s = 0; s < config_.num_steps; ++s) {
       Matrix h0 = xm;
-      AddRowBroadcast(h0, TimestepEmbedding(s));
+      AddRowBroadcast(h0, temb_.row(s));
       Matrix h = h0;
       for (int b = 0; b < config_.num_blocks; ++b) {
         h = BlockForwardSparse(blocks_[b], h, masked_bias);
@@ -258,6 +276,15 @@ DiffusionModel::RunResult DiffusionModel::RunDenoise(
       ++result.computed_steps;
     }
     ScatterRows(latent, xm, options.mask->masked_tokens);
+    result.final_latent = std::move(latent);
+    return result;
+  }
+
+  if (CopyFreeSteps(options, use_cache)) {
+    for (int s = 0; s < config_.num_steps; ++s) {
+      GatheredStep({{this, &latent, options.mask, options.cache, s}});
+      ++result.computed_steps;
+    }
     result.final_latent = std::move(latent);
     return result;
   }
@@ -282,7 +309,7 @@ DiffusionModel::RunResult DiffusionModel::RunDenoise(
       ++result.skipped_steps;
     } else {
       Matrix h0 = latent;
-      AddRowBroadcast(h0, temb);
+      AddRowBroadcast(h0, temb.row(0));
       eps = StepEpsilon(h0, s, options, use_cache, &unmasked_pristine);
       prev_eps = eps;
       last_computed_temb = temb;
@@ -305,6 +332,12 @@ Matrix DiffusionModel::RunStepRange(Matrix latent, const RunOptions& options,
   if (use_cache.empty()) {
     use_cache.assign(static_cast<size_t>(config_.num_blocks), true);
   }
+  if (CopyFreeSteps(options, use_cache)) {
+    for (int s = begin_step; s < end_step; ++s) {
+      GatheredStep({{this, &latent, options.mask, options.cache, s}});
+    }
+    return latent;
+  }
   // Chunked engines re-enter mid-trajectory, so the replenish invariant at
   // begin_step holds iff every preceding step replenished the unmasked
   // rows — under a fixed per-block plan, iff every block used the cache.
@@ -315,7 +348,7 @@ Matrix DiffusionModel::RunStepRange(Matrix latent, const RunOptions& options,
                   [](bool use) { return use; });
   for (int s = begin_step; s < end_step; ++s) {
     Matrix h0 = latent;
-    AddRowBroadcast(h0, TimestepEmbedding(s));
+    AddRowBroadcast(h0, temb_.row(s));
     const Matrix eps = StepEpsilon(h0, s, options, use_cache,
                                    &unmasked_pristine);
     AxpyInPlace(latent, config_.residual_scale, eps);
@@ -341,44 +374,56 @@ void DiffusionModel::RunStepBatchGathered(
     assert(m.model->config_.num_blocks == canon.config_.num_blocks);
     (void)canon;
   }
+  GatheredStep(members);
+}
 
-  // Per-member h0 = latent + temb(step), each under its member's own model
-  // (temb depends on the member's step count and schedule).
-  std::vector<Matrix> h0;
-  std::vector<Matrix> h;
-  h0.reserve(members.size());
+void DiffusionModel::GatheredStep(const std::vector<StepBatchMember>& members) {
+  const DiffusionModel& canon = *members.front().model;
+  const int hidden = canon.config_.hidden;
+  assert(canon.config_.num_blocks > 0);
+
+  // The panel: every member's masked rows of h0 = latent + temb(step),
+  // member-major in ascending token order, each under its member's own
+  // model (temb depends on the member's step count and schedule).
+  int panel_rows = 0;
   for (const StepBatchMember& m : members) {
-    Matrix x = *m.latent;
-    AddRowBroadcast(x, m.model->TimestepEmbedding(m.step));
-    h0.push_back(std::move(x));
+    panel_rows += static_cast<int>(m.mask->masked_tokens.size());
   }
-  h = h0;
-
-  // Block stack: one cross-request gathered panel per block. Ping-pong
-  // between h and h_next so an item's input never aliases its output.
-  std::vector<Matrix> h_next(members.size());
-  for (int b = 0; b < canon.config_.num_blocks; ++b) {
-    std::vector<GatheredBatchItem> items;
-    items.reserve(members.size());
-    for (size_t i = 0; i < members.size(); ++i) {
-      const StepBatchMember& m = members[i];
-      const StepActivations& acts = m.cache->steps[static_cast<size_t>(m.step)];
-      items.push_back({&h[i], &m.model->attn_bias_, m.mask, &acts.y[b],
-                       &acts.k[b], &acts.v[b], &h_next[i]});
+  Matrix panel(panel_rows, hidden);
+  std::vector<GatheredPanelMember> panel_members;
+  panel_members.reserve(members.size());
+  int pr = 0;
+  for (const StepBatchMember& m : members) {
+    const float* temb = m.model->temb_.row(m.step);
+    for (const int t : m.mask->masked_tokens) {
+      const float* latent = m.latent->row(t);
+      float* row = panel.row(pr++);
+      for (int j = 0; j < hidden; ++j) {
+        row[j] = latent[j] + temb[j];
+      }
     }
-    BlockForwardMaskedGatheredBatch(canon.blocks_[static_cast<size_t>(b)],
-                                    items);
-    h.swap(h_next);
+    panel_members.push_back({&m.model->attn_bias_, m.mask,
+                             &m.cache->steps[static_cast<size_t>(m.step)]});
   }
 
-  // latent += scale * (h - h0), per member, under the member's own scale.
-  for (size_t i = 0; i < members.size(); ++i) {
-    Matrix eps = std::move(h[i]);
-    for (size_t j = 0; j < eps.size(); ++j) {
-      eps.data()[j] -= h0[i].data()[j];
+  GatheredPanelForward(canon.blocks_, panel_members, panel);
+
+  // latent += scale * (h - h0) in one row-wise pass per member, under the
+  // member's own scale: the masked rows' h is in the panel, the unmasked
+  // rows' is the last block's cached Y.
+  std::vector<const float*> h_rows;
+  pr = 0;
+  for (const StepBatchMember& m : members) {
+    const Matrix& y_last = m.cache->steps[static_cast<size_t>(m.step)].y.back();
+    h_rows.resize(static_cast<size_t>(y_last.rows()));
+    for (int t = 0; t < y_last.rows(); ++t) {
+      h_rows[static_cast<size_t>(t)] = y_last.row(t);
     }
-    AxpyInPlace(*members[i].latent, members[i].model->config_.residual_scale,
-                eps);
+    for (const int t : m.mask->masked_tokens) {
+      h_rows[static_cast<size_t>(t)] = panel.row(pr++);
+    }
+    ResidualUpdateRows(*m.latent, m.model->temb_.row(m.step), h_rows,
+                       m.model->config_.residual_scale);
   }
 }
 
@@ -398,7 +443,7 @@ ActivationRecord DiffusionModel::Register(int template_id,
   Matrix latent = EncodeTemplate(template_id);
   for (int s = 0; s < config_.num_steps; ++s) {
     Matrix h0 = latent;
-    AddRowBroadcast(h0, TimestepEmbedding(s));
+    AddRowBroadcast(h0, temb_.row(s));
     Matrix h = h0;
     for (int b = 0; b < config_.num_blocks; ++b) {
       Matrix* k_out = record_kv ? &record.steps[s].k[b] : nullptr;

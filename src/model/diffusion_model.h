@@ -115,16 +115,24 @@ class DiffusionModel {
     // TeaCache accumulation threshold; larger skips more steps.
     double teacache_threshold = 0.12;
     // Mask-aware modes only: run cached blocks through the gathered-panel
-    // sparse compute path (BlockForwardMaskedGathered), making block
-    // compute O(m·L) instead of O(L). Output is bitwise-identical to the
-    // dense mask-aware flows; the step loop falls back to the dense path
-    // for any block whose input's unmasked rows may have drifted from the
-    // registration latent (a preceding full-compute block under a partial
-    // `use_cache_blocks` plan) and, in kMaskAwareY mode, whenever the
-    // cache record carries no K/V to replenish from — so kMaskAwareY with
-    // sparse_compute wants a cache from Register(record_kv=true).
-    // Assumes the unmasked rows of the initial latent equal the template's
-    // registration latent, which InitEditLatent guarantees.
+    // sparse compute path, making block compute O(m·L) instead of O(L).
+    // Output is bitwise-identical to the dense mask-aware flows. With a
+    // K/V record, an all-cache plan and no `record`, every step is one
+    // copy-free gathered step — the same step RunStepBatchGathered runs,
+    // on a one-member panel: the masked rows flow through the blocks as
+    // one panel (GatheredPanelForward), attention reads the cached K/V in
+    // place, and one row-wise pass updates the latent from the panel and
+    // the last block's cached Y. It copies no cached matrix and builds no
+    // full-height activation. Other plans run block by block
+    // (BlockForwardMaskedGathered, full-height output) and fall back to
+    // the dense path for any block whose input's unmasked rows may have
+    // drifted from the registration latent (a preceding full-compute
+    // block under a partial `use_cache_blocks` plan) and, in kMaskAwareY
+    // mode, whenever the cache record carries no K/V to replenish from —
+    // so kMaskAwareY with sparse_compute wants a cache from
+    // Register(record_kv=true). Assumes the unmasked rows of the initial
+    // latent equal the template's registration latent, which
+    // InitEditLatent guarantees.
     bool sparse_compute = false;
     // Optional: record this run's activations (for the Fig. 6 analysis).
     ActivationRecord* record = nullptr;
@@ -161,13 +169,17 @@ class DiffusionModel {
 
   // Patch-granular hybrid-resolution step: advances every member's latent
   // by its own step, running all members' masked tokens through ONE
-  // gathered panel per block (BlockForwardMaskedGatheredBatch) so the
-  // token-wise GEMMs batch across requests and resolutions. Each member's
-  // latent update is bitwise-identical to a solo
-  // RunStepRange(mode=kMaskAwareY, sparse_compute=true, full-cache plan)
-  // call on that member, for any batch composition — the property the
-  // degenerate-mixture gate asserts. Requires the replenish invariant for
-  // every member (all-cache plans only), as solo gathered serving does.
+  // gathered panel that flows through the whole block stack
+  // (GatheredPanelForward), so the token-wise GEMMs batch across requests
+  // and resolutions. Attention reads each member's cached K/V in place;
+  // the latent update reads the panel and the last block's cached Y. No
+  // cached matrix is copied, no non-final Y is read, and nothing
+  // full-height is built. A solo RunStepRange(mode=kMaskAwareY,
+  // sparse_compute=true, full-cache plan) step is this step on a
+  // one-member panel, and each member's latent update is bitwise-identical
+  // to it for any batch composition — the property the degenerate-mixture
+  // gate asserts. Requires the replenish invariant for every member
+  // (all-cache plans only), as solo gathered serving does.
   static void RunStepBatchGathered(const std::vector<StepBatchMember>& members);
 
   // Convenience: end-to-end edit (init + denoise + decode) for a template.
@@ -178,7 +190,8 @@ class DiffusionModel {
   // (grid_h*patch) x (grid_w*patch).
   Matrix DecodeLatent(const Matrix& latent) const;
 
-  // Timestep embedding (1 x hidden) at step s; exposed for TeaCache tests.
+  // Timestep embedding (1 x hidden) at step s in [0, num_steps); exposed
+  // for TeaCache tests. Computed once, at construction.
   Matrix TimestepEmbedding(int step) const;
 
   // The prompt's target texture: the decode of a latent whose every token is
@@ -196,10 +209,14 @@ class DiffusionModel {
                      const std::vector<bool>& use_cache,
                      bool* unmasked_pristine) const;
 
+  // The copy-free gathered step behind RunStepBatchGathered and the
+  // all-cache sparse runs (members already checked).
+  static void GatheredStep(const std::vector<StepBatchMember>& members);
+
   NumericsConfig config_;
   std::vector<BlockWeights> blocks_;
   Matrix attn_bias_;
-  Matrix temb_freq_;   // 2 x hidden: frequencies and phases.
+  Matrix temb_;        // num_steps x hidden: timestep embeddings.
   Matrix decode_w_;    // hidden x patch^2 decode projection.
 };
 

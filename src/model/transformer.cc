@@ -28,6 +28,73 @@ Matrix BlockTail(const BlockWeights& w, const Matrix& x_rows,
   return y;
 }
 
+// One member's attention inputs for one panel block.
+struct PanelAttention {
+  const Matrix* bias;
+  const std::vector<int>* masked;
+  const Matrix* k;
+  const Matrix* v;
+};
+
+// Row tables and index lists a panel block reuses across members and
+// blocks.
+struct PanelScratch {
+  std::vector<const float*> k_rows;
+  std::vector<const float*> v_rows;
+  std::vector<int> rows;
+};
+
+// One block on a gathered panel: `x` holds the members' masked rows,
+// member-major in ascending token order; returns the block's output for
+// those rows. Attention reads each member's K and V in place through row
+// tables — cached rows for the unmasked tokens, the panel's fresh
+// projections for the masked ones — and the q and context rows through
+// the GEMM's row hooks.
+Matrix PanelBlock(const BlockWeights& w, const Matrix& x,
+                  const std::vector<PanelAttention>& members,
+                  PanelScratch& s) {
+  const int hidden = x.cols();
+  const float inv_sqrt_h = 1.0f / std::sqrt(static_cast<float>(hidden));
+  const Matrix xn = LayerNorm(x, w.ln1_gamma, w.ln1_beta);
+  const Matrix q = MatMul(xn, w.wq);
+  const Matrix k = MatMul(xn, w.wk);
+  const Matrix v = MatMul(xn, w.wv);
+  Matrix ctx(x.rows(), hidden);
+  int offset = 0;
+  for (const PanelAttention& m : members) {
+    const std::vector<int>& masked = *m.masked;
+    const int rows = static_cast<int>(masked.size());
+    if (rows == 0) {
+      continue;
+    }
+    const int tokens = m.k->rows();
+    assert(m.k->cols() == hidden && m.v->rows() == tokens);
+    s.k_rows.resize(static_cast<size_t>(tokens));
+    s.v_rows.resize(static_cast<size_t>(tokens));
+    for (int t = 0; t < tokens; ++t) {
+      s.k_rows[static_cast<size_t>(t)] = m.k->row(t);
+      s.v_rows[static_cast<size_t>(t)] = m.v->row(t);
+    }
+    s.rows.resize(static_cast<size_t>(rows));
+    for (int r = 0; r < rows; ++r) {
+      const int pr = offset + r;
+      const size_t token = static_cast<size_t>(masked[static_cast<size_t>(r)]);
+      s.rows[static_cast<size_t>(r)] = pr;
+      s.k_rows[token] = k.row(pr);
+      s.v_rows[token] = v.row(pr);
+    }
+    Matrix scores(rows, tokens);
+    MatMulRowSource(q, &s.rows, {s.k_rows.data(), tokens, hidden},
+                    /*transposed=*/true, scores, nullptr);
+    ScaleBiasSoftmaxRows(scores, inv_sqrt_h, *m.bias, &masked);
+    MatMulRowSource(scores, nullptr, {s.v_rows.data(), tokens, hidden},
+                    /*transposed=*/false, ctx, &s.rows);
+    offset += rows;
+  }
+  assert(offset == x.rows());
+  return BlockTail(w, x, MatMul(ctx, w.wo));
+}
+
 }  // namespace
 
 BlockWeights BlockWeights::Random(int hidden, Rng& rng) {
@@ -151,111 +218,32 @@ Matrix BlockForwardMaskedGathered(const BlockWeights& w, const Matrix& x,
                                   const Matrix& cached_v) {
   assert(cached_y.rows() == x.rows() && cached_y.cols() == x.cols());
   assert(cached_k.rows() == x.rows() && cached_v.rows() == x.rows());
-  const float inv_sqrt_h = 1.0f / std::sqrt(static_cast<float>(x.cols()));
-
-  // Gather: one dense panel of the masked rows; every kernel below runs on
-  // it. LayerNorm is row-wise, so the panel's normalized rows equal the
+  // LayerNorm is row-wise, so the panel's normalized rows equal the
   // corresponding rows of LayerNorm(x) bit-for-bit.
-  Matrix x_masked = GatherRows(x, mask.masked_tokens);
-  Matrix xn_masked = LayerNorm(x_masked, w.ln1_gamma, w.ln1_beta);
-  Matrix q = MatMul(xn_masked, w.wq);
-
-  // Panel GEMM + scatter-back: masked K/V rows are computed on the panel
-  // and scattered into a copy of the cached projections, which replenish
-  // the unmasked rows the dense flow would recompute.
-  Matrix k = cached_k;
-  Matrix v = cached_v;
-  MatMulScatterRows(xn_masked, w.wk, mask.masked_tokens, k);
-  MatMulScatterRows(xn_masked, w.wv, mask.masked_tokens, v);
-
-  Matrix scores = MatMulTransposed(q, k);
-  ScaleBiasSoftmaxRows(scores, inv_sqrt_h, attn_bias, &mask.masked_tokens);
-  Matrix attn = MatMul(MatMul(scores, v), w.wo);
-
-  Matrix y_masked = BlockTail(w, x_masked, attn);
+  PanelScratch scratch;
+  const Matrix y_masked =
+      PanelBlock(w, GatherRows(x, mask.masked_tokens),
+                 {{&attn_bias, &mask.masked_tokens, &cached_k, &cached_v}},
+                 scratch);
   Matrix y = cached_y;
   ScatterRows(y, y_masked, mask.masked_tokens);
   return y;
 }
 
-void BlockForwardMaskedGatheredBatch(
-    const BlockWeights& w, const std::vector<GatheredBatchItem>& items) {
-  const int hidden = w.wq.rows();
-  const float inv_sqrt_h = 1.0f / std::sqrt(static_cast<float>(hidden));
-
-  // Panel assembly: every item's masked rows, item-major in ascending token
-  // order — each item's segment is laid out exactly as its solo gathered
-  // panel would be.
-  std::vector<RowRef> panel_rows;
-  std::vector<size_t> offsets(items.size() + 1, 0);
-  for (size_t i = 0; i < items.size(); ++i) {
-    const GatheredBatchItem& item = items[i];
-    assert(item.x != nullptr && item.x->cols() == hidden);
-    assert(item.cached_y != nullptr && item.cached_k != nullptr &&
-           item.cached_v != nullptr);
-    assert(item.y != nullptr);
-    for (const int t : item.mask->masked_tokens) {
-      panel_rows.push_back({item.x, t});
+void GatheredPanelForward(const std::vector<BlockWeights>& blocks,
+                          const std::vector<GatheredPanelMember>& members,
+                          Matrix& panel) {
+  std::vector<PanelAttention> attention(members.size());
+  PanelScratch scratch;
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    for (size_t i = 0; i < members.size(); ++i) {
+      const GatheredPanelMember& m = members[i];
+      assert(m.cache != nullptr && m.cache->k.size() == blocks.size());
+      attention[i] = {m.attn_bias, &m.mask->masked_tokens, &m.cache->k[b],
+                      &m.cache->v[b]};
     }
-    offsets[i + 1] = panel_rows.size();
+    panel = PanelBlock(blocks[b], panel, attention, scratch);
   }
-  Matrix x_panel = GatherRowsMulti(panel_rows, hidden);
-  Matrix xn_panel = LayerNorm(x_panel, w.ln1_gamma, w.ln1_beta);
-
-  // Batched token-wise projections: one GEMM each across all requests.
-  Matrix q_panel = MatMul(xn_panel, w.wq);
-  Matrix k_panel = MatMul(xn_panel, w.wk);
-  Matrix v_panel = MatMul(xn_panel, w.wv);
-
-  // Per-item attention: replenish K/V from the item's cache, scatter in the
-  // panel's fresh masked rows, score against the item's own bias.
-  Matrix ctx_panel(x_panel.rows(), hidden);
-  for (size_t i = 0; i < items.size(); ++i) {
-    const GatheredBatchItem& item = items[i];
-    const int m = static_cast<int>(offsets[i + 1] - offsets[i]);
-    if (m == 0) {
-      *item.y = *item.cached_y;
-      continue;
-    }
-    Matrix q(m, hidden);
-    Matrix k = *item.cached_k;
-    Matrix v = *item.cached_v;
-    for (int r = 0; r < m; ++r) {
-      const int pr = static_cast<int>(offsets[i]) + r;
-      const int token = item.mask->masked_tokens[static_cast<size_t>(r)];
-      std::copy(q_panel.row(pr), q_panel.row(pr) + hidden, q.row(r));
-      std::copy(k_panel.row(pr), k_panel.row(pr) + hidden, k.row(token));
-      std::copy(v_panel.row(pr), v_panel.row(pr) + hidden, v.row(token));
-    }
-    Matrix scores = MatMulTransposed(q, k);
-    ScaleBiasSoftmaxRows(scores, inv_sqrt_h, *item.attn_bias,
-                         &item.mask->masked_tokens);
-    Matrix ctx = MatMul(scores, v);
-    for (int r = 0; r < m; ++r) {
-      const int pr = static_cast<int>(offsets[i]) + r;
-      std::copy(ctx.row(r), ctx.row(r) + hidden, ctx_panel.row(pr));
-    }
-  }
-
-  // Batched tail: the wo projection and the whole feed-forward run once on
-  // the concatenated context rows.
-  Matrix attn_panel = MatMul(ctx_panel, w.wo);
-  Matrix y_panel = BlockTail(w, x_panel, attn_panel);
-
-  // Scatter back: each item's output is its cached Y with the fresh masked
-  // rows written over it.
-  std::vector<RowRefMut> out_rows;
-  out_rows.reserve(panel_rows.size());
-  for (const GatheredBatchItem& item : items) {
-    if (item.mask->masked_tokens.empty()) {
-      continue;  // Already handled above; y_panel holds no rows for it.
-    }
-    *item.y = *item.cached_y;
-    for (const int t : item.mask->masked_tokens) {
-      out_rows.push_back({item.y, t});
-    }
-  }
-  ScatterRowsMulti(y_panel, out_rows);
 }
 
 Matrix BlockForwardSparse(const BlockWeights& w, const Matrix& x_masked,

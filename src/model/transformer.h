@@ -50,8 +50,13 @@ struct StepActivations {
 //                              price of a 2x cache record.
 //   BlockForwardMaskedGathered O(m·L)  — the sparse compute path: every
 //                              GEMM runs on a gathered dense panel of the
-//                              masked rows; unmasked K/V/Y rows are
-//                              replenished from the cache.
+//                              masked rows; attention reads the cached K/V
+//                              in place, and the output's unmasked rows
+//                              are a copy of the cached Y.
+//   GatheredPanelForward       O(m·L)  — the same per block with no
+//                              full-height copy: the masked-row panel
+//                              flows from block to block, and only the
+//                              unmasked rows of each cached K/V are read.
 //   BlockForwardSparse         O(m·L + m^2·L^2/H·…) — FISEdit: masked rows
 //                              only, no global attention context.
 // Attention scores are (m·L x L) in every mask-aware flow — masked queries
@@ -81,11 +86,15 @@ Matrix BlockForwardMaskedKV(const BlockWeights& w, const Matrix& x,
                             const Matrix& cached_y, const Matrix& cached_k,
                             const Matrix& cached_v);
 
-// Gathered-panel sparse compute path (SIGE's gather→GEMM→scatter applied to
-// the mask-aware flows): the masked rows are gathered into a dense panel,
-// every GEMM (LayerNorm, Q, K, V, FF) runs on that panel with the blocked
-// kernels, and the unmasked rows of K, V and the output are replenished
-// from the cache. Compute is O(m·L) — proportional to the mask ratio.
+// Gathered-panel sparse compute path for one block with a full-height
+// output (SIGE's gather→GEMM→scatter applied to the mask-aware flows): the
+// masked rows are gathered into a dense panel, the block runs on it as in
+// GatheredPanelForward — K and V read in place from the cache, the masked
+// rows' from the panel — and the output is `cached_y` with the fresh
+// masked rows written over it. Compute is O(m·L) — proportional to the
+// mask ratio. The whole-step path (GatheredPanelForward) never builds the
+// full-height output; this form serves the callers that need it: partial
+// cache plans, recording, and block-level benches and tests.
 //
 // Bitwise guarantees (sparse_compute's gate in diffusion_model.cc):
 //  - vs BlockForwardMaskedKV: identical for ANY input — it is the same
@@ -103,41 +112,39 @@ Matrix BlockForwardMaskedGathered(const BlockWeights& w, const Matrix& x,
                                   const Matrix& cached_k,
                                   const Matrix& cached_v);
 
-// One request's slice of a cross-request patch panel (the patch-granular
-// hybrid-resolution batching unit). Requests may differ in grid size —
-// `x`, `attn_bias` and the cached activations are per-request shapes —
-// but must share the block's hidden width.
-struct GatheredBatchItem {
-  const Matrix* x = nullptr;          // tokens_i x hidden (latent + temb).
-  const Matrix* attn_bias = nullptr;  // tokens_i x tokens_i.
-  const trace::Mask* mask = nullptr;  // Ascending masked token list.
-  const Matrix* cached_y = nullptr;   // Registration activations, this block.
-  const Matrix* cached_k = nullptr;
-  const Matrix* cached_v = nullptr;
-  Matrix* y = nullptr;                // Out: tokens_i x hidden.
+// One member of a gathered panel: a request whose masked rows fill the
+// next |masked_tokens| rows of the panel, in ascending token order.
+// Members may differ in grid size — `attn_bias` and the cached K/V are
+// per-request shapes — but must share the blocks' hidden width.
+struct GatheredPanelMember {
+  const Matrix* attn_bias = nullptr;     // tokens_i x tokens_i.
+  const trace::Mask* mask = nullptr;     // Ascending masked token list.
+  const StepActivations* cache = nullptr;  // This step's K/V-bearing record.
 };
 
-// Cross-request batched form of BlockForwardMaskedGathered: the masked rows
-// of EVERY item are gathered into ONE dense panel (per-row source offsets
-// across requests, via GatherRowsMulti), all token-wise GEMMs — LayerNorm,
-// Q/K/V projections, the wo projection, the feed-forward — run once on that
-// panel, and results scatter back per item. Attention stays per-item (its
-// scores are (m_i x L_i) against the item's own token length and bias), so
-// only the token-wise work batches — exactly the PatchedServe framing.
+// The block stack on a gathered panel of every member's masked rows:
+// `panel` enters holding the step input's masked rows (latent + temb) and
+// leaves holding the last block's output for those rows. Nothing is
+// full-height. Every token-wise op — LayerNorm, the Q/K/V projections, wo,
+// the feed-forward — runs once on the whole panel; attention runs per
+// member, reading the member's cached K and V of each block in place
+// (MatMulRowSource), with the masked tokens' rows taken from the panel's
+// fresh projections. So the stack reads only the unmasked rows of the
+// cached K and V and no cached Y at all: the masked rows' block inputs
+// are in the panel, and the next block needs nothing else.
 //
-// Each item's written `y` is bitwise-identical to what a solo
-// BlockForwardMaskedGathered call on that item would produce, at ANY
-// composition of the batch: the blocked GEMM computes every output row from
-// its own A row alone in a fixed k-blocked accumulation order (see
-// MatMulRows in src/tensor/matrix.h), and LayerNorm/GeLU/Add are row- or
-// element-wise — so which other requests' rows share the panel never
-// changes a bit. This is the property the degenerate-mixture gate in
-// bench_hybrid_resolution asserts end to end.
-//
-// Items may alias nothing with each other; every item needs a K/V-bearing
-// cache record. Empty-mask items are legal (their y is the cached_y copy).
-void BlockForwardMaskedGatheredBatch(const BlockWeights& w,
-                                     const std::vector<GatheredBatchItem>& items);
+// Each member's rows are bitwise-identical to its rows of the dense
+// mask-aware flows, and to those of a panel holding that member alone, at
+// any composition: the blocked GEMM computes every output row from its
+// own A row alone in a fixed k-blocked order (see MatMulRows in
+// src/tensor/matrix.h), a row-source B gives every element the same chain
+// as the materialized B, and LayerNorm/GeLU/Add are row- or element-wise.
+// With K/V in the record, the unmasked K/V rows the dense kMaskAwareY flow
+// recomputes equal the cached ones while the replenish invariant holds
+// (see BlockForwardMaskedGathered), which an all-cache plan keeps.
+void GatheredPanelForward(const std::vector<BlockWeights>& blocks,
+                          const std::vector<GatheredPanelMember>& members,
+                          Matrix& panel);
 
 // FISEdit-style sparse flow: input holds masked rows only; attention spans
 // only those rows (`masked_bias` is the gathered bias submatrix). No global

@@ -10,6 +10,8 @@
 #include <ctime>
 #include <optional>
 
+#include "src/common/thread_name.h"
+
 namespace flashps::net {
 
 namespace {
@@ -54,7 +56,10 @@ bool TcpServer::Start() {
     return false;
   }
   running_.store(true);
-  poll_thread_ = std::thread([this] { PollLoop(); });
+  poll_thread_ = std::thread([this] {
+    SetThreadName("tcp-poll");
+    PollLoop();
+  });
   return true;
 }
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "src/common/parallel_for.h"
+#include "src/common/thread_name.h"
 
 namespace flashps::runtime {
 
@@ -27,9 +28,12 @@ OnlineServer::OnlineServer(Options options)
                 ? options_.activation_source
                 : std::make_shared<cache::ActivationStore>();
   if (options_.disaggregate) {
-    cpu_pool_ = std::make_unique<ThreadPool>(options_.cpu_lanes);
+    cpu_pool_ = std::make_unique<ThreadPool>(options_.cpu_lanes, "cpu-lane");
   }
-  denoise_thread_ = std::thread([this] { DenoiseLoop(); });
+  denoise_thread_ = std::thread([this] {
+    SetThreadName("denoise");
+    DenoiseLoop();
+  });
 }
 
 OnlineServer::~OnlineServer() { Stop(); }

@@ -27,9 +27,10 @@ void Matrix::FillConstant(float v) { std::fill(data_.begin(), data_.end(), v); }
 namespace {
 
 // ---------------------------------------------------------------------------
-// Blocked GEMM core, shared by MatMul, MatMulTransposed and the gathered
-// MatMulRows / MatMulScatterRows. One driver and one micro-kernel template
-// serve every ISA level, instantiated at that level's full vector width W:
+// Blocked GEMM core, shared by MatMul, MatMulTransposed, the gathered
+// MatMulRows / MatMulScatterRows and the row-source MatMulRowSource. One
+// driver and one micro-kernel template serve every ISA level, instantiated
+// at that level's full vector width W:
 //
 //   level     W   panel width 2W   tile height <= MR   accumulators
 //   generic   4          8               6              12 xmm
@@ -40,7 +41,8 @@ namespace {
 // tiles the inner one, so every row tile reuses a panel's k-slab of B
 // from cache (from L1 at the serving shapes, k <= 256; a full 512-deep
 // slab is 64 KB at v4 and spills out of L1). A full panel of row-major B
-// is read in place at stride b.cols(); only B^T (MatMulTransposed) and a
+// is read in place, at stride b.cols() or through a row-source B's row
+// table; only B^T (MatMulTransposed, and a transposed row source) and a
 // ragged last panel are packed, one panel at a time, into a small
 // thread-local buffer. The m logical rows split into ceil(m / MR) tiles of
 // near-equal height (m = 20 runs as 10 + 10 at v4), and each height is its
@@ -51,7 +53,8 @@ namespace {
 // with each multiply-add fused at v3/v4 and rounded twice at generic. The
 // tile, panel, lane or thread that computes an element never enters its
 // chain, so the result is the same bits for any m, any row subset
-// (MatMulRows), any tiling and any thread count. `c += acc`, not
+// (MatMulRows), any B row source (MatMulRowSource), any tiling and any
+// thread count. `c += acc`, not
 // `c = acc`: an FMA chain whose products underflow can end at -0, and the
 // zeroed output turns that into +0.
 // ---------------------------------------------------------------------------
@@ -92,20 +95,37 @@ FLASHPS_ALWAYS_INLINE void StoreVec(float* p, V v) {
   __builtin_memcpy(p, &v, sizeof(V));
 }
 
-// C[H rows] x [2W columns] += A[H rows] * B-panel over one k-block. `bp`
-// is row p = 0 of the panel and `ldb` the float stride between its rows:
-// b.cols() for a panel read in place, 2W for a packed one. Only the first
-// `jw` columns are stored (jw < 2W only for a ragged last panel, whose
-// packed lanes past jw are zero).
-template <int W, int H>
+// The B panel a micro-tile reads over one k-block: row p at
+// bp + p * ldb, with ldb = b.cols() for a panel read in place and 2W for a
+// packed one.
+struct StridedPanel {
+  const float* bp;
+  int ldb;
+  FLASHPS_ALWAYS_INLINE const float* row(int p) const {
+    return bp + static_cast<size_t>(p) * ldb;
+  }
+};
+
+// A full panel of a row-source B read in place: row p at rows[p] + j0,
+// where rows starts at the k-block's first row.
+struct RowTablePanel {
+  const float* const* rows;
+  int j0;
+  FLASHPS_ALWAYS_INLINE const float* row(int p) const { return rows[p] + j0; }
+};
+
+// C[H rows] x [2W columns] += A[H rows] * B-panel over one k-block. Only
+// the first `jw` columns are stored (jw < 2W only for a ragged last panel,
+// whose packed lanes past jw are zero).
+template <int W, int H, typename Panel>
 FLASHPS_ALWAYS_INLINE void MicroTile(const float* const* a_rows,
-                                     const float* bp, int ldb, int kc,
+                                     const Panel& b, int kc,
                                      float* const* c_rows, int jw) {
   using V = Vec<W>;
   V acc0[H] = {};
   V acc1[H] = {};
   for (int p = 0; p < kc; ++p) {
-    const float* brow = bp + static_cast<size_t>(p) * ldb;
+    const float* brow = b.row(p);
     const V b0 = LoadVec<V>(brow);
     const V b1 = LoadVec<V>(brow + W);
 #pragma GCC unroll 16
@@ -136,13 +156,13 @@ FLASHPS_ALWAYS_INLINE void MicroTile(const float* const* a_rows,
 
 // MicroTile<W, h> for a run-time h in [1, MR]: one instantiation per
 // height, picked once per tile.
-template <int W, int... H>
+template <int W, typename Panel, int... H>
 FLASHPS_ALWAYS_INLINE void MicroTileOfHeight(int h, const float* const* a_rows,
-                                             const float* bp, int ldb, int kc,
+                                             const Panel& b, int kc,
                                              float* const* c_rows, int jw,
                                              std::integer_sequence<int, H...>) {
   (void)((h == H + 1 &&
-          (MicroTile<W, H + 1>(a_rows, bp, ldb, kc, c_rows, jw), true)) ||
+          (MicroTile<W, H + 1>(a_rows, b, kc, c_rows, jw), true)) ||
          ...);
 }
 
@@ -173,18 +193,52 @@ FLASHPS_ALWAYS_INLINE void Transpose(Vec<W> (&v)[W]) {
   }
 }
 
-// Packs panel columns [j0, j0 + jw) of b over k rows [k0, k0 + kc) into
-// `dst` as kc rows of 2W floats, lanes past jw zero. With `b_transposed`
-// the panel's columns are rows of b (B^T = b, b is n x k), moved through
-// W x W in-register transposes. Pure data movement: the kernel sees the
-// same lane values as reading the panel in place.
-template <int W>
-FLASHPS_ALWAYS_INLINE void PackPanel(const Matrix& b, bool b_transposed, int k0,
-                                     int kc, int j0, int jw, float* dst) {
+// One k-block of a GEMM as (column panel, row tile) tasks, panel-major:
+// task t is row tile t % tiles of column panel t / tiles. `a_idx`/`c_idx`
+// are the gathered-panel hooks (null = identity): logical row i reads
+// a.row(a_idx[i]) and/or writes out.row(c_idx[i]). B is the matrix `b`,
+// or with `b_rows` set a row source whose row r is at b_rows[r]; with
+// `b_transposed` its rows are the output columns (B^T, n x k).
+struct GemmBlock {
+  const Matrix* a;
+  const Matrix* b;
+  const float* const* b_rows;
+  bool b_transposed;
+  int m;
+  int n;
+  int k0;
+  int kc;
+  Matrix* out;
+  const int* a_idx;
+  const int* c_idx;
+  int tiles;
+
+  // Row r of B; kRowSource picks the source at compile time, so the dense
+  // GEMMs' packing loops carry no branch for it.
+  template <bool kRowSource>
+  FLASHPS_ALWAYS_INLINE const float* BRow(int r) const {
+    if constexpr (kRowSource) {
+      return b_rows[r];
+    } else {
+      return b->row(r);
+    }
+  }
+};
+
+// Packs panel columns [j0, j0 + jw) of g's B over the k-block's rows into
+// `dst` as kc rows of 2W floats, lanes past jw zero. A transposed B's
+// panel columns are its rows, moved through W x W in-register transposes.
+// Pure data movement: the kernel sees the same lane values as reading the
+// panel in place.
+template <int W, bool kRowSource>
+FLASHPS_ALWAYS_INLINE void PackPanel(const GemmBlock& g, int j0, int jw,
+                                     float* dst) {
   constexpr int kNr = 2 * W;
-  if (!b_transposed) {
+  const int k0 = g.k0;
+  const int kc = g.kc;
+  if (!g.b_transposed) {
     for (int p = 0; p < kc; ++p) {
-      const float* src = b.row(k0 + p) + j0;
+      const float* src = g.BRow<kRowSource>(k0 + p) + j0;
       float* d = dst + static_cast<size_t>(p) * kNr;
       std::copy(src, src + jw, d);
       std::fill(d + jw, d + kNr, 0.0f);
@@ -199,7 +253,7 @@ FLASHPS_ALWAYS_INLINE void PackPanel(const Matrix& b, bool b_transposed, int k0,
       for (; p < p_body; p += W) {
         Vec<W> v[W];
         for (int i = 0; i < W; ++i) {
-          v[i] = LoadVec<Vec<W>>(b.row(j0 + c0 + i) + k0 + p);
+          v[i] = LoadVec<Vec<W>>(g.BRow<kRowSource>(j0 + c0 + i) + k0 + p);
         }
         Transpose<W>(v);
         for (int i = 0; i < W; ++i) {
@@ -210,33 +264,17 @@ FLASHPS_ALWAYS_INLINE void PackPanel(const Matrix& b, bool b_transposed, int k0,
     for (; p < kc; ++p) {
       float* d = dst + static_cast<size_t>(p) * kNr + c0;
       for (int i = 0; i < W; ++i) {
-        d[i] = i < rows ? b.row(j0 + c0 + i)[k0 + p] : 0.0f;
+        d[i] = i < rows ? g.BRow<kRowSource>(j0 + c0 + i)[k0 + p] : 0.0f;
       }
     }
   }
 }
 
-// One k-block of a GEMM as (column panel, row tile) tasks, panel-major:
-// task t is row tile t % tiles of column panel t / tiles. `a_idx`/`c_idx`
-// are the gathered-panel hooks (null = identity): logical row i reads
-// a.row(a_idx[i]) and/or writes out.row(c_idx[i]).
-struct GemmBlock {
-  const Matrix* a;
-  const Matrix* b;
-  bool b_transposed;
-  int m;
-  int n;
-  int k0;
-  int kc;
-  Matrix* out;
-  const int* a_idx;
-  const int* c_idx;
-  int tiles;
-};
-
 // Tasks [t0, t1) of `g` at vector width W and tile height <= MR. `buf`
-// holds one packed panel (kc * 2W floats).
-template <int W, int MR>
+// holds one packed panel (kc * 2W floats). kRowSource selects the
+// instantiation for a row-source B, so the dense GEMMs keep their own
+// code.
+template <int W, int MR, bool kRowSource>
 FLASHPS_ALWAYS_INLINE void GemmTasksImpl(const GemmBlock& g, float* buf,
                                          int64_t t0, int64_t t1) {
   constexpr int kNr = 2 * W;
@@ -245,10 +283,10 @@ FLASHPS_ALWAYS_INLINE void GemmTasksImpl(const GemmBlock& g, float* buf,
   const float* a_rows[MR];
   float* c_rows[MR];
   int panel = -1;
-  const float* bp = nullptr;
-  int ldb = 0;
+  StridedPanel strided{nullptr, 0};
   int j0 = 0;
   int jw = 0;
+  bool in_place = false;
   for (int64_t t = t0; t < t1; ++t) {
     const int tp = static_cast<int>(t / g.tiles);
     const int tile = static_cast<int>(t % g.tiles);
@@ -256,13 +294,12 @@ FLASHPS_ALWAYS_INLINE void GemmTasksImpl(const GemmBlock& g, float* buf,
       panel = tp;
       j0 = panel * kNr;
       jw = std::min(kNr, g.n - j0);
-      if (!g.b_transposed && jw == kNr) {
-        bp = g.b->row(g.k0) + j0;
-        ldb = g.b->cols();
-      } else {
-        PackPanel<W>(*g.b, g.b_transposed, g.k0, g.kc, j0, jw, buf);
-        bp = buf;
-        ldb = kNr;
+      in_place = !g.b_transposed && jw == kNr;
+      if (!in_place) {
+        PackPanel<W, kRowSource>(g, j0, jw, buf);
+        strided = {buf, kNr};
+      } else if constexpr (!kRowSource) {
+        strided = {g.b->row(g.k0) + j0, g.b->cols()};
       }
     }
     const int h = base + (tile < rem ? 1 : 0);
@@ -272,7 +309,15 @@ FLASHPS_ALWAYS_INLINE void GemmTasksImpl(const GemmBlock& g, float* buf,
       a_rows[r] = g.a->row(g.a_idx == nullptr ? i : g.a_idx[i]) + g.k0;
       c_rows[r] = g.out->row(g.c_idx == nullptr ? i : g.c_idx[i]) + j0;
     }
-    MicroTileOfHeight<W>(h, a_rows, bp, ldb, g.kc, c_rows, jw,
+    if constexpr (kRowSource) {
+      if (in_place) {
+        MicroTileOfHeight<W>(h, a_rows, RowTablePanel{g.b_rows + g.k0, j0},
+                             g.kc, c_rows, jw,
+                             std::make_integer_sequence<int, MR>{});
+        continue;
+      }
+    }
+    MicroTileOfHeight<W>(h, a_rows, strided, g.kc, c_rows, jw,
                          std::make_integer_sequence<int, MR>{});
   }
 }
@@ -478,6 +523,33 @@ FLASHPS_ALWAYS_INLINE void GeluRangeImpl(float* data, int64_t b, int64_t e) {
   }
 }
 
+// Rows [r0, r1) of ResidualUpdateRows: x += alpha * (h - (x + offset)),
+// element-wise, each operation rounded on its own.
+FLASHPS_ALWAYS_INLINE void ResidualUpdateRangeImpl(Matrix& x,
+                                                   const float* offset,
+                                                   const float* const* h_rows,
+                                                   float alpha, int64_t r0,
+                                                   int64_t r1) {
+  const int c = x.cols();
+  const int body = c - c % kLanes;
+  const int tail = c - body;
+  for (int64_t i = r0; i < r1; ++i) {
+    float* xr = x.row(static_cast<int>(i));
+    const float* h = h_rows[i];
+    for (int j = 0; j < body; j += kLanes) {
+      const Vec16 xv = LoadVec<Vec16>(xr + j);
+      const Vec16 h0 = xv + LoadVec<Vec16>(offset + j);
+      StoreVec(xr + j, xv + alpha * (LoadVec<Vec16>(h + j) - h0));
+    }
+    if (tail > 0) {
+      const Vec16 xv = LoadTail16(xr + body, tail);
+      const Vec16 h0 = xv + LoadTail16(offset + body, tail);
+      StoreTail16(xr + body, xv + alpha * (LoadTail16(h + body, tail) - h0),
+                  tail);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Runtime ISA dispatch. The portable build targets baseline x86-64 (SSE2,
 // no FMA), which leaves most of a modern core idle; instead of shipping
@@ -588,63 +660,90 @@ constexpr GemmGeometry kGemmGeneric{4, 6};
 constexpr GemmGeometry kGemmV3{8, 6};
 constexpr GemmGeometry kGemmV4{16, 12};
 
-template <GemmGeometry G>
-using GemmAt = GemmVariants<GemmTasksImpl<G.lanes, G.max_rows>>;
+template <GemmGeometry G, bool kRowSource = false>
+using GemmAt = GemmVariants<GemmTasksImpl<G.lanes, G.max_rows, kRowSource>>;
 
 // Every dispatched kernel at the process's ISA level.
 struct KernelSet {
   Isa isa;
   GemmGeometry gemm_geometry;
   void (*gemm_tasks)(const GemmBlock&, float*, int64_t, int64_t);
+  void (*gemm_tasks_row_source)(const GemmBlock&, float*, int64_t, int64_t);
   void (*softmax_row_range)(Matrix&, float, const Matrix*, const int*, int64_t,
                             int64_t);
   void (*layernorm_row_range)(const Matrix&, const float*, const float*, float,
                               Matrix&, int64_t, int64_t);
   void (*gelu_range)(float*, int64_t, int64_t);
+  void (*residual_update_range)(Matrix&, const float*, const float* const*,
+                                float, int64_t, int64_t);
 };
 
 const KernelSet& Kernels() {
   using Softmax = RowwiseVariants<SoftmaxRowRangeImpl>;
   using Norm = RowwiseVariants<LayerNormRowRangeImpl>;
   using GeluK = RowwiseVariants<GeluRangeImpl>;
+  using Residual = RowwiseVariants<ResidualUpdateRangeImpl>;
   static const KernelSet kernels = [] {
     const Isa isa = ResolveIsa();
     switch (isa) {
       case Isa::kV4:
-        return KernelSet{isa, kGemmV4, GemmAt<kGemmV4>::V4, Softmax::V4,
-                         Norm::V4, GeluK::V4};
+        return KernelSet{isa,         kGemmV4,
+                         GemmAt<kGemmV4>::V4,
+                         GemmAt<kGemmV4, true>::V4,
+                         Softmax::V4, Norm::V4,
+                         GeluK::V4,   Residual::V4};
       case Isa::kV3:
-        return KernelSet{isa, kGemmV3, GemmAt<kGemmV3>::V3, Softmax::V3,
-                         Norm::V3, GeluK::V3};
+        return KernelSet{isa,         kGemmV3,
+                         GemmAt<kGemmV3>::V3,
+                         GemmAt<kGemmV3, true>::V3,
+                         Softmax::V3, Norm::V3,
+                         GeluK::V3,   Residual::V3};
       case Isa::kGeneric:
         break;
     }
-    return KernelSet{isa, kGemmGeneric, GemmAt<kGemmGeneric>::Generic,
-                     Softmax::Generic, Norm::Generic, GeluK::Generic};
+    return KernelSet{isa,
+                     kGemmGeneric,
+                     GemmAt<kGemmGeneric>::Generic,
+                     GemmAt<kGemmGeneric, true>::Generic,
+                     Softmax::Generic,
+                     Norm::Generic,
+                     GeluK::Generic,
+                     Residual::Generic};
   }();
   return kernels;
 }
+
+// B operand of the shared driver: the matrix `m`, or with `rows` set a
+// row source (row r at rows[r]); `transposed` reads it as B^T.
+struct GemmB {
+  const Matrix* m;
+  const float* const* rows;
+  bool transposed;
+  int n;  // Output columns.
+};
 
 // Shared blocked-GEMM driver for every m. `m` is the logical row count;
 // `a_idx`/`c_idx` (null = identity) remap logical rows to `a`/`out` rows,
 // which is how the gathered-panel entry points below reuse this core
 // without materializing the gathered operand or the scattered result.
-void GemmBlockedInto(const Matrix& a, const Matrix& b, bool b_transposed,
-                     int m, const int* a_idx, const int* c_idx, Matrix& out) {
+void GemmBlockedInto(const Matrix& a, const GemmB& b, int m, const int* a_idx,
+                     const int* c_idx, Matrix& out) {
   const int k = a.cols();
-  const int n = b_transposed ? b.rows() : b.cols();
+  const int n = b.n;
   if (m == 0 || n == 0 || k == 0) {
     return;
   }
   const KernelSet& kernels = Kernels();
+  const auto gemm_tasks = b.rows != nullptr ? kernels.gemm_tasks_row_source
+                                            : kernels.gemm_tasks;
   const int nr = 2 * kernels.gemm_geometry.lanes;
   const int mr = kernels.gemm_geometry.max_rows;
   const int tiles = (m + mr - 1) / mr;
   const int64_t tasks = static_cast<int64_t>(tiles) * ((n + nr - 1) / nr);
   for (int k0 = 0; k0 < k; k0 += kKc) {
     const int kc = std::min(kKc, k - k0);
-    const GemmBlock block{&a, &b, b_transposed, m, n, k0, kc, &out, a_idx,
-                          c_idx, tiles};
+    const GemmBlock block{&a,   b.m,   b.rows, b.transposed, m,     n,
+                          k0,   kc,    &out,   a_idx,        c_idx, tiles};
     // Tasks per chunk sized so each chunk carries at least
     // kGemmParallelFlops work. Tasks write disjoint tiles of C, so any
     // split is race-free, and no split changes a bit (see "Bits" above).
@@ -655,7 +754,7 @@ void GemmBlockedInto(const Matrix& a, const Matrix& b, bool b_transposed,
       // One packed panel, reused across chunks and calls.
       thread_local std::vector<float> panel_buf;
       panel_buf.resize(static_cast<size_t>(kc) * nr);
-      kernels.gemm_tasks(block, panel_buf.data(), t0, t1);
+      gemm_tasks(block, panel_buf.data(), t0, t1);
     });
   }
 }
@@ -663,7 +762,8 @@ void GemmBlockedInto(const Matrix& a, const Matrix& b, bool b_transposed,
 Matrix GemmBlocked(const Matrix& a, const Matrix& b, bool b_transposed) {
   const int n = b_transposed ? b.rows() : b.cols();
   Matrix out(a.rows(), n);
-  GemmBlockedInto(a, b, b_transposed, a.rows(), nullptr, nullptr, out);
+  GemmBlockedInto(a, {&b, nullptr, b_transposed, n}, a.rows(), nullptr,
+                  nullptr, out);
   return out;
 }
 
@@ -683,8 +783,8 @@ Matrix MatMulRows(const Matrix& a, const Matrix& b,
                   const std::vector<int>& rows) {
   assert(a.cols() == b.rows());
   Matrix out(static_cast<int>(rows.size()), b.cols());
-  GemmBlockedInto(a, b, /*b_transposed=*/false, static_cast<int>(rows.size()),
-                  rows.data(), nullptr, out);
+  GemmBlockedInto(a, {&b, nullptr, false, b.cols()},
+                  static_cast<int>(rows.size()), rows.data(), nullptr, out);
   return out;
 }
 
@@ -699,8 +799,28 @@ void MatMulScatterRows(const Matrix& a_panel, const Matrix& b,
     assert(r >= 0 && r < out.rows());
     std::fill(out.row(r), out.row(r) + out.cols(), 0.0f);
   }
-  GemmBlockedInto(a_panel, b, /*b_transposed=*/false, a_panel.rows(), nullptr,
-                  rows.data(), out);
+  GemmBlockedInto(a_panel, {&b, nullptr, false, b.cols()}, a_panel.rows(),
+                  nullptr, rows.data(), out);
+}
+
+void MatMulRowSource(const Matrix& a, const std::vector<int>* a_rows,
+                     const RowSource& b, bool transposed, Matrix& out,
+                     const std::vector<int>* out_rows) {
+  const int m = a_rows != nullptr ? static_cast<int>(a_rows->size()) : a.rows();
+  const int n = transposed ? b.count : b.cols;
+  assert(a.cols() == (transposed ? b.cols : b.count));
+  assert(out.cols() == n);
+  assert(out_rows == nullptr || static_cast<int>(out_rows->size()) == m);
+  assert(out_rows != nullptr || out.rows() >= m);
+  // Zero the written rows only: C accumulates (see "Bits").
+  for (int i = 0; i < m; ++i) {
+    const int r = out_rows != nullptr ? (*out_rows)[static_cast<size_t>(i)] : i;
+    assert(r >= 0 && r < out.rows());
+    std::fill(out.row(r), out.row(r) + n, 0.0f);
+  }
+  GemmBlockedInto(a, {nullptr, b.rows, transposed, n}, m,
+                  a_rows != nullptr ? a_rows->data() : nullptr,
+                  out_rows != nullptr ? out_rows->data() : nullptr, out);
 }
 
 namespace {
@@ -753,6 +873,19 @@ void GeluInPlace(Matrix& m) {
   float* data = m.data();
   ParallelFor(static_cast<int64_t>(m.size()), kRowwiseGrainElems,
               [&](int64_t b, int64_t e) { kernel(data, b, e); });
+}
+
+void ResidualUpdateRows(Matrix& x, const float* offset,
+                        const std::vector<const float*>& h_rows, float alpha) {
+  assert(static_cast<int>(h_rows.size()) == x.rows());
+  if (x.rows() == 0 || x.cols() == 0) {
+    return;
+  }
+  const auto kernel = Kernels().residual_update_range;
+  const int64_t grain = std::max<int64_t>(1, kRowwiseGrainElems / x.cols());
+  ParallelFor(x.rows(), grain, [&](int64_t r0, int64_t r1) {
+    kernel(x, offset, h_rows.data(), alpha, r0, r1);
+  });
 }
 
 const char* KernelIsa() { return IsaName(Kernels().isa); }

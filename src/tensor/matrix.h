@@ -67,7 +67,10 @@ class Matrix {
 // acc += a[p] * b[p] in p order (fused multiply-adds at v3/v4), c += acc —
 // whatever the tiling, so outputs are bitwise-identical at every thread
 // count, and every row's result depends only on that row: gathered panels
-// match the dense matrix bit for bit.
+// match the dense matrix bit for bit. A/C rows can be remapped (MatMulRows,
+// MatMulScatterRows) and B can be supplied row by row (MatMulRowSource)
+// without changing any element's chain, so gathers and scatters fold into
+// the GEMM instead of being copies.
 // Against the scalar naive:: reference: the GEMMs differ only by FMA
 // contraction, softmax and LayerNorm by their vector exp and lane-blocked
 // sums (tests/kernel_equivalence_test.cc states the bounds), and GELU not
@@ -136,6 +139,39 @@ Matrix MatMulRows(const Matrix& a, const Matrix& b,
 // (duplicates would race across row-tile threads).
 void MatMulScatterRows(const Matrix& a_panel, const Matrix& b,
                        const std::vector<int>& rows, Matrix& out);
+
+// A GEMM operand supplied row by row instead of as one matrix: row r is
+// the `cols` floats at rows[r]. The rows may live in different matrices —
+// the sparse path's K and V are a cached record's rows, with the masked
+// tokens' rows taken from the freshly projected panel — and are read
+// where they are, never copied into one matrix.
+struct RowSource {
+  const float* const* rows = nullptr;
+  int count = 0;  // Rows.
+  int cols = 0;
+};
+
+// Row-source GEMM: out.row(out_rows[i]) = a.row(a_rows[i]) * B for every
+// logical row i, where B is `b` (count x n; k = b.count) or, with
+// `transposed`, b^T (b is n x k, the QK^T orientation: K^T is packed a
+// panel at a time, V is read in place). Null row lists are the identity;
+// m = a_rows->size(), or a.rows() without a list. The written rows of
+// `out` are zeroed first and no other row is touched. Every output
+// element runs the same chain as MatMul / MatMulTransposed on the
+// materialized B, so the result is bitwise-identical to gathering B into
+// one matrix and multiplying. `out_rows` must be distinct.
+void MatMulRowSource(const Matrix& a, const std::vector<int>* a_rows,
+                     const RowSource& b, bool transposed, Matrix& out,
+                     const std::vector<int>* out_rows);
+
+// The denoise step's latent update in one row-wise pass:
+//   h0 = x.row(i) + offset;  x.row(i) += alpha * (h_rows[i] - h0)
+// with `offset` and every h_rows[i] holding x.cols() floats. Each
+// operation rounds on its own (no FMA contraction at any ISA level), so
+// the result is bitwise-identical to adding `offset` to a copy of x,
+// subtracting that from h, and AxpyInPlace.
+void ResidualUpdateRows(Matrix& x, const float* offset,
+                        const std::vector<const float*>& h_rows, float alpha);
 
 // One row of some source matrix, for multi-request panel assembly: the
 // patch-granular batching path gathers masked rows from SEVERAL requests'

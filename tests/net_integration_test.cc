@@ -12,7 +12,10 @@
 // over the wire — must agree with what the client observed.
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -129,6 +132,49 @@ TEST(NetIntegrationTest, LoopbackMatchesInProcessGateway) {
 
   server.Stop();
   remote_gateway.Stop();
+}
+
+// The names of this process's threads, from /proc/self/task/*/comm.
+std::multiset<std::string> ThreadNames() {
+  std::multiset<std::string> names;
+  std::error_code ec;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task", ec)) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    if (std::getline(comm, name)) {
+      names.insert(name);
+    }
+  }
+  return names;
+}
+
+TEST(NetIntegrationTest, ThreadsAreNamedByRole) {
+  gateway::Gateway gw(TwoWorkerOptions());
+  TcpServer server(gw);
+  ASSERT_TRUE(server.Start());
+  // Each thread names itself as it starts; wait until all have.
+  const std::map<std::string, size_t> want = {
+      {"denoise", 2}, {"cpu-lane", 4}, {"gateway-timer", 1}, {"tcp-poll", 1}};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::multiset<std::string> names;
+  for (;;) {
+    names = ThreadNames();
+    bool all = true;
+    for (const auto& [name, count] : want) {
+      all = all && names.count(name) >= count;
+    }
+    if (all || std::chrono::steady_clock::now() > deadline) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  for (const auto& [name, count] : want) {
+    EXPECT_GE(names.count(name), count) << name;
+  }
+  server.Stop();
+  gw.Stop();
 }
 
 // Graceful drain racing live submitters: one thread hammers the server

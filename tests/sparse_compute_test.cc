@@ -6,8 +6,10 @@
 // cache plans, and thread-count invariance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "src/common/parallel_for.h"
@@ -516,6 +518,132 @@ TEST(SparseComputeBatchTest, SingleMemberPanelIsTheSoloPath) {
     solo = m.RunStepRange(std::move(solo), opts, step, step + 1);
   }
   EXPECT_TRUE(BitwiseEqual(batched, solo));
+}
+
+// A copy of `record` with NaN in every byte the copy-free step must never
+// read: every non-final Y, and the masked rows of the last Y and of every
+// K and V.
+model::ActivationRecord PoisonUnreadBytes(const model::ActivationRecord& record,
+                                          const trace::Mask& mask) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  model::ActivationRecord poisoned;
+  poisoned.steps = record.steps;
+  for (model::StepActivations& step : poisoned.steps) {
+    for (size_t b = 0; b + 1 < step.y.size(); ++b) {
+      step.y[b].FillConstant(nan);
+    }
+    auto poison_rows = [&](Matrix& m) {
+      for (const int t : mask.masked_tokens) {
+        std::fill(m.row(t), m.row(t) + m.cols(), nan);
+      }
+    };
+    poison_rows(step.y.back());
+    for (size_t b = 0; b < step.k.size(); ++b) {
+      poison_rows(step.k[b]);
+      poison_rows(step.v[b]);
+    }
+  }
+  return poisoned;
+}
+
+bool HasNaN(const Matrix& m) {
+  for (size_t i = 0; i < m.size(); ++i) {
+    if (std::isnan(m.data()[i])) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(SparseComputeRunTest, CopyFreeStepNeverReadsPoisonedRecordBytes) {
+  RunFixture f;
+  Rng mask_rng(14);
+  const trace::Mask mask =
+      trace::GenerateBlobMask(f.config.grid_h, f.config.grid_w, 0.2, mask_rng);
+  const model::ActivationRecord poisoned = PoisonUnreadBytes(f.cache_kv, mask);
+  for (const auto mode : {model::ComputeMode::kMaskAwareY,
+                          model::ComputeMode::kMaskAwareKV}) {
+    const Matrix clean = f.Run(mode, mask, /*sparse=*/true, f.cache_kv);
+    EXPECT_TRUE(BitwiseEqual(f.Run(mode, mask, /*sparse=*/true, poisoned),
+                             clean))
+        << model::ToString(mode);
+  }
+  // Step by step, as the serving engines run it.
+  model::DiffusionModel::RunOptions opts;
+  opts.mode = model::ComputeMode::kMaskAwareY;
+  opts.mask = &mask;
+  opts.sparse_compute = true;
+  const Matrix init =
+      f.m.InitEditLatent(f.m.EncodeTemplate(0), mask, /*prompt_seed=*/5);
+  Matrix clean = init;
+  Matrix dirty = init;
+  for (int s = 0; s < f.config.num_steps; ++s) {
+    opts.cache = &f.cache_kv;
+    clean = f.m.RunStepRange(std::move(clean), opts, s, s + 1);
+    opts.cache = &poisoned;
+    dirty = f.m.RunStepRange(std::move(dirty), opts, s, s + 1);
+  }
+  EXPECT_TRUE(BitwiseEqual(dirty, clean));
+  // The poison is live: the dense flow, which reads every Y, picks it up.
+  EXPECT_TRUE(HasNaN(f.Run(model::ComputeMode::kMaskAwareY, mask,
+                           /*sparse=*/false, poisoned)));
+}
+
+TEST(SparseComputeBatchTest, CopyFreePanelNeverReadsPoisonedRecordBytes) {
+  // A mixed-resolution panel holding an empty-mask and a full-mask member
+  // steps to the same bits on poisoned records as on clean ones.
+  const model::NumericsConfig native = model::NumericsConfig::ForTests();
+  model::NumericsConfig small = native;
+  small.grid_h = 8;
+  small.grid_w = 8;
+  model::NumericsConfig large = native;
+  large.grid_h = 16;
+  large.grid_w = 12;
+  const model::DiffusionModel m_native(native);
+  const model::DiffusionModel m_small(small);
+  const model::DiffusionModel m_large(large);
+  std::vector<int> all(static_cast<size_t>(small.tokens()));
+  for (int t = 0; t < small.tokens(); ++t) {
+    all[static_cast<size_t>(t)] = t;
+  }
+  Rng mask_rng(0x9015);
+  const std::vector<const model::DiffusionModel*> models = {
+      &m_native, &m_large, &m_small, &m_native};
+  const std::vector<trace::Mask> masks = {
+      trace::GenerateBlobMask(native.grid_h, native.grid_w, 0.2, mask_rng),
+      MakeMask(large.grid_h, large.grid_w, {}),
+      MakeMask(small.grid_h, small.grid_w, all),
+      trace::GenerateBlobMask(native.grid_h, native.grid_w, 0.6, mask_rng)};
+  std::vector<model::ActivationRecord> clean_records;
+  std::vector<model::ActivationRecord> poisoned_records;
+  std::vector<Matrix> clean;
+  std::vector<Matrix> dirty;
+  for (size_t i = 0; i < models.size(); ++i) {
+    clean_records.push_back(models[i]->Register(0, /*record_kv=*/true));
+    poisoned_records.push_back(PoisonUnreadBytes(clean_records[i], masks[i]));
+    clean.push_back(models[i]->InitEditLatent(models[i]->EncodeTemplate(0),
+                                              masks[i], 60 + i));
+    dirty.push_back(clean.back());
+  }
+  for (int step = 0; step < native.num_steps; ++step) {
+    std::vector<model::DiffusionModel::StepBatchMember> clean_panel;
+    std::vector<model::DiffusionModel::StepBatchMember> dirty_panel;
+    for (size_t i = 0; i < models.size(); ++i) {
+      clean_panel.push_back(
+          {models[i], &clean[i], &masks[i], &clean_records[i], step});
+      dirty_panel.push_back(
+          {models[i], &dirty[i], &masks[i], &poisoned_records[i], step});
+    }
+    model::DiffusionModel::RunStepBatchGathered(clean_panel);
+    model::DiffusionModel::RunStepBatchGathered(dirty_panel);
+    for (size_t i = 0; i < models.size(); ++i) {
+      ASSERT_TRUE(BitwiseEqual(dirty[i], clean[i]))
+          << "member " << i << " step " << step;
+    }
+  }
+  for (const Matrix& latent : clean) {
+    EXPECT_FALSE(HasNaN(latent));
+  }
 }
 
 TEST(SparseComputeRunTest, ThreadCountInvariance) {

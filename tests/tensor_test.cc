@@ -271,5 +271,106 @@ TEST(MatrixTest, AddOps) {
   EXPECT_EQ(a.at(0, 0), 3.0f);
 }
 
+// A GEMM's B supplied row by row from two source matrices lands on the
+// bits of the same B materialized as one matrix, in both orientations, at
+// ragged and full panel widths of every ISA level (2W = 8, 16, 32), over
+// one and two k-blocks, for every tile height up to 2·MR + 1 (MR = 12 at
+// v4), with A read and C written through row lists.
+TEST(MatrixTest, RowSourceBMatchesMaterializedB) {
+  Rng rng(0x50CE);
+  for (const bool transposed : {false, true}) {
+    for (const int n : {1, 7, 16, 33, 64}) {
+      for (const int k : {3, 64, 530}) {
+        const int count = transposed ? n : k;
+        const int cols = transposed ? k : n;
+        Matrix s0(count, cols);
+        Matrix s1(count, cols);
+        s0.FillNormal(rng, 1.0f);
+        s1.FillNormal(rng, 1.0f);
+        // Row r of B is a random row of a random source.
+        std::vector<const float*> rows(static_cast<size_t>(count));
+        Matrix b(count, cols);
+        for (int r = 0; r < count; ++r) {
+          const Matrix& src = rng.Uniform(0.0, 1.0) < 0.5 ? s0 : s1;
+          const int from = static_cast<int>(rng.Uniform(0.0, count)) % count;
+          rows[static_cast<size_t>(r)] = src.row(from);
+          std::memcpy(b.row(r), src.row(from), sizeof(float) * cols);
+        }
+        const RowSource source{rows.data(), count, cols};
+        for (int m = 1; m <= 25; ++m) {
+          Matrix a(m + 3, k);
+          a.FillNormal(rng, 1.0f);
+          std::vector<int> a_rows(static_cast<size_t>(m));
+          std::vector<int> out_rows(static_cast<size_t>(m));
+          for (int i = 0; i < m; ++i) {
+            a_rows[static_cast<size_t>(i)] = m + 2 - i;
+            out_rows[static_cast<size_t>(i)] = 2 * i + 1;
+          }
+          Matrix out(2 * m + 2, n);
+          out.FillConstant(7.0f);
+          MatMulRowSource(a, &a_rows, source, transposed, out, &out_rows);
+          const Matrix ga = GatherRows(a, a_rows);
+          const Matrix want = transposed ? MatMulTransposed(ga, b)
+                                         : MatMul(ga, b);
+          for (int i = 0; i < m; ++i) {
+            ASSERT_EQ(std::memcmp(out.row(out_rows[static_cast<size_t>(i)]),
+                                  want.row(i), sizeof(float) * n),
+                      0)
+                << "transposed " << transposed << " n " << n << " k " << k
+                << " m " << m << " row " << i;
+          }
+          for (int r = 0; r < out.rows(); r += 2) {
+            for (int c = 0; c < n; ++c) {
+              ASSERT_EQ(out.at(r, c), 7.0f) << "row " << r << " was written";
+            }
+          }
+        }
+        // Identity row lists: A and C are used as they are.
+        Matrix a(5, k);
+        a.FillNormal(rng, 1.0f);
+        Matrix out(5, n);
+        MatMulRowSource(a, nullptr, source, transposed, out, nullptr);
+        const Matrix want = transposed ? MatMulTransposed(a, b) : MatMul(a, b);
+        ASSERT_EQ(std::memcmp(out.data(), want.data(), out.bytes()), 0);
+      }
+    }
+  }
+}
+
+// The step's one-pass latent update equals its three separate passes:
+// h0 = x + offset, eps = h - h0, AxpyInPlace(x, alpha, eps).
+TEST(MatrixTest, ResidualUpdateRowsMatchesSeparatePasses) {
+  Rng rng(0xE95);
+  for (const int cols : {1, 16, 48, 64, 70}) {
+    Matrix x(9, cols);
+    Matrix h(9, cols);
+    Matrix offset(1, cols);
+    x.FillNormal(rng, 1.0f);
+    h.FillNormal(rng, 1.0f);
+    offset.FillNormal(rng, 0.3f);
+    Matrix eps = h;
+    for (int r = 0; r < x.rows(); ++r) {
+      for (int c = 0; c < cols; ++c) {
+        eps.at(r, c) -= x.at(r, c) + offset.at(0, c);
+      }
+    }
+    Matrix want = x;
+    AxpyInPlace(want, 0.2f, eps);
+    // Rows of h reached through a table, in reverse.
+    std::vector<const float*> h_rows(static_cast<size_t>(x.rows()));
+    Matrix h_reversed(x.rows(), cols);
+    for (int r = 0; r < x.rows(); ++r) {
+      std::memcpy(h_reversed.row(x.rows() - 1 - r), h.row(r),
+                  sizeof(float) * cols);
+    }
+    for (int r = 0; r < x.rows(); ++r) {
+      h_rows[static_cast<size_t>(r)] = h_reversed.row(x.rows() - 1 - r);
+    }
+    ResidualUpdateRows(x, offset.row(0), h_rows, 0.2f);
+    EXPECT_EQ(std::memcmp(x.data(), want.data(), x.bytes()), 0)
+        << "cols " << cols;
+  }
+}
+
 }  // namespace
 }  // namespace flashps
