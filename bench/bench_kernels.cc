@@ -712,8 +712,9 @@ bool WriteKernelsJson() {
   // denoise step. Every level gates on bitwise identity with the dense
   // flow before its timing is trusted.
 
-  // GEMM level: MatMulRows over 10% of the rows vs the full MatMul, ff1
-  // shape, single thread. This is the primitive whose cost is O(|rows|).
+  // GEMM level: MatMulRowSource over 10% of the rows (a_rows, B read
+  // through its row table) vs the full MatMul, ff1 shape, single thread.
+  // This is the primitive whose cost is O(|rows|).
   {
     ComputeThreadsScope scope(1);
     const GemmShape& g = kSdxlShapes[1];
@@ -723,16 +724,26 @@ bool WriteKernelsJson() {
     for (int r = 0; r < g.m; r += 10) {
       rows.push_back(r);
     }
+    std::vector<const float*> gb_rows;
+    for (int r = 0; r < g.k; ++r) {
+      gb_rows.push_back(gb.row(r));
+    }
+    const RowSource gb_source{gb_rows.data(), g.k, g.n};
+    Matrix gathered(static_cast<int>(rows.size()), g.n);
     const Matrix dense = MatMul(ga, gb);
-    if (!BitwiseEqual(GatherRows(dense, rows), MatMulRows(ga, gb, rows))) {
-      std::cerr << "BITWISE DRIFT: MatMulRows vs gathered dense GEMM\n";
+    MatMulRowSource(ga, &rows, gb_source, /*transposed=*/false, gathered,
+                    nullptr);
+    if (!BitwiseEqual(GatherRows(dense, rows), gathered)) {
+      std::cerr << "BITWISE DRIFT: MatMulRowSource vs gathered dense GEMM\n";
       bitwise_ok = false;
     }
     const double dense_ms = MedianCallMs([&] {
       benchmark::DoNotOptimize(MatMul(ga, gb));
     });
     const double rows_ms = MedianCallMs([&] {
-      benchmark::DoNotOptimize(MatMulRows(ga, gb, rows));
+      MatMulRowSource(ga, &rows, gb_source, /*transposed=*/false, gathered,
+                      nullptr);
+      benchmark::DoNotOptimize(gathered.data());
     });
     json << "  \"gemm_gathered_vs_dense\": {\"shape\": \"" << g.name
          << "\", \"rows_fraction\": "

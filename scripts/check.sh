@@ -15,9 +15,11 @@
 # both sanitizer legs: the fuzz cases drive the client's read path with
 # bytes no daemon sends, and every case starts and stops a server.
 # The codec suites (Quant*, CodecQuality*) run in every leg: tier-1 via
-# ctest, and again under both sanitizers — the decoder's malformed-frame
-# rejection paths must be clean under ASan, and the codec is on the hot
-# path of the threaded cache suites.
+# ctest, and again under both sanitizers — the codec is on the hot path of
+# the threaded cache suites. The cache wire suites (CacheRpc*, with the
+# fuzz driving the node's one entry, CacheNode::Service()) encode and
+# check frames with the production encoders and in-place decoders, whose
+# malformed-frame rejection paths must be clean under ASan.
 # Every ctest invocation carries a per-test timeout so a deadlocked
 # thread (the failure mode the prefetch/serving tests exist to catch)
 # fails the run instead of wedging it.
@@ -27,7 +29,8 @@
 #   scripts/check.sh --bench-smoke      # also run every bench binary with
 #                                       # tiny iterations (numbers are not
 #                                       # meaningful; catches bit-rot in the
-#                                       # bench-only code paths)
+#                                       # bench-only code paths) and the
+#                                       # virtual_tryon example
 #   scripts/check.sh --filter <regex>   # restrict every ctest leg to tests
 #                                       # matching <regex> (replaces the
 #                                       # sanitizer legs' default regexes)
@@ -110,7 +113,10 @@ done
 # end with tiny iterations, from a scratch directory so the throwaway
 # numbers never overwrite the recorded BENCH_*.json artifacts. Catches
 # bench-only code paths (flag parsing, JSON dumps, the gathered-panel
-# drivers) that ctest never executes.
+# drivers) that ctest never executes. Then the virtual try-on example
+# (under a second): it serves one session mask-aware and by full compute
+# through runtime::OnlineServer and exits non-zero when an edit's SSIM
+# falls to 0.85.
 if [[ "${bench_smoke}" -eq 1 ]]; then
   echo "== bench smoke: every bench binary, tiny iterations =="
   smoke_dir="$(mktemp -d)"
@@ -125,7 +131,9 @@ if [[ "${bench_smoke}" -eq 1 ]]; then
     echo "-- ${name} ${args[*]-}"
     (cd "${smoke_dir}" && "${bin}" ${args[@]+"${args[@]}"} >/dev/null)
   done
-  echo "== bench smoke: all bench binaries ran clean =="
+  echo "-- examples/virtual_tryon"
+  (cd "${smoke_dir}" && "${repo}/build/examples/virtual_tryon" >/dev/null)
+  echo "== bench smoke: all bench binaries and virtual_tryon ran clean =="
 fi
 
 if [[ "${fast}" -eq 1 ]]; then

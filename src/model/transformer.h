@@ -104,7 +104,7 @@ Matrix BlockForwardMaskedKV(const BlockWeights& w, const Matrix& x,
 //    "replenish invariant"): then the K/V rows the dense flow recomputes
 //    are bit-for-bit the cached registration rows, because LayerNorm is
 //    row-wise and the blocked GEMM computes each row independently of the
-//    others (see MatMulRows in src/tensor/matrix.h).
+//    others (see MatMulRowSource in src/tensor/matrix.h).
 Matrix BlockForwardMaskedGathered(const BlockWeights& w, const Matrix& x,
                                   const Matrix& attn_bias,
                                   const trace::Mask& mask,
@@ -136,7 +136,7 @@ struct GatheredPanelMember {
 // Each member's rows are bitwise-identical to its rows of the dense
 // mask-aware flows, and to those of a panel holding that member alone, at
 // any composition: the blocked GEMM computes every output row from its
-// own A row alone in a fixed k-blocked order (see MatMulRows in
+// own A row alone in a fixed k-blocked order (see MatMulRowSource in
 // src/tensor/matrix.h), a row-source B gives every element the same chain
 // as the materialized B, and LayerNorm/GeLU/Add are row- or element-wise.
 // With K/V in the record, the unmasked K/V rows the dense kMaskAwareY flow

@@ -47,16 +47,6 @@ void CacheNode::EvictToFit(size_t incoming) {
   }
 }
 
-InlineReply CacheNode::Handle(const ParsedFrame& frame) {
-  InlineReply reply = Serve(frame);
-  if (reply.body != nullptr) {
-    reply.frame.insert(reply.frame.end(), reply.body->begin(),
-                       reply.body->end());
-    reply.body.reset();
-  }
-  return reply;
-}
-
 InlineReply CacheNode::Serve(const ParsedFrame& frame) {
   InlineReply reply;
   const uint64_t seq = frame.header.seq;
@@ -151,9 +141,8 @@ InlineReply CacheNode::Serve(const ParsedFrame& frame) {
       entries_.emplace(body.key, std::move(entry));
       ++stats_.puts;
       stats_.bytes_stored += incoming;
-      // Payload-less hit: the ack echoing the key + the checksum now
-      // resident on the node.
-      reply.frame = EncodeCacheHit(seq, body.key, body.checksum, nullptr);
+      // The ack echoing the key + the checksum now resident on the node.
+      reply.frame = EncodeCachePutAck(seq, body.key, body.checksum);
       return reply;
     }
     case FrameType::kMetricsQuery: {

@@ -12,9 +12,9 @@
 //   kMetricsQuery-> kMetricsReport carrying MetricsJson()
 //   anything else-> kError(kBadType): a cache node serves no submits
 //
-// Handle() is pure request->reply; Service() adapts it to TcpServer's
-// InlineService so flashps_cached reuses the whole serving frontier (poll
-// loop, back-pressure, drain, error taxonomy) with memcpy-scale handlers.
+// Service() is the node's one entry: TcpServer's InlineService, so
+// flashps_cached reuses the whole serving frontier (poll loop,
+// back-pressure, drain, error taxonomy) with memcpy-scale handlers.
 //
 // Capacity: `max_bytes` (0 = unbounded) bounds resident payload bytes with
 // LRU eviction — fetch hits and put upserts both refresh recency, so a hot
@@ -91,14 +91,11 @@ class CacheNode {
   CacheNode(const CacheNode&) = delete;
   CacheNode& operator=(const CacheNode&) = delete;
 
-  // Answers one parsed frame (any thread) with one whole reply frame
-  // (a hit's stored body is appended to its head). The reply's close flag
-  // is set exactly when the reply is a kError frame.
-  InlineReply Handle(const ParsedFrame& frame);
-
-  // Adapter for TcpServer's service mode: the replies of Handle(), with a
-  // hit's stored body left in InlineReply::body so it is sent without a
-  // copy. The node must outlive the server.
+  // TcpServer's service mode: answers one parsed frame (any thread) with
+  // one reply frame. A hit's stored body is left in InlineReply::body,
+  // which TcpServer sends after the head without a copy. The reply's close
+  // flag is set exactly when the reply is a kError frame. The node must
+  // outlive the server.
   InlineService Service();
 
   // Direct (non-wire) accessors for tests and the daemon's final dump.
@@ -120,7 +117,7 @@ class CacheNode {
     size_t StoredBytes() const;
   };
 
-  // Handle() with a hit's stored body in InlineReply::body.
+  // The reply Service() returns.
   InlineReply Serve(const ParsedFrame& frame);
 
   // All under mu_. Touch() moves a key to the LRU front; EvictToFit()

@@ -57,31 +57,11 @@ bool ValidCacheKey(const CacheKey& key, std::string* error) {
   return true;
 }
 
-// Encoded matrices travel as rows, cols, the dtype tag, a scale count,
-// each scale's IEEE-754 bit pattern as a little-endian u32, then the
-// element payload bytes (already little-endian by construction in
-// quant::Encode). The payload moves in bulk both ways, and the reader
-// takes the scale bits in one copy on a little-endian host, where a float
-// already sits in wire order. These bytes, from rows through the last
-// element byte, are what a cache checksum covers.
-void AppendEncodedMatrixLe(ByteWriter& w, const quant::EncodedMatrix& m) {
-  w.U32(static_cast<uint32_t>(m.rows));
-  w.U32(static_cast<uint32_t>(m.cols));
-  w.U8(static_cast<uint8_t>(m.dtype));
-  w.U32(static_cast<uint32_t>(m.scales.size()));
-  for (const float scale : m.scales) {
-    uint32_t bits;
-    std::memcpy(&bits, &scale, sizeof(bits));
-    w.U32(bits);
-  }
-  w.Bytes(m.payload.data(), m.payload.size());
-}
-
 // Checks the encoded body of a matrix whose shape header (rows, cols)
 // was already consumed, where it lies: `out` gets the shape, the dtype
-// and pointers to the scale bits and elements. Strict: every
-// dtype/scale-count/length combination that quant::Decode would reject
-// is rejected here, before any bytes are believed.
+// and pointers to the scale bits and elements. Strict: an unknown dtype
+// tag, a scale count other than the dtype's, and bytes short of the shape
+// are rejected here, before any bytes are believed.
 bool ViewMatrixBody(ByteReader& r, uint32_t rows, uint32_t cols,
                     CacheBodyView* out, std::string* error) {
   if (rows == 0 || cols == 0 || rows > kMaxMatrixSide ||
@@ -120,29 +100,6 @@ bool ViewMatrixBody(ByteReader& r, uint32_t rows, uint32_t cols,
   out->rows = static_cast<int>(rows);
   out->cols = static_cast<int>(cols);
   return true;
-}
-
-// Copies a viewed body out into an EncodedMatrix.
-quant::EncodedMatrix ToEncoded(const CacheBodyView& view) {
-  quant::EncodedMatrix m;
-  m.dtype = view.dtype;
-  m.rows = view.rows;
-  m.cols = view.cols;
-  m.scales.resize(quant::ScaleCount(view.dtype, view.rows));
-  if constexpr (std::endian::native == std::endian::little) {
-    if (!m.scales.empty()) {
-      std::memcpy(m.scales.data(), view.scales,
-                  m.scales.size() * sizeof(float));
-    }
-  } else {
-    ByteReader r(view.scales, m.scales.size() * sizeof(float));
-    for (float& scale : m.scales) {
-      const uint32_t bits = r.U32();
-      std::memcpy(&scale, &bits, sizeof(bits));
-    }
-  }
-  m.payload.assign(view.elements, view.body + view.body_size);
-  return m;
 }
 
 uint64_t ReadLe64(const uint8_t* p) {
@@ -424,23 +381,6 @@ std::vector<uint8_t> EncodeCacheFetch(uint64_t seq, const CacheKey& key) {
 }
 
 std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
-                                    const quant::EncodedMatrix& data,
-                                    uint64_t* checksum) {
-  std::vector<uint8_t> frame =
-      BeginFrame(FrameType::kCachePut, seq, CachePutPayloadBytes(data));
-  ByteWriter w(frame);
-  AppendCacheKey(w, key);
-  w.U64(0);  // Filled in once the body it covers is written.
-  const size_t body_at = w.size();
-  AppendEncodedMatrixLe(w, data);
-  const uint64_t sum = SealCachePut(frame, body_at);
-  if (checksum != nullptr) {
-    *checksum = sum;
-  }
-  return frame;
-}
-
-std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
                                     const Matrix& data, quant::Dtype dtype,
                                     uint64_t* checksum) {
   const size_t payload_len =
@@ -472,21 +412,13 @@ std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
   return EncodeCachePut(seq, key, data, quant::Dtype::kF32, nullptr);
 }
 
-std::vector<uint8_t> EncodeCacheHit(uint64_t seq, const CacheKey& key,
-                                    uint64_t checksum,
-                                    const quant::EncodedMatrix* data) {
-  // A put acknowledgement carries shape 0x0 and nothing else.
-  const size_t body_size =
-      data != nullptr ? kMatrixHeaderBytes + data->StoredBytes() : 8;
-  std::vector<uint8_t> frame = EncodeCacheHitHead(seq, key, checksum,
-                                                  body_size);
+std::vector<uint8_t> EncodeCachePutAck(uint64_t seq, const CacheKey& key,
+                                       uint64_t checksum) {
+  // Shape 0x0 and nothing else.
+  std::vector<uint8_t> frame = EncodeCacheHitHead(seq, key, checksum, 8);
   ByteWriter w(frame);
-  if (data != nullptr) {
-    AppendEncodedMatrixLe(w, *data);
-  } else {
-    w.U32(0);
-    w.U32(0);
-  }
+  w.U32(0);
+  w.U32(0);
   return frame;
 }
 
@@ -501,14 +433,9 @@ std::vector<uint8_t> EncodeCacheHitHead(uint64_t seq, const CacheKey& key,
   return frame;
 }
 
-size_t CachePutPayloadBytes(const quant::EncodedMatrix& data) {
+size_t CachePutPayloadBytes(int rows, int cols, quant::Dtype dtype) {
   // Key (4+4+4+1) + checksum (8) + matrix header + scale bits + element
   // payload; must mirror EncodeCachePut exactly.
-  return kCacheHitHeadBytes - kFrameHeaderBytes + kMatrixHeaderBytes +
-         data.scales.size() * sizeof(float) + data.payload.size();
-}
-
-size_t CachePutPayloadBytes(int rows, int cols, quant::Dtype dtype) {
   return kCacheHitHeadBytes - kFrameHeaderBytes + kMatrixHeaderBytes +
          quant::ScaleCount(dtype, rows) * sizeof(float) +
          static_cast<size_t>(rows) * static_cast<size_t>(cols) *
@@ -621,32 +548,6 @@ void DecodeBody(const CacheBodyView& view, Matrix* out) {
                     view.elements, out);
 }
 
-bool DecodeCachePut(const ParsedFrame& frame, CachePutBody* out,
-                    std::string* error) {
-  CacheBodyView view;
-  if (!ViewCachePut(frame.payload.data(), frame.payload.size(), &view,
-                    error)) {
-    return false;
-  }
-  out->key = view.key;
-  out->checksum = view.checksum;
-  out->data = ToEncoded(view);
-  return true;
-}
-
-bool DecodeCacheHit(const ParsedFrame& frame, CacheHitBody* out,
-                    std::string* error) {
-  CacheBodyView view;
-  if (!ViewCacheHit(frame.payload.data(), frame.payload.size(), &view,
-                    error)) {
-    return false;
-  }
-  out->key = view.key;
-  out->checksum = view.checksum;
-  out->data = view.has_payload() ? ToEncoded(view) : quant::EncodedMatrix{};
-  return true;
-}
-
 std::vector<uint8_t> EncodeAuth(uint64_t seq, const std::string& token) {
   std::vector<uint8_t> payload;
   ByteWriter w(payload);
@@ -749,14 +650,6 @@ uint64_t Xxh64(const void* data, size_t size) {
   hash ^= hash >> 29;
   hash *= kXxhPrime3;
   return hash ^ (hash >> 32);
-}
-
-uint64_t EncodedChecksum(const quant::EncodedMatrix& e) {
-  std::vector<uint8_t> body;
-  body.reserve(kMatrixHeaderBytes + e.StoredBytes());
-  ByteWriter w(body);
-  AppendEncodedMatrixLe(w, e);
-  return Xxh64(body.data(), body.size());
 }
 
 }  // namespace flashps::net

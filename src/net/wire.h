@@ -24,14 +24,15 @@
 // *cache* tier (cache fetch / put frames, flashps_cached) — the shared
 // cache node that serves template activations to a whole worker fleet.
 //
-// Cache matrices are built and read where they lie. A put frame is
-// encoded whole into one buffer (header with its known length, key,
-// checksum slot, the matrix body encoded in place and hashed there); a
-// node keeps the verified body span as it arrived and answers a hit with
-// a 41-byte head (EncodeCacheHitHead) followed by those stored bytes; a
-// receiver checks a hit's body where it landed (ViewCacheHit) and
-// decodes it once into its matrix (DecodeBody). The bytes on the wire are
-// exactly those of EncodeCachePut and EncodeCacheHit.
+// Cache matrices have one encoded form, the wire form, built and read
+// where it lies. A put frame is encoded whole into one buffer
+// (EncodeCachePut: header with its known length, key, checksum slot, the
+// matrix body encoded in place by quant::EncodeTo and hashed there); a
+// node checks it where it landed (ViewCachePut), keeps the verified body
+// span as it arrived, acks it (EncodeCachePutAck) and answers a fetch
+// with a 41-byte head (EncodeCacheHitHead) followed by those stored
+// bytes; a receiver checks a hit's body where it landed (ViewCacheHit)
+// and decodes it once into its matrix (DecodeBody).
 #ifndef FLASHPS_SRC_NET_WIRE_H_
 #define FLASHPS_SRC_NET_WIRE_H_
 
@@ -103,12 +104,12 @@ enum class FrameType : uint16_t {
   // matrix, keyed by (template_id, step, block, kind). Answered by
   // kCacheHit (payload attached) or kCacheMiss.
   kCacheFetch = 6,
-  // client -> cache node: CachePutBody — stores one activation matrix under
+  // client -> cache node: CacheBodyView — stores one activation matrix under
   // its content address, XXH64 checksum verified server-side before the
   // entry is admitted. Acknowledged by a payload-less kCacheHit echoing the
   // key and the stored checksum.
   kCachePut = 7,
-  // cache node -> client: CacheHitBody. Reply to a kCacheFetch that found
+  // cache node -> client: CacheBodyView. Reply to a kCacheFetch that found
   // the entry (matrix payload attached) or to a kCachePut that stored it
   // (no payload; rows == cols == 0). Always carries the entry's checksum.
   kCacheHit = 8,
@@ -275,41 +276,23 @@ struct CacheFetchBody {
   CacheKey key;
 };
 
-// Payload of kCachePut: the key, the sender's checksum, and the *encoded*
-// matrix (dtype tag + scale metadata + element bytes, src/tensor/quant.h).
-// The checksum is XXH64 of the matrix body exactly as it travels, rows
-// through the last element byte (EncodedChecksum). The node hashes that
-// span of the received frame and rejects a mismatch as kMalformedPayload,
-// so a bit flipped in flight can never become a resident cache entry —
-// and it never has to decode to verify, so lossy entries rest exactly as
-// they traveled.
-struct CachePutBody {
-  CacheKey key;
-  uint64_t checksum = 0;
-  quant::EncodedMatrix data;
-};
-
-// Payload of kCacheHit: fetch replies carry the encoded matrix; put acks
-// carry only the key + checksum (rows == cols == 0, no dtype, no data).
-// The checksum always describes the entry as resident on the node, so the
-// client can verify the bytes it received (or confirm what it stored) end
-// to end.
-struct CacheHitBody {
-  CacheKey key;
-  uint64_t checksum = 0;
-  quant::EncodedMatrix data;  // Empty (0x0) for a put acknowledgement.
-
-  bool has_payload() const { return data.rows > 0 && data.cols > 0; }
-};
-
 // Payload of kCacheMiss: the key that was not resident.
 struct CacheMissBody {
   CacheKey key;
 };
 
-// A cache put or hit payload checked where it lies: the same checks as
-// DecodeCachePut / DecodeCacheHit, nothing copied. Every pointer aims
-// into the payload, which must outlive the view.
+// A kCachePut or kCacheHit payload checked where it lies (ViewCachePut /
+// ViewCacheHit), nothing copied: the key, the checksum and the *encoded*
+// matrix body (shape, dtype tag, scale count, scale bits, element bytes;
+// src/tensor/quant.h). The checksum is XXH64 of that body exactly as it
+// travels, rows through the last element byte. The node hashes that span
+// of the received frame and rejects a mismatch as kMalformedPayload, so a
+// bit flipped in flight can never become a resident cache entry, and it
+// never decodes to verify, so lossy entries rest exactly as they
+// traveled. A hit's checksum describes the entry as resident on the node,
+// so the client verifies the bytes it received (or confirms what it
+// stored) end to end. Every pointer aims into the payload, which must
+// outlive the view.
 struct CacheBodyView {
   CacheKey key;
   uint64_t checksum = 0;
@@ -323,7 +306,8 @@ struct CacheBodyView {
   const uint8_t* elements = nullptr;  // rows * cols * DtypeBytes bytes.
 
   bool has_payload() const { return rows > 0 && cols > 0; }
-  // Scale plus element bytes, as EncodedMatrix::StoredBytes counts them.
+  // Scale plus element bytes: the unit of a cache node's byte cap and of
+  // its stored and served byte counters.
   size_t StoredBytes() const {
     return has_payload() ? body_size - kMatrixHeaderBytes : 0;
   }
@@ -342,29 +326,22 @@ std::vector<uint8_t> EncodeMetricsReport(uint64_t seq,
 std::vector<uint8_t> EncodeError(uint64_t seq, WireError code,
                                  const std::string& message);
 std::vector<uint8_t> EncodeCacheFetch(uint64_t seq, const CacheKey& key);
-// Hashes the matrix body it has just written into the frame and, when
-// `checksum` is non-null, stores that value there (EncodedChecksum(data))
-// for the caller to check the ack against.
-std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
-                                    const quant::EncodedMatrix& data,
-                                    uint64_t* checksum = nullptr);
-// Lossless convenience: encodes `data` as f32 (bitwise round-trip) first.
-std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
-                                    const Matrix& data);
 // Encodes `data` at `dtype` straight into the put frame (quant::EncodeTo)
-// and hashes the body where it lies: the bytes EncodeCachePut makes of
-// quant::Encode(data, dtype), with no EncodedMatrix in between.
+// and hashes the body where it lies. When `checksum` is non-null, stores
+// that hash there for the caller to check the ack against.
 std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
                                     const Matrix& data, quant::Dtype dtype,
                                     uint64_t* checksum);
-// `checksum` is sent as given; a node serves the one it verified at put.
-// `data` may be null: a payload-less put acknowledgement.
-std::vector<uint8_t> EncodeCacheHit(uint64_t seq, const CacheKey& key,
-                                    uint64_t checksum,
-                                    const quant::EncodedMatrix* data);
+// Lossless convenience: `data` as f32 (bitwise round-trip).
+std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
+                                    const Matrix& data);
+// A node's acknowledgement of a stored put: a payload-less kCacheHit
+// (shape 0x0) echoing the key and the checksum now resident.
+std::vector<uint8_t> EncodeCachePutAck(uint64_t seq, const CacheKey& key,
+                                       uint64_t checksum);
 // The first kCacheHitHeadBytes of a hit whose matrix body (the span its
-// checksum covers) is `body_size` bytes: sent ahead of a stored body, it
-// makes the same frame EncodeCacheHit builds.
+// checksum covers) is `body_size` bytes; the body follows it as stored.
+// `checksum` is sent as given: a node serves the one it verified at put.
 std::vector<uint8_t> EncodeCacheHitHead(uint64_t seq, const CacheKey& key,
                                         uint64_t checksum, size_t body_size);
 std::vector<uint8_t> EncodeCacheMiss(uint64_t seq, const CacheKey& key);
@@ -372,10 +349,9 @@ std::vector<uint8_t> EncodeAuth(uint64_t seq, const std::string& token);
 std::vector<uint8_t> EncodeAuthOk(uint64_t seq);
 
 // Exact payload size of the kCachePut frame EncodeCachePut would build for
-// `data` — lets a client refuse an oversized put (> kMaxPayloadBytes)
-// before any bytes hit the socket, instead of desyncing server-side.
-size_t CachePutPayloadBytes(const quant::EncodedMatrix& data);
-// The same for a rows x cols matrix encoded at `dtype`.
+// a rows x cols matrix at `dtype` — lets a client refuse an oversized put
+// (> kMaxPayloadBytes) before any bytes hit the socket, instead of
+// desyncing server-side.
 size_t CachePutPayloadBytes(int rows, int cols, quant::Dtype dtype);
 
 // Incremental stream decode: inspects the prefix of [data, data+size).
@@ -401,17 +377,12 @@ bool DecodeSubmitResult(const ParsedFrame& frame, WireResponse* out);
 bool DecodeError(const ParsedFrame& frame, WireErrorBody* out);
 bool DecodeCacheFetch(const ParsedFrame& frame, CacheFetchBody* out,
                       std::string* error);
-// Both hash the received matrix body in place and check it against the
-// declared checksum; a mismatch is a malformed payload (it means
-// corruption in flight). A put acknowledgement carries no body and is not
-// checked here: the client compares its checksum with the one it sent.
-bool DecodeCachePut(const ParsedFrame& frame, CachePutBody* out,
-                    std::string* error);
-bool DecodeCacheHit(const ParsedFrame& frame, CacheHitBody* out,
-                    std::string* error);
 bool DecodeCacheMiss(const ParsedFrame& frame, CacheMissBody* out);
-// The two above without the copies: check a put or hit payload of `size`
-// bytes where it lies.
+// Check a put or hit payload of `size` bytes where it lies. Both hash the
+// received matrix body in place and check it against the declared
+// checksum; a mismatch is a malformed payload (it means corruption in
+// flight). A put acknowledgement carries no body and is not checked here:
+// the client compares its checksum with the one it sent.
 bool ViewCachePut(const uint8_t* payload, size_t size, CacheBodyView* out,
                   std::string* error);
 bool ViewCacheHit(const uint8_t* payload, size_t size, CacheBodyView* out,
@@ -433,16 +404,11 @@ uint64_t Fnv1a64(const void* data, size_t size);
 uint64_t Xxh64(const void* data, size_t size);
 // Checksum of a latent/image matrix: shape plus the float bit patterns,
 // each float hashed as its little-endian IEEE-754 encoding. Used where a
-// *decoded* matrix is attested: submit-result latents.
+// *decoded* matrix is attested: submit-result latents. (A cache matrix is
+// attested by Xxh64 of its wire body, hashed in the frame itself; for an
+// f32 encoding that covers every float bit pattern, so lossless mode keeps
+// end-to-end bit attestation.)
 uint64_t LatentChecksum(const Matrix& m);
-// Checksum of an *encoded* matrix: Xxh64 of its wire body — shape, dtype
-// tag, scale count, scale bits and element payload bytes, exactly the span
-// a cache put or hit carries after its checksum field. This is what cache
-// puts and hits carry — the node verifies and re-serves entries without
-// ever decoding them. For an f32 encoding it covers every float bit
-// pattern, so lossless mode keeps end-to-end bit attestation. The wire
-// paths hash that span in the frame itself; this builds it first.
-uint64_t EncodedChecksum(const quant::EncodedMatrix& e);
 
 }  // namespace flashps::net
 

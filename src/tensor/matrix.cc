@@ -27,10 +27,9 @@ void Matrix::FillConstant(float v) { std::fill(data_.begin(), data_.end(), v); }
 namespace {
 
 // ---------------------------------------------------------------------------
-// Blocked GEMM core, shared by MatMul, MatMulTransposed, the gathered
-// MatMulRows / MatMulScatterRows and the row-source MatMulRowSource. One
-// driver and one micro-kernel template serve every ISA level, instantiated
-// at that level's full vector width W:
+// Blocked GEMM core, shared by MatMul, MatMulTransposed and the gathered,
+// row-source MatMulRowSource. One driver and one micro-kernel template
+// serve every ISA level, instantiated at that level's full vector width W:
 //
 //   level     W   panel width 2W   tile height <= MR   accumulators
 //   generic   4          8               6              12 xmm
@@ -52,11 +51,10 @@ namespace {
 //   acc = +0;  acc += a[p] * b[p] for p in order;  c += acc
 // with each multiply-add fused at v3/v4 and rounded twice at generic. The
 // tile, panel, lane or thread that computes an element never enters its
-// chain, so the result is the same bits for any m, any row subset
-// (MatMulRows), any B row source (MatMulRowSource), any tiling and any
-// thread count. `c += acc`, not
-// `c = acc`: an FMA chain whose products underflow can end at -0, and the
-// zeroed output turns that into +0.
+// chain, so the result is the same bits for any m, any row subset or B
+// row source (MatMulRowSource), any tiling and any thread count.
+// `c += acc`, not `c = acc`: an FMA chain whose products underflow can end
+// at -0, and the zeroed output turns that into +0.
 // ---------------------------------------------------------------------------
 
 constexpr int kKc = 512;  // k-block height.
@@ -777,30 +775,6 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
 Matrix MatMulTransposed(const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.cols());
   return GemmBlocked(a, b, /*b_transposed=*/true);
-}
-
-Matrix MatMulRows(const Matrix& a, const Matrix& b,
-                  const std::vector<int>& rows) {
-  assert(a.cols() == b.rows());
-  Matrix out(static_cast<int>(rows.size()), b.cols());
-  GemmBlockedInto(a, {&b, nullptr, false, b.cols()},
-                  static_cast<int>(rows.size()), rows.data(), nullptr, out);
-  return out;
-}
-
-void MatMulScatterRows(const Matrix& a_panel, const Matrix& b,
-                       const std::vector<int>& rows, Matrix& out) {
-  assert(a_panel.cols() == b.rows());
-  assert(static_cast<int>(rows.size()) == a_panel.rows());
-  assert(out.cols() == b.cols());
-  // The micro-kernel accumulates into C, so the target rows (and only
-  // those — the replenished rows around them must survive) start from zero.
-  for (const int r : rows) {
-    assert(r >= 0 && r < out.rows());
-    std::fill(out.row(r), out.row(r) + out.cols(), 0.0f);
-  }
-  GemmBlockedInto(a_panel, {&b, nullptr, false, b.cols()}, a_panel.rows(),
-                  nullptr, rows.data(), out);
 }
 
 void MatMulRowSource(const Matrix& a, const std::vector<int>* a_rows,

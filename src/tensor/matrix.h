@@ -67,10 +67,9 @@ class Matrix {
 // acc += a[p] * b[p] in p order (fused multiply-adds at v3/v4), c += acc —
 // whatever the tiling, so outputs are bitwise-identical at every thread
 // count, and every row's result depends only on that row: gathered panels
-// match the dense matrix bit for bit. A/C rows can be remapped (MatMulRows,
-// MatMulScatterRows) and B can be supplied row by row (MatMulRowSource)
-// without changing any element's chain, so gathers and scatters fold into
-// the GEMM instead of being copies.
+// match the dense matrix bit for bit. MatMulRowSource remaps A and C rows
+// and takes B row by row without changing any element's chain, so
+// gathers and scatters fold into the GEMM instead of being copies.
 // Against the scalar naive:: reference: the GEMMs differ only by FMA
 // contraction, softmax and LayerNorm by their vector exp and lane-blocked
 // sums (tests/kernel_equivalence_test.cc states the bounds), and GELU not
@@ -118,28 +117,6 @@ Matrix GatherRows(const Matrix& m, const std::vector<int>& indices);
 // Scatters src's rows into dst at the given row indices.
 void ScatterRows(Matrix& dst, const Matrix& src, const std::vector<int>& indices);
 
-// Gathered-panel GEMM (the SIGE-style sparse compute path, one fused
-// gather→GEMM): out.row(i) = a.row(rows[i]) * b for each i, without
-// materializing the gathered operand. Row `i` of the result is
-// bitwise-identical to row rows[i] of MatMul(a, b): the blocked kernel
-// computes every output row from its own A row alone, in a fixed
-// k-blocked accumulation order that does not depend on which other rows
-// are present or how many there are. Cost is O(|rows|·k·n) — proportional to the mask ratio
-// when `rows` is a mask's token list. `rows` must hold valid, distinct
-// row indices of `a`.
-Matrix MatMulRows(const Matrix& a, const Matrix& b,
-                  const std::vector<int>& rows);
-
-// Scatter-back half of the sparse compute path (one fused GEMM→scatter):
-// out.row(rows[i]) = a_panel.row(i) * b for each i; every other row of
-// `out` is left untouched, so the caller can pre-fill it with replenished
-// (cached) rows. The written rows are bitwise-identical to the same rows
-// of MatMul(x, b) whenever a_panel holds the gathered rows of x (see
-// MatMulRows). `rows` must hold valid, DISTINCT row indices of `out`
-// (duplicates would race across row-tile threads).
-void MatMulScatterRows(const Matrix& a_panel, const Matrix& b,
-                       const std::vector<int>& rows, Matrix& out);
-
 // A GEMM operand supplied row by row instead of as one matrix: row r is
 // the `cols` floats at rows[r]. The rows may live in different matrices —
 // the sparse path's K and V are a cached record's rows, with the masked
@@ -151,15 +128,20 @@ struct RowSource {
   int cols = 0;
 };
 
-// Row-source GEMM: out.row(out_rows[i]) = a.row(a_rows[i]) * B for every
-// logical row i, where B is `b` (count x n; k = b.count) or, with
+// Row-source GEMM, the SIGE-style sparse compute path's one fused
+// gather→GEMM→scatter: out.row(out_rows[i]) = a.row(a_rows[i]) * B for
+// every logical row i, where B is `b` (count x n; k = b.count) or, with
 // `transposed`, b^T (b is n x k, the QK^T orientation: K^T is packed a
 // panel at a time, V is read in place). Null row lists are the identity;
-// m = a_rows->size(), or a.rows() without a list. The written rows of
-// `out` are zeroed first and no other row is touched. Every output
-// element runs the same chain as MatMul / MatMulTransposed on the
-// materialized B, so the result is bitwise-identical to gathering B into
-// one matrix and multiplying. `out_rows` must be distinct.
+// m = a_rows->size(), or a.rows() without a list. Neither the gathered A
+// rows nor B are materialized, so the cost is O(m·k·n): proportional to
+// the mask ratio when `a_rows` is a mask's token list. The written rows of
+// `out` are zeroed first and no other row is touched, so the caller can
+// pre-fill the others with replenished (cached) rows. Every output element
+// runs the same chain as MatMul / MatMulTransposed on the materialized
+// operands: written row i is bitwise-identical to row a_rows[i] of the
+// dense product, whichever other rows are present. `out_rows` must be
+// distinct (duplicates would race across row-tile threads).
 void MatMulRowSource(const Matrix& a, const std::vector<int>* a_rows,
                      const RowSource& b, bool transposed, Matrix& out,
                      const std::vector<int>* out_rows);

@@ -147,8 +147,8 @@ uint32_t LoadLe32(const uint8_t* in) {
 }
 
 // Writes the element bytes of `m` at `dtype` to `payload`, handing each
-// kI8 row's scale to `put_scale(row, scale)`: the one encoder behind
-// Encode() and EncodeTo().
+// kI8 row's scale to `put_scale(row, scale)`: the encoder behind
+// EncodeTo().
 template <typename PutScale>
 void EncodeElements(const Matrix& m, Dtype dtype, uint8_t* payload,
                     PutScale put_scale) {
@@ -204,8 +204,7 @@ void EncodeElements(const Matrix& m, Dtype dtype, uint8_t* payload,
 }
 
 // Decodes element bytes at `dtype` into `m` (already shaped), taking each
-// kI8 row's scale from `scale_of(row)`: the one decoder behind Decode()
-// and DecodeFrom().
+// kI8 row's scale from `scale_of(row)`: the decoder behind DecodeFrom().
 template <typename ScaleOf>
 void DecodeElements(Dtype dtype, const uint8_t* payload, ScaleOf scale_of,
                     Matrix& m) {
@@ -251,49 +250,11 @@ size_t ScaleCount(Dtype dtype, int rows) {
   return dtype == Dtype::kI8 ? static_cast<size_t>(std::max(rows, 0)) : 0;
 }
 
-EncodedMatrix Encode(const Matrix& m, Dtype dtype) {
-  EncodedMatrix e;
-  e.dtype = dtype;
-  e.rows = m.rows();
-  e.cols = m.cols();
-  e.scales.resize(ScaleCount(dtype, m.rows()));
-  e.payload.resize(m.size() * DtypeBytes(dtype));
-  EncodeElements(m, dtype, e.payload.data(), [&e](int r, float scale) {
-    e.scales[static_cast<size_t>(r)] = scale;
-  });
-  return e;
-}
-
 void EncodeTo(const Matrix& m, Dtype dtype, uint8_t* scales,
               uint8_t* payload) {
   EncodeElements(m, dtype, payload, [scales](int r, float scale) {
     StoreLe32(F32Bits(scale), scales + static_cast<size_t>(r) * 4);
   });
-}
-
-bool Decode(const EncodedMatrix& e, Matrix* out, std::string* error) {
-  auto fail = [error](const char* why) {
-    if (error != nullptr) *error = why;
-    return false;
-  };
-  if (!ValidDtypeTag(static_cast<uint8_t>(e.dtype))) {
-    return fail("unknown dtype tag");
-  }
-  if (e.rows < 0 || e.cols < 0) {
-    return fail("negative matrix dimensions");
-  }
-  const size_t n = static_cast<size_t>(e.rows) * static_cast<size_t>(e.cols);
-  if (e.payload.size() != n * DtypeBytes(e.dtype)) {
-    return fail("payload length does not match shape and dtype");
-  }
-  if (e.scales.size() != ScaleCount(e.dtype, e.rows)) {
-    return fail("scale count does not match dtype contract");
-  }
-  Matrix m(e.rows, e.cols);
-  DecodeElements(e.dtype, e.payload.data(),
-                 [&e](int r) { return e.scales[static_cast<size_t>(r)]; }, m);
-  *out = std::move(m);
-  return true;
 }
 
 void DecodeFrom(Dtype dtype, int rows, int cols, const uint8_t* scales,

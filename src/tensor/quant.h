@@ -26,17 +26,15 @@
 // This layer is pure math + bytes: no wire framing, no checksums (the
 // wire layer checksums the *encoded* form so nodes verify without
 // decoding). It lives in flashps_tensor because every higher layer —
-// net, cache, cache/ring — needs it. EncodeTo() and DecodeFrom() work on
-// the wire form where it lies, so a cache frame is encoded into its send
-// buffer and decoded out of its receive buffer with no EncodedMatrix in
-// between.
+// net, cache, cache/ring — needs it. An encoded matrix has one form, the
+// wire form: EncodeTo() writes it into a cache frame's send buffer and
+// DecodeFrom() reads it out of a receive buffer, where it lies.
 #ifndef FLASHPS_SRC_TENSOR_QUANT_H_
 #define FLASHPS_SRC_TENSOR_QUANT_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/tensor/matrix.h"
 
@@ -55,23 +53,6 @@ size_t DtypeBytes(Dtype dtype);
 // True iff `tag` names a Dtype (strict decoders reject anything else).
 bool ValidDtypeTag(uint8_t tag);
 
-// One matrix in encoded form: self-describing shape + dtype, per-row
-// scales (kI8 only; exactly `rows` of them), and the element payload
-// (rows*cols*DtypeBytes little-endian bytes).
-struct EncodedMatrix {
-  Dtype dtype = Dtype::kF32;
-  int rows = 0;
-  int cols = 0;
-  std::vector<float> scales;     // Empty unless dtype == kI8.
-  std::vector<uint8_t> payload;  // Element bytes, little-endian.
-
-  // Bytes this encoding occupies at rest (scales + elements); the unit of
-  // cache-node residency accounting and the wire-bytes counters.
-  size_t StoredBytes() const {
-    return payload.size() + scales.size() * sizeof(float);
-  }
-};
-
 // IEEE-754 binary32 <-> binary16, explicit bit manipulation (no FP16
 // hardware assumed). F32ToF16 rounds to nearest-even and overflows to
 // infinity; F16ToF32 is exact for every half value including subnormals.
@@ -81,26 +62,20 @@ float F16ToF32(uint16_t h);
 // Per-row scales an encoding of `rows` rows carries: `rows` for kI8, else 0.
 size_t ScaleCount(Dtype dtype, int rows);
 
-// Encodes `m` at the given dtype. Never fails: any shape (including
-// empty) has a valid encoding; an all-zero row quantizes with scale 0.
-EncodedMatrix Encode(const Matrix& m, Dtype dtype);
-
-// Encode() written straight into caller-sized wire-form buffers: `scales`
-// receives ScaleCount() little-endian f32 bit patterns and `payload` the
-// element bytes, byte for byte what Encode() holds.
+// Encodes `m` at `dtype` into caller-sized wire-form buffers: `scales`
+// receives ScaleCount() per-row scales as little-endian f32 bit patterns
+// (kI8 only: scale = maxabs/127 of the row), `payload` the
+// rows*cols*DtypeBytes little-endian element bytes. Never fails: any
+// shape (including empty) has a valid encoding; an all-zero row
+// quantizes with scale 0.
 void EncodeTo(const Matrix& m, Dtype dtype, uint8_t* scales,
               uint8_t* payload);
 
-// Strict decode. False (with `error` filled when non-null) on any
-// structural inconsistency: unknown dtype, negative dims, scale count not
-// matching the dtype contract, payload length not rows*cols*DtypeBytes.
-bool Decode(const EncodedMatrix& e, Matrix* out, std::string* error);
-
 // Decodes a rows x cols encoding from wire-form bytes where they lie (the
-// layout EncodeTo() writes): the same bits Decode() makes of the same
-// encoding, in one pass. Every element is written, so an `out` that
-// already has this shape is filled in place, its storage reused; any
-// other is replaced. The caller has validated the dtype and lengths.
+// layout EncodeTo() writes), in one pass. Every element is written, so an
+// `out` that already has this shape is filled in place, its storage
+// reused; any other is replaced. The caller has validated the dtype and
+// lengths (the wire decoders do: net::ViewCachePut / ViewCacheHit).
 void DecodeFrom(Dtype dtype, int rows, int cols, const uint8_t* scales,
                 const uint8_t* payload, Matrix* out);
 

@@ -331,15 +331,21 @@ TEST_F(CacheRingStoreTest, FailoverWalksPastDeadPrimaryToReplica) {
 }
 
 TEST_F(CacheRingStoreTest, KilledMemberMidRunNeverFailsAnAcquire) {
-  cache::ShardedRemoteStore store(StoreOptions(/*replication=*/2));
+  cache::ShardedStoreOptions options = StoreOptions(/*replication=*/2);
+  cache::CacheRingOptions ring_options;
+  ring_options.members = options.nodes;
+  const cache::CacheRing ring(ring_options);
+  cache::ShardedRemoteStore store(options);
   constexpr int kTemplates = 6;
   for (int t = 0; t < kTemplates; ++t) {
     ASSERT_NE(store.Acquire(*model_, t, false), nullptr);
   }
-  // One member dies mid-run. Every subsequent Acquire — old templates
-  // through a fresh store (empty front) and brand-new ones — must still
-  // succeed with bitwise-identical records.
-  servers_[1]->Stop();
+  // One member dies mid-run: template 0's primary, so template 0's walk
+  // meets it before its replica. (A member third on every template's
+  // preference list is never walked at replication 2.) Every subsequent
+  // Acquire — old templates through a fresh store (empty front) and
+  // brand-new ones — must still succeed with bitwise-identical records.
+  servers_[SlotOf(ring, ring.PrimaryFor(0))]->Stop();
 
   cache::ShardedRemoteStore fresh(StoreOptions(/*replication=*/2));
   for (int t = 0; t < kTemplates + 4; ++t) {
@@ -560,7 +566,7 @@ class LatchedNode {
                              /*close_connection=*/true};
         }
       }
-      return node_.Handle(frame);
+      return node_.Service()(frame);
     };
   }
 

@@ -3,10 +3,10 @@
 // frames, tests/wire_fuzz.h) of kCachePut and kCacheFetch frames, some
 // stamped with the older wire v3,
 //
-//   fed straight to CacheNode::Handle, and
+//   fed straight to CacheNode::Service(), the node's one entry, and
 //   written through a real socket to a service-mode TcpServer, whose
-//   replies must match, byte for byte, those of a shadow node handed the
-//   same frames.
+//   replies must match, byte for byte, those of a shadow node's Service()
+//   handed the same frames.
 //
 // Every frame gets a typed reply, or a kError and a close; no entry whose
 // bytes fail their checksum is ever stored; and afterwards a clean client
@@ -27,6 +27,7 @@
 #include "src/net/client.h"
 #include "src/net/socket_util.h"
 #include "src/net/tcp_server.h"
+#include "tests/cache_frames.h"
 #include "tests/wire_fuzz.h"
 
 namespace flashps::net {
@@ -38,7 +39,7 @@ using fuzz::Mutation;
 using fuzz::SameRecord;
 
 constexpr uint64_t kFuzzSeed = 0xCAC4EF022ull;
-constexpr int kHandleCases = 20000;
+constexpr int kServiceCases = 20000;
 constexpr int kSocketCases = 400;
 constexpr int kSteps = 2;
 constexpr int kBlocks = 2;
@@ -82,7 +83,7 @@ void StoreResident(CacheNode& node, const model::ActivationRecord& record) {
                            (*kinds[kind])[static_cast<size_t>(b)]);
         ASSERT_EQ(TryParseFrame(bytes.data(), bytes.size(), &frame, &consumed),
                   WireError::kOk);
-        ASSERT_FALSE(node.Handle(frame).close_connection);
+        ASSERT_FALSE(node.Service()(frame).close_connection);
       }
     }
   }
@@ -104,9 +105,8 @@ std::vector<uint8_t> AnyRequest(uint64_t seq, Rng& rng) {
   Matrix m(1 + static_cast<int>(rng.NextBelow(6)),
            1 + static_cast<int>(rng.NextBelow(6)));
   m.FillNormal(rng, 1.0f);
-  const quant::EncodedMatrix data =
-      quant::Encode(m, static_cast<quant::Dtype>(rng.NextBelow(3)));
-  return EncodeCachePut(seq, AnyKey(kFuzzed, rng), data);
+  const auto dtype = static_cast<quant::Dtype>(rng.NextBelow(3));
+  return EncodeCachePut(seq, AnyKey(kFuzzed, rng), m, dtype, nullptr);
 }
 
 // One mutated request stream, drawn from `seed`.
@@ -124,9 +124,10 @@ std::vector<uint8_t> MutatedStream(uint64_t seed) {
   return Mutate(std::move(frame), AnyRequest(seq + 1, rng), mutation, rng);
 }
 
-// Checks one reply of `node` to `request` and returns whether it closes
-// the connection. An ack must echo the put's key and checksum (the key
-// joins `stored`); a refused frame must store nothing.
+// Checks one reply of `node` to `request`, made whole (a hit's stored
+// body after its head), and returns whether it closes the connection. An
+// ack must echo the put's key and checksum (the key joins `stored`); a
+// refused frame must store nothing.
 bool CheckReply(CacheNode& node, const ParsedFrame& request,
                 const InlineReply& reply, uint64_t puts_before,
                 std::set<CacheKey>* stored) {
@@ -149,10 +150,11 @@ bool CheckReply(CacheNode& node, const ParsedFrame& request,
     case FrameType::kCacheFetch: {
       CacheFetchBody fetch;
       EXPECT_TRUE(DecodeCacheFetch(request, &fetch, nullptr));
-      CacheHitBody hit;
+      CacheBodyView hit;
       CacheMissBody miss;
       if (out.type() == FrameType::kCacheHit) {
-        EXPECT_TRUE(DecodeCacheHit(out, &hit, nullptr));
+        EXPECT_TRUE(ViewCacheHit(out.payload.data(), out.payload.size(), &hit,
+                                 nullptr));
         EXPECT_TRUE(hit.has_payload());
         EXPECT_TRUE(hit.key == fetch.key);
       } else {
@@ -163,11 +165,13 @@ bool CheckReply(CacheNode& node, const ParsedFrame& request,
       break;
     }
     case FrameType::kCachePut: {
-      CachePutBody put;
-      CacheHitBody ack;
-      EXPECT_TRUE(DecodeCachePut(request, &put, nullptr));
+      CacheBodyView put;
+      CacheBodyView ack;
+      EXPECT_TRUE(ViewCachePut(request.payload.data(), request.payload.size(),
+                               &put, nullptr));
       EXPECT_EQ(out.type(), FrameType::kCacheHit);
-      EXPECT_TRUE(DecodeCacheHit(out, &ack, nullptr));
+      EXPECT_TRUE(ViewCacheHit(out.payload.data(), out.payload.size(), &ack,
+                               nullptr));
       EXPECT_FALSE(ack.has_payload());
       EXPECT_TRUE(ack.key == put.key);
       EXPECT_EQ(ack.checksum, put.checksum);
@@ -185,7 +189,7 @@ bool CheckReply(CacheNode& node, const ParsedFrame& request,
 }
 
 // Every key in `stored` is resident, and its bytes hash to the checksum
-// it rests under (DecodeCacheHit checks that).
+// it rests under (ViewCacheHit checks that).
 void ExpectStoredBytesVerify(CacheNode& node,
                              const std::set<CacheKey>& stored) {
   uint64_t seq = 1;
@@ -195,15 +199,17 @@ void ExpectStoredBytesVerify(CacheNode& node,
     size_t consumed = 0;
     ASSERT_EQ(TryParseFrame(bytes.data(), bytes.size(), &fetch, &consumed),
               WireError::kOk);
-    const InlineReply reply = node.Handle(fetch);
+    const InlineReply reply = Whole(node.Service()(fetch));
     ParsedFrame out;
     ASSERT_EQ(TryParseFrame(reply.frame.data(), reply.frame.size(), &out,
                             &consumed),
               WireError::kOk);
-    CacheHitBody hit;
+    CacheBodyView hit;
     std::string error;
     EXPECT_TRUE(out.type() == FrameType::kCacheHit &&
-                DecodeCacheHit(out, &hit, &error) && hit.has_payload())
+                ViewCacheHit(out.payload.data(), out.payload.size(), &hit,
+                             &error) &&
+                hit.has_payload())
         << "key (" << key.template_id << "," << key.step << "," << key.block
         << "," << int{key.kind} << "): " << error;
   }
@@ -223,23 +229,26 @@ TEST(CacheRpcFuzzTest, MutatedFramesIntoHandle) {
   const model::ActivationRecord record = ResidentRecord();
   CacheNode node;
   StoreResident(node, record);
+  const InlineService serve = node.Service();
   std::set<CacheKey> stored;
   int dispatched = 0;
   int refused = 0;
-  for (int i = 0; i < kHandleCases && !HasFailure(); ++i) {
+  for (int i = 0; i < kServiceCases && !HasFailure(); ++i) {
     const uint64_t seed = kFuzzSeed + static_cast<uint64_t>(i);
     SCOPED_TRACE(testing::Message() << "fuzz case seed " << seed);
     WireError header_error = WireError::kOk;
     for (const ParsedFrame& frame : Frames(MutatedStream(seed), &header_error)) {
       ++dispatched;
       const uint64_t puts_before = node.Stats().puts;
-      if (CheckReply(node, frame, node.Handle(frame), puts_before, &stored)) {
+      if (CheckReply(node, frame, Whole(serve(frame)), puts_before,
+                     &stored)) {
         ++refused;
         break;  // The server closes here; nothing after is dispatched.
       }
-      CachePutBody put;
+      CacheBodyView put;
       if (frame.type() == FrameType::kCachePut &&
-          DecodeCachePut(frame, &put, nullptr)) {
+          ViewCachePut(frame.payload.data(), frame.payload.size(), &put,
+                       nullptr)) {
         ExpectStoredBytesVerify(node, {put.key});
       }
     }
@@ -249,7 +258,7 @@ TEST(CacheRpcFuzzTest, MutatedFramesIntoHandle) {
   EXPECT_GT(refused, dispatched / 10);
   EXPECT_LT(refused, dispatched);
   std::printf("%d cases: %d frames dispatched, %d refused, %zu keys stored\n",
-              kHandleCases, dispatched, refused, stored.size());
+              kServiceCases, dispatched, refused, stored.size());
 
   TcpServer server(node.Service());
   ASSERT_TRUE(server.Start());
@@ -287,12 +296,13 @@ TEST(CacheRpcFuzzTest, MutatedFramesThroughASocket) {
   CacheNode shadow;
   StoreResident(node, record);
   StoreResident(shadow, record);
+  const InlineService shadow_serve = shadow.Service();
   TcpServer server(node.Service());
   ASSERT_TRUE(server.Start());
   std::set<CacheKey> stored;
   int closed = 0;
   for (int i = 0; i < kSocketCases && !HasFailure(); ++i) {
-    const uint64_t seed = kFuzzSeed + kHandleCases + static_cast<uint64_t>(i);
+    const uint64_t seed = kFuzzSeed + kServiceCases + static_cast<uint64_t>(i);
     SCOPED_TRACE(testing::Message() << "fuzz case seed " << seed);
     const std::vector<uint8_t> stream = MutatedStream(seed);
 
@@ -307,7 +317,7 @@ TEST(CacheRpcFuzzTest, MutatedFramesThroughASocket) {
       std::string error;
       if (frame.type() != FrameType::kAuth) {
         const uint64_t puts_before = shadow.Stats().puts;
-        reply = shadow.Handle(frame);
+        reply = Whole(shadow_serve(frame));
         CheckReply(shadow, frame, reply, puts_before, &stored);
       } else if (DecodeAuth(frame, &auth, &error)) {
         reply.frame = EncodeAuthOk(frame.header.seq);

@@ -1,7 +1,8 @@
 // Cache-tier RPC units: the cache frame codec (v2: encoded matrices; v4:
-// the XXH64 checksum, hashed in place),
-// the CacheNode store semantics (encoded residency, admission policy,
-// stored bodies that outlive their entry while a hit still sends them),
+// the XXH64 checksum, hashed in place), checked where frames lie
+// (ViewCachePut / ViewCacheHit), the CacheNode store semantics through
+// its one entry, Service() (encoded residency, admission policy, stored
+// bodies that outlive their entry while a hit still sends them),
 // net::Client's whole-record transfers (FetchRecord / PutRecord) over a
 // loopback TcpServer in service mode, and the client ladder against one
 // cache node — a ShardedRemoteStore over a one-member ring (LRU front,
@@ -26,6 +27,7 @@
 #include "src/net/socket_util.h"
 #include "src/net/tcp_server.h"
 #include "src/tensor/quant.h"
+#include "tests/cache_frames.h"
 
 namespace flashps::net {
 namespace {
@@ -71,11 +73,43 @@ bool MatricesEqual(const Matrix& a, const Matrix& b) {
          LatentChecksum(a) == LatentChecksum(b);
 }
 
+// `frame`'s put or hit payload checked where it lies; the view points into
+// `frame`, which must outlive it.
+CacheBodyView ViewPut(const ParsedFrame& frame) {
+  CacheBodyView view;
+  std::string error;
+  EXPECT_TRUE(ViewCachePut(frame.payload.data(), frame.payload.size(), &view,
+                           &error))
+      << error;
+  return view;
+}
+
+CacheBodyView ViewHit(const ParsedFrame& frame) {
+  CacheBodyView view;
+  std::string error;
+  EXPECT_TRUE(ViewCacheHit(frame.payload.data(), frame.payload.size(), &view,
+                           &error))
+      << error;
+  return view;
+}
+
 // Wire matrices travel encoded; equality to a local Matrix means
 // decode-then-compare.
-bool DecodedEqual(const quant::EncodedMatrix& e, const Matrix& m) {
+bool DecodesTo(const CacheBodyView& view, const Matrix& m) {
+  if (!view.has_payload()) return false;
   Matrix decoded;
-  return quant::Decode(e, &decoded, nullptr) && MatricesEqual(decoded, m);
+  DecodeBody(view, &decoded);
+  return MatricesEqual(decoded, m);
+}
+
+std::vector<uint8_t> BodyBytes(const CacheBodyView& view) {
+  return std::vector<uint8_t>(view.body, view.body + view.body_size);
+}
+
+// `request` through the node's one entry, Service(), with the reply made
+// whole the way TcpServer sends it: a hit's stored body after its head.
+InlineReply Ask(CacheNode& node, const std::vector<uint8_t>& request) {
+  return Whole(node.Service()(Parse(request)));
 }
 
 // A record still streaming is compared once it is whole.
@@ -119,49 +153,52 @@ TEST(CacheRpcWireTest, FetchRoundTrip) {
 TEST(CacheRpcWireTest, PutRoundTripCarriesChecksum) {
   const Matrix m = TestMatrix(6, 5, 1);
   const ParsedFrame frame = Parse(EncodeCachePut(7, TestKey(), m));
-  CachePutBody body;
-  std::string error;
-  ASSERT_TRUE(DecodeCachePut(frame, &body, &error)) << error;
+  const CacheBodyView body = ViewPut(frame);
   EXPECT_EQ(body.key, TestKey());
-  EXPECT_EQ(body.data.dtype, quant::Dtype::kF32);
-  EXPECT_EQ(body.checksum, EncodedChecksum(body.data));
-  EXPECT_TRUE(DecodedEqual(body.data, m));
+  EXPECT_EQ(body.dtype, quant::Dtype::kF32);
+  EXPECT_EQ(body.checksum, Xxh64(body.body, body.body_size));
+  EXPECT_TRUE(DecodesTo(body, m));
 }
 
 TEST(CacheRpcWireTest, CompressedPutRoundTripsItsEncoding) {
   const Matrix m = TestMatrix(6, 5, 1);
   for (const quant::Dtype dtype : {quant::Dtype::kF16, quant::Dtype::kI8}) {
-    const quant::EncodedMatrix encoded = quant::Encode(m, dtype);
-    const ParsedFrame frame = Parse(EncodeCachePut(7, TestKey(), encoded));
-    CachePutBody body;
-    std::string error;
-    ASSERT_TRUE(DecodeCachePut(frame, &body, &error)) << error;
-    EXPECT_EQ(body.data.dtype, dtype);
-    EXPECT_EQ(body.data.payload, encoded.payload);
-    EXPECT_EQ(body.data.scales, encoded.scales);
-    EXPECT_EQ(body.checksum, EncodedChecksum(encoded));
+    SCOPED_TRACE(quant::ToString(dtype));
+    uint64_t sent = 0;
+    const ParsedFrame frame =
+        Parse(EncodeCachePut(7, TestKey(), m, dtype, &sent));
+    const CacheBodyView body = ViewPut(frame);
+    EXPECT_EQ(body.dtype, dtype);
+    // The frame carries the codec's scale bits and elements, in place.
+    std::vector<uint8_t> scales(quant::ScaleCount(dtype, m.rows()) *
+                                sizeof(float));
+    std::vector<uint8_t> elements(m.size() * quant::DtypeBytes(dtype));
+    quant::EncodeTo(m, dtype, scales.data(), elements.data());
+    EXPECT_EQ(std::vector<uint8_t>(body.scales, body.scales + scales.size()),
+              scales);
+    EXPECT_EQ(std::vector<uint8_t>(body.elements,
+                                   body.elements + elements.size()),
+              elements);
+    EXPECT_EQ(body.StoredBytes(), scales.size() + elements.size());
+    EXPECT_EQ(body.checksum, sent);
   }
 }
 
 TEST(CacheRpcWireTest, HitRoundTripWithPayload) {
   const Matrix m = TestMatrix(4, 4, 2);
-  const quant::EncodedMatrix encoded = quant::Encode(m, quant::Dtype::kF32);
   const ParsedFrame frame =
-      Parse(EncodeCacheHit(3, TestKey(), EncodedChecksum(encoded), &encoded));
-  CacheHitBody body;
-  std::string error;
-  ASSERT_TRUE(DecodeCacheHit(frame, &body, &error)) << error;
+      Parse(NodeHit(3, TestKey(), m, quant::Dtype::kF32));
+  const CacheBodyView body = ViewHit(frame);
   EXPECT_TRUE(body.has_payload());
-  EXPECT_TRUE(DecodedEqual(body.data, m));
+  EXPECT_TRUE(DecodesTo(body, m));
 }
 
 TEST(CacheRpcWireTest, HitRoundTripPutAckHasNoPayload) {
-  const ParsedFrame frame =
-      Parse(EncodeCacheHit(3, TestKey(), 0xabcdu, nullptr));
-  CacheHitBody body;
-  std::string error;
-  ASSERT_TRUE(DecodeCacheHit(frame, &body, &error)) << error;
+  const ParsedFrame frame = Parse(EncodeCachePutAck(3, TestKey(), 0xabcdu));
+  EXPECT_EQ(frame.type(), FrameType::kCacheHit);
+  const CacheBodyView body = ViewHit(frame);
   EXPECT_FALSE(body.has_payload());
+  EXPECT_EQ(body.key, TestKey());
   EXPECT_EQ(body.checksum, 0xabcdu);
 }
 
@@ -177,9 +214,10 @@ TEST(CacheRpcWireTest, CorruptedPutPayloadFailsItsChecksum) {
   std::vector<uint8_t> bytes = EncodeCachePut(7, TestKey(), m);
   bytes.back() ^= 0x01;  // Flip one bit of the last float.
   const ParsedFrame frame = Parse(bytes);
-  CachePutBody body;
+  CacheBodyView body;
   std::string error;
-  EXPECT_FALSE(DecodeCachePut(frame, &body, &error));
+  EXPECT_FALSE(ViewCachePut(frame.payload.data(), frame.payload.size(), &body,
+                            &error));
   EXPECT_NE(error.find("checksum"), std::string::npos) << error;
 }
 
@@ -221,24 +259,26 @@ TEST(CacheRpcWireTest, InPlaceChecksumsEqualEncodedChecksum) {
   for (const quant::Dtype dtype :
        {quant::Dtype::kF32, quant::Dtype::kF16, quant::Dtype::kI8}) {
     SCOPED_TRACE(quant::ToString(dtype));
-    const quant::EncodedMatrix encoded = quant::Encode(m, dtype);
-    // The encoder hashes the body it wrote into the frame...
+    // The encoder hashes the body it wrote into the frame and stores the
+    // sum in the slot before it...
     uint64_t sent = 0;
     const std::vector<uint8_t> put =
-        EncodeCachePut(1, TestKey(), encoded, &sent);
-    EXPECT_EQ(sent, EncodedChecksum(encoded));
+        EncodeCachePut(1, TestKey(), m, dtype, &sent);
+    const std::vector<uint8_t> body_bytes(put.begin() + kCacheHitHeadBytes,
+                                          put.end());
+    EXPECT_EQ(sent, Xxh64(body_bytes.data(), body_bytes.size()));
+    EXPECT_EQ(ViewPut(Parse(put)).checksum, sent);
     // ...a node verifies the same span where it landed and serves that
     // value back with the entry...
     CacheNode node;
-    ASSERT_FALSE(node.Handle(Parse(put)).close_connection);
-    const InlineReply hit = node.Handle(Parse(EncodeCacheFetch(2, TestKey())));
-    CacheHitBody body;
-    std::string error;
-    ASSERT_TRUE(DecodeCacheHit(Parse(hit.frame), &body, &error)) << error;
+    ASSERT_FALSE(Ask(node, put).close_connection);
+    const InlineReply hit = Ask(node, EncodeCacheFetch(2, TestKey()));
+    const ParsedFrame frame = Parse(hit.frame);
+    const CacheBodyView body = ViewHit(frame);
     // ...and the hit, checked in place by its decoder, still carries the
-    // checksum of the matrix it decodes to.
+    // checksum of the bytes it decodes from: the put's body.
     EXPECT_EQ(body.checksum, sent);
-    EXPECT_EQ(body.checksum, EncodedChecksum(body.data));
+    EXPECT_EQ(BodyBytes(body), body_bytes);
   }
 }
 
@@ -252,6 +292,21 @@ TEST(CacheRpcWireTest, TrailingBytesRejected) {
   CacheFetchBody body;
   std::string error;
   EXPECT_FALSE(DecodeCacheFetch(frame, &body, &error));
+  // One byte past a whole f16 matrix body, in a put and in a hit: the
+  // length no longer matches the shape.
+  const Matrix m = TestMatrix(3, 4, 13);
+  const std::vector<uint8_t> put =
+      EncodeCachePut(1, TestKey(), m, quant::Dtype::kF16, nullptr);
+  const std::vector<uint8_t> hit = NodeHit(1, TestKey(), m, quant::Dtype::kF16);
+  payload.assign(put.begin() + kFrameHeaderBytes, put.end());
+  payload.push_back(0);
+  CacheBodyView view;
+  EXPECT_FALSE(ViewCachePut(payload.data(), payload.size(), &view, &error));
+  EXPECT_NE(error.find("trailing"), std::string::npos) << error;
+  payload.assign(hit.begin() + kFrameHeaderBytes, hit.end());
+  payload.push_back(0);
+  EXPECT_FALSE(ViewCacheHit(payload.data(), payload.size(), &view, &error));
+  EXPECT_NE(error.find("trailing"), std::string::npos) << error;
 }
 
 TEST(CacheRpcWireTest, NegativeKeyFieldsRejected) {
@@ -265,7 +320,8 @@ TEST(CacheRpcWireTest, NegativeKeyFieldsRejected) {
 //
 // Offsets inside a kCachePut payload: key (13) + checksum (8) + rows u32 +
 // cols u32 + dtype u8 + scale_count u32, then scale bits and raw bytes.
-constexpr size_t kPutDtypeOffset = 13 + 8 + 4 + 4;
+constexpr size_t kPutRowsOffset = 13 + 8;
+constexpr size_t kPutDtypeOffset = kPutRowsOffset + 4 + 4;
 constexpr size_t kPutScaleCountOffset = kPutDtypeOffset + 1;
 
 std::vector<uint8_t> PutPayload(const std::vector<uint8_t>& frame_bytes) {
@@ -284,11 +340,10 @@ TEST(CacheRpcWireTest, TruncatedPutPayloadRejectedAtEveryBoundary) {
         kPutScaleCountOffset + 2, payload.size() - 1}) {
     const std::vector<uint8_t> cut(payload.begin(),
                                    payload.begin() + static_cast<long>(keep));
-    const ParsedFrame frame =
-        Parse(EncodeFrame(FrameType::kCachePut, 1, cut));
-    CachePutBody body;
+    CacheBodyView body;
     std::string error;
-    EXPECT_FALSE(DecodeCachePut(frame, &body, &error)) << "keep=" << keep;
+    EXPECT_FALSE(ViewCachePut(cut.data(), cut.size(), &body, &error))
+        << "keep=" << keep;
   }
 }
 
@@ -296,11 +351,10 @@ TEST(CacheRpcWireTest, UnknownDtypeTagRejected) {
   std::vector<uint8_t> payload =
       PutPayload(EncodeCachePut(1, TestKey(), TestMatrix(3, 4, 9)));
   payload[kPutDtypeOffset] = 7;  // No such encoding.
-  const ParsedFrame frame =
-      Parse(EncodeFrame(FrameType::kCachePut, 1, payload));
-  CachePutBody body;
+  EXPECT_FALSE(quant::ValidDtypeTag(7));
+  CacheBodyView body;
   std::string error;
-  EXPECT_FALSE(DecodeCachePut(frame, &body, &error));
+  EXPECT_FALSE(ViewCachePut(payload.data(), payload.size(), &body, &error));
   EXPECT_NE(error.find("dtype"), std::string::npos) << error;
 }
 
@@ -310,26 +364,50 @@ TEST(CacheRpcWireTest, ScaleCountMismatchRejected) {
   std::vector<uint8_t> payload =
       PutPayload(EncodeCachePut(1, TestKey(), TestMatrix(3, 4, 10)));
   payload[kPutScaleCountOffset] = 1;
-  const ParsedFrame frame =
-      Parse(EncodeFrame(FrameType::kCachePut, 1, payload));
-  CachePutBody body;
+  CacheBodyView body;
   std::string error;
-  EXPECT_FALSE(DecodeCachePut(frame, &body, &error));
+  EXPECT_FALSE(ViewCachePut(payload.data(), payload.size(), &body, &error));
+  EXPECT_NE(error.find("scale count"), std::string::npos) << error;
+  // An i8 matrix carries one scale per row. One fewer, with the count and
+  // the bytes agreeing on the lie, must be rejected too.
+  payload = PutPayload(EncodeCachePut(1, TestKey(), TestMatrix(3, 4, 12),
+                                      quant::Dtype::kI8, nullptr));
+  ASSERT_EQ(payload[kPutScaleCountOffset], 3);
+  payload[kPutScaleCountOffset] = 2;
+  const size_t scales_at = kPutScaleCountOffset + 4;
+  payload.erase(payload.begin() + static_cast<long>(scales_at),
+                payload.begin() + static_cast<long>(scales_at + 4));
+  EXPECT_FALSE(ViewCachePut(payload.data(), payload.size(), &body, &error));
+  EXPECT_NE(error.find("scale count"), std::string::npos) << error;
 }
 
 TEST(CacheRpcWireTest, DtypeLengthComboMismatchRejected) {
   // An i8 matrix re-tagged as f16 leaves the declared per-row scales and
   // byte count inconsistent with the claimed dtype.
-  const quant::EncodedMatrix encoded =
-      quant::Encode(TestMatrix(3, 4, 11), quant::Dtype::kI8);
-  std::vector<uint8_t> payload =
-      PutPayload(EncodeCachePut(1, TestKey(), encoded));
+  std::vector<uint8_t> payload = PutPayload(EncodeCachePut(
+      1, TestKey(), TestMatrix(3, 4, 11), quant::Dtype::kI8, nullptr));
   payload[kPutDtypeOffset] = static_cast<uint8_t>(quant::Dtype::kF16);
-  const ParsedFrame frame =
-      Parse(EncodeFrame(FrameType::kCachePut, 1, payload));
-  CachePutBody body;
+  CacheBodyView body;
   std::string error;
-  EXPECT_FALSE(DecodeCachePut(frame, &body, &error));
+  EXPECT_FALSE(ViewCachePut(payload.data(), payload.size(), &body, &error));
+}
+
+TEST(CacheRpcWireTest, RowCountAboveTheWireBoundRejected) {
+  // Either dimension may be at most 2^20 (and rows read as a negative
+  // int32 are far above it), before any length arithmetic is believed.
+  for (const uint32_t rows : {(1u << 20) + 1, 0x80000000u, 0xffffffffu}) {
+    std::vector<uint8_t> payload =
+        PutPayload(EncodeCachePut(1, TestKey(), TestMatrix(3, 4, 14)));
+    for (size_t i = 0; i < 4; ++i) {
+      payload[kPutRowsOffset + i] = static_cast<uint8_t>(rows >> (8 * i));
+    }
+    CacheBodyView body;
+    std::string error;
+    EXPECT_FALSE(ViewCachePut(payload.data(), payload.size(), &body, &error))
+        << rows;
+    EXPECT_NE(error.find("dimensions out of range"), std::string::npos)
+        << error;
+  }
 }
 
 // --- golden bytes ---------------------------------------------------------
@@ -421,9 +499,14 @@ TEST(CacheRpcWireTest, GoldenFramesKeepTheirBytes) {
             "02000000" "04000000" "00" "00000000"  // Shape, f32, no scales.
             "00000080" "01000000" "0000803f" "000020c0"
             "0000807f" "000080ff" "efbec07f" "0000403f");
-  const quant::EncodedMatrix i8 = quant::Encode(m, quant::Dtype::kI8);
-  const std::vector<uint8_t> hit = EncodeCacheHit(
-      0x1112131415161718ull, key, EncodedChecksum(i8), &i8);
+  // The hit is a node's answer to a fetch once the i8 encoding is put:
+  // its head, then the stored put body.
+  CacheNode node;
+  const std::vector<uint8_t> i8_put =
+      EncodeCachePut(1, key, m, quant::Dtype::kI8, nullptr);
+  ASSERT_FALSE(Ask(node, i8_put).close_connection);
+  const std::vector<uint8_t> hit =
+      Ask(node, EncodeCacheFetch(0x1112131415161718ull, key)).frame;
   EXPECT_EQ(Hex(hit),
             "46505331" "0400" "0800" "1817161514131211" "32000000"  // Header.
             "09000000" "01000000" "02000000" "02"                  // Key.
@@ -437,22 +520,27 @@ TEST(CacheRpcWireTest, GoldenFramesKeepTheirBytes) {
   EXPECT_EQ(WithoutVersionAndChecksum(Hex(hit)),
             WithoutVersionAndChecksum(kV3HitHex));
 
-  // Both decode back to the bits they were built from.
-  CachePutBody put_body;
-  std::string error;
-  ASSERT_TRUE(DecodeCachePut(Parse(put), &put_body, &error)) << error;
+  // The put decodes back to the bits it was built from; the hit carries
+  // the i8 put's body byte for byte and decodes to what that body does.
+  const ParsedFrame put_frame = Parse(put);
+  const CacheBodyView put_body = ViewPut(put_frame);
   Matrix back;
-  ASSERT_TRUE(quant::Decode(put_body.data, &back, &error)) << error;
+  DecodeBody(put_body, &back);
+  ASSERT_EQ(back.size(), m.size());
   for (size_t i = 0; i < m.size(); ++i) {
     EXPECT_EQ(BitsOf(back.data()[i]), BitsOf(m.data()[i])) << i;
   }
-  CacheHitBody hit_body;
-  ASSERT_TRUE(DecodeCacheHit(Parse(hit), &hit_body, &error)) << error;
-  EXPECT_EQ(hit_body.data.payload, i8.payload);
-  ASSERT_EQ(hit_body.data.scales.size(), i8.scales.size());
-  for (size_t r = 0; r < i8.scales.size(); ++r) {
-    EXPECT_EQ(BitsOf(hit_body.data.scales[r]), BitsOf(i8.scales[r])) << r;
-  }
+  const ParsedFrame i8_frame = Parse(i8_put);
+  const ParsedFrame hit_frame = Parse(hit);
+  const CacheBodyView i8_body = ViewPut(i8_frame);
+  const CacheBodyView hit_body = ViewHit(hit_frame);
+  EXPECT_EQ(BodyBytes(hit_body), BodyBytes(i8_body));
+  EXPECT_EQ(hit_body.checksum, i8_body.checksum);
+  Matrix from_put;
+  Matrix from_hit;
+  DecodeBody(i8_body, &from_put);
+  DecodeBody(hit_body, &from_hit);
+  EXPECT_TRUE(MatricesEqual(from_hit, from_put));
 }
 
 TEST(CacheRpcWireTest, V3CacheFramesAreBadVersion) {
@@ -531,19 +619,24 @@ TEST(CacheRpcNodeTest, PutThenFetchHitsWithSameBytes) {
   const Matrix m = TestMatrix(8, 6, 4);
   const CacheKey key = TestKey();
 
-  InlineReply ack = node.Handle(Parse(EncodeCachePut(1, key, m)));
+  uint64_t sent = 0;
+  InlineReply ack =
+      Ask(node, EncodeCachePut(1, key, m, quant::Dtype::kF32, &sent));
   EXPECT_FALSE(ack.close_connection);
-  CacheHitBody ack_body;
-  std::string error;
-  ASSERT_TRUE(DecodeCacheHit(Parse(ack.frame), &ack_body, &error)) << error;
+  EXPECT_EQ(ack.frame, EncodeCachePutAck(1, key, sent));
+  const ParsedFrame ack_frame = Parse(ack.frame);
+  const CacheBodyView ack_body = ViewHit(ack_frame);
   EXPECT_FALSE(ack_body.has_payload());
-  EXPECT_EQ(ack_body.checksum,
-            EncodedChecksum(quant::Encode(m, quant::Dtype::kF32)));
+  EXPECT_EQ(ack_body.checksum, sent);
 
-  InlineReply hit = node.Handle(Parse(EncodeCacheFetch(2, key)));
-  CacheHitBody hit_body;
-  ASSERT_TRUE(DecodeCacheHit(Parse(hit.frame), &hit_body, &error)) << error;
-  EXPECT_TRUE(DecodedEqual(hit_body.data, m));
+  // Service() leaves a hit's stored body beside its head, for TcpServer
+  // to send without a copy.
+  const InlineReply served = node.Service()(Parse(EncodeCacheFetch(2, key)));
+  ASSERT_NE(served.body, nullptr);
+  EXPECT_EQ(served.frame.size(), kCacheHitHeadBytes);
+  EXPECT_EQ(*served.body, PutBody(m, quant::Dtype::kF32));
+  const ParsedFrame hit_frame = Parse(Whole(served).frame);
+  EXPECT_TRUE(DecodesTo(ViewHit(hit_frame), m));
 
   const CacheNodeStats stats = node.Stats();
   EXPECT_EQ(stats.puts, 1u);
@@ -554,7 +647,7 @@ TEST(CacheRpcNodeTest, PutThenFetchHitsWithSameBytes) {
 
 TEST(CacheRpcNodeTest, FetchMissForAbsentKey) {
   CacheNode node;
-  InlineReply reply = node.Handle(Parse(EncodeCacheFetch(1, TestKey())));
+  InlineReply reply = Ask(node, EncodeCacheFetch(1, TestKey()));
   CacheMissBody body;
   ASSERT_TRUE(DecodeCacheMiss(Parse(reply.frame), &body));
   EXPECT_EQ(body.key, TestKey());
@@ -565,7 +658,7 @@ TEST(CacheRpcNodeTest, CorruptedPutIsRejectedNotStored) {
   CacheNode node;
   std::vector<uint8_t> bytes = EncodeCachePut(1, TestKey(), TestMatrix(4, 4, 5));
   bytes.back() ^= 0x01;
-  InlineReply reply = node.Handle(Parse(bytes));
+  InlineReply reply = Ask(node, bytes);
   EXPECT_TRUE(reply.close_connection);
   WireErrorBody error_body;
   ASSERT_TRUE(DecodeError(Parse(reply.frame), &error_body));
@@ -578,7 +671,7 @@ TEST(CacheRpcNodeTest, CorruptedPutIsRejectedNotStored) {
 TEST(CacheRpcNodeTest, SubmitFrameIsWrongDirection) {
   CacheNode node;
   WireRequest request;
-  InlineReply reply = node.Handle(Parse(EncodeSubmit(1, request)));
+  InlineReply reply = Ask(node, EncodeSubmit(1, request));
   EXPECT_TRUE(reply.close_connection);
   WireErrorBody error_body;
   ASSERT_TRUE(DecodeError(Parse(reply.frame), &error_body));
@@ -590,11 +683,11 @@ TEST(CacheRpcNodeTest, LruEvictsUnderByteCap) {
   CacheNodeOptions options;
   options.max_bytes = 2 * m.bytes();
   CacheNode node(options);
-  node.Handle(Parse(EncodeCachePut(1, TestKey(1, 0, 0), m)));
-  node.Handle(Parse(EncodeCachePut(2, TestKey(2, 0, 0), m)));
+  Ask(node, EncodeCachePut(1, TestKey(1, 0, 0), m));
+  Ask(node, EncodeCachePut(2, TestKey(2, 0, 0), m));
   // Touch key 1 so key 2 is the LRU victim.
-  node.Handle(Parse(EncodeCacheFetch(3, TestKey(1, 0, 0))));
-  node.Handle(Parse(EncodeCachePut(4, TestKey(3, 0, 0), m)));
+  Ask(node, EncodeCacheFetch(3, TestKey(1, 0, 0)));
+  Ask(node, EncodeCachePut(4, TestKey(3, 0, 0), m));
   EXPECT_TRUE(node.Contains(TestKey(1, 0, 0)));
   EXPECT_FALSE(node.Contains(TestKey(2, 0, 0)));
   EXPECT_TRUE(node.Contains(TestKey(3, 0, 0)));
@@ -609,13 +702,13 @@ TEST(CacheRpcNodeTest, PutLargerThanTheCapIsRefusedWithoutEvicting) {
   CacheNodeOptions options;
   options.max_bytes = 2 * small.bytes();
   CacheNode node(options);
-  ASSERT_FALSE(node.Handle(Parse(EncodeCachePut(1, TestKey(1, 0, 0), small)))
+  ASSERT_FALSE(Ask(node, EncodeCachePut(1, TestKey(1, 0, 0), small))
                    .close_connection);
-  ASSERT_FALSE(node.Handle(Parse(EncodeCachePut(2, TestKey(2, 0, 0), small)))
+  ASSERT_FALSE(Ask(node, EncodeCachePut(2, TestKey(2, 0, 0), small))
                    .close_connection);
   // 256 bytes: more than the whole cap, even with every entry evicted.
-  const InlineReply reply = node.Handle(
-      Parse(EncodeCachePut(3, TestKey(3, 0, 0), TestMatrix(8, 8, 17))));
+  const InlineReply reply =
+      Ask(node, EncodeCachePut(3, TestKey(3, 0, 0), TestMatrix(8, 8, 17)));
   EXPECT_TRUE(reply.close_connection);
   WireErrorBody error_body;
   ASSERT_TRUE(DecodeError(Parse(reply.frame), &error_body));
@@ -636,21 +729,23 @@ TEST(CacheRpcNodeTest, PutLargerThanTheCapIsRefusedWithoutEvicting) {
 TEST(CacheRpcNodeTest, CompressedPutsRestAndServeEncoded) {
   CacheNode node;  // Default admission: staged, i.e. every encoding.
   const Matrix m = TestMatrix(8, 6, 12);
-  const quant::EncodedMatrix f16 = quant::Encode(m, quant::Dtype::kF16);
-  const quant::EncodedMatrix i8 = quant::Encode(m, quant::Dtype::kI8);
-  node.Handle(Parse(EncodeCachePut(1, TestKey(1, 0, 0), f16)));
-  node.Handle(Parse(EncodeCachePut(2, TestKey(2, 0, 0), i8)));
+  Ask(node, EncodeCachePut(1, TestKey(1, 0, 0), m, quant::Dtype::kF16,
+                           nullptr));
+  Ask(node, EncodeCachePut(2, TestKey(2, 0, 0), m, quant::Dtype::kI8,
+                           nullptr));
   const CacheNodeStats stats = node.Stats();
   EXPECT_EQ(stats.entries_f16, 1u);
   EXPECT_EQ(stats.entries_i8, 1u);
-  EXPECT_EQ(stats.resident_bytes, f16.StoredBytes() + i8.StoredBytes());
+  // Scale plus element bytes: 2 per f16 element; 1 per i8 element and one
+  // f32 scale per row.
+  EXPECT_EQ(stats.resident_bytes,
+            2 * m.size() + m.size() + static_cast<size_t>(m.rows()) * 4);
   // A fetch serves the entry exactly as it rests — same dtype, same bytes.
-  InlineReply hit = node.Handle(Parse(EncodeCacheFetch(3, TestKey(1, 0, 0))));
-  CacheHitBody body;
-  std::string error;
-  ASSERT_TRUE(DecodeCacheHit(Parse(hit.frame), &body, &error)) << error;
-  EXPECT_EQ(body.data.dtype, quant::Dtype::kF16);
-  EXPECT_EQ(body.data.payload, f16.payload);
+  InlineReply hit = Ask(node, EncodeCacheFetch(3, TestKey(1, 0, 0)));
+  const ParsedFrame frame = Parse(hit.frame);
+  const CacheBodyView body = ViewHit(frame);
+  EXPECT_EQ(body.dtype, quant::Dtype::kF16);
+  EXPECT_EQ(BodyBytes(body), PutBody(m, quant::Dtype::kF16));
 }
 
 TEST(CacheRpcNodeTest, LosslessAdmitRejectsCompressedPuts) {
@@ -658,8 +753,8 @@ TEST(CacheRpcNodeTest, LosslessAdmitRejectsCompressedPuts) {
   options.admit = quant::PrecisionMode::kLossless;
   CacheNode node(options);
   const Matrix m = TestMatrix(4, 4, 13);
-  InlineReply reply = node.Handle(Parse(
-      EncodeCachePut(1, TestKey(), quant::Encode(m, quant::Dtype::kF16))));
+  InlineReply reply = Ask(
+      node, EncodeCachePut(1, TestKey(), m, quant::Dtype::kF16, nullptr));
   EXPECT_TRUE(reply.close_connection);
   WireErrorBody error_body;
   ASSERT_TRUE(DecodeError(Parse(reply.frame), &error_body));
@@ -668,7 +763,7 @@ TEST(CacheRpcNodeTest, LosslessAdmitRejectsCompressedPuts) {
   EXPECT_FALSE(node.Contains(TestKey()));
   EXPECT_EQ(node.Stats().precision_rejects, 1u);
   // A lossless f32 put still lands on the same node.
-  InlineReply ack = node.Handle(Parse(EncodeCachePut(2, TestKey(), m)));
+  InlineReply ack = Ask(node, EncodeCachePut(2, TestKey(), m));
   EXPECT_FALSE(ack.close_connection);
   EXPECT_TRUE(node.Contains(TestKey()));
 }
@@ -680,9 +775,8 @@ TEST(CacheRpcNodeTest, ByteCapCountsCompressedBytes) {
   CacheNode node(options);
   // Four f16 entries fit where only two f32 entries would.
   for (int t = 0; t < 4; ++t) {
-    node.Handle(Parse(EncodeCachePut(static_cast<uint64_t>(t + 1),
-                                     TestKey(t, 0, 0),
-                                     quant::Encode(m, quant::Dtype::kF16))));
+    Ask(node, EncodeCachePut(static_cast<uint64_t>(t + 1), TestKey(t, 0, 0),
+                             m, quant::Dtype::kF16, nullptr));
   }
   EXPECT_EQ(node.Stats().entries, 4u);
   EXPECT_EQ(node.Stats().evictions, 0u);
@@ -706,9 +800,9 @@ TEST(CacheRpcNodeTest, QueuedHitSendsItsBytesAfterOverwriteAndEviction) {
   ASSERT_TRUE(server.Start());
   uint64_t original_sum = 0;
   {
-    const InlineReply ack =
-        node.Handle(Parse(EncodeCachePut(1, key, original, quant::Dtype::kF32,
-                                         &original_sum)));
+    const InlineReply ack = Ask(
+        node, EncodeCachePut(1, key, original, quant::Dtype::kF32,
+                             &original_sum));
     ASSERT_FALSE(ack.close_connection);
   }
 
@@ -768,11 +862,9 @@ TEST(CacheRpcNodeTest, QueuedHitSendsItsBytesAfterOverwriteAndEviction) {
         bytes.begin() + static_cast<ptrdiff_t>((i + 1) * frame_bytes));
     const ParsedFrame frame = Parse(one);
     EXPECT_EQ(frame.header.seq, static_cast<uint64_t>(100 + i));
-    CacheHitBody hit;
-    std::string error;
-    ASSERT_TRUE(DecodeCacheHit(frame, &hit, &error)) << error;
+    const CacheBodyView hit = ViewHit(frame);
     EXPECT_EQ(hit.checksum, original_sum);
-    EXPECT_TRUE(DecodedEqual(hit.data, original));
+    EXPECT_TRUE(DecodesTo(hit, original));
   }
   server.Stop();
 }
@@ -780,9 +872,9 @@ TEST(CacheRpcNodeTest, QueuedHitSendsItsBytesAfterOverwriteAndEviction) {
 TEST(CacheRpcNodeTest, MetricsJsonCarriesCounters) {
   CacheNode node;
   const Matrix m = TestMatrix(4, 4, 7);
-  node.Handle(Parse(EncodeCachePut(1, TestKey(), m)));
-  node.Handle(Parse(EncodeCacheFetch(2, TestKey())));
-  node.Handle(Parse(EncodeCacheFetch(3, TestKey(9, 9, 9))));
+  Ask(node, EncodeCachePut(1, TestKey(), m));
+  Ask(node, EncodeCacheFetch(2, TestKey()));
+  Ask(node, EncodeCacheFetch(3, TestKey(9, 9, 9)));
   const std::string json = node.MetricsJson();
   EXPECT_EQ(JsonCounter(json, "puts"), 1u);
   EXPECT_EQ(JsonCounter(json, "fetch_hits"), 1u);

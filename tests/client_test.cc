@@ -36,6 +36,7 @@
 #include "src/net/client.h"
 #include "src/net/socket_util.h"
 #include "src/net/tcp_server.h"
+#include "tests/cache_frames.h"
 #include "tests/wire_fuzz.h"
 
 namespace flashps::net {
@@ -234,9 +235,7 @@ TEST(ClientTest, HitSplitAtEveryByteBoundaryDecodesTheSameBits) {
     UniqueFd conn = AcceptTcp(listener.get());
     std::vector<uint8_t> fetch(fetch_bytes);
     for (const quant::Dtype dtype : dtypes) {
-      const quant::EncodedMatrix data = quant::Encode(stored, dtype);
-      const size_t frame_bytes =
-          EncodeCacheHit(0, CacheKey{}, 0, &data).size();
+      const size_t frame_bytes = NodeHit(0, CacheKey{}, stored, dtype).size();
       for (size_t k = 1; k < frame_bytes; ++k) {
         if (!ReadExactly(conn.get(), fetch.data(), fetch.size())) {
           return;
@@ -249,8 +248,8 @@ TEST(ClientTest, HitSplitAtEveryByteBoundaryDecodesTheSameBits) {
             !DecodeCacheFetch(frame, &body, nullptr)) {
           return;
         }
-        const std::vector<uint8_t> hit = EncodeCacheHit(
-            frame.header.seq, body.key, EncodedChecksum(data), &data);
+        const std::vector<uint8_t> hit =
+            NodeHit(frame.header.seq, body.key, stored, dtype);
         SendAll(conn.get(), hit.data(), k);
         std::this_thread::sleep_for(std::chrono::microseconds(500));
         SendAll(conn.get(), hit.data() + k, hit.size() - k);
@@ -262,8 +261,14 @@ TEST(ClientTest, HitSplitAtEveryByteBoundaryDecodesTheSameBits) {
   options.default_timeout = milliseconds(10000);
   Client client("127.0.0.1", port, options);
   for (const quant::Dtype dtype : dtypes) {
+    // The codec's round trip of `stored` at `dtype`.
+    std::vector<uint8_t> scales(quant::ScaleCount(dtype, stored.rows()) *
+                                sizeof(float));
+    std::vector<uint8_t> elements(stored.size() * quant::DtypeBytes(dtype));
+    quant::EncodeTo(stored, dtype, scales.data(), elements.data());
     Matrix expected;
-    ASSERT_TRUE(quant::Decode(quant::Encode(stored, dtype), &expected, nullptr));
+    quant::DecodeFrom(dtype, stored.rows(), stored.cols(), scales.data(),
+                      elements.data(), &expected);
     const size_t frame_bytes =
         kCacheHitHeadBytes + kMatrixHeaderBytes +
         quant::ScaleCount(dtype, stored.rows()) * sizeof(float) +
@@ -328,16 +333,20 @@ std::vector<uint8_t> AnyReply(uint64_t seq,
       return EncodeAuthOk(seq);
     case 3:
       return EncodeError(seq, WireError::kMalformedPayload, "spliced");
-    case 4: {
-      const quant::EncodedMatrix data = quant::Encode(
-          record.steps[0].y[static_cast<size_t>(key.block)],
-          quant::Dtype::kF32);
-      return EncodeCacheHit(seq, key, EncodedChecksum(data), &data);
-    }
+    case 4:
+      return NodeHit(seq, key,
+                     record.steps[0].y[static_cast<size_t>(key.block)],
+                     quant::Dtype::kF32);
     default:
       return EncodeCacheMiss(seq, key);
   }
 }
+
+// The key and checksum of a put the server saw, which its ack must echo.
+struct SeenPut {
+  CacheKey key;
+  uint64_t checksum = 0;
+};
 
 // One case's server side: answers every frame well-formed except the
 // `target`-th reply, which it mutates (and may hang up after), logging
@@ -350,7 +359,8 @@ struct FuzzServer {
     uint64_t seq = 1;
     for (int b = 0; b < kBlocks; ++b) {
       const CacheKey key{kResident, 0, b, kCacheKindY};
-      node.Handle(ParseOne(EncodeCachePut(seq++, key, record.steps[0].y[b])));
+      node.Service()(
+          ParseOne(EncodeCachePut(seq++, key, record.steps[0].y[b])));
     }
   }
 
@@ -374,12 +384,13 @@ struct FuzzServer {
                         : EncodeMetricsReport(seq, "{\"fuzz\":true}");
         break;
       default: {
-        CachePutBody put;
+        CacheBodyView put;
         if (frame.type() == FrameType::kCachePut &&
-            DecodeCachePut(frame, &put, nullptr)) {
-          puts_seen[seq] = put;
+            ViewCachePut(frame.payload.data(), frame.payload.size(), &put,
+                         nullptr)) {
+          puts_seen[seq] = SeenPut{put.key, put.checksum};
         }
-        out = node.Handle(frame);
+        out = Whole(node.Service()(frame));
         break;
       }
     }
@@ -405,14 +416,14 @@ struct FuzzServer {
   uint64_t target = 0;
   bool hang_up = false;
   uint64_t answered = 0;
-  std::map<uint64_t, CachePutBody> puts_seen;
+  std::map<uint64_t, SeenPut> puts_seen;
   std::vector<uint8_t> sent;
 };
 
 // True when, framed exactly as the client frames `stream`, the first
 // reply under each put's seq is a payload-less hit echoing that put's
 // key and checksum.
-bool EveryPutAcked(const std::map<uint64_t, CachePutBody>& puts,
+bool EveryPutAcked(const std::map<uint64_t, SeenPut>& puts,
                    const std::vector<uint8_t>& stream) {
   std::map<uint64_t, ParsedFrame> first;
   size_t offset = 0;
@@ -428,9 +439,11 @@ bool EveryPutAcked(const std::map<uint64_t, CachePutBody>& puts,
   }
   for (const auto& [seq, put] : puts) {
     auto it = first.find(seq);
-    CacheHitBody ack;
+    CacheBodyView ack;
     if (it == first.end() || it->second.type() != FrameType::kCacheHit ||
-        !DecodeCacheHit(it->second, &ack, nullptr) || ack.has_payload() ||
+        !ViewCacheHit(it->second.payload.data(), it->second.payload.size(),
+                      &ack, nullptr) ||
+        ack.has_payload() ||
         !(ack.key == put.key) || ack.checksum != put.checksum) {
       return false;
     }
@@ -562,7 +575,7 @@ TEST(ClientFuzzTest, DefectiveHitsFailTheFetchInFlight) {
       CacheNode node;
       uint64_t seq = 1;
       for (int b = 0; b < kBlocks; ++b) {
-        node.Handle(FuzzServer::ParseOne(EncodeCachePut(
+        node.Service()(FuzzServer::ParseOne(EncodeCachePut(
             seq++, CacheKey{kResident, 0, b, kCacheKindY},
             stored.steps[0].y[static_cast<size_t>(b)])));
       }
@@ -570,7 +583,7 @@ TEST(ClientFuzzTest, DefectiveHitsFailTheFetchInFlight) {
       // in it too; the target's hit is rewritten.
       std::vector<uint8_t> previous_hit;
       TcpServer server([&](const ParsedFrame& frame) {
-        InlineReply reply = node.Handle(frame);
+        InlineReply reply = Whole(node.Service()(frame));
         CacheFetchBody fetch;
         if (frame.type() != FrameType::kCacheFetch ||
             !DecodeCacheFetch(frame, &fetch, nullptr)) {

@@ -22,6 +22,7 @@
 #include "src/common/rng.h"
 #include "src/tensor/matrix.h"
 #include "src/tensor/naive.h"
+#include "tests/row_gemm.h"
 
 namespace flashps {
 namespace {
@@ -249,9 +250,9 @@ TEST(KernelEquivalenceTest, RowSubsetsMatchTheDenseProductBitwise) {
       rows.push_back((i * 37) % 150);  // Distinct: 37 and 150 are coprime.
     }
     std::sort(rows.begin(), rows.end());
-    const Matrix gathered = MatMulRows(a, b, rows);
+    const Matrix gathered = GatherGemm(a, b, rows);
     Matrix scattered(150, 80);
-    MatMulScatterRows(GatherRows(a, rows), b, rows, scattered);
+    ScatterGemm(GatherRows(a, rows), b, rows, scattered);
     for (size_t i = 0; i < rows.size(); ++i) {
       const int r = rows[i];
       EXPECT_EQ(std::memcmp(gathered.row(static_cast<int>(i)), dense.row(r),

@@ -1,8 +1,10 @@
-// Properties of the multi-precision activation codec (src/tensor/quant):
-// f32 is bitwise, f16 is IEEE round-to-nearest-even with exhaustively
-// verified bit patterns, int8 honours its per-row half-scale error bound,
-// degenerate shapes survive every dtype, and the strict decoder rejects
-// every malformed dtype/length combination it is shown.
+// Properties of the multi-precision activation codec (src/tensor/quant),
+// through its wire-form entries EncodeTo / DecodeFrom: f32 is bitwise,
+// f16 is IEEE round-to-nearest-even with exhaustively verified bit
+// patterns, int8 honours its per-row half-scale error bound, and
+// degenerate shapes survive every dtype. (The wire decoders that reject
+// malformed dtype/length combinations before DecodeFrom sees them are
+// tested in tests/cache_rpc_test.cc.)
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -27,6 +29,39 @@ uint32_t FloatToBits(float f) {
   uint32_t bits;
   std::memcpy(&bits, &f, sizeof(bits));
   return bits;
+}
+
+// A matrix in its one encoded form, the wire form EncodeTo() writes: each
+// row's scale as little-endian f32 bits (kI8 only), then the elements.
+struct WireForm {
+  std::vector<uint8_t> scales;
+  std::vector<uint8_t> elements;
+
+  size_t StoredBytes() const { return scales.size() + elements.size(); }
+  float Scale(int row) const {
+    uint32_t bits = 0;
+    for (size_t b = 0; b < 4; ++b) {
+      bits |= static_cast<uint32_t>(scales[static_cast<size_t>(row) * 4 + b])
+              << (8 * b);
+    }
+    float f;
+    std::memcpy(&f, &bits, sizeof(f));
+    return f;
+  }
+};
+
+WireForm EncodeWire(const Matrix& m, Dtype dtype) {
+  WireForm w;
+  w.scales.resize(ScaleCount(dtype, m.rows()) * sizeof(float));
+  w.elements.resize(m.size() * DtypeBytes(dtype));
+  EncodeTo(m, dtype, w.scales.data(), w.elements.data());
+  return w;
+}
+
+Matrix DecodeWire(const WireForm& w, Dtype dtype, int rows, int cols) {
+  Matrix out;
+  DecodeFrom(dtype, rows, cols, w.scales.data(), w.elements.data(), &out);
+  return out;
 }
 
 // --- f16 conversion -------------------------------------------------------
@@ -85,7 +120,7 @@ TEST(QuantF16Test, RelativeErrorBoundedForNormals) {
   }
 }
 
-// --- Encode/Decode round trips --------------------------------------------
+// --- EncodeTo/DecodeFrom round trips --------------------------------------
 
 TEST(QuantCodecTest, F32RoundTripIsBitwise) {
   Matrix m = TestMatrix(7, 5, 22);
@@ -93,11 +128,10 @@ TEST(QuantCodecTest, F32RoundTripIsBitwise) {
   m.data()[0] = -0.0f;
   m.data()[1] = std::numeric_limits<float>::denorm_min();
   m.data()[2] = -std::numeric_limits<float>::max();
-  const EncodedMatrix encoded = Encode(m, Dtype::kF32);
+  const WireForm encoded = EncodeWire(m, Dtype::kF32);
   EXPECT_EQ(encoded.StoredBytes(), m.bytes());
   EXPECT_TRUE(encoded.scales.empty());
-  Matrix back;
-  ASSERT_TRUE(Decode(encoded, &back, nullptr));
+  const Matrix back = DecodeWire(encoded, Dtype::kF32, m.rows(), m.cols());
   ASSERT_EQ(back.rows(), m.rows());
   ASSERT_EQ(back.cols(), m.cols());
   for (size_t i = 0; i < m.size(); ++i) {
@@ -109,16 +143,15 @@ TEST(QuantCodecTest, F32EncodesLittleEndianBytes) {
   // The wire order, whatever the host's: 1.0f is 0x3f800000.
   Matrix m(1, 1);
   m.data()[0] = 1.0f;
-  const EncodedMatrix encoded = Encode(m, Dtype::kF32);
-  EXPECT_EQ(encoded.payload, (std::vector<uint8_t>{0x00, 0x00, 0x80, 0x3f}));
+  const WireForm encoded = EncodeWire(m, Dtype::kF32);
+  EXPECT_EQ(encoded.elements, (std::vector<uint8_t>{0x00, 0x00, 0x80, 0x3f}));
 }
 
 TEST(QuantCodecTest, F16RoundTripHalvesBytes) {
   const Matrix m = TestMatrix(9, 6, 23);
-  const EncodedMatrix encoded = Encode(m, Dtype::kF16);
+  const WireForm encoded = EncodeWire(m, Dtype::kF16);
   EXPECT_EQ(encoded.StoredBytes(), m.bytes() / 2);
-  Matrix back;
-  ASSERT_TRUE(Decode(encoded, &back, nullptr));
+  const Matrix back = DecodeWire(encoded, Dtype::kF16, m.rows(), m.cols());
   for (size_t i = 0; i < m.size(); ++i) {
     EXPECT_EQ(back.data()[i], F16ToF32(F32ToF16(m.data()[i]))) << i;
   }
@@ -136,21 +169,19 @@ TEST(QuantCodecTest, I8RoundTripHonoursPerRowErrorBound) {
           row_scale * static_cast<float>(rng.Uniform(-0.5, 0.5));
     }
   }
-  const EncodedMatrix encoded = Encode(m, Dtype::kI8);
+  const WireForm encoded = EncodeWire(m, Dtype::kI8);
   EXPECT_EQ(encoded.StoredBytes(),
             m.size() + static_cast<size_t>(m.rows()) * sizeof(float));
-  ASSERT_EQ(encoded.scales.size(), static_cast<size_t>(m.rows()));
-  Matrix back;
-  ASSERT_TRUE(Decode(encoded, &back, nullptr));
+  ASSERT_EQ(encoded.scales.size(), static_cast<size_t>(m.rows()) * 4);
+  const Matrix back = DecodeWire(encoded, Dtype::kI8, m.rows(), m.cols());
   for (int r = 0; r < m.rows(); ++r) {
     float max_abs = 0.0f;
     for (int c = 0; c < m.cols(); ++c) {
       max_abs = std::max(max_abs, std::abs(m.at(r, c)));
     }
-    const float bound = encoded.scales[static_cast<size_t>(r)] * 0.5f;
+    const float bound = encoded.Scale(r) * 0.5f;
     EXPECT_GE(bound, 0.0f);
-    EXPECT_LE(encoded.scales[static_cast<size_t>(r)] * 127.0f,
-              max_abs * 1.0001f);
+    EXPECT_LE(encoded.Scale(r) * 127.0f, max_abs * 1.0001f);
     for (int c = 0; c < m.cols(); ++c) {
       EXPECT_LE(std::abs(back.at(r, c) - m.at(r, c)), bound + 1e-12f)
           << r << "," << c;
@@ -161,10 +192,9 @@ TEST(QuantCodecTest, I8RoundTripHonoursPerRowErrorBound) {
 TEST(QuantCodecTest, I8AllZeroRowEncodesToZeros) {
   Matrix m(2, 8);  // Zero-initialised.
   m.at(1, 3) = 0.5f;  // One live row, one all-zero row.
-  const EncodedMatrix encoded = Encode(m, Dtype::kI8);
-  EXPECT_EQ(encoded.scales[0], 0.0f);
-  Matrix back;
-  ASSERT_TRUE(Decode(encoded, &back, nullptr));
+  const WireForm encoded = EncodeWire(m, Dtype::kI8);
+  EXPECT_EQ(encoded.Scale(0), 0.0f);
+  const Matrix back = DecodeWire(encoded, Dtype::kI8, m.rows(), m.cols());
   for (int c = 0; c < m.cols(); ++c) {
     EXPECT_EQ(back.at(0, c), 0.0f);
   }
@@ -175,50 +205,14 @@ TEST(QuantCodecTest, DegenerateShapesSurviveEveryDtype) {
   for (const Dtype dtype : {Dtype::kF32, Dtype::kF16, Dtype::kI8}) {
     for (const auto& [rows, cols] :
          std::vector<std::pair<int, int>>{{0, 0}, {1, 1}, {1, 7}, {5, 1}}) {
+      SCOPED_TRACE(testing::Message() << ToString(dtype) << " " << rows << "x"
+                                      << cols);
       const Matrix m = TestMatrix(rows, cols, 25);
-      const EncodedMatrix encoded = Encode(m, dtype);
-      Matrix back;
-      std::string error;
-      ASSERT_TRUE(Decode(encoded, &back, &error))
-          << ToString(dtype) << " " << rows << "x" << cols << ": " << error;
+      const Matrix back = DecodeWire(EncodeWire(m, dtype), dtype, rows, cols);
       EXPECT_EQ(back.rows(), rows);
       EXPECT_EQ(back.cols(), cols);
     }
   }
-}
-
-// --- strict decoding ------------------------------------------------------
-
-TEST(QuantCodecTest, DecodeRejectsMalformedCombinations) {
-  const Matrix m = TestMatrix(3, 4, 26);
-  Matrix out;
-  std::string error;
-
-  EncodedMatrix bad = Encode(m, Dtype::kF32);
-  bad.payload.pop_back();  // Payload short for the declared shape.
-  EXPECT_FALSE(Decode(bad, &out, &error));
-
-  bad = Encode(m, Dtype::kF16);
-  bad.payload.push_back(0);  // Payload long for the declared shape.
-  EXPECT_FALSE(Decode(bad, &out, &error));
-
-  bad = Encode(m, Dtype::kI8);
-  bad.scales.pop_back();  // One scale per row or nothing.
-  EXPECT_FALSE(Decode(bad, &out, &error));
-
-  bad = Encode(m, Dtype::kF32);
-  bad.scales.push_back(1.0f);  // f32 declares no scales.
-  EXPECT_FALSE(Decode(bad, &out, &error));
-
-  bad = Encode(m, Dtype::kF32);
-  bad.rows = -1;
-  EXPECT_FALSE(Decode(bad, &out, &error));
-
-  bad = Encode(m, Dtype::kF32);
-  bad.dtype = static_cast<Dtype>(7);
-  EXPECT_FALSE(Decode(bad, &out, &error));
-  EXPECT_FALSE(ValidDtypeTag(7));
-  EXPECT_TRUE(ValidDtypeTag(0));
 }
 
 // --- policy ---------------------------------------------------------------

@@ -150,6 +150,41 @@ TEST_F(OnlineServerTest, MaskAwareOutputMatchesOfflineEngine) {
   EXPECT_DOUBLE_EQ(MeanAbsDiff(response.image, offline), 0.0);
 }
 
+TEST_F(OnlineServerTest, MaskAwareMatchesReferenceImages) {
+  // One session served twice: mask-aware, and by full computation
+  // (Diffusers-equivalent). Every mask-aware image must stay close to
+  // its reference.
+  OnlineServer::Options options;
+  OnlineServer::Options reference_options;
+  reference_options.mask_aware = false;
+  const model::NumericsConfig& numerics = options.numerics;
+  Rng rng(5);
+  std::vector<OnlineRequest> session;
+  for (int i = 0; i < 4; ++i) {
+    OnlineRequest r;
+    r.template_id = i % 3;
+    r.mask = trace::GenerateBlobMask(numerics.grid_h, numerics.grid_w,
+                                     0.1 + 0.3 * rng.NextDouble(), rng);
+    r.prompt_seed = 100 + static_cast<uint64_t>(i);
+    session.push_back(std::move(r));
+    rng.Exponential(1.0);  // An arrival gap: the next mask's draws follow it.
+  }
+  OnlineServer flash(options);
+  OnlineServer reference(reference_options);
+  std::vector<std::future<OnlineResponse>> fast;
+  std::vector<std::future<OnlineResponse>> exact;
+  for (const OnlineRequest& r : session) {
+    fast.push_back(flash.Submit(r));
+    exact.push_back(reference.Submit(r));
+  }
+  for (size_t i = 0; i < session.size(); ++i) {
+    const Matrix image = fast[i].get().image;
+    EXPECT_GT(quality::Ssim(image, exact[i].get().image), 0.85) << i;
+  }
+  flash.Stop();
+  reference.Stop();
+}
+
 TEST_F(OnlineServerTest, NonDisaggregatedAndFullComputeModes) {
   OnlineServer::Options options;
   options.disaggregate = false;

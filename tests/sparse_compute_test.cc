@@ -17,6 +17,7 @@
 #include "src/model/transformer.h"
 #include "src/tensor/matrix.h"
 #include "src/tensor/naive.h"
+#include "tests/row_gemm.h"
 
 namespace flashps {
 namespace {
@@ -76,7 +77,7 @@ TEST(SparseComputeKernelTest, MatMulRowsMatchesGatherThenMatMul) {
       const Matrix dense = MatMul(a, b);
       for (const double ratio : {0.1, 0.5, 0.9}) {
         const std::vector<int> rows = RandomRows(m, ratio, rng);
-        const Matrix got = MatMulRows(a, b, rows);
+        const Matrix got = GatherGemm(a, b, rows);
         ASSERT_EQ(got.rows(), static_cast<int>(rows.size()));
         for (size_t i = 0; i < rows.size(); ++i) {
           for (int j = 0; j < dense.cols(); ++j) {
@@ -106,7 +107,7 @@ TEST(SparseComputeKernelTest, MatMulScatterRowsMatchesDenseThenMask) {
         RandomMatrix(m, n, 41 * static_cast<uint64_t>(trial) + 3);
 
     Matrix out = cached;
-    MatMulScatterRows(panel, b, rows, out);
+    ScatterGemm(panel, b, rows, out);
 
     const Matrix dense = MatMul(x, b);
     std::vector<bool> written(static_cast<size_t>(m), false);
@@ -129,7 +130,7 @@ TEST(SparseComputeKernelTest, EmptyFullAndSingleRowSubsets) {
   const Matrix b = RandomMatrix(20, 16, 8);
   const Matrix dense = MatMul(a, b);
 
-  const Matrix empty = MatMulRows(a, b, {});
+  const Matrix empty = GatherGemm(a, b, {});
   EXPECT_EQ(empty.rows(), 0);
   EXPECT_EQ(empty.cols(), 16);
 
@@ -137,10 +138,10 @@ TEST(SparseComputeKernelTest, EmptyFullAndSingleRowSubsets) {
   for (int i = 0; i < 33; ++i) {
     all[static_cast<size_t>(i)] = i;
   }
-  EXPECT_TRUE(BitwiseEqual(MatMulRows(a, b, all), dense));
+  EXPECT_TRUE(BitwiseEqual(GatherGemm(a, b, all), dense));
 
   for (const int r : {0, 17, 32}) {
-    const Matrix one = MatMulRows(a, b, {r});
+    const Matrix one = GatherGemm(a, b, {r});
     ASSERT_EQ(one.rows(), 1);
     for (int j = 0; j < 16; ++j) {
       EXPECT_EQ(one.at(0, j), dense.at(r, j));
@@ -150,7 +151,7 @@ TEST(SparseComputeKernelTest, EmptyFullAndSingleRowSubsets) {
   // Scatter with an empty panel must leave the output untouched.
   Matrix out = RandomMatrix(33, 16, 9);
   const Matrix before = out;
-  MatMulScatterRows(Matrix(0, 20), b, {}, out);
+  ScatterGemm(Matrix(0, 20), b, {}, out);
   EXPECT_TRUE(BitwiseEqual(out, before));
 }
 
@@ -166,15 +167,15 @@ TEST(SparseComputeKernelTest, ThreadCountInvariance) {
   Matrix serial_gather, serial_scatter;
   {
     ComputeThreadsScope scope(1);
-    serial_gather = MatMulRows(a, b, rows);
+    serial_gather = GatherGemm(a, b, rows);
     serial_scatter = prefill;
-    MatMulScatterRows(panel, b, rows, serial_scatter);
+    ScatterGemm(panel, b, rows, serial_scatter);
   }
   for (const int threads : {2, 5, 8}) {
     ComputeThreadsScope scope(threads);
-    const Matrix gather = MatMulRows(a, b, rows);
+    const Matrix gather = GatherGemm(a, b, rows);
     Matrix scatter = prefill;
-    MatMulScatterRows(panel, b, rows, scatter);
+    ScatterGemm(panel, b, rows, scatter);
     EXPECT_TRUE(BitwiseEqual(gather, serial_gather)) << threads << " threads";
     EXPECT_TRUE(BitwiseEqual(scatter, serial_scatter)) << threads << " threads";
   }
@@ -188,7 +189,7 @@ TEST(SparseComputeKernelTest, MatchesNaiveReferenceWithinTolerance) {
   const Matrix b = RandomMatrix(100, 64, 22);
   Rng rng(23);
   const std::vector<int> rows = RandomRows(120, 0.3, rng);
-  const Matrix got = MatMulRows(a, b, rows);
+  const Matrix got = GatherGemm(a, b, rows);
   const Matrix want = naive::MatMul(GatherRows(a, rows), b);
   ASSERT_EQ(got.rows(), want.rows());
   for (int r = 0; r < got.rows(); ++r) {
