@@ -262,7 +262,7 @@ int main(int argc, char** argv) {
   // --- prefetch leg: same trace, queue-ahead pipeline on -----------------
   //
   // The driver hints trace[i+1 .. i+W] before consuming trace[i], the way
-  // the gateway hints queued requests ahead of admission; the background
+  // a worker hints each request it queues ahead of admission; the background
   // workers overlap those whole-record fetches with the foreground's
   // consumption. Foreground stalls (ladder trips: remote fetches and
   // fallbacks) after the warmup quarter gauge the steady state — a
@@ -300,7 +300,7 @@ int main(int argc, char** argv) {
     uint64_t stalls_at_warmup = 0;
     const auto start = Clock::now();
     for (int j = 0; j < trace_len; ++j) {
-      // Re-hint the whole lookahead window every step (the gateway hints
+      // Re-hint the whole lookahead window every step (a worker hints
       // every submitted request the same way): issue-time dedup makes the
       // repeats free, and a record an undersized front evicted after its
       // first hint gets re-fetched before its request arrives instead of

@@ -9,11 +9,13 @@
 // BENCH_gateway.json behind the host header every measured artifact
 // opens with.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -264,12 +266,14 @@ gateway::MetricsSnapshot RunPolicy(sched::RoutePolicy policy,
   options.policy = policy;
   gateway::Gateway gw(options);
   Rng rng(kMaskSeed);
-  gw.ResetArrivalEpoch();
+  const auto epoch = std::chrono::steady_clock::now();
   for (const auto& r : requests) {
     runtime::OnlineRequest online =
         gateway::MakeOnlineRequest(r, options.worker.numerics, rng);
     online.slo = Duration::Seconds(slo_mult * cal.SoloMsFor(r) / 1000.0);
-    gw.SubmitAt(std::move(online), r.arrival - TimePoint());
+    std::this_thread::sleep_until(epoch +
+                                  std::chrono::microseconds(r.arrival.micros()));
+    gw.Submit(std::move(online));
   }
   gw.Drain();
   gateway::MetricsSnapshot metrics = gw.Metrics();

@@ -3,7 +3,9 @@
 // prints per-policy latency percentiles and SLO attainment; phase 2 shows
 // admission control rejecting an infeasible SLO up front instead of
 // queueing doomed work.
+#include <chrono>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "src/gateway/gateway.h"
@@ -24,6 +26,20 @@ gateway::GatewayOptions MakeOptions(sched::RoutePolicy policy) {
   return options;
 }
 
+// Replays `burst` open-loop: sleeps until each arrival, then submits it
+// with a blob mask drawn from one seeded stream.
+void Replay(gateway::Gateway& gw, const std::vector<trace::Request>& burst) {
+  Rng rng(/*seed=*/5);
+  const auto epoch = std::chrono::steady_clock::now();
+  for (const auto& r : burst) {
+    runtime::OnlineRequest request =
+        gateway::MakeOnlineRequest(r, gw.options().worker.numerics, rng);
+    std::this_thread::sleep_until(epoch +
+                                  std::chrono::microseconds(r.arrival.micros()));
+    gw.Submit(std::move(request));
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -42,7 +58,7 @@ int main() {
        {sched::RoutePolicy::kRoundRobin, sched::RoutePolicy::kRequestCount,
         sched::RoutePolicy::kTokenCount, sched::RoutePolicy::kMaskAware}) {
     gateway::Gateway gw(MakeOptions(policy));
-    gw.ReplayTrace(burst, /*mask_seed=*/5);
+    Replay(gw, burst);
     gw.Drain();
     const gateway::MetricsSnapshot m = gw.Metrics();
     gw.Stop();
@@ -57,7 +73,7 @@ int main() {
   strict.slo = Duration::Millis(1);
   strict.admission_control = true;
   gateway::Gateway gw(strict);
-  gw.ReplayTrace(burst, /*mask_seed=*/5);
+  Replay(gw, burst);
   gw.Drain();
   const gateway::MetricsSnapshot m = gw.Metrics();
   std::printf("\nadmission control at a 1 ms SLO: %llu submitted, %llu "

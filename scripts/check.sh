@@ -30,7 +30,8 @@
 #                                       # tiny iterations (numbers are not
 #                                       # meaningful; catches bit-rot in the
 #                                       # bench-only code paths) and the
-#                                       # virtual_tryon example
+#                                       # virtual_tryon and gateway_serving
+#                                       # examples
 #   scripts/check.sh --filter <regex>   # restrict every ctest leg to tests
 #                                       # matching <regex> (replaces the
 #                                       # sanitizer legs' default regexes)
@@ -116,7 +117,8 @@ done
 # drivers) that ctest never executes. Then the virtual try-on example
 # (under a second): it serves one session mask-aware and by full compute
 # through runtime::OnlineServer and exits non-zero when an edit's SSIM
-# falls to 0.85.
+# falls to 0.85. Then gateway_serving (~10 s): it paces an open-loop
+# burst through the gateway under each routing policy.
 if [[ "${bench_smoke}" -eq 1 ]]; then
   echo "== bench smoke: every bench binary, tiny iterations =="
   smoke_dir="$(mktemp -d)"
@@ -131,9 +133,11 @@ if [[ "${bench_smoke}" -eq 1 ]]; then
     echo "-- ${name} ${args[*]-}"
     (cd "${smoke_dir}" && "${bin}" ${args[@]+"${args[@]}"} >/dev/null)
   done
-  echo "-- examples/virtual_tryon"
-  (cd "${smoke_dir}" && "${repo}/build/examples/virtual_tryon" >/dev/null)
-  echo "== bench smoke: all bench binaries and virtual_tryon ran clean =="
+  for example in virtual_tryon gateway_serving; do
+    echo "-- examples/${example}"
+    (cd "${smoke_dir}" && "${repo}/build/examples/${example}" >/dev/null)
+  done
+  echo "== bench smoke: all bench binaries and examples ran clean =="
 fi
 
 if [[ "${fast}" -eq 1 ]]; then

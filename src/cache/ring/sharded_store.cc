@@ -238,7 +238,7 @@ ShardedRemoteStore::RingFetchResult ShardedRemoteStore::RingFetch(
   // replica that missed, so the next fetch for this template hits its
   // primary again. Best effort — a failed repair only counts against the
   // target's circuit.
-  if (result.record != nullptr && options_.read_repair) {
+  if (result.record != nullptr) {
     for (int idx : result.missed) {
       const size_t member = static_cast<size_t>(idx);
       net::ClientPool::Lease lease = members_[member].pool->Checkout();
@@ -330,9 +330,7 @@ ShardedRemoteStore::FetchOrRegister(const model::DiffusionModel& m,
   auto record = std::make_shared<model::ActivationRecord>(
       m.Register(template_id, record_kv));
   if (fetched.reachable > 0) {
-    if (options_.put_on_miss) {
-      Replicate(template_id, *record);
-    }
+    Replicate(template_id, *record);
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.remote_misses;
     ++stats_.local_registrations;

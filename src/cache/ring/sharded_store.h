@@ -132,16 +132,12 @@ struct ShardedStoreOptions {
   // keeps serving its own ranges.
   int max_consecutive_failures = 3;
   std::chrono::milliseconds degrade_cooldown{1000};
-  // Publish locally registered records to the replica set on a miss.
-  bool put_on_miss = true;
   // Encoding policy for replica publishes and read repairs
   // (--cache-precision): lossless keeps every cached byte bitwise-exact;
   // fp16/staged shrink wire frames and node residency at a quality-gated
   // precision cost. Fetches are self-describing, so this only shapes what
   // THIS store publishes.
   quant::PrecisionMode precision = quant::PrecisionMode::kLossless;
-  // Back-fill earlier replicas that missed when a later one hits.
-  bool read_repair = true;
   // Async prefetch pipeline (0 disables; Prefetch() becomes a no-op).
   int prefetch_workers = 0;
   size_t prefetch_queue_cap = 64;

@@ -73,6 +73,7 @@ void FedGateway::Start() {
     std::lock_guard<std::mutex> lock(mu_);
     queues_.resize(registry_.size());
     inflight_.resize(registry_.size());
+    queue_cv_ = std::vector<std::condition_variable>(registry_.size());
   }
   registry_.Start();
   const int conns = std::max(1, options_.connections_per_node);
@@ -93,7 +94,7 @@ void FedGateway::StopAccepting() {
 
 bool FedGateway::Drain(std::chrono::milliseconds timeout) {
   std::unique_lock<std::mutex> lock(mu_);
-  return cv_.wait_for(lock, timeout, [this] {
+  return drained_cv_.wait_for(lock, timeout, [this] {
     if (!parked_.empty()) {
       return false;
     }
@@ -116,7 +117,9 @@ void FedGateway::Stop() {
     std::lock_guard<std::mutex> lock(mu_);
     stopped_ = true;
   }
-  cv_.notify_all();
+  for (std::condition_variable& cv : queue_cv_) {
+    cv.notify_all();
+  }
   for (std::thread& t : dispatchers_) {
     if (t.joinable()) {
       t.join();
@@ -137,7 +140,7 @@ void FedGateway::Stop() {
     }
     parked_.clear();
   }
-  cv_.notify_all();
+  drained_cv_.notify_all();
 }
 
 net::WireSubmission FedGateway::Submit(net::WireRequest request) {
@@ -159,7 +162,6 @@ net::WireSubmission FedGateway::Submit(net::WireRequest request) {
     ++submitted_;
     node = RouteTicketLocked(ticket, /*exclude=*/-1);
   }
-  cv_.notify_all();
   net::WireSubmission sub;
   sub.status = gateway::SubmitStatus::kAccepted;
   sub.worker_id = node;  // -1 while parked; the reply carries the truth.
@@ -214,6 +216,7 @@ int FedGateway::RouteTicketLocked(const TicketPtr& ticket, int exclude) {
   }
   ticket->node = node;
   queues_[static_cast<size_t>(node)].push_back(ticket);
+  queue_cv_[static_cast<size_t>(node)].notify_one();
   registry_.NoteDispatched(node);
   return node;
 }
@@ -233,6 +236,7 @@ void FedGateway::Resolve(const TicketPtr& ticket,
   if (ticket->request.notify_ready) {
     ticket->request.notify_ready();
   }
+  drained_cv_.notify_all();
 }
 
 void FedGateway::DispatcherLoop(int node) {
@@ -248,7 +252,7 @@ void FedGateway::DispatcherLoop(int node) {
     TicketPtr ticket;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] {
+      queue_cv_[static_cast<size_t>(node)].wait(lock, [&] {
         return stopped_ || !queues_[static_cast<size_t>(node)].empty();
       });
       if (stopped_) {
@@ -282,7 +286,6 @@ void FedGateway::DispatcherLoop(int node) {
           RouteTicketLocked(ticket, /*exclude=*/node);
         }
       }
-      cv_.notify_all();
       continue;
     }
 
@@ -304,42 +307,35 @@ void FedGateway::DispatcherLoop(int node) {
       }
       Resolve(ticket, response);
     }
-    cv_.notify_all();
   }
 }
 
 void FedGateway::OnNodeDead(int node) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (node < 0 || node >= static_cast<int>(queues_.size())) {
-      return;
-    }
-    // Re-route the dead node's whole queue at once. Its in-flight calls
-    // resolve through their dispatchers' transport failures.
-    std::deque<TicketPtr> orphans;
-    orphans.swap(queues_[static_cast<size_t>(node)]);
-    for (const TicketPtr& ticket : orphans) {
-      ++redispatched_;
-      registry_.NoteRedispatched(node);
-      RouteTicketLocked(ticket, /*exclude=*/node);
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (node < 0 || node >= static_cast<int>(queues_.size())) {
+    return;
   }
-  cv_.notify_all();
+  // Re-route the dead node's whole queue at once. Its in-flight calls
+  // resolve through their dispatchers' transport failures.
+  std::deque<TicketPtr> orphans;
+  orphans.swap(queues_[static_cast<size_t>(node)]);
+  for (const TicketPtr& ticket : orphans) {
+    ++redispatched_;
+    registry_.NoteRedispatched(node);
+    RouteTicketLocked(ticket, /*exclude=*/node);
+  }
 }
 
 void FedGateway::OnNodeAlive(int node) {
   (void)node;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Flush the parked queue; anything still unroutable parks again
-    // (swap first, so a re-park cannot loop).
-    std::deque<TicketPtr> parked;
-    parked.swap(parked_);
-    for (const TicketPtr& ticket : parked) {
-      RouteTicketLocked(ticket, /*exclude=*/-1);
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  // Flush the parked queue; anything still unroutable parks again
+  // (swap first, so a re-park cannot loop).
+  std::deque<TicketPtr> parked;
+  parked.swap(parked_);
+  for (const TicketPtr& ticket : parked) {
+    RouteTicketLocked(ticket, /*exclude=*/-1);
   }
-  cv_.notify_all();
 }
 
 FedGateway::Stats FedGateway::stats() const {

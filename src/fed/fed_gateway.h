@@ -128,8 +128,9 @@ class FedGateway : public net::WireFrontend {
   };
   using TicketPtr = std::shared_ptr<Ticket>;
 
-  // Routes `ticket` to a node queue (or parks it). `exclude` = node index
-  // to skip (the one that just failed), or -1. Caller holds mu_.
+  // Routes `ticket` to a node queue, waking one of that node's
+  // dispatchers, or parks it. `exclude` = node index to skip (the one that
+  // just failed), or -1. Caller holds mu_.
   int RouteTicketLocked(const TicketPtr& ticket, int exclude);
   // Builds the router's fleet view from the registry plus this
   // federation's own outstanding tickets. Caller holds mu_.
@@ -137,9 +138,8 @@ class FedGateway : public net::WireFrontend {
   // Resolves a ticket with a terminal transport failure. Caller holds mu_.
   void FailTicketLocked(const TicketPtr& ticket);
   // Sets the ticket's reply, then calls its request's notify_ready so the
-  // front TcpServer replies at once. Caller holds mu_.
-  static void Resolve(const TicketPtr& ticket,
-                      const net::WireResponse& response);
+  // front TcpServer replies at once, and wakes Drain(). Caller holds mu_.
+  void Resolve(const TicketPtr& ticket, const net::WireResponse& response);
   void DispatcherLoop(int node);
   void OnNodeDead(int node);
   void OnNodeAlive(int node);
@@ -149,10 +149,14 @@ class FedGateway : public net::WireFrontend {
   NodeRegistry registry_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   FedRouter router_;
   std::vector<std::deque<TicketPtr>> queues_;       // Per node.
   std::vector<std::map<uint64_t, TicketPtr>> inflight_;  // Per node.
+  // Per node: its dispatchers wait here for a ticket in its queue, so a
+  // routed ticket wakes one dispatcher of its own node.
+  std::vector<std::condition_variable> queue_cv_;
+  // Drain() waits here; every resolved ticket and Stop() signal it.
+  std::condition_variable drained_cv_;
   std::deque<TicketPtr> parked_;
   uint64_t next_id_ = 1;
   bool draining_ = false;

@@ -15,15 +15,13 @@ AdmissionController::Verdict AdmissionController::Evaluate(
   Verdict verdict;
 
   size_t total_waiting = 0;
-  double best_model_s = std::numeric_limits<double>::max();
+  double best_s = std::numeric_limits<double>::max();
   for (const auto& status : statuses) {
     total_waiting += status.waiting_ratios.size();
-    best_model_s = std::min(
-        best_model_s, sched::EstimateDrainSeconds(latency_model_, request, status));
+    best_s = std::min(
+        best_s, sched::EstimateDrainSeconds(latency_model_, request, status));
   }
-  verdict.estimated_wall_s =
-      statuses.empty() ? 0.0
-                       : best_model_s * options_.wall_seconds_per_model_second;
+  verdict.estimated_wall_s = statuses.empty() ? 0.0 : best_s;
 
   if (budget_s.has_value()) {
     // A request with a deadline is admitted iff the best worker's estimated

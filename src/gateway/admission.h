@@ -4,14 +4,13 @@
 // whether any worker can plausibly finish it inside its deadline. The
 // estimate reuses the scheduler's regression latency model (the same
 // Algorithm 1/2 machinery that drives mask-aware routing): the best-case
-// drain time over all workers. With a wall-clock-profiled model (the
-// gateway's default) the estimate is native wall seconds and the scale is a
-// safety multiplier; with the offline device-model fit the scale converts
-// model-seconds to this host's real-math denoiser speed. Requests that
-// cannot meet their SLO are rejected up front with a
-// distinct status — shedding load early instead of queueing doomed work, as
-// production diffusion frontends (InstGenIE-style) do. A queue-depth cap
-// provides orthogonal overload shedding for requests without deadlines.
+// drain time over all workers. The gateway fits that model on this host's
+// timed denoise steps at startup, so the estimate is in wall-clock seconds
+// as it stands. Requests that cannot meet their SLO are rejected up front
+// with a distinct status — shedding load early instead of queueing doomed
+// work, as production diffusion frontends (InstGenIE-style) do. A
+// queue-depth cap provides orthogonal overload shedding for requests
+// without deadlines.
 #ifndef FLASHPS_SRC_GATEWAY_ADMISSION_H_
 #define FLASHPS_SRC_GATEWAY_ADMISSION_H_
 
@@ -29,10 +28,6 @@ namespace flashps::gateway {
 class AdmissionController {
  public:
   struct Options {
-    // Multiplier applied to the latency model's drain estimate. 1.0 for a
-    // wall-clock-profiled model; for the offline device-model fit it is the
-    // wall-seconds-per-model-second conversion.
-    double wall_seconds_per_model_second = 1.0;
     // Total accepted-but-not-yet-denoising requests (across all workers)
     // beyond which deadline-less requests are shed.
     size_t max_queue_depth = std::numeric_limits<size_t>::max();
@@ -57,9 +52,6 @@ class AdmissionController {
   Verdict Evaluate(const trace::Request& request,
                    const std::vector<sched::WorkerStatus>& statuses,
                    std::optional<double> budget_s) const;
-
-  void set_wall_scale(double scale) { options_.wall_seconds_per_model_second = scale; }
-  double wall_scale() const { return options_.wall_seconds_per_model_second; }
 
  private:
   sched::LatencyModel latency_model_;

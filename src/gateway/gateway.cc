@@ -1,13 +1,13 @@
 #include "src/gateway/gateway.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <limits>
 #include <utility>
 
 #include "src/cache/activation_store.h"
 #include "src/common/parallel_for.h"
-#include "src/common/thread_name.h"
 
 namespace flashps::gateway {
 
@@ -95,8 +95,7 @@ runtime::OnlineRequest MakeOnlineRequest(const trace::Request& request,
 Gateway::Gateway(GatewayOptions options)
     : options_(std::move(options)),
       admission_(sched::LatencyModel(), AdmissionController::Options{}),
-      metrics_(std::max(1, options_.num_workers)),
-      epoch_(std::chrono::steady_clock::now()) {
+      metrics_(std::max(1, options_.num_workers)) {
   // The analytic FLOP model must price steps the way the workers execute
   // them: when the fleet serves the gathered sparse path, the regression's
   // x-axis (and the router's per-block costs) use the gathered formulas.
@@ -104,20 +103,15 @@ Gateway::Gateway(GatewayOptions options)
       options_.worker.mask_aware && options_.worker.sparse_compute;
   workers_.reserve(std::max(1, options_.num_workers));
   for (int i = 0; i < std::max(1, options_.num_workers); ++i) {
-    workers_.push_back(std::make_unique<WorkerHandle>(i, options_.worker));
+    workers_.push_back(
+        std::make_unique<runtime::OnlineServer>(options_.worker));
   }
   // Fit the routing/admission regression on timed real denoise steps, so
   // routing costs and admission budgets have this host's cost shape (not the
   // GPU device-model constants, whose fixed/variable split is different).
   ProfileHost();
   admission_ = AdmissionController(
-      latency_model_,
-      AdmissionController::Options{
-          .wall_seconds_per_model_second =
-              options_.wall_seconds_per_model_second > 0.0
-                  ? options_.wall_seconds_per_model_second
-                  : 1.0,
-          .max_queue_depth = options_.max_queue_depth});
+      latency_model_, {.max_queue_depth = options_.max_queue_depth});
   if (options_.policy == sched::RoutePolicy::kMaskAware) {
     // Algorithm 2 on the profiled model (not the offline device-model fit),
     // with the serialized-batch cost reading that matches OnlineServer's
@@ -130,10 +124,6 @@ Gateway::Gateway(GatewayOptions options)
                                     ? model::ComputeMode::kMaskAwareY
                                     : model::ComputeMode::kFull);
   }
-  timer_ = std::thread([this] {
-    SetThreadName("gateway-timer");
-    TimerLoop();
-  });
 }
 
 Gateway::~Gateway() { Stop(); }
@@ -150,7 +140,7 @@ void Gateway::ProfileHost() {
   // so the fitted model prices the kernels exactly as the denoise threads
   // will execute them.
   ComputeThreadsScope compute_scope(options_.worker.compute_threads);
-  const model::DiffusionModel& m = workers_.front()->server().model();
+  const model::DiffusionModel& m = workers_.front()->model();
   const model::ComputeMode mode = options_.worker.mask_aware
                                       ? model::ComputeMode::kMaskAwareY
                                       : model::ComputeMode::kFull;
@@ -234,7 +224,7 @@ void Gateway::ProfileHost() {
       continue;
     }
     const model::DiffusionModel* rm =
-        workers_.front()->server().ModelForGrid(grid_h, grid_w);
+        workers_.front()->ModelForGrid(grid_h, grid_w);
     if (rm == nullptr) {
       continue;  // Duplicate entry already profiled.
     }
@@ -259,36 +249,11 @@ void Gateway::ProfileHost() {
   }
 }
 
-void Gateway::HintPrefetch(const runtime::OnlineRequest& request) {
-  if (options_.worker.activation_source == nullptr ||
-      !options_.worker.mask_aware) {
-    return;
-  }
-  // All workers run identical seeded models, so worker 0's models supply
-  // the record geometry no matter where routing lands the request. The
-  // source only reads the model during the call (hints are fetch-only).
-  // Hint with the request's OWN resolution model and the salted key the
-  // worker will Acquire() under; an unsupported grid skips the hint (the
-  // worker rejects the request anyway).
-  const runtime::OnlineServer& server = workers_.front()->server();
-  const model::DiffusionModel* m =
-      server.ModelForGrid(request.mask.grid_h, request.mask.grid_w);
-  const int effective_id = server.EffectiveTemplateId(
-      request.template_id, request.mask.grid_h, request.mask.grid_w);
-  if (m == nullptr || effective_id < 0) {
-    return;
-  }
-  options_.worker.activation_source->Prefetch(
-      *m, effective_id,
-      /*record_kv=*/options_.worker.mask_aware && options_.worker.sparse_compute);
-  metrics_.RecordPrefetchHint();
-}
-
 MetricsSnapshot Gateway::Metrics() const {
   MetricsSnapshot snap = metrics_.Snapshot();
   for (const auto& worker : workers_) {
-    snap.worker_sat_out_steps.push_back(worker->server().sat_out_steps());
-    snap.worker_stream_wait_ms.push_back(worker->server().stream_wait_ms());
+    snap.worker_sat_out_steps.push_back(worker->sat_out_steps());
+    snap.worker_stream_wait_ms.push_back(worker->stream_wait_ms());
   }
   return snap;
 }
@@ -351,10 +316,17 @@ std::string Gateway::MetricsJson() const {
 }
 
 std::vector<sched::WorkerStatus> Gateway::WorkerStatuses() const {
-  std::vector<sched::WorkerStatus> statuses;
-  statuses.reserve(workers_.size());
-  for (const auto& worker : workers_) {
-    statuses.push_back(worker->Status());
+  std::vector<sched::WorkerStatus> statuses(workers_.size());
+  for (size_t i = 0; i < workers_.size(); ++i) {
+    runtime::BatchSnapshot snap = workers_[i]->Snapshot();
+    sched::WorkerStatus& status = statuses[i];
+    status.worker_id = static_cast<int>(i);
+    status.has_slack = snap.has_slack();
+    status.max_batch = snap.max_batch;
+    status.remaining_steps = snap.remaining_steps;
+    status.running_ratios = std::move(snap.running_ratios);
+    status.running_remaining_steps = std::move(snap.running_remaining);
+    status.waiting_ratios = std::move(snap.waiting_ratios);
   }
   return statuses;
 }
@@ -413,11 +385,6 @@ SubmitResult Gateway::Submit(runtime::OnlineRequest request,
     }
   }
 
-  // Admitted: overlap the (possibly remote) activation fetch with the
-  // routing + worker-queue delay ahead of this request. With no shared
-  // source, or prefetch disabled on it, this is a no-op.
-  HintPrefetch(request);
-
   int worker_id = 0;
   {
     std::lock_guard<std::mutex> lock(route_mu_);
@@ -458,80 +425,14 @@ SubmitResult Gateway::Submit(runtime::OnlineRequest request,
   return result;
 }
 
-void Gateway::SubmitAt(runtime::OnlineRequest request, Duration offset) {
-  // The earliest the gateway knows this template is coming is now — not
-  // when the arrival timer fires. Hint immediately so the wire fetch runs
-  // during the open-loop wait (bounded staging absorbs early arrivals).
-  HintPrefetch(request);
-  const auto due = epoch_ + std::chrono::microseconds(offset.micros());
-  {
-    std::lock_guard<std::mutex> lock(timer_mu_);
-    if (timer_stop_) {
-      // Scheduled after shutdown: account for it like any late arrival.
-      metrics_.RecordSubmitted();
-      metrics_.RecordRejectedShutdown();
-      return;
-    }
-    timer_pending_.fetch_add(1);
-    timed_.push(Timed{due, timer_seq_++, std::move(request)});
-  }
-  timer_cv_.notify_one();
-}
-
-void Gateway::ReplayTrace(const std::vector<trace::Request>& requests,
-                          uint64_t mask_seed) {
-  Rng rng(mask_seed);
-  ResetArrivalEpoch();
-  for (const auto& request : requests) {
-    SubmitAt(MakeOnlineRequest(request, options_.worker.numerics, rng),
-             request.arrival - TimePoint());
-  }
-}
-
-void Gateway::ResetArrivalEpoch() {
-  std::lock_guard<std::mutex> lock(timer_mu_);
-  epoch_ = std::chrono::steady_clock::now();
-}
-
-void Gateway::TimerLoop() {
-  std::unique_lock<std::mutex> lock(timer_mu_);
-  for (;;) {
-    if (timed_.empty()) {
-      if (timer_stop_) {
-        return;
-      }
-      timer_cv_.wait(lock);
-      continue;
-    }
-    const auto due = timed_.top().due;
-    const auto now = std::chrono::steady_clock::now();
-    if (now < due && !timer_stop_) {
-      timer_cv_.wait_until(lock, due);
-      continue;
-    }
-    // Dispatch (shutdown dispatches everything left; Submit() rejects it
-    // with an explicit status once accepting_ is off).
-    Timed item = std::move(const_cast<Timed&>(timed_.top()));
-    timed_.pop();
-    lock.unlock();
-    Submit(std::move(item.request));
-    lock.lock();
-    timer_pending_.fetch_sub(1);
-    drained_cv_.notify_all();
-  }
-}
-
 void Gateway::Drain() {
-  std::unique_lock<std::mutex> lock(timer_mu_);
-  drained_cv_.wait(lock, [&] {
-    return timed_.empty() && timer_pending_.load() == 0 &&
-           inflight_.load() == 0;
-  });
+  std::unique_lock<std::mutex> lock(drain_mu_);
+  drained_cv_.wait(lock, [&] { return inflight_.load() == 0; });
 }
 
 void Gateway::RetireInflight() {
   {
-    std::lock_guard<std::mutex> lock(timer_mu_);
+    std::lock_guard<std::mutex> lock(drain_mu_);
     inflight_.fetch_sub(1);
   }
   drained_cv_.notify_all();
@@ -550,28 +451,9 @@ void Gateway::Stop() {
     return;
   }
 
-  {
-    // Exclusive gate: after this block no Submit() is mid-dispatch.
-    std::unique_lock<std::shared_mutex> gate(submit_gate_);
-    accepting_.store(false);
-  }
-
-  // Wake the timer; it dispatches whatever is scheduled (each arrival is
-  // rejected with a shutdown status now — counted, never dropped) and exits.
-  {
-    std::lock_guard<std::mutex> lock(timer_mu_);
-    timer_stop_ = true;
-  }
-  timer_cv_.notify_all();
-  if (timer_.joinable()) {
-    timer_.join();
-  }
-
-  // Drain accepted work, then retire the workers.
-  {
-    std::unique_lock<std::mutex> lock(timer_mu_);
-    drained_cv_.wait(lock, [&] { return inflight_.load() == 0; });
-  }
+  // Close the submit gate, drain accepted work, then retire the workers.
+  StopAccepting();
+  Drain();
   for (auto& worker : workers_) {
     worker->Stop();
   }

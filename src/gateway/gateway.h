@@ -5,43 +5,41 @@
 // sched::WorkerStatus per worker from their batch snapshots, and dispatches
 // every incoming request through a pluggable sched::Router — all five
 // RoutePolicy values (round-robin, first-fit, request-count, token-count,
-// mask-aware Algorithm 2) run unchanged against wall clocks. On top of
-// dispatch it layers the production-serving pieces the paper assumes:
+// mask-aware Algorithm 2) run unchanged against wall clocks. It admits,
+// routes and records; nothing else:
 //
-//  - open-loop arrivals: SubmitAt() schedules a request at an offset from
-//    the arrival epoch, and ReplayTrace() drives a trace::Workload
-//    (Poisson/bursty arrival processes) through it;
 //  - per-request deadlines with SLO admission control: a default SLO is
 //    stamped on deadline-less requests, and requests whose best-case drain
-//    estimate (sched::LatencyModel, wall-clock calibrated) misses their
-//    budget are rejected with a distinct status, never silently dropped;
+//    estimate (sched::LatencyModel, fitted at startup on this host's timed
+//    steps) misses their budget are rejected with a distinct status, never
+//    silently dropped;
 //  - graceful Drain()/Stop() and a lock-protected MetricsRegistry
 //    (admission counters, queueing/denoise/post/e2e latency percentiles,
 //    SLO attainment, per-worker utilization) exported as JSON.
 //
-// Threads: the workers' own, plus one arrival timer for SubmitAt(). A
-// finished request is recorded in the metrics and retired on the worker
-// thread that resolves it (OnlineServer's completion callback), so its
-// future is ready the moment that worker is done, whatever happens to
-// requests submitted before it.
+// Open-loop load generators pace their own arrivals and call Submit(). The
+// worker a request is routed to hints its template to the shared activation
+// source at enqueue (OnlineServer::Submit), so the gateway hints nothing
+// itself.
+//
+// Threads: only the workers' own. A finished request is recorded in the
+// metrics and retired on the worker thread that resolves it
+// (OnlineServer's completion callback), so its future is ready the moment
+// that worker is done, whatever happens to requests submitted before it.
 #ifndef FLASHPS_SRC_GATEWAY_GATEWAY_H_
 #define FLASHPS_SRC_GATEWAY_GATEWAY_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/gateway/admission.h"
 #include "src/gateway/metrics.h"
-#include "src/gateway/worker_handle.h"
 #include "src/runtime/online_server.h"
 #include "src/sched/scheduler.h"
 #include "src/trace/workload.h"
@@ -65,11 +63,6 @@ struct GatewayOptions {
   bool admission_control = true;
   // Cluster-wide waiting-depth cap for deadline-less requests.
   size_t max_queue_depth = std::numeric_limits<size_t>::max();
-  // Extra safety multiplier on the (already wall-clock) profiled admission
-  // estimates. <= 0 means 1.0. The routing/admission latency model is fitted
-  // at startup on timed denoise steps of a real worker, so its estimates are
-  // native wall-clock — no model-second conversion is needed.
-  double wall_seconds_per_model_second = 0.0;
 };
 
 enum class SubmitStatus {
@@ -110,23 +103,9 @@ class Gateway {
   SubmitResult Submit(runtime::OnlineRequest request,
                       runtime::OnlineServer::OnComplete on_complete = {});
 
-  // Open-loop arrival: schedules Submit() at `offset` after the arrival
-  // epoch (set at construction; ResetArrivalEpoch() restarts it). Offsets
-  // already in the past dispatch immediately. Results are observable via
-  // the metrics registry.
-  void SubmitAt(runtime::OnlineRequest request, Duration offset);
-
-  // Replays a generated workload open-loop: each trace request's arrival
-  // time becomes a SubmitAt() offset, its mask ratio a blob mask drawn with
-  // `mask_seed`. Resets the arrival epoch to now.
-  void ReplayTrace(const std::vector<trace::Request>& requests,
-                   uint64_t mask_seed);
-
-  void ResetArrivalEpoch();
-
-  // Blocks until every scheduled arrival has dispatched and every accepted
-  // request's completion is recorded (each future is ready right after
-  // its completion is). The gateway keeps accepting afterwards.
+  // Blocks until every accepted request's completion is recorded (each
+  // future is ready right after its completion is). The gateway keeps
+  // accepting afterwards.
   void Drain();
 
   // Drain hook for network frontends: stops admitting new requests (every
@@ -136,9 +115,8 @@ class Gateway {
   void StopAccepting();
   bool accepting() const { return accepting_.load(); }
 
-  // Graceful shutdown: stops accepting (pending scheduled arrivals are
-  // counted rejected_shutdown), drains accepted work, joins all gateway
-  // threads and workers. Idempotent.
+  // Graceful shutdown: stops accepting, drains accepted work and stops the
+  // workers. Idempotent.
   void Stop();
 
   std::vector<sched::WorkerStatus> WorkerStatuses() const;
@@ -150,32 +128,15 @@ class Gateway {
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
   const GatewayOptions& options() const { return options_; }
-  // The safety multiplier admission applies to its profiled estimates
-  // (for tests/benches).
-  double wall_scale() const { return admission_.wall_scale(); }
   // The wall-clock-profiled regression model behind routing and admission.
   const sched::LatencyModel& latency_model() const { return latency_model_; }
   // Mean profiled pre+post (non-denoise) cost of one request, seconds.
   double per_request_overhead_s() const { return per_request_overhead_s_; }
 
  private:
-  struct Timed {
-    std::chrono::steady_clock::time_point due;
-    uint64_t seq = 0;
-    runtime::OnlineRequest request;
-    bool operator>(const Timed& o) const {
-      return due != o.due ? due > o.due : seq > o.seq;
-    }
-  };
-
-  void TimerLoop();
-  // Retires one accepted request (inflight_ drops under timer_mu_) and
-  // wakes Drain()/Stop().
+  // Retires one accepted request (inflight_ drops under drain_mu_) and
+  // wakes Drain().
   void RetireInflight();
-  // Queue-ahead: hand the request's template to the shared activation
-  // source as a prefetch hint, so a slow (remote) acquisition overlaps the
-  // queueing delay ahead of it instead of stalling admission later.
-  void HintPrefetch(const runtime::OnlineRequest& request);
   // Times real denoise steps across the mask-ratio range on worker 0's model
   // and fits the routing/admission regression on the wall-clock samples (the
   // paper's profiling methodology, run against this host's engine). Also
@@ -183,7 +144,7 @@ class Gateway {
   void ProfileHost();
 
   GatewayOptions options_;
-  std::vector<std::unique_ptr<WorkerHandle>> workers_;
+  std::vector<std::unique_ptr<runtime::OnlineServer>> workers_;
   sched::LatencyModel latency_model_;
   // Mean profiled pre+post (non-denoise) cost of one request, seconds.
   double per_request_overhead_s_ = 0.0;
@@ -196,27 +157,15 @@ class Gateway {
   std::unique_ptr<sched::Router> router_;
 
   // Accepted requests not yet completed; each worker's completion callback
-  // retires its own.
+  // retires its own. It drops only under drain_mu_, and each drop signals
+  // drained_cv_, where Drain() waits.
   std::atomic<uint64_t> inflight_{0};
-
-  // Open-loop arrival timer. timer_pending_ counts scheduled arrivals from
-  // SubmitAt() until their dispatch (or shutdown flush) finishes, so Drain()
-  // cannot slip between a pop and the Submit() it feeds.
-  std::mutex timer_mu_;
-  std::condition_variable timer_cv_;
-  // Drain() and Stop() wait here; inflight_ and timer_pending_ drop only
-  // under timer_mu_, and each drop signals it.
+  std::mutex drain_mu_;
   std::condition_variable drained_cv_;
-  std::priority_queue<Timed, std::vector<Timed>, std::greater<Timed>> timed_;
-  std::chrono::steady_clock::time_point epoch_;
-  uint64_t timer_seq_ = 0;
-  bool timer_stop_ = false;
-  std::atomic<uint64_t> timer_pending_{0};
-  std::thread timer_;
 
-  // Submissions run under a shared lock; Stop() flips accepting_ under the
-  // exclusive lock, so no Submit() is mid-dispatch once the flip is visible
-  // and the inflight accounting is race-free.
+  // Submissions run under a shared lock; StopAccepting() flips accepting_
+  // under the exclusive lock, so no Submit() is mid-dispatch once the flip
+  // is visible and the inflight accounting is race-free.
   std::shared_mutex submit_gate_;
   std::atomic<bool> accepting_{true};
   std::atomic<bool> stopped_{false};

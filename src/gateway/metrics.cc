@@ -45,7 +45,6 @@ std::string MetricsSnapshot::ToJson() const {
       << ",\"rejected_shutdown\":" << rejected_shutdown
       << ",\"completed\":" << completed << ",\"slo_met\":" << slo_met
       << ",\"slo_missed\":" << slo_missed
-      << ",\"prefetch_hints\":" << prefetch_hints
       << ",\"slo_attainment\":" << SloAttainment() << ",";
   AppendLatency(out, "queueing", queueing);
   out << ",";
@@ -98,11 +97,6 @@ void MetricsRegistry::RecordShedOverload() {
 void MetricsRegistry::RecordRejectedShutdown() {
   std::lock_guard<std::mutex> lock(mu_);
   ++counters_.rejected_shutdown;
-}
-
-void MetricsRegistry::RecordPrefetchHint() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counters_.prefetch_hints;
 }
 
 void MetricsRegistry::RecordCompleted(int worker_id, double queueing_ms,

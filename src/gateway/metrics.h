@@ -37,14 +37,10 @@ struct MetricsSnapshot {
   uint64_t accepted = 0;
   uint64_t rejected_slo = 0;       // Admission: estimated drain misses SLO.
   uint64_t shed_overload = 0;      // Admission: queue depth cap exceeded.
-  uint64_t rejected_shutdown = 0;  // Arrived after Stop()/Drain().
+  uint64_t rejected_shutdown = 0;  // Arrived after StopAccepting()/Stop().
   uint64_t completed = 0;
   uint64_t slo_met = 0;     // Completed within their deadline.
   uint64_t slo_missed = 0;  // Completed, but past their deadline.
-  // Queue-ahead hints handed to the activation source (admission/routing
-  // and timer-enqueue time). Whether a hint became a wire fetch is the
-  // source's story — see the activation_source prefetch_* counters.
-  uint64_t prefetch_hints = 0;
 
   LatencySummary queueing;
   LatencySummary denoise;
@@ -77,7 +73,6 @@ class MetricsRegistry {
   void RecordRejectedSlo();
   void RecordShedOverload();
   void RecordRejectedShutdown();
-  void RecordPrefetchHint();
 
   // Completion: phase latencies in milliseconds; `met_deadline` is
   // meaningful only when `had_deadline`.

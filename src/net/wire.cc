@@ -407,11 +407,6 @@ std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
   return frame;
 }
 
-std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
-                                    const Matrix& data) {
-  return EncodeCachePut(seq, key, data, quant::Dtype::kF32, nullptr);
-}
-
 std::vector<uint8_t> EncodeCachePutAck(uint64_t seq, const CacheKey& key,
                                        uint64_t checksum) {
   // Shape 0x0 and nothing else.

@@ -332,9 +332,6 @@ std::vector<uint8_t> EncodeCacheFetch(uint64_t seq, const CacheKey& key);
 std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
                                     const Matrix& data, quant::Dtype dtype,
                                     uint64_t* checksum);
-// Lossless convenience: `data` as f32 (bitwise round-trip).
-std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
-                                    const Matrix& data);
 // A node's acknowledgement of a stored put: a payload-less kCacheHit
 // (shape 0x0) echoing the key and the checksum now resident.
 std::vector<uint8_t> EncodeCachePutAck(uint64_t seq, const CacheKey& key,

@@ -57,15 +57,6 @@ const model::DiffusionModel* OnlineServer::ModelForGrid(int grid_h,
   return RouteForGrid(grid_h, grid_w).model;
 }
 
-int OnlineServer::EffectiveTemplateId(int template_id, int grid_h,
-                                      int grid_w) const {
-  const ResolutionRoute route = RouteForGrid(grid_h, grid_w);
-  if (route.model == nullptr) {
-    return -1;
-  }
-  return template_id + kResolutionCacheStride * route.res_index;
-}
-
 void OnlineServer::Preprocess(InFlight& item) const {
   // The CPU-bound "pre-processing": decode the user's inputs into a latent.
   // Both the template encode and the activation record (AcquireRecord)

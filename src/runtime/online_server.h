@@ -217,10 +217,6 @@ class OnlineServer {
   // resolution. The native numerics grid always resolves (to model()).
   const model::DiffusionModel* ModelForGrid(int grid_h, int grid_w) const;
 
-  // The salted template id keying `grid`'s activation records (bare id for
-  // the native grid), or -1 for an unsupported grid. Lets gateways hint
-  // prefetches with the same key admission will Acquire() under.
-  int EffectiveTemplateId(int template_id, int grid_h, int grid_w) const;
   // The resolved source (the configured one, or the private local store).
   const std::shared_ptr<cache::ActivationSource>& activation_source() const {
     return source_;

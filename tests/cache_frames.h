@@ -1,8 +1,9 @@
-// Cache-tier frames as a node sends them, for the suites that check the
-// node, the wire decoders and the client against one another: a node's
-// whole reply (a hit's stored body joined to its head, as TcpServer sends
-// them) and the hit a node answers a fetch with (the 41-byte head, then
-// the body of the put that stored the matrix, as it arrived).
+// Cache-tier frames as a client and a node send them, for the suites that
+// check the node, the wire decoders and the client against one another: a
+// lossless put, a node's whole reply (a hit's stored body joined to its
+// head, as TcpServer sends them) and the hit a node answers a fetch with
+// (the 41-byte head, then the body of the put that stored the matrix, as
+// it arrived).
 #ifndef FLASHPS_TESTS_CACHE_FRAMES_H_
 #define FLASHPS_TESTS_CACHE_FRAMES_H_
 
@@ -25,6 +26,12 @@ inline InlineReply Whole(InlineReply reply) {
     reply.body.reset();
   }
   return reply;
+}
+
+// A lossless put of `m`: the frame a client sends to store it as f32.
+inline std::vector<uint8_t> LosslessPut(uint64_t seq, const CacheKey& key,
+                                        const Matrix& m) {
+  return EncodeCachePut(seq, key, m, quant::Dtype::kF32, nullptr);
 }
 
 // The matrix body (rows through the last element byte) a put of `m` at

@@ -79,8 +79,8 @@ void StoreResident(CacheNode& node, const model::ActivationRecord& record) {
         ParsedFrame frame;
         size_t consumed = 0;
         const std::vector<uint8_t> bytes =
-            EncodeCachePut(seq++, CacheKey{kResident, s, b, kind},
-                           (*kinds[kind])[static_cast<size_t>(b)]);
+            LosslessPut(seq++, CacheKey{kResident, s, b, kind},
+                        (*kinds[kind])[static_cast<size_t>(b)]);
         ASSERT_EQ(TryParseFrame(bytes.data(), bytes.size(), &frame, &consumed),
                   WireError::kOk);
         ASSERT_FALSE(node.Service()(frame).close_connection);
@@ -225,7 +225,7 @@ void ExpectResidentFetchesBitwise(uint16_t port,
   EXPECT_TRUE(SameRecord(*fetched.record, record));
 }
 
-TEST(CacheRpcFuzzTest, MutatedFramesIntoHandle) {
+TEST(CacheRpcFuzzTest, MutatedFramesIntoService) {
   const model::ActivationRecord record = ResidentRecord();
   CacheNode node;
   StoreResident(node, record);

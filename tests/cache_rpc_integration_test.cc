@@ -164,7 +164,7 @@ TEST(CacheRpcIntegrationTest, PrefetchFleetMatchesLocalAndPrefetchOffBitwise) {
       StoreOptionsFor(server.port()));
   const std::vector<uint64_t> off = RunFleet(requests, off_store);
 
-  // Prefetch on, warm node: the gateway's queue-ahead hints load each
+  // Prefetch on, warm node: the workers' queue-ahead hints load each
   // template before its request reaches admission.
   cache::ShardedStoreOptions on_options = StoreOptionsFor(server.port());
   on_options.prefetch_workers = 2;
@@ -247,10 +247,33 @@ TEST(CacheRpcIntegrationTest, GatewayMetricsCarryActivationSource) {
   EXPECT_EQ(JsonCounter(json, "nodes"), 1u);
   EXPECT_EQ(JsonCounter(json, "replication"), 1u);
   EXPECT_EQ(JsonCounter(json, "remote_misses"), 1u);
-  // The gateway hinted the accepted request's template (even though this
-  // store runs with the pipeline disabled, hints are still counted).
-  EXPECT_EQ(JsonCounter(json, "prefetch_hints"), 1u);
   EXPECT_NE(json.find("\"prefetch_issued\":"), std::string::npos);
+
+  gw.Stop();
+  server.Stop();
+}
+
+TEST(CacheRpcIntegrationTest, GatewayHintsEachRequestOnce) {
+  CacheNode node;
+  TcpServer server(node.Service());
+  ASSERT_TRUE(server.Start());
+
+  cache::ShardedStoreOptions store_options = StoreOptionsFor(server.port());
+  store_options.prefetch_workers = 1;
+  auto store = std::make_shared<cache::ShardedRemoteStore>(store_options);
+  gateway::GatewayOptions options = FleetOptions();
+  options.worker.activation_source = store;
+  gateway::Gateway gw(options);
+  gateway::SubmitResult result = gw.Submit(MakeRequests(1).front());
+  ASSERT_TRUE(result.accepted());
+  result.future.get();
+
+  // The worker hints the request's template once, at enqueue. A second
+  // hint for the same request would either find the first one's flight
+  // (redundant) or, once that flight missed, start a second fetch.
+  const cache::ShardedStoreStats stats = store->Stats();
+  EXPECT_EQ(stats.prefetch_issued, 1u);
+  EXPECT_EQ(stats.prefetch_redundant, 0u);
 
   gw.Stop();
   server.Stop();

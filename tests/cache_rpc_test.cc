@@ -152,7 +152,7 @@ TEST(CacheRpcWireTest, FetchRoundTrip) {
 
 TEST(CacheRpcWireTest, PutRoundTripCarriesChecksum) {
   const Matrix m = TestMatrix(6, 5, 1);
-  const ParsedFrame frame = Parse(EncodeCachePut(7, TestKey(), m));
+  const ParsedFrame frame = Parse(LosslessPut(7, TestKey(), m));
   const CacheBodyView body = ViewPut(frame);
   EXPECT_EQ(body.key, TestKey());
   EXPECT_EQ(body.dtype, quant::Dtype::kF32);
@@ -211,7 +211,7 @@ TEST(CacheRpcWireTest, MissRoundTrip) {
 
 TEST(CacheRpcWireTest, CorruptedPutPayloadFailsItsChecksum) {
   const Matrix m = TestMatrix(6, 5, 3);
-  std::vector<uint8_t> bytes = EncodeCachePut(7, TestKey(), m);
+  std::vector<uint8_t> bytes = LosslessPut(7, TestKey(), m);
   bytes.back() ^= 0x01;  // Flip one bit of the last float.
   const ParsedFrame frame = Parse(bytes);
   CacheBodyView body;
@@ -254,7 +254,7 @@ TEST(CacheRpcWireTest, Xxh64NoticesAnyOneFlippedBit) {
   }
 }
 
-TEST(CacheRpcWireTest, InPlaceChecksumsEqualEncodedChecksum) {
+TEST(CacheRpcWireTest, InPlaceChecksumsEqualPutChecksum) {
   const Matrix m = TestMatrix(7, 9, 15);
   for (const quant::Dtype dtype :
        {quant::Dtype::kF32, quant::Dtype::kF16, quant::Dtype::kI8}) {
@@ -331,7 +331,7 @@ std::vector<uint8_t> PutPayload(const std::vector<uint8_t>& frame_bytes) {
 
 TEST(CacheRpcWireTest, TruncatedPutPayloadRejectedAtEveryBoundary) {
   const std::vector<uint8_t> payload =
-      PutPayload(EncodeCachePut(1, TestKey(), TestMatrix(3, 4, 8)));
+      PutPayload(LosslessPut(1, TestKey(), TestMatrix(3, 4, 8)));
   // Cut mid-key, mid-checksum, mid-matrix-header, and one byte short of
   // the raw payload: every truncation must reject cleanly, never read
   // past the end.
@@ -349,7 +349,7 @@ TEST(CacheRpcWireTest, TruncatedPutPayloadRejectedAtEveryBoundary) {
 
 TEST(CacheRpcWireTest, UnknownDtypeTagRejected) {
   std::vector<uint8_t> payload =
-      PutPayload(EncodeCachePut(1, TestKey(), TestMatrix(3, 4, 9)));
+      PutPayload(LosslessPut(1, TestKey(), TestMatrix(3, 4, 9)));
   payload[kPutDtypeOffset] = 7;  // No such encoding.
   EXPECT_FALSE(quant::ValidDtypeTag(7));
   CacheBodyView body;
@@ -362,7 +362,7 @@ TEST(CacheRpcWireTest, ScaleCountMismatchRejected) {
   // An f32 matrix declares zero scales; claiming one must be rejected
   // before any scale bytes are interpreted.
   std::vector<uint8_t> payload =
-      PutPayload(EncodeCachePut(1, TestKey(), TestMatrix(3, 4, 10)));
+      PutPayload(LosslessPut(1, TestKey(), TestMatrix(3, 4, 10)));
   payload[kPutScaleCountOffset] = 1;
   CacheBodyView body;
   std::string error;
@@ -397,7 +397,7 @@ TEST(CacheRpcWireTest, RowCountAboveTheWireBoundRejected) {
   // int32 are far above it), before any length arithmetic is believed.
   for (const uint32_t rows : {(1u << 20) + 1, 0x80000000u, 0xffffffffu}) {
     std::vector<uint8_t> payload =
-        PutPayload(EncodeCachePut(1, TestKey(), TestMatrix(3, 4, 14)));
+        PutPayload(LosslessPut(1, TestKey(), TestMatrix(3, 4, 14)));
     for (size_t i = 0; i < 4; ++i) {
       payload[kPutRowsOffset + i] = static_cast<uint8_t>(rows >> (8 * i));
     }
@@ -491,7 +491,7 @@ TEST(CacheRpcWireTest, GoldenFramesKeepTheirBytes) {
   const Matrix m = GoldenMatrix();
   const CacheKey key = TestKey(9, 1, 2, kCacheKindV);
   const std::vector<uint8_t> put =
-      EncodeCachePut(0x0102030405060708ull, key, m);
+      LosslessPut(0x0102030405060708ull, key, m);
   EXPECT_EQ(Hex(put),
             "46505331" "0400" "0700" "0807060504030201" "42000000"  // Header.
             "09000000" "01000000" "02000000" "02"                  // Key.
@@ -656,7 +656,7 @@ TEST(CacheRpcNodeTest, FetchMissForAbsentKey) {
 
 TEST(CacheRpcNodeTest, CorruptedPutIsRejectedNotStored) {
   CacheNode node;
-  std::vector<uint8_t> bytes = EncodeCachePut(1, TestKey(), TestMatrix(4, 4, 5));
+  std::vector<uint8_t> bytes = LosslessPut(1, TestKey(), TestMatrix(4, 4, 5));
   bytes.back() ^= 0x01;
   InlineReply reply = Ask(node, bytes);
   EXPECT_TRUE(reply.close_connection);
@@ -683,11 +683,11 @@ TEST(CacheRpcNodeTest, LruEvictsUnderByteCap) {
   CacheNodeOptions options;
   options.max_bytes = 2 * m.bytes();
   CacheNode node(options);
-  Ask(node, EncodeCachePut(1, TestKey(1, 0, 0), m));
-  Ask(node, EncodeCachePut(2, TestKey(2, 0, 0), m));
+  Ask(node, LosslessPut(1, TestKey(1, 0, 0), m));
+  Ask(node, LosslessPut(2, TestKey(2, 0, 0), m));
   // Touch key 1 so key 2 is the LRU victim.
   Ask(node, EncodeCacheFetch(3, TestKey(1, 0, 0)));
-  Ask(node, EncodeCachePut(4, TestKey(3, 0, 0), m));
+  Ask(node, LosslessPut(4, TestKey(3, 0, 0), m));
   EXPECT_TRUE(node.Contains(TestKey(1, 0, 0)));
   EXPECT_FALSE(node.Contains(TestKey(2, 0, 0)));
   EXPECT_TRUE(node.Contains(TestKey(3, 0, 0)));
@@ -702,13 +702,13 @@ TEST(CacheRpcNodeTest, PutLargerThanTheCapIsRefusedWithoutEvicting) {
   CacheNodeOptions options;
   options.max_bytes = 2 * small.bytes();
   CacheNode node(options);
-  ASSERT_FALSE(Ask(node, EncodeCachePut(1, TestKey(1, 0, 0), small))
+  ASSERT_FALSE(Ask(node, LosslessPut(1, TestKey(1, 0, 0), small))
                    .close_connection);
-  ASSERT_FALSE(Ask(node, EncodeCachePut(2, TestKey(2, 0, 0), small))
+  ASSERT_FALSE(Ask(node, LosslessPut(2, TestKey(2, 0, 0), small))
                    .close_connection);
   // 256 bytes: more than the whole cap, even with every entry evicted.
   const InlineReply reply =
-      Ask(node, EncodeCachePut(3, TestKey(3, 0, 0), TestMatrix(8, 8, 17)));
+      Ask(node, LosslessPut(3, TestKey(3, 0, 0), TestMatrix(8, 8, 17)));
   EXPECT_TRUE(reply.close_connection);
   WireErrorBody error_body;
   ASSERT_TRUE(DecodeError(Parse(reply.frame), &error_body));
@@ -763,7 +763,7 @@ TEST(CacheRpcNodeTest, LosslessAdmitRejectsCompressedPuts) {
   EXPECT_FALSE(node.Contains(TestKey()));
   EXPECT_EQ(node.Stats().precision_rejects, 1u);
   // A lossless f32 put still lands on the same node.
-  InlineReply ack = Ask(node, EncodeCachePut(2, TestKey(), m));
+  InlineReply ack = Ask(node, LosslessPut(2, TestKey(), m));
   EXPECT_FALSE(ack.close_connection);
   EXPECT_TRUE(node.Contains(TestKey()));
 }
@@ -872,7 +872,7 @@ TEST(CacheRpcNodeTest, QueuedHitSendsItsBytesAfterOverwriteAndEviction) {
 TEST(CacheRpcNodeTest, MetricsJsonCarriesCounters) {
   CacheNode node;
   const Matrix m = TestMatrix(4, 4, 7);
-  Ask(node, EncodeCachePut(1, TestKey(), m));
+  Ask(node, LosslessPut(1, TestKey(), m));
   Ask(node, EncodeCacheFetch(2, TestKey()));
   Ask(node, EncodeCacheFetch(3, TestKey(9, 9, 9)));
   const std::string json = node.MetricsJson();

@@ -360,7 +360,7 @@ struct FuzzServer {
     for (int b = 0; b < kBlocks; ++b) {
       const CacheKey key{kResident, 0, b, kCacheKindY};
       node.Service()(
-          ParseOne(EncodeCachePut(seq++, key, record.steps[0].y[b])));
+          ParseOne(LosslessPut(seq++, key, record.steps[0].y[b])));
     }
   }
 
@@ -575,7 +575,7 @@ TEST(ClientFuzzTest, DefectiveHitsFailTheFetchInFlight) {
       CacheNode node;
       uint64_t seq = 1;
       for (int b = 0; b < kBlocks; ++b) {
-        node.Service()(FuzzServer::ParseOne(EncodeCachePut(
+        node.Service()(FuzzServer::ParseOne(LosslessPut(
             seq++, CacheKey{kResident, 0, b, kCacheKindY},
             stored.steps[0].y[static_cast<size_t>(b)])));
       }

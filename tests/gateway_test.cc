@@ -2,10 +2,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <latch>
 #include <memory>
 #include <set>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "src/cache/activation_store.h"
@@ -117,7 +120,7 @@ class AdmissionTest : public ::testing::Test {
 };
 
 TEST_F(AdmissionTest, GenerousBudgetAdmits) {
-  AdmissionController admission(Model(), {.wall_seconds_per_model_second = 1.0});
+  AdmissionController admission(Model(), {});
   const auto verdict =
       admission.Evaluate(Probe(0.2, 50), {Idle(0), Idle(1)}, 1e9);
   EXPECT_EQ(verdict.decision, AdmissionController::Decision::kAdmit);
@@ -125,14 +128,14 @@ TEST_F(AdmissionTest, GenerousBudgetAdmits) {
 }
 
 TEST_F(AdmissionTest, InfeasibleBudgetRejectsWithDistinctStatus) {
-  AdmissionController admission(Model(), {.wall_seconds_per_model_second = 1.0});
+  AdmissionController admission(Model(), {});
   const auto verdict =
       admission.Evaluate(Probe(0.2, 50), {Idle(0), Idle(1)}, 1e-9);
   EXPECT_EQ(verdict.decision, AdmissionController::Decision::kRejectSlo);
 }
 
 TEST_F(AdmissionTest, PicksBestWorkerForTheEstimate) {
-  AdmissionController admission(Model(), {.wall_seconds_per_model_second = 1.0});
+  AdmissionController admission(Model(), {});
   sched::WorkerStatus loaded = Idle(0);
   loaded.running_ratios = {0.9, 0.9, 0.9};
   loaded.remaining_steps = 150;
@@ -143,17 +146,8 @@ TEST_F(AdmissionTest, PicksBestWorkerForTheEstimate) {
   EXPECT_LT(both.estimated_wall_s, loaded_only.estimated_wall_s);
 }
 
-TEST_F(AdmissionTest, WallScaleScalesTheEstimate) {
-  AdmissionController admission(Model(), {.wall_seconds_per_model_second = 1.0});
-  AdmissionController scaled(Model(), {.wall_seconds_per_model_second = 0.5});
-  const auto base = admission.Evaluate(Probe(0.3, 50), {Idle(0)}, std::nullopt);
-  const auto half = scaled.Evaluate(Probe(0.3, 50), {Idle(0)}, std::nullopt);
-  EXPECT_NEAR(half.estimated_wall_s, 0.5 * base.estimated_wall_s, 1e-12);
-}
-
 TEST_F(AdmissionTest, QueueDepthCapShedsDeadlinelessRequests) {
-  AdmissionController admission(Model(), {.wall_seconds_per_model_second = 1.0,
-                                          .max_queue_depth = 2});
+  AdmissionController admission(Model(), {.max_queue_depth = 2});
   sched::WorkerStatus busy = Idle(0);
   busy.waiting_ratios = {0.1, 0.2};
   const auto verdict = admission.Evaluate(Probe(0.2, 50), {busy}, std::nullopt);
@@ -353,16 +347,14 @@ TEST(GatewayTest, QueueDepthCapSheds) {
   EXPECT_EQ(snap.completed, accepted);
 }
 
-TEST(GatewayTest, OpenLoopReplayDrainCompletesEverything) {
+TEST(GatewayTest, DrainCompletesEveryAcceptedRequest) {
   GatewayOptions options = SmallGateway(sched::RoutePolicy::kMaskAware);
   Gateway gateway(options);
-
-  trace::WorkloadSpec spec;
-  spec.num_requests = 10;
-  spec.rps = 200.0;  // 10 arrivals over ~50 ms.
-  spec.seed = 99;
-  const std::vector<trace::Request> requests = trace::GenerateWorkload(spec);
-  gateway.ReplayTrace(requests, /*mask_seed=*/17);
+  Rng rng(17);
+  // Nobody waits on a future: Drain() alone must see every request done.
+  for (int i = 0; i < 10; ++i) {
+    gateway.Submit(MakeRequest(options.worker.numerics, i, rng));
+  }
   gateway.Drain();
 
   const MetricsSnapshot snap = gateway.Metrics();
@@ -384,19 +376,31 @@ TEST(GatewayTest, SubmitAfterStopReportsShutdownStatus) {
   EXPECT_EQ(gateway.Metrics().rejected_shutdown, 1u);
 }
 
-TEST(GatewayTest, StopFlushesScheduledArrivalsAsRejected) {
-  Gateway gateway(SmallGateway(sched::RoutePolicy::kRoundRobin));
-  Rng rng(9);
-  // Scheduled far in the future; Stop() must account for them explicitly.
-  for (int i = 0; i < 5; ++i) {
-    gateway.SubmitAt(MakeRequest(gateway.options().worker.numerics, i, rng),
-                     Duration::Seconds(3600));
+// Entries of /proc/self/task: this process's threads, right now.
+size_t ThreadCount() {
+  std::error_code ec;
+  size_t n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++n;
   }
+  return n;
+}
+
+TEST(GatewayTest, StartsOnlyItsWorkersThreads) {
+  // Each worker runs one denoise thread and its CPU lanes; the gateway
+  // itself runs none.
+  const GatewayOptions options = SmallGateway(sched::RoutePolicy::kMaskAware);
+  // A runtime may start a helper of its own at the process's first thread
+  // creation (ThreadSanitizer's background thread); let that happen first.
+  std::thread([] {}).join();
+  const size_t before = ThreadCount();
+  Gateway gateway(options);
+  const size_t after = ThreadCount();
+  EXPECT_EQ(after - before,
+            static_cast<size_t>(options.num_workers *
+                                (1 + options.worker.cpu_lanes)));
   gateway.Stop();
-  const MetricsSnapshot snap = gateway.Metrics();
-  EXPECT_EQ(snap.submitted, 5u);
-  EXPECT_EQ(snap.rejected_shutdown, 5u);
-  EXPECT_EQ(snap.completed, 0u);
 }
 
 TEST(GatewayTest, StopIsIdempotentAndDrainAfterStopReturns) {
@@ -410,7 +414,7 @@ TEST(GatewayTest, MultiThreadedWorkersServeAndStayDeterministic) {
   // Workers exploiting intra-op parallelism (compute_threads > 1) must
   // behave exactly like serial workers: same completions, same images.
   // scripts/check.sh runs this under TSan, racing the ParallelFor pool
-  // against the gateway's own threads.
+  // against the workers' threads.
   Matrix images[2];
   const int thread_counts[2] = {1, 2};
   for (int variant = 0; variant < 2; ++variant) {

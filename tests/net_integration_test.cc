@@ -155,7 +155,7 @@ TEST(NetIntegrationTest, ThreadsAreNamedByRole) {
   ASSERT_TRUE(server.Start());
   // Each thread names itself as it starts; wait until all have.
   const std::map<std::string, size_t> want = {
-      {"denoise", 2}, {"cpu-lane", 4}, {"gateway-timer", 1}, {"tcp-poll", 1}};
+      {"denoise", 2}, {"cpu-lane", 4}, {"tcp-poll", 1}};
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   std::multiset<std::string> names;

@@ -68,7 +68,7 @@ trace::Mask MakeMask(int grid_h, int grid_w, const std::vector<int>& masked) {
 // ---------------------------------------------------------------------------
 // Kernel level: the fused gather/scatter GEMMs vs their unfused compositions.
 
-TEST(SparseComputeKernelTest, MatMulRowsMatchesGatherThenMatMul) {
+TEST(SparseComputeKernelTest, GatherGemmMatchesGatherThenMatMul) {
   Rng rng(0xA11CE);
   for (const int m : {1, 7, 64, 130}) {
     for (const int k : {8, 96}) {
@@ -90,7 +90,7 @@ TEST(SparseComputeKernelTest, MatMulRowsMatchesGatherThenMatMul) {
   }
 }
 
-TEST(SparseComputeKernelTest, MatMulScatterRowsMatchesDenseThenMask) {
+TEST(SparseComputeKernelTest, ScatterGemmMatchesDenseThenMask) {
   // Property: scattering the gathered panel's GEMM into a prefilled output
   // equals computing the dense GEMM and masking — written rows bitwise from
   // MatMul, untouched rows bitwise from the prefill. Random masks.
